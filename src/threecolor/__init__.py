@@ -15,10 +15,7 @@ from .graph import (
     bipartition,
     build_graph,
     contract,
-    degree_in,
-    edges_between,
     is_proper_coloring,
-    neighbors_in,
 )
 from .generate import GenParams, MinDegreeUnreachable, generate_planted
 from .dimacs import ParseError, emit_coloring, emit_dimacs, parse_coloring, parse_dimacs
@@ -36,7 +33,6 @@ from .progress import (
     UnsoundProgress,
     color_with_progress,
     type1_threshold,
-    type2_factor,
 )
 from .structure import (
     EmptyResult,

@@ -4,15 +4,17 @@
 in order: give up to the greedy fallback below a size floor; extract a
 high-degree vertex's 2-colorable neighborhood; run the full progress
 search when the minimum degree clears the split threshold; otherwise
-defer a minimum-degree vertex (degeneracy order).  The pipeline is
-total: on inputs that are not 3-colorable it either raises a checked
-odd-wheel certificate or still returns a proper coloring with extra
-colors.
+defer a minimum-degree vertex (degeneracy order).  The pipeline and
+the search-only colorer share one seek source and one certificate
+path, and both are total: on inputs that are not 3-colorable they
+either raise an odd-wheel certificate checked against the input graph
+or still return a proper coloring with extra colors.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .graph import (
     Coloring,
@@ -20,6 +22,7 @@ from .graph import (
     OddCycle,
     VertexSet,
     iter_bits,
+    spans_edge,
 )
 from .graph import bipartition as graph_bipartition
 from .params import Params, default_round_cap
@@ -36,7 +39,7 @@ from .progress import (
     color_with_progress,
     type1_threshold,
 )
-from .search import RoundAudit, SeekOutcome, seek_progress
+from .search import RoundAudit, seek_progress
 from .structure import Not3Colorable, certificate_is_valid, find_certificate
 
 
@@ -46,6 +49,22 @@ class BaselineReport:
     colors_used: int
     extractions: int = 0
     threshold: int | None = None
+
+
+def _first_fit(G: Graph, order: Iterable[int], assign: list, base: int) -> int:
+    """Give each vertex of ``order`` the lowest color >= base that none of
+    its neighbors colored here wears; returns one past the top color."""
+    masks: dict[int, int] = {}
+    top = base - 1
+    for v in order:
+        adj = G.adj_bits(v)
+        c = base
+        while adj & masks.get(c, 0):
+            c += 1
+        assign[v] = c
+        masks[c] = masks.get(c, 0) | (1 << v)
+        top = max(top, c)
+    return top + 1
 
 
 def greedy_color(G: Graph, order=None, base: int = 0) -> Coloring:
@@ -60,18 +79,8 @@ def greedy_color(G: Graph, order=None, base: int = 0) -> Coloring:
         order = list(order)
         if sorted(order) != list(range(G.n)):
             raise ValueError("order must be a permutation of the vertex set")
-    masks: dict[int, int] = {}
     assign: list[int | None] = [None] * G.n
-    top = base - 1
-    for v in order:
-        adj = G.adj_bits(v)
-        c = base
-        while adj & masks.get(c, 0):
-            c += 1
-        assign[v] = c
-        masks[c] = masks.get(c, 0) | (1 << v)
-        top = max(top, c)
-    palette = top + 1 if G.n else 0
+    palette = _first_fit(G, order, assign, base) if G.n else 0
     coloring = Coloring(tuple(assign), palette)
     if G.n and palette - base > G.max_degree() + 1:
         raise AssertionError("first-fit exceeded the degree bound")
@@ -118,18 +127,7 @@ def neighborhood_extraction_color(
         alive &= ~W.bits
         extractions += 1
 
-    base = 2 * extractions
-    masks: dict[int, int] = {}
-    top = base - 1
-    for v in iter_bits(alive):
-        adj = G.adj_bits(v)
-        c = base
-        while adj & masks.get(c, 0):
-            c += 1
-        assign[v] = c
-        masks[c] = masks.get(c, 0) | (1 << v)
-        top = max(top, c)
-    palette = top + 1 if n else 0
+    palette = _first_fit(G, iter_bits(alive), assign, 2 * extractions) if n else 0
     bound = 2 * math.ceil(n / threshold) + threshold
     if palette > bound:
         raise AssertionError(f"palette {palette} exceeds the bound {bound}")
@@ -147,12 +145,6 @@ class PipelineReport:
     seek_progress_found: int = 0
     seek_failures: dict = field(default_factory=dict)
     audits: list[RoundAudit] = field(default_factory=list)
-
-    def y1_ratios(self) -> list[float]:
-        """Round-1 cut size over round-1 T size, one entry per audit."""
-        return [
-            a.size_Y / a.size_T for a in self.audits if a.j == 1 and a.size_T
-        ]
 
 
 def _lift_bits(bits: int, idmap: list[int], n: int) -> VertexSet:
@@ -183,6 +175,99 @@ def _lift_progress(claim: Progress, idmap: list[int], n: int) -> Progress:
     raise TypeError(f"cannot lift {claim!r}")
 
 
+@dataclass
+class _Run:
+    """One colorer run: the input graph, its parameters, the report being
+    filled and the output sinks, shared by the seek source and the
+    certificate path."""
+
+    G: Graph
+    p: Params
+    report: PipelineReport
+    trace: list | None
+    claim_log: list | None
+    input_scanned: bool = False
+
+    @classmethod
+    def start(cls, G: Graph, p: Params | None, method: str, trace,
+              claim_log) -> "_Run":
+        if p is None:
+            p = Params.for_graph(G.n, max(G.min_degree(), 1))
+        return cls(G, p, PipelineReport(method, 0, DriverStats()), trace, claim_log)
+
+    def drive(self, source) -> tuple[Coloring, PipelineReport]:
+        """Drive ``source`` to a coloring of the input and fill the report."""
+        coloring, stats = color_with_progress(
+            self.G, self.p.k, source, c1=self.p.c1, c2=self.p.c2,
+            trace=self.trace, claim_log=self.claim_log,
+        )
+        self.report.colors_used = coloring.palette_size
+        self.report.stats = stats
+        return coloring, self.report
+
+
+def _raise_certificate(run: _Run, view: DriverView, hub: int | None = None,
+                       cycle: tuple[int, ...] = ()) -> None:
+    """Raise Not3Colorable with a certificate that checks out on the input.
+
+    ``hub`` and ``cycle`` are ids of ``view.base``; when each stands for a
+    single input vertex they are mapped to it and checked against the
+    input graph.  Otherwise, or when that check fails, the input graph is
+    scanned, at most once per run.  Returns when neither gives one.
+    """
+    if hub is not None:
+        groups = [view.groups[v] for v in (hub, *cycle)]
+        if all(len(g) == 1 for g in groups):
+            orig_hub, *orig_cycle = (g[0] for g in groups)
+            if certificate_is_valid(run.G, orig_hub, tuple(orig_cycle)):
+                raise Not3Colorable(orig_hub, tuple(orig_cycle))
+    if not run.input_scanned:
+        run.input_scanned = True
+        found = find_certificate(run.G)
+        if found is not None:
+            raise Not3Colorable(*found)
+
+
+def _seek(run: _Run, view: DriverView, min_degree: int) -> Progress | None:
+    """One progress search on the materialized working graph.
+
+    Returns the progress in ids of ``view.base``, or None when the source
+    should give up: the search failed, or it showed the working graph is
+    not 3-colorable (an odd wheel, or a monochromatic set spanning an
+    edge) and the certificate path found no certificate to raise.
+    """
+    h = view.n_alive
+    k = run.p.k
+    report = run.report
+    sub, idmap = view.materialize()
+    sub_params = run.p.with_overrides(
+        nhat=max(1, math.ceil(h / (k * k))),
+        round_cap=default_round_cap(h),
+    )
+    report.seek_calls += 1
+    try:
+        outcome = seek_progress(
+            sub, min_degree=min_degree, p=sub_params,
+            claim_log=run.claim_log, trace=run.trace,
+        )
+    except Not3Colorable as exc:
+        _raise_certificate(run, view, idmap[exc.hub],
+                            tuple(idmap[v] for v in exc.cycle))
+        return None
+    report.audits.extend(outcome.audits)
+    if outcome.progress is None:
+        report.seek_failures[outcome.failure] = (
+            report.seek_failures.get(outcome.failure, 0) + 1
+        )
+        return None
+    report.seek_progress_found += 1
+    progress = _lift_progress(outcome.progress, idmap, view.base.n)
+    if isinstance(progress, MonoSet) and spans_edge(view.base, progress.members.bits):
+        _raise_certificate(run, view)
+        return None
+    return progress
+
+
 def seek_only_color(
     G: Graph,
     p: Params | None = None,
@@ -194,44 +279,20 @@ def seek_only_color(
 
     No degree split and no extraction branch; every working graph goes
     straight to ``seek_progress`` and the first failure hands the
-    remainder to the greedy fallback.
+    remainder to the greedy fallback.  Like the pipeline, it raises
+    Not3Colorable only with a certificate that checks out against the
+    original graph.
     """
-    if p is None:
-        p = Params.for_graph(G.n, max(G.min_degree(), 1))
-    k = p.k
-    report = PipelineReport("seek", 0, DriverStats())
+    run = _Run.start(G, p, "seek", trace, claim_log)
 
     def source(view: DriverView):
-        h = view.n_alive
-        if h < 2:
+        _, d_min = view.min_degree_vertex()
+        if view.n_alive < 2 or d_min < 1:
             return EXHAUSTED
-        sub, idmap = view.materialize()
-        if sub.min_degree() < 1:
-            return EXHAUSTED
-        sub_params = p.with_overrides(
-            nhat=max(1, math.ceil(h / (k * k))),
-            round_cap=default_round_cap(h),
-        )
-        report.seek_calls += 1
-        outcome = seek_progress(
-            sub, min_degree=sub.min_degree(), p=sub_params,
-            claim_log=claim_log, trace=trace,
-        )
-        report.audits.extend(outcome.audits)
-        if outcome.progress is None:
-            report.seek_failures[outcome.failure] = (
-                report.seek_failures.get(outcome.failure, 0) + 1
-            )
-            return EXHAUSTED
-        report.seek_progress_found += 1
-        return _lift_progress(outcome.progress, idmap, view.base.n)
+        progress = _seek(run, view, d_min)
+        return EXHAUSTED if progress is None else progress
 
-    coloring, stats = color_with_progress(
-        G, k, source, c1=p.c1, c2=p.c2, trace=trace, claim_log=claim_log
-    )
-    report.colors_used = coloring.palette_size
-    report.stats = stats
-    return coloring, report
+    return run.drive(source)
 
 
 def pipeline_color(
@@ -246,88 +307,34 @@ def pipeline_color(
     Raises Not3Colorable only with a certificate that checks out against
     the original graph.
     """
-    if p is None:
-        p = Params.for_graph(G.n, max(G.min_degree(), 1))
-    k = p.k
-    report = PipelineReport("pipeline", 0, DriverStats())
-    backoff_size: list[int | None] = [None]
-    scan_exhausted = [False]  # the original graph held no certificate
-
-    def raise_if_certified(view: DriverView, hub: int,
-                           cycle: tuple[int, ...]) -> None:
-        """Raise when the odd-wheel certificate can be checked against G."""
-        groups = view.groups
-        hub_group = groups[hub]
-        cycle_groups = [groups[v] for v in cycle]
-        if len(hub_group) == 1 and all(len(g) == 1 for g in cycle_groups):
-            orig_hub = hub_group[0]
-            orig_cycle = tuple(g[0] for g in cycle_groups)
-            if certificate_is_valid(G, orig_hub, orig_cycle):
-                raise Not3Colorable(orig_hub, orig_cycle)
-        if not scan_exhausted[0]:
-            found = find_certificate(G)
-            if found is not None:
-                raise Not3Colorable(found[0], found[1])
-            scan_exhausted[0] = True
-
-    def scan_view_for_certificate(view: DriverView) -> None:
-        for v in sorted(iter_bits(view.alive_bits),
-                        key=lambda u: (-view.degree(u), u)):
-            if view.degree(v) < 3:
-                break
-            W = VertexSet(view.base.n, view.neighbors_bits(v))
-            split = graph_bipartition(view.base, W)
-            if isinstance(split, OddCycle):
-                raise_if_certified(view, v, split.vertices)
-                return
+    run = _Run.start(G, p, "pipeline", trace, claim_log)
+    p = run.p
+    backoff_size: int | None = None
 
     def source(view: DriverView):
+        nonlocal backoff_size
         h = view.n_alive
         if h < p.n0:
-            scan_view_for_certificate(view)
+            found = find_certificate(view.base, view.alive_bits)
+            if found is not None:
+                _raise_certificate(run, view, *found)
             return EXHAUSTED
         v_max, d_max = view.max_degree_vertex()
-        if d_max >= type1_threshold(h, k, p.c1):
+        if d_max >= type1_threshold(h, p.k, p.c1):
             W = VertexSet(view.base.n, view.neighbors_bits(v_max))
             split = graph_bipartition(view.base, W)
             if isinstance(split, OddCycle):
-                raise_if_certified(view, v_max, split.vertices)
+                _raise_certificate(run, view, v_max, split.vertices)
                 return Defer(v_max)
             return Type1(W, split.side0, split.side1)
         v_min, d_min = view.min_degree_vertex()
         split_floor = math.ceil(h ** p.tau)
-        throttled = backoff_size[0] is not None and h > 0.9 * backoff_size[0]
+        throttled = backoff_size is not None and h > 0.9 * backoff_size
         if d_min >= split_floor and not throttled:
-            sub, idmap = view.materialize()
-            sub_params = p.with_overrides(
-                nhat=max(1, math.ceil(h / (k * k))),
-                round_cap=default_round_cap(h),
-            )
-            report.seek_calls += 1
-            try:
-                outcome = seek_progress(
-                    sub, min_degree=d_min, p=sub_params,
-                    claim_log=claim_log, trace=trace,
-                )
-            except Not3Colorable as exc:
-                base_hub = idmap[exc.hub]
-                base_cycle = tuple(idmap[v] for v in exc.cycle)
-                raise_if_certified(view, base_hub, base_cycle)
-                backoff_size[0] = h
-                return Defer(v_min)
-            report.audits.extend(outcome.audits)
-            if outcome.progress is not None:
-                report.seek_progress_found += 1
-                return _lift_progress(outcome.progress, idmap, view.base.n)
-            report.seek_failures[outcome.failure] = (
-                report.seek_failures.get(outcome.failure, 0) + 1
-            )
-            backoff_size[0] = h
+            progress = _seek(run, view, d_min)
+            if progress is not None:
+                return progress
+            backoff_size = h
         return Defer(v_min)
 
-    coloring, stats = color_with_progress(
-        G, k, source, c1=p.c1, c2=p.c2, trace=trace, claim_log=claim_log
-    )
-    report.colors_used = coloring.palette_size
-    report.stats = stats
-    return coloring, report
+    return run.drive(source)

@@ -1,7 +1,8 @@
 """Command line surface: generate | color | verify | bench.
 
-Exit codes: 0 success, 2 not 3-colorable, 3 verification rejection,
-4 I/O or parse failure.  All randomness flows from explicit seeds and
+Exit codes: 0 success, 1 internal error (for ``bench``: some run ended
+in an error row), 2 not 3-colorable, 3 verification rejection, 4 usage,
+I/O or parse failure.  All randomness flows from explicit seeds and
 every output except timing fields is byte-reproducible.
 """
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .baselines import (
     pipeline_color,
     seek_only_color,
 )
-from .dimacs import ParseError, emit_coloring, emit_dimacs, parse_coloring, parse_dimacs
+from .dimacs import ParseError, emit_coloring, emit_dimacs, parse_dimacs
 from .generate import GenParams, MinDegreeUnreachable, generate_planted
 from .graph import Graph, is_proper_coloring
 from .oracle import verify_claim_dict
@@ -29,9 +30,12 @@ from .search import seek_progress
 from .structure import Not3Colorable
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_NOT3COLORABLE = 2
 EXIT_REJECTED = 3
 EXIT_IO = 4
+
+METHODS = ("pipeline", "greedy", "extract", "seek")
 
 
 def _load_graph(path: str) -> Graph:
@@ -44,8 +48,6 @@ def _load_params(args, graph: Graph) -> Params:
         overrides = parse_param_overrides(Path(args.params).read_text())
     if getattr(args, "no_side_cuts", False):
         overrides["side_cuts"] = False
-    if getattr(args, "oracle_cap", None) is not None:
-        overrides["oracle_cap"] = args.oracle_cap
     k = overrides.pop("k", None)
     nhat = overrides.pop("nhat", None)
     p = Params.for_graph(graph.n, max(graph.min_degree(), 1), k=k, **overrides)
@@ -83,7 +85,7 @@ def cmd_generate(args) -> int:
         graph, coloring = generate_planted(params)
     except MinDegreeUnreachable as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return EXIT_INTERNAL
     prefix = Path(args.out)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     col_path = prefix.with_suffix(".col")
@@ -174,7 +176,7 @@ def cmd_color(args) -> int:
     ok, edge = is_proper_coloring(graph, coloring)
     if not ok:
         print(f"internal error: improper coloring at edge {edge}", file=sys.stderr)
-        return 1
+        return EXIT_INTERNAL
     if args.output:
         Path(args.output).write_text(emit_coloring(coloring))
     if args.trace and trace is not None:
@@ -206,11 +208,10 @@ def cmd_verify(args) -> int:
     else:
         claims = payload.get("claims", [])
         k = payload.get("k", args.k)
-    cap = args.oracle_cap if args.oracle_cap is not None else 25
     verdicts = []
     all_ok = True
     for idx, entry in enumerate(claims):
-        verdict = verify_claim_dict(graph, entry, k, cap=cap)
+        verdict = verify_claim_dict(graph, entry, k, cap=args.cap)
         verdicts.append({
             "index": idx,
             "type": entry.get("type"),
@@ -281,6 +282,11 @@ def cmd_bench(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
     densities = [float(x) for x in args.densities.split(",")]
     methods = args.methods.split(",")
+    unknown = [m for m in methods if m not in METHODS]
+    if unknown:
+        print(f"error: unknown method(s) {', '.join(unknown)}; "
+              f"choose from {', '.join(METHODS)}", file=sys.stderr)
+        return EXIT_IO
     seeds = list(range(args.seeds))
     rows = []
     timings = []
@@ -341,8 +347,10 @@ def cmd_bench(args) -> int:
     for row in rows:
         writer.writerow(row)
     Path(args.out_csv).write_text(buf.getvalue())
+    errors = sum(1 for row in rows if row["outcome"].startswith("error:"))
     summary = {
         "rows": len(rows),
+        "errors": errors,
         "methods": methods,
         "sizes": sizes,
         "densities": densities,
@@ -362,11 +370,22 @@ def cmd_bench(args) -> int:
     }
     Path(args.out_json).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(rows)} rows to {args.out_csv}")
+    if errors:
+        print(f"error: {errors} run(s) ended in an error", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_IO; argparse's own 2 means not 3-colorable here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="threecolor",
         description="Combinatorial coloring of 3-colorable graphs",
     )
@@ -386,13 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     col.add_argument("--in", dest="input", required=True)
     col.add_argument("--out", dest="output", default=None)
     col.add_argument("--report", default=None)
-    col.add_argument("--method", default="pipeline",
-                     choices=["pipeline", "greedy", "extract", "seek"])
+    col.add_argument("--method", default="pipeline", choices=METHODS)
     col.add_argument("--params", default=None, help="JSON parameter overrides")
     col.add_argument("--no-side-cuts", action="store_true")
     col.add_argument("--trace", default=None, help="JSONL trace output path")
-    col.add_argument("--oracle-cap", type=int, default=None)
-    col.add_argument("--seed", type=int, default=0)
     col.set_defaults(func=cmd_color)
 
     ver = sub.add_parser("verify", help="verify a claims file")
@@ -400,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--claims", required=True)
     ver.add_argument("--out", dest="output", default=None)
     ver.add_argument("--k", type=float, default=None)
-    ver.add_argument("--oracle-cap", type=int, default=None)
+    ver.add_argument("--oracle-cap", dest="cap", type=int, default=25)
     ver.set_defaults(func=cmd_verify)
 
     ben = sub.add_parser("bench", help="run a method/instance/seed matrix")
@@ -412,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="also record round-1 cut ratios with and without side cuts")
     ben.add_argument("--out-csv", required=True)
     ben.add_argument("--out-json", required=True)
-    ben.add_argument("--seed", type=int, default=0)
     ben.set_defaults(func=cmd_bench)
     return parser
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Coloring, Graph, is_proper_coloring
+from .graph import Coloring, Graph, pack_rows
 
 
 class MinDegreeUnreachable(RuntimeError):
@@ -68,7 +68,7 @@ def _generate_once(params: GenParams, attempt: int) -> tuple[Graph, Coloring]:
         labels[perm[start:start + size]] = cls
         start += size
 
-    dense = np.zeros((n, n), dtype=bool) if n else np.zeros((0, 0), dtype=bool)
+    dense = np.zeros((n, n), dtype=bool)
     p = params.edge_prob
     for a in range(3):
         for b in range(a + 1, 3):
@@ -80,11 +80,7 @@ def _generate_once(params: GenParams, attempt: int) -> tuple[Graph, Coloring]:
             dense[np.ix_(va, vb)] = block
             dense[np.ix_(vb, va)] = block.T
 
-    if n:
-        packed = np.packbits(dense, axis=1, bitorder="little")
-        adj = [int.from_bytes(packed[v].tobytes(), "little") for v in range(n)]
-    else:
-        adj = []
+    adj = pack_rows(dense)
     m = sum(a.bit_count() for a in adj) // 2
     graph = Graph(n, adj, m)
     coloring = Coloring(tuple(int(c) for c in labels), 3)
@@ -105,8 +101,3 @@ def generate_planted(params: GenParams) -> tuple[Graph, Coloring]:
         if mindeg >= params.min_degree_target:
             return graph, coloring
     raise MinDegreeUnreachable(params.min_degree_target, best, attempts)
-
-
-def planted_is_proper(graph: Graph, coloring: Coloring) -> bool:
-    ok, _ = is_proper_coloring(graph, coloring)
-    return ok

@@ -3,13 +3,18 @@
 Vertex ids are dense integers 0..n-1.  Vertex subsets are arbitrary
 precision integer bitmasks, so the intersection-heavy queries the
 coloring machinery lives on (N(v) & Y, degree into a subset) cost
-O(n/64) machine words instead of O(degree) hash lookups.
+O(n/64) machine words instead of O(degree) hash lookups.  Bulk
+rebuilds (induced subgraphs, merges, generation) go through numpy 0/1
+rows; ``unpack_bits``, ``unpack_rows`` and ``pack_rows`` are the one
+conversion between the two forms.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -180,6 +185,38 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, adj, m)
 
 
+def unpack_bits(bits: int, n: int) -> np.ndarray:
+    """0/1 ``uint8`` vector of length ``n``; entry v is bit v of ``bits``."""
+    buf = np.frombuffer(bits.to_bytes(max((n + 7) // 8, 1), "little"), dtype=np.uint8)
+    return np.unpackbits(buf, count=n, bitorder="little")
+
+
+def unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
+    """0/1 ``uint8`` matrix with one :func:`unpack_bits` row per bitmask."""
+    if not rows:
+        return np.zeros((0, n), dtype=np.uint8)
+    nbytes = max((n + 7) // 8, 1)
+    blob = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
+    buf = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), nbytes)
+    return np.unpackbits(buf, axis=1, count=n, bitorder="little")
+
+
+def pack_rows(matrix: np.ndarray) -> list[int]:
+    """Inverse of :func:`unpack_rows`: one bitmask per row of a 0/1 matrix."""
+    if matrix.shape[0] == 0:
+        return []
+    packed = np.packbits(matrix, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def spans_edge(G: Graph, bits: int) -> bool:
+    """Whether some edge of G has both endpoints in ``bits``."""
+    for v in iter_bits(bits):
+        if G.adj_bits(v) & bits:
+            return True
+    return False
+
+
 def union_neighborhoods(G: Graph, bits: int) -> int:
     """Bitmask of all vertices adjacent to at least one member of ``bits``."""
     out = 0
@@ -188,46 +225,12 @@ def union_neighborhoods(G: Graph, bits: int) -> int:
     return out
 
 
-def neighbors_in(G: Graph, v: int, Y: VertexSet) -> VertexSet:
-    """N(v) restricted to Y."""
-    if not 0 <= v < G.n:
-        raise VertexOutOfRange(f"vertex {v} not in 0..{G.n - 1}")
-    return VertexSet(G.n, G.adj_bits(v) & Y.bits)
-
-
-def degree_in(G: Graph, v: int, Y: VertexSet) -> int:
-    """|N(v) & Y|."""
-    if not 0 <= v < G.n:
-        raise VertexOutOfRange(f"vertex {v} not in 0..{G.n - 1}")
-    return (G.adj_bits(v) & Y.bits).bit_count()
-
-
-def edges_between(G: Graph, S: VertexSet, T: VertexSet) -> int:
-    """Number of edges with one endpoint in S and the other in T.
-
-    An edge with both endpoints in S & T is counted once.
-    """
-    total = 0
-    for v in iter_bits(S.bits):
-        total += (G.adj_bits(v) & T.bits).bit_count()
-    overlap = S.bits & T.bits
-    if overlap:
-        inner = 0
-        for v in iter_bits(overlap):
-            inner += (G.adj_bits(v) & overlap).bit_count()
-        total -= inner // 2
-    return total
-
-
 @dataclass(frozen=True)
 class TwoColoring:
     """Proper 2-coloring of an induced subgraph, as the two color classes."""
 
     side0: VertexSet
     side1: VertexSet
-
-    def members(self) -> VertexSet:
-        return self.side0 | self.side1
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .progress import (
     Type0,
     Type1,
     Type2,
-    type1_threshold,
+    validate_progress,
 )
 
 SAME_IN_ALL = "all"
@@ -187,20 +187,6 @@ class Verdict:
     reasons: list[str] = field(default_factory=list)
 
 
-def _check_two_coloring(G: Graph, members: VertexSet, side0: VertexSet,
-                        side1: VertexSet) -> list[str]:
-    bad = []
-    if (side0.bits | side1.bits) != members.bits or (side0.bits & side1.bits):
-        bad.append("witness sides do not partition the set")
-        return bad
-    for side in (side0, side1):
-        for v in iter_bits(side.bits):
-            if G.adj_bits(v) & side.bits:
-                bad.append("witness side contains an edge")
-                return bad
-    return bad
-
-
 def verify_progress_claim(
     G: Graph,
     claim: Progress,
@@ -212,48 +198,24 @@ def verify_progress_claim(
 ) -> Verdict:
     """Verify a progress claim from scratch.
 
-    Same-color pairs and monochromatic sets go through exhaustive
-    enumeration (subject to the size cap); large-set and
-    small-neighborhood claims are checked structurally, so they carry no
-    size limit.
+    Every claim first passes the driver's structural check with all of G
+    alive, which settles large-set and small-neighborhood claims with no
+    size limit.  Same-color pairs and monochromatic sets then go through
+    exhaustive enumeration (subject to the size cap).
     """
-    reasons: list[str] = []
+    reasons = validate_progress(G, (1 << G.n) - 1, claim, k, c1, c2)
+    if reasons:
+        return Verdict(False, reasons)
     if isinstance(claim, Type0):
-        if claim.u == claim.v:
-            reasons.append("pair must be two distinct vertices")
-        elif G.has_edge(claim.u, claim.v):
-            reasons.append("pair is adjacent")
-        else:
-            summary = enumerate_3colorings(
-                G, pairs=((claim.u, claim.v),), cap=cap
-            )
-            status = summary.pair_status[(min(claim.u, claim.v), max(claim.u, claim.v))]
-            if status not in (SAME_IN_ALL, NO_COLORINGS):
-                reasons.append(f"pair is same-colored in {status} colorings only")
+        summary = enumerate_3colorings(G, pairs=((claim.u, claim.v),), cap=cap)
+        status = summary.pair_status[(min(claim.u, claim.v), max(claim.u, claim.v))]
+        if status not in (SAME_IN_ALL, NO_COLORINGS):
+            reasons.append(f"pair is same-colored in {status} colorings only")
     elif isinstance(claim, MonoSet):
         members = tuple(claim.members)
-        if len(members) < 2:
-            reasons.append("monochromatic set needs at least two vertices")
-        else:
-            summary = enumerate_3colorings(G, sets=(members,), cap=cap)
-            if summary.colorable and summary.set_max_colors[members] > 1:
-                reasons.append("set takes two colors in some 3-coloring")
-    elif isinstance(claim, Type1):
-        reasons.extend(_check_two_coloring(G, claim.members, claim.side0, claim.side1))
-        floor = type1_threshold(G.n, k, c1)
-        if len(claim.members) < floor:
-            reasons.append(f"set size {len(claim.members)} below threshold {floor}")
-    elif isinstance(claim, Type2):
-        if not claim.members:
-            reasons.append("set is empty")
-        reasons.extend(_check_two_coloring(G, claim.members, claim.side0, claim.side1))
-        want = union_neighborhoods(G, claim.members.bits) & ~claim.members.bits
-        if claim.neighborhood.bits != want:
-            reasons.append("declared neighborhood mismatch")
-        if len(claim.neighborhood) > c2 * k * max(len(claim.members), 1):
-            reasons.append("neighborhood exceeds the allowed factor")
-    else:
-        reasons.append(f"unknown claim type {type(claim).__name__}")
+        summary = enumerate_3colorings(G, sets=(members,), cap=cap)
+        if summary.colorable and summary.set_max_colors[members] > 1:
+            reasons.append("set takes two colors in some 3-coloring")
     return Verdict(not reasons, reasons)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from typing import Any
 
@@ -46,7 +46,6 @@ class Params:
     side_cuts: bool = True
     n0: int = 64  # pipeline hands graphs below this to the greedy fallback
     tau: float = 0.605  # pipeline degree-split exponent
-    oracle_cap: int = 25
 
     def __post_init__(self):
         if self.nhat < 1:

@@ -33,7 +33,11 @@ from .graph import (
     VertexSet,
     is_proper_coloring,
     iter_bits,
+    pack_rows,
+    spans_edge,
     union_neighborhoods,
+    unpack_bits,
+    unpack_rows,
 )
 
 
@@ -74,21 +78,8 @@ class MonoSet:
 Progress = Union[Type0, Type1, Type2, MonoSet]
 
 
-class Exhausted:
-    """Source sentinel: no further progress; fall back to greedy."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Exhausted"
-
-
-EXHAUSTED = Exhausted()
+# source sentinel: no further progress; fall back to greedy
+EXHAUSTED = object()
 
 
 @dataclass(frozen=True)
@@ -131,11 +122,6 @@ def type1_threshold(n: int, k: float, c1: float = 1.0) -> int:
     return math.ceil(c1 * n / k)
 
 
-def type2_factor(c2: float = 1.0) -> float:
-    """Neighborhood growth cap for small-neighborhood sets."""
-    return c2
-
-
 @dataclass
 class DriverStats:
     colors_used: int = 0
@@ -146,27 +132,6 @@ class DriverStats:
     phases: int = 0
     fallback_colored: int = 0
     graph_sizes: list = field(default_factory=list)
-
-
-def _unpack_selected_rows(G: Graph, keep: list[int]) -> np.ndarray:
-    """Boolean adjacency rows for the chosen vertices, full column width."""
-    nbytes = max((G.n + 7) // 8, 1)
-    if not keep:
-        return np.zeros((0, G.n), dtype=np.uint8)
-    blob = b"".join(G.adj_bits(v).to_bytes(nbytes, "little") for v in keep)
-    buf = np.frombuffer(blob, dtype=np.uint8).reshape(len(keep), nbytes)
-    return np.unpackbits(buf, axis=1, count=G.n, bitorder="little")
-
-
-def _unpack_rows(G: Graph) -> np.ndarray:
-    return _unpack_selected_rows(G, list(range(G.n))).astype(bool)
-
-
-def _pack_rows(sub: np.ndarray) -> list[int]:
-    if sub.shape[0] == 0:
-        return []
-    packed = np.packbits(sub, axis=1, bitorder="little")
-    return [int.from_bytes(packed[i].tobytes(), "little") for i in range(sub.shape[0])]
 
 
 def merge_vertex_set(G: Graph, members: VertexSet) -> tuple[Graph, tuple[int, ...]]:
@@ -182,13 +147,13 @@ def merge_vertex_set(G: Graph, members: VertexSet) -> tuple[Graph, tuple[int, ..
     drop = set(ids[1:])
     keep = [v for v in range(G.n) if v not in drop]
     new_id = {old: i for i, old in enumerate(keep)}
-    rows = _unpack_rows(G)
+    rows = unpack_rows([G.adj_bits(v) for v in range(G.n)], G.n).astype(bool)
     merged_row = rows[ids].any(axis=0)
     rows[lo] = merged_row
     rows[:, lo] = rows[:, ids].any(axis=1)
     rows[lo, lo] = False
     sub = rows[np.ix_(keep, keep)]
-    adj = _pack_rows(sub)
+    adj = pack_rows(sub)
     m = sum(a.bit_count() for a in adj) // 2
     mapping = tuple(new_id[lo] if v in drop else new_id[v] for v in range(G.n))
     return Graph(len(keep), adj, m), mapping
@@ -199,17 +164,11 @@ def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
     keep = list(iter_bits(alive_bits))
     if not keep:
         return Graph(0, [], 0), []
-    rows = _unpack_selected_rows(G, keep)
+    rows = unpack_rows([G.adj_bits(v) for v in keep], G.n)
     sub = rows[:, keep].astype(bool)
-    adj = _pack_rows(sub)
+    adj = pack_rows(sub)
     m = sum(a.bit_count() for a in adj) // 2
     return Graph(len(keep), adj, m), keep
-
-
-def _bits_to_row(bits: int, n: int) -> np.ndarray:
-    nbytes = max((n + 7) // 8, 1)
-    buf = np.frombuffer(bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(buf, count=n, bitorder="little")
 
 
 class DriverView:
@@ -226,7 +185,7 @@ class DriverView:
         self.base = base
         self.alive_bits = alive_bits
         self._deg = deg
-        self._alive_row = _bits_to_row(alive_bits, base.n).astype(bool)
+        self._alive_row = unpack_bits(alive_bits, base.n).astype(bool)
         self.groups = groups if groups is not None else [
             (v,) for v in range(base.n)
         ]
@@ -262,60 +221,60 @@ class DriverView:
         return induced_subgraph(self.base, self.alive_bits)
 
 
-def validate_progress(view: DriverView, claim: Progress, k: float,
+def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
                       c1: float = 1.0, c2: float = 1.0) -> list[str]:
-    """Structural check of a claim against the current working graph."""
-    base = view.base
-    alive = view.alive_bits
+    """Structural check of a claim against the working graph G[alive].
+
+    Type 1/2 witness sides must partition the set into two independent
+    sides; a Type 1 set must reach the size floor of G[alive], and a
+    Type 2 set must declare its exact neighborhood in G[alive] within
+    the size factor.  Type 0 and MonoSet claims are checked for shape
+    only: the same-color statement itself needs the oracle.  An edge
+    inside a MonoSet is not a shape fault (the claim holds vacuously
+    when G[alive] has no 3-coloring); the driver refuses to merge one.
+    """
     bad: list[str] = []
+
+    def inside(v: int) -> bool:
+        return v >= 0 and (alive_bits >> v) & 1 == 1
 
     def check_witness(members: VertexSet, side0: VertexSet, side1: VertexSet):
         if (side0.bits | side1.bits) != members.bits or (side0.bits & side1.bits):
             bad.append("witness sides do not partition the set")
-            return
-        for side in (side0, side1):
-            for v in iter_bits(side.bits):
-                if base.adj_bits(v) & side.bits:
-                    bad.append("witness side contains an edge")
-                    return
+        elif spans_edge(G, side0.bits) or spans_edge(G, side1.bits):
+            bad.append("witness side contains an edge")
 
     if isinstance(claim, Type0):
         if claim.u == claim.v:
             bad.append("same-color pair must be two distinct vertices")
-        elif not ((alive >> claim.u) & 1 and (alive >> claim.v) & 1):
+        elif not (inside(claim.u) and inside(claim.v)):
             bad.append("same-color pair not in the working graph")
-        elif base.has_edge(claim.u, claim.v):
+        elif G.has_edge(claim.u, claim.v):
             bad.append("same-color pair is adjacent")
     elif isinstance(claim, MonoSet):
         bits = claim.members.bits
         if bits.bit_count() < 2:
             bad.append("monochromatic set needs at least two vertices")
-        if bits & ~alive:
+        if bits & ~alive_bits:
             bad.append("monochromatic set leaves the working graph")
-        for v in iter_bits(bits):
-            if base.adj_bits(v) & bits:
-                bad.append("monochromatic set contains an edge")
-                break
-    elif isinstance(claim, Type1):
-        if claim.members.bits & ~alive:
-            bad.append("set leaves the working graph")
-        check_witness(claim.members, claim.side0, claim.side1)
-        if len(claim.members) < type1_threshold(view.n_alive, k, c1):
-            bad.append(
-                f"set of size {len(claim.members)} below threshold "
-                f"{type1_threshold(view.n_alive, k, c1)}"
-            )
-    elif isinstance(claim, Type2):
-        if not claim.members:
+    elif isinstance(claim, (Type1, Type2)):
+        if isinstance(claim, Type2) and not claim.members:
             bad.append("small-neighborhood set is empty")
-        if claim.members.bits & ~alive:
+        if claim.members.bits & ~alive_bits:
             bad.append("set leaves the working graph")
         check_witness(claim.members, claim.side0, claim.side1)
-        want = (union_neighborhoods(base, claim.members.bits) & alive) & ~claim.members.bits
-        if claim.neighborhood.bits != want:
-            bad.append("declared neighborhood does not match the working graph")
-        if len(claim.neighborhood) > c2 * k * max(len(claim.members), 1):
-            bad.append("neighborhood exceeds the allowed factor")
+        if isinstance(claim, Type1):
+            floor = type1_threshold(alive_bits.bit_count(), k, c1)
+            if len(claim.members) < floor:
+                bad.append(
+                    f"set of size {len(claim.members)} below threshold {floor}"
+                )
+        else:
+            want = union_neighborhoods(G, claim.members.bits) & alive_bits
+            if claim.neighborhood.bits != want & ~claim.members.bits:
+                bad.append("declared neighborhood does not match the working graph")
+            if len(claim.neighborhood) > c2 * k * max(len(claim.members), 1):
+                bad.append("neighborhood exceeds the allowed factor")
     else:
         bad.append(f"unknown claim {claim!r}")
     return bad
@@ -359,7 +318,7 @@ def color_with_progress(
         nonlocal alive
         alive &= ~bits
         for v in iter_bits(bits):
-            deg[:] -= _bits_to_row(base.adj_bits(v) & alive, base.n)
+            deg[:] -= unpack_bits(base.adj_bits(v) & alive, base.n)
             deg[v] = 0
 
     def close_phase():
@@ -369,7 +328,7 @@ def color_with_progress(
         aside = phase["aside"]
         if aside:
             for v in iter_bits(aside):
-                deg[:] += _bits_to_row(base.adj_bits(v) & alive, base.n)
+                deg[:] += unpack_bits(base.adj_bits(v) & alive, base.n)
             alive |= aside
             for v in iter_bits(aside):
                 deg[v] = (base.adj_bits(v) & alive).bit_count()
@@ -388,7 +347,7 @@ def color_with_progress(
         action = source(view)
         step += 1
 
-        if action is EXHAUSTED or isinstance(action, Exhausted):
+        if action is EXHAUSTED:
             emit("exhausted")
             break
 
@@ -407,7 +366,9 @@ def color_with_progress(
             emit("defer", 1)
             continue
 
-        violations = validate_progress(view, action, k, c1, c2)
+        violations = validate_progress(base, alive, action, k, c1, c2)
+        if isinstance(action, MonoSet) and spans_edge(base, action.members.bits):
+            violations.append("monochromatic set contains an edge")
         if violations:
             raise UnsoundProgress(violations)
 

@@ -14,7 +14,7 @@ they stay exact when the two sides of a pair overlap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import Graph, VertexSet, iter_bits, union_neighborhoods
@@ -23,13 +23,10 @@ from .progress import (
     ClaimLog,
     MonoSet,
     Progress,
-    Type1,
-    Type2,
     log_claim,
 )
 from .structure import (
     MultichromaticGuaranteed,
-    Not3Colorable,
     RegularPair,
     TwoLevel,
     build_two_level,
@@ -88,8 +85,9 @@ class RoundAudit:
 
     ``edge_mass_cut`` is the degree sum from the sparse cut's Y into its
     X; ``edge_mass_side`` the degree sum from Y'' into S_j minus X.
-    Flags marked hard in ``HARD_FLAGS`` are asserted at construction;
-    the rest are diagnostics that asymptotic rounds would satisfy.
+    ``side_edge_mass`` (and, for an adopted side cut, ``x_size_floor``)
+    is asserted by ``audit_round``; the other flags are diagnostics that
+    asymptotic rounds would satisfy.
     """
 
     j: int
@@ -125,18 +123,6 @@ class RoundAudit:
         }
         out.update({f"flag_{k}": v for k, v in sorted(self.flags.items())})
         return out
-
-
-HARD_FLAGS = ("side_edge_mass",)
-SOFT_FLAGS = (
-    "min_cut_degree",
-    "x_size_floor",
-    "y_size_floor",
-    "y_sqrt_cap",
-    "y_round_cap",
-    "degree_vs_nhat",
-    "base_degree_floor",
-)
 
 
 @dataclass

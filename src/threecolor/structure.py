@@ -17,10 +17,10 @@ from fractions import Fraction
 from .graph import (
     Graph,
     OddCycle,
-    TwoColoring,
     VertexSet,
     bipartition,
     iter_bits,
+    spans_edge,
     union_neighborhoods,
 )
 from .params import Params
@@ -61,12 +61,20 @@ def certificate_is_valid(G: Graph, hub: int, cycle: tuple[int, ...]) -> bool:
     )
 
 
-def find_certificate(G: Graph) -> tuple[int, tuple[int, ...]] | None:
-    """Scan for a vertex whose neighborhood contains an odd cycle."""
-    for v in sorted(range(G.n), key=lambda u: (-G.degree(u), u)):
-        if G.degree(v) < 3:
+def find_certificate(G: Graph, mask: int | None = None) -> tuple[int, tuple[int, ...]] | None:
+    """Scan G[mask] (all of G by default) for a vertex whose neighborhood
+    holds an odd cycle.
+
+    Vertices are tried by descending degree into the mask, ties to the
+    lower id, and the scan stops at the first degree below 3.
+    """
+    if mask is None:
+        mask = (1 << G.n) - 1
+    degree = {v: (G.adj_bits(v) & mask).bit_count() for v in iter_bits(mask)}
+    for v in sorted(degree, key=lambda u: (-degree[u], u)):
+        if degree[v] < 3:
             break
-        result = bipartition(G, G.neighbors(v))
+        result = bipartition(G, VertexSet(G.n, G.adj_bits(v) & mask))
         if isinstance(result, OddCycle):
             return v, result.vertices
     return None
@@ -85,7 +93,7 @@ class RegularPair:
     """Two-sided degree-regular pair of vertex sets for round j.
 
     Every v in S has more than ``delta_S`` neighbors in T; every w in T
-    has between ``delta_T`` (exclusive) and ``degree_cap * delta_T``
+    has more than ``delta_T`` and at most ``degree_cap * delta_T``
     neighbors in S.
     """
 
@@ -101,12 +109,12 @@ class RegularPair:
             bad.append("empty side")
             return bad
         for v in iter_bits(self.S.bits):
-            if (G.adj_bits(v) & self.T.bits).bit_count() < self.delta_S:
-                bad.append(f"vertex {v} has S-side degree below delta_S")
+            if (G.adj_bits(v) & self.T.bits).bit_count() <= self.delta_S:
+                bad.append(f"vertex {v} has S-side degree at most delta_S")
         cap = degree_cap * self.delta_T
         for w in iter_bits(self.T.bits):
             d = (G.adj_bits(w) & self.S.bits).bit_count()
-            if d < self.delta_T or d > cap:
+            if d <= self.delta_T or d > cap:
                 bad.append(f"vertex {w} has T-side degree outside bounds")
         return bad
 
@@ -132,10 +140,9 @@ def multichromatic_test(
     """
     if len(X) < p.nhat:
         raise SetTooSmall(f"|X| = {len(X)} below the test floor {p.nhat}")
-    for v in iter_bits(X.bits):
-        if G.adj_bits(v) & X.bits:
-            log_claim(claim_log, "multi", X, G, provenance="internal-edge")
-            return MultichromaticGuaranteed(X, "internal-edge")
+    if spans_edge(G, X.bits):
+        log_claim(claim_log, "multi", X, G, provenance="internal-edge")
+        return MultichromaticGuaranteed(X, "internal-edge")
     nbhd = VertexSet(G.n, union_neighborhoods(G, X.bits) & ~X.bits)
     split = bipartition(G, nbhd)
     if isinstance(split, OddCycle):
@@ -223,14 +230,9 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> Regul
 
 
 def _assert_regular(G: Graph, pair: RegularPair, p: Params) -> None:
-    for v in iter_bits(pair.S.bits):
-        if not (G.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S:
-            raise AssertionError("survivor below the S-side degree floor")
-    cap = p.degree_cap * pair.delta_T
-    for w in iter_bits(pair.T.bits):
-        d = (G.adj_bits(w) & pair.S.bits).bit_count()
-        if not (pair.delta_T < d <= cap):
-            raise AssertionError("survivor outside the T-side degree window")
+    bad = pair.check(G, p.degree_cap)
+    if bad:
+        raise AssertionError(f"regularized pair is not regular: {bad}")
 
 
 def build_two_level(

@@ -12,7 +12,7 @@ from threecolor.baselines import (
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, is_proper_coloring
 from threecolor.params import Params
-from threecolor.structure import Not3Colorable, certificate_is_valid
+from threecolor.structure import Not3Colorable, certificate_is_valid, find_certificate
 
 K4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
 
@@ -167,3 +167,36 @@ class TestSeekOnly:
         ok, _ = is_proper_coloring(g, coloring)
         assert ok
         assert coloring.palette_size == 1
+
+
+def fuzz_graph(seed):
+    """G(n, p) graph of the arbitrary-graph fuzz: n in [26, 90), p drawn
+    from {0.05, 0.1, 0.2, 0.3}, pairs u < v drawn in lexicographic order."""
+    rng = random.Random(seed)
+    n = rng.randrange(26, 90)
+    p = rng.choice([0.05, 0.1, 0.2, 0.3])
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return build_graph(n, edges)
+
+
+# graphs that are not 3-colorable on which the seek colorer once raised a
+# certificate in working-graph ids (first six) or UnsoundProgress on a
+# vacuous monochromatic set (last six)
+FUZZ_SEEDS = (110, 1110, 1124, 1321, 2339, 2916, 1330, 1950, 2079, 2413, 2511, 2668)
+NO_ODD_WHEEL = (1124, 2511, 2668)
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+@pytest.mark.parametrize("colorer", [seek_only_color, pipeline_color],
+                         ids=["seek", "pipeline"])
+def test_fuzz_graph_colored_or_certified(colorer, seed):
+    g = fuzz_graph(seed)
+    if seed in NO_ODD_WHEEL:
+        assert find_certificate(g) is None
+    try:
+        coloring, _ = colorer(g)
+    except Not3Colorable as exc:
+        assert seed not in NO_ODD_WHEEL
+        assert certificate_is_valid(g, exc.hub, exc.cycle)
+    else:
+        assert is_proper_coloring(g, coloring)[0]

@@ -4,7 +4,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_baselines import fuzz_graph
 
+import threecolor.cli
 from threecolor.cli import main
 from threecolor.dimacs import emit_dimacs, parse_coloring, parse_dimacs
 from threecolor.generate import GenParams, generate_planted
@@ -192,6 +194,34 @@ class TestVerify:
         assert code == 0
 
 
+class TestUsage:
+    def test_usage_error_exits_4(self, tmp_path):
+        # a removed flag must not read as the not-3-colorable exit code 2
+        with pytest.raises(SystemExit) as err:
+            run_cli(["color", "--in", str(tmp_path / "g.col"), "--seed", "1"])
+        assert err.value.code == 4
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            run_cli(["color", "--help"])
+        assert err.value.code == 0
+
+    def test_params_file_with_unknown_key_exits_4(self, tmp_path):
+        src = tmp_path / "k4.col"
+        src.write_text(K4_TEXT)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"no_such_knob": 25}))
+        assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
+
+
+def test_seek_on_a_graph_that_is_not_3_colorable(tmp_path):
+    # fuzz seed 1330: the seek colorer once ended here in UnsoundProgress
+    src = tmp_path / "g.col"
+    src.write_text(emit_dimacs(fuzz_graph(1330)))
+    assert run_cli(["color", "--in", str(src), "--method", "seek",
+                    "--report", str(tmp_path / "r.json")]) in (0, 2)
+
+
 class TestBench:
     def test_matrix_shape_and_determinism(self, tmp_path):
         args = ["bench", "--sizes", "40,60", "--densities", "0.5",
@@ -208,6 +238,28 @@ class TestBench:
         assert summary["rows"] == 12
         assert "ablation" in summary
         assert summary["ablation"]["mean_y1_ratio_side"] is not None
+
+    def test_unknown_method_rejected_before_running(self, tmp_path, capsys):
+        code = run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",
+                        "--methods", "greedy,bogus", "--out-csv", str(tmp_path / "b.csv"),
+                        "--out-json", str(tmp_path / "b.json")])
+        assert code == 4
+        assert "bogus" in capsys.readouterr().err
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_error_rows_written_and_exit_1(self, tmp_path, monkeypatch):
+        def broken(graph, order=None, base=0):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(threecolor.cli, "greedy_color", broken)
+        code = run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "2",
+                        "--methods", "greedy,extract", "--out-csv", str(tmp_path / "b.csv"),
+                        "--out-json", str(tmp_path / "b.json")])
+        assert code == 1
+        rows = (tmp_path / "b.csv").read_text().splitlines()[1:]
+        assert len(rows) == 4
+        assert sum("error:RuntimeError" in row for row in rows) == 2
+        assert json.loads((tmp_path / "b.json").read_text())["errors"] == 2
 
     def test_csv_columns_fixed(self, tmp_path):
         run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",

@@ -14,10 +14,11 @@ from threecolor.graph import (
     bipartition,
     build_graph,
     contract,
-    degree_in,
-    edges_between,
     is_proper_coloring,
-    neighbors_in,
+    pack_rows,
+    spans_edge,
+    unpack_bits,
+    unpack_rows,
 )
 
 
@@ -56,50 +57,27 @@ class TestBuildGraph:
                 assert g.has_edge(u, v) == g.has_edge(v, u)
 
 
-class TestNeighborsIn:
-    def test_triangle_restriction(self):
-        assert neighbors_in(TRIANGLE, 0, vs(3, [1])) == vs(3, [1])
+class TestRowPacking:
+    def test_round_trip(self):
+        rows = [K4.adj_bits(v) for v in range(K4.n)]
+        matrix = unpack_rows(rows, K4.n)
+        assert matrix.shape == (4, 4)
+        assert matrix.tolist() == [
+            [int(K4.has_edge(u, v)) for v in range(4)] for u in range(4)
+        ]
+        assert pack_rows(matrix) == rows
+        assert unpack_bits(rows[0], K4.n).tolist() == matrix[0].tolist()
 
-    def test_empty_subset(self):
-        assert neighbors_in(TRIANGLE, 0, vs(3, [])) == vs(3, [])
-
-    def test_path_full(self):
-        assert neighbors_in(PATH3, 1, vs(3, [0, 2])) == vs(3, [0, 2])
-        assert degree_in(PATH3, 1, vs(3, [0, 2])) == 2
+    def test_empty(self):
+        assert unpack_rows([], 5).shape == (0, 5)
+        assert pack_rows(unpack_rows([], 5)) == []
 
 
-class TestEdgesBetween:
-    def test_complete_bipartite_cut(self):
-        assert edges_between(K4, vs(4, [0, 1]), vs(4, [2, 3])) == 4
-
-    def test_empty_side(self):
-        assert edges_between(K4, vs(4, []), vs(4, [2, 3])) == 0
-
-    def test_overlap_counts_once(self):
-        # triangle edges: (0,1), (1,2), (0,2); only (0,1) lies in S x T
-        assert edges_between(TRIANGLE, vs(3, [0, 1]), vs(3, [0, 1])) == 1
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_symmetric_in_arguments(self, data):
-        n = data.draw(st.integers(2, 10))
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        chosen = data.draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
-        g = build_graph(n, sorted(chosen))
-        s = vs(n, data.draw(st.sets(st.integers(0, n - 1))))
-        t = vs(n, data.draw(st.sets(st.integers(0, n - 1))))
-        assert edges_between(g, s, t) == edges_between(g, t, s)
-
-    def test_matches_naive_count(self):
-        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
-        s = vs(6, [0, 1, 2, 4])
-        t = vs(6, [1, 4, 5])
-        naive = sum(
-            1
-            for u, v in g.edges()
-            if (u in s and v in t) or (v in s and u in t)
-        )
-        assert edges_between(g, s, t) == naive
+class TestSpansEdge:
+    def test_path(self):
+        assert spans_edge(PATH3, 0b011)
+        assert not spans_edge(PATH3, 0b101)
+        assert not spans_edge(PATH3, 0)
 
 
 class TestBipartition:

@@ -169,6 +169,17 @@ class TestVerifyProgressClaim:
         claim = MonoSet(VertexSet.from_iterable(4, [1, 3]))
         assert not verify_progress_claim(g, claim, k=1.0).verified
 
+    def test_mono_set_with_edge_is_vacuous_on_k4(self):
+        # K4 has no 3-coloring, so every set is monochromatic in all of them
+        k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+        claim = MonoSet(VertexSet.from_iterable(4, [0, 1]))
+        assert verify_progress_claim(k4, claim, k=1.0).verified
+        assert not verify_progress_claim(PATH3, MonoSet(VertexSet.from_iterable(3, [0, 1])),
+                                         k=1.0).verified
+
+    def test_type0_outside_the_graph_rejected(self):
+        assert not verify_progress_claim(PATH3, Type0(0, 3), k=1.0).verified
+
     def test_type1_below_threshold(self):
         members = VertexSet.from_iterable(3, [0])
         claim = Type1(members, members, VertexSet(3))

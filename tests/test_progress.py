@@ -13,7 +13,6 @@ from threecolor.progress import (
     color_with_progress,
     merge_vertex_set,
     type1_threshold,
-    type2_factor,
 )
 
 
@@ -26,10 +25,6 @@ class TestThresholds:
         assert type1_threshold(100, 10) == 10
         assert type1_threshold(100, 100) == 1
         assert type1_threshold(100, 10, c1=0.5) == 5
-
-    def test_factor_passthrough(self):
-        assert type2_factor() == 1.0
-        assert type2_factor(2.5) == 2.5
 
 
 class TestDriver:

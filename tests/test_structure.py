@@ -12,7 +12,9 @@ from threecolor.structure import (
     EmptyResult,
     MultichromaticGuaranteed,
     Not3Colorable,
+    RegularPair,
     SetTooSmall,
+    _assert_regular,
     TwoLevel,
     build_two_level,
     certificate_is_valid,
@@ -108,6 +110,22 @@ class TestMultichromaticTest:
                     assert summary.set_min_colors[members] >= 2
                 checked += 1
         assert checked > 10
+
+
+class TestRegularPairCheck:
+    @pytest.mark.parametrize("delta_S, delta_T, flagged", [
+        (Fraction(2), Fraction(1, 2), [0]),  # vertex 0 has exactly delta_S T-neighbors
+        (Fraction(1), Fraction(1), [1, 2]),  # vertices 1, 2 have exactly delta_T S-neighbors
+    ])
+    def test_degree_equal_to_a_bound_fails(self, delta_S, delta_T, flagged):
+        # path 1-0-2 with S = {0}, T = {1, 2}; both degree bounds are strict
+        g = build_graph(3, [(0, 1), (0, 2)])
+        pair = RegularPair(vs(3, [0]), vs(3, [1, 2]), delta_S, delta_T, 1)
+        p = make_params(3, 1.0)
+        bad = pair.check(g, p.degree_cap)
+        assert [int(msg.split()[1]) for msg in bad] == flagged
+        with pytest.raises(AssertionError):
+            _assert_regular(g, pair, p)
 
 
 class TestRegularize:
