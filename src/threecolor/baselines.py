@@ -21,6 +21,7 @@ from .graph import (
     Graph,
     OddCycle,
     VertexSet,
+    degrees_into,
     iter_bits,
     spans_edge,
 )
@@ -108,12 +109,9 @@ def neighborhood_extraction_color(
     assign: list[int | None] = [None] * n
     extractions = 0
     while alive:
-        best_v, best_d = -1, -1
-        for v in iter_bits(alive):
-            d = (G.adj_bits(v) & alive).bit_count()
-            if d > best_d:
-                best_v, best_d = v, d
-        if best_d < threshold:
+        degree = degrees_into(G, alive, alive)
+        best_v = max(degree, key=degree.__getitem__)  # ties to the lowest id
+        if degree[best_v] < threshold:
             break
         W = VertexSet(n, G.adj_bits(best_v) & alive)
         split = graph_bipartition(G, W)

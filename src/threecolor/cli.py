@@ -44,16 +44,17 @@ def _load_graph(path: str) -> Graph:
 
 def _load_params(args, graph: Graph) -> Params:
     overrides = {}
-    if getattr(args, "params", None):
+    if args.params:
         overrides = parse_param_overrides(Path(args.params).read_text())
-    if getattr(args, "no_side_cuts", False):
+    # the search derives these afresh on every working graph
+    for key in ("nhat", "round_cap"):
+        if key in overrides:
+            raise ValueError(f"parameter {key!r} is derived per working graph "
+                             "and cannot be set")
+    if args.no_side_cuts:
         overrides["side_cuts"] = False
     k = overrides.pop("k", None)
-    nhat = overrides.pop("nhat", None)
-    p = Params.for_graph(graph.n, max(graph.min_degree(), 1), k=k, **overrides)
-    if nhat is not None:
-        p = p.with_overrides(nhat=nhat)
-    return p
+    return Params.for_graph(graph.n, max(graph.min_degree(), 1), k=k, **overrides)
 
 
 def _write_trace(path: str, events: list) -> None:
@@ -202,19 +203,21 @@ def cmd_verify(args) -> int:
     except (OSError, ParseError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    if isinstance(payload, list):
-        claims = payload
-        k = args.k
+    if isinstance(payload, dict):
+        claims, k = payload.get("claims", []), payload.get("k", args.k)
     else:
-        claims = payload.get("claims", [])
-        k = payload.get("k", args.k)
+        claims, k = payload, args.k
+    if not isinstance(claims, list):
+        print("error: claims file must hold a list of claims, or an object "
+              "whose \"claims\" is one", file=sys.stderr)
+        return EXIT_IO
     verdicts = []
     all_ok = True
     for idx, entry in enumerate(claims):
         verdict = verify_claim_dict(graph, entry, k, cap=args.cap)
         verdicts.append({
             "index": idx,
-            "type": entry.get("type"),
+            "type": entry.get("type") if isinstance(entry, dict) else None,
             "verified": verdict.verified,
             "reasons": verdict.reasons,
         })

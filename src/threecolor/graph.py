@@ -7,6 +7,10 @@ O(n/64) machine words instead of O(degree) hash lookups.  Bulk
 rebuilds (induced subgraphs, merges, generation) go through numpy 0/1
 rows; ``unpack_bits``, ``unpack_rows`` and ``pack_rows`` are the one
 conversion between the two forms.
+
+The subset queries are four kernels, ``degrees_into``,
+``with_degree_at_least``, ``union_neighborhoods`` and ``spans_edge``;
+the other modules call them rather than scanning adjacency rows.
 """
 from __future__ import annotations
 
@@ -209,6 +213,18 @@ def pack_rows(matrix: np.ndarray) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
+def degrees_into(G: Graph, bits: int, mask: int) -> dict[int, int]:
+    """|N(v) & mask| for each member v of ``bits``, in ascending id order."""
+    adj = G._adj
+    return {v: (adj[v] & mask).bit_count() for v in iter_bits(bits)}
+
+
+def with_degree_at_least(G: Graph, bits: int, mask: int, d: int) -> int:
+    """Bitmask of the members of ``bits`` with at least ``d`` neighbors in ``mask``."""
+    adj = G._adj
+    return sum(1 << v for v in iter_bits(bits) if (adj[v] & mask).bit_count() >= d)
+
+
 def spans_edge(G: Graph, bits: int) -> bool:
     """Whether some edge of G has both endpoints in ``bits``."""
     for v in iter_bits(bits):
@@ -265,15 +281,10 @@ def bipartition(G: Graph, W: VertexSet) -> TwoColoring | OddCycle:
             else:
                 bits1 |= frontier
             unseen &= ~frontier
-            acc = 0
-            for v in iter_bits(frontier):
-                acc |= G.adj_bits(v)
-            frontier = acc & unseen
+            frontier = union_neighborhoods(G, frontier) & unseen
             parity ^= 1
-    for side_bits in (bits0, bits1):
-        for v in iter_bits(side_bits):
-            if G.adj_bits(v) & side_bits:
-                return OddCycle(_extract_odd_cycle(G, Wb))
+    if spans_edge(G, bits0) or spans_edge(G, bits1):
+        return OddCycle(_extract_odd_cycle(G, Wb))
     return TwoColoring(VertexSet(G.n, bits0), VertexSet(G.n, bits1))
 
 

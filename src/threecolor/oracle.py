@@ -256,19 +256,29 @@ def verify_logged_claim(claim: Claim, cap: int = 25) -> Verdict:
     return Verdict(not reasons, reasons)
 
 
+def _two_ids(value, name: str) -> tuple[int, int]:
+    if (not isinstance(value, list) or len(value) != 2
+            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
+        raise ValueError(f"{name} must be two vertex ids")
+    return value[0], value[1]
+
+
 def verify_claim_dict(G: Graph, entry: dict, k: float | None,
                       cap: int = 25) -> Verdict:
     """Verify one claims-file entry against a graph.
 
-    Entries carry a ``type`` of type0 | type1 | type2 | mono | multi,
-    with ``pair`` for type0 and ``vertices`` otherwise; mono and multi
-    accept an optional ``conditional`` pair.  Large-set and
-    small-neighborhood claims need the color target ``k``.
+    Entries are JSON objects carrying a ``type`` of type0 | type1 |
+    type2 | mono | multi, with ``pair`` (two vertex ids) for type0 and
+    ``vertices`` otherwise; mono and multi accept an optional
+    ``conditional`` pair.  Large-set and small-neighborhood claims need
+    the color target ``k``.  Any malformed entry is rejected.
     """
+    if not isinstance(entry, dict):
+        return Verdict(False, ["malformed claim: entry is not a JSON object"])
     kind = entry.get("type")
     try:
         if kind == "type0":
-            u, v = entry["pair"]
+            u, v = _two_ids(entry["pair"], "pair")
             return verify_progress_claim(G, Type0(u, v), k or 1.0, cap=cap)
         if kind in ("type1", "type2"):
             if k is None:
@@ -290,7 +300,7 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
         if kind in ("mono", "multi"):
             vertices = tuple(entry["vertices"])
             conditional = entry.get("conditional")
-            cond = tuple(conditional) if conditional else None
+            cond = None if conditional is None else _two_ids(conditional, "conditional")
             if kind == "mono":
                 logged = Claim("mono_if_differ" if cond else "mono",
                                vertices, G, cond)

@@ -56,10 +56,15 @@ class Params:
             # the multichromatic fall-through needs the large-set floor to
             # stay below the small-neighborhood cap, which holds iff c1 <= c2
             raise ValueError("c1 must not exceed c2")
-        for name in ("highdeg_factor", "sidecut_factor", "term_factor",
-                     "bucket_base", "degree_cap"):
+        for name in ("highdeg_factor", "sidecut_factor", "term_factor", "degree_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.bucket_base <= 1:
+            # the bucket boundaries bucket_base^l must grow past every degree
+            raise ValueError("bucket_base must exceed 1")
+        if min(self.bucket_floor_divisor, self.base_degree_divisor,
+               self.min_degree_divisor) < 1:
+            raise ValueError("degree divisors must be at least 1")
 
     @classmethod
     def for_graph(cls, n: int, min_degree: int, k: float | None = None,
@@ -96,28 +101,47 @@ class Params:
         return cls(**parse_param_overrides(text))
 
 
-_FRACTION_FIELDS = {"highdeg_factor", "sidecut_factor", "term_factor",
-                    "bucket_base", "degree_cap"}
+_EXPECTED = {
+    "bool": "true or false",
+    "int": "an integer",
+    "float": "a finite number",
+    "Fraction": 'a finite number or a "p/q" string',
+}
+
+
+def _parse_value(key: str, kind: str, val: Any) -> Any:
+    """``val`` checked against the field type ``kind``; raises ValueError."""
+    # JSON true/false is a bool here, never a number
+    number = isinstance(val, (int, float)) and not isinstance(val, bool)
+    if (kind == "bool" and isinstance(val, bool)
+            or kind == "int" and number and isinstance(val, int)):
+        return val
+    if kind in ("float", "Fraction") and number and math.isfinite(val):
+        return val if kind == "float" else Fraction(val).limit_denominator(10**9)
+    if kind == "Fraction" and isinstance(val, str):
+        try:
+            return Fraction(val)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"parameter {key!r} must be {_EXPECTED[kind]}, not {val!r}")
 
 
 def parse_param_overrides(text: str) -> dict[str, Any]:
     """Parse a JSON params file into keyword overrides.
 
-    Fraction-valued knobs accept "p/q" strings or numbers; null values
+    Each value must match its field's type: integers for int fields,
+    finite numbers for float fields, finite numbers or "p/q" strings
+    for Fraction fields, and true/false for ``side_cuts``.  Null values
     are dropped so per-graph defaults apply.
     """
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("params file must hold a JSON object")
-    known = {f.name for f in fields(Params)}
+    kinds = {f.name: f.type for f in fields(Params)}
     out: dict[str, Any] = {}
     for key, val in raw.items():
-        if key not in known:
+        if key not in kinds:
             raise ValueError(f"unknown parameter {key!r}")
-        if val is None:
-            continue
-        if key in _FRACTION_FIELDS:
-            out[key] = Fraction(val) if isinstance(val, str) else Fraction(val).limit_denominator(10**9)
-        else:
-            out[key] = val
+        if val is not None:
+            out[key] = _parse_value(key, kinds[key], val)
     return out

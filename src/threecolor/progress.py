@@ -31,6 +31,7 @@ from .graph import (
     Coloring,
     Graph,
     VertexSet,
+    degrees_into,
     is_proper_coloring,
     iter_bits,
     pack_rows,
@@ -194,9 +195,6 @@ class DriverView:
     def n_alive(self) -> int:
         return self.alive_bits.bit_count()
 
-    def alive_set(self) -> VertexSet:
-        return VertexSet(self.base.n, self.alive_bits)
-
     def degree(self, v: int) -> int:
         return int(self._deg[v])
 
@@ -330,8 +328,8 @@ def color_with_progress(
             for v in iter_bits(aside):
                 deg[:] += unpack_bits(base.adj_bits(v) & alive, base.n)
             alive |= aside
-            for v in iter_bits(aside):
-                deg[v] = (base.adj_bits(v) & alive).bit_count()
+            for v, d in degrees_into(base, aside, alive).items():
+                deg[v] = d
         phase = None
 
     def alloc_side_slot(ph: dict, which: str) -> int:
@@ -397,13 +395,9 @@ def color_with_progress(
             base = new_base
             groups = new_groups
             alive = new_alive
-            deg = np.array(
-                [
-                    (base.adj_bits(v) & alive).bit_count() if (alive >> v) & 1 else 0
-                    for v in range(base.n)
-                ],
-                dtype=np.int64,
-            )
+            deg = np.zeros(base.n, dtype=np.int64)
+            for v, d in degrees_into(base, alive, alive).items():
+                deg[v] = d
             stats.contractions += len(pair_ids) - 1
             emit("contract", len(pair_ids))
             continue
@@ -420,7 +414,8 @@ def color_with_progress(
                 "slot1": None,
             }
             stats.phases += 1
-        if any(base.adj_bits(v) & phase["union"] for v in iter_bits(members)):
+        reach = union_neighborhoods(base, members)
+        if reach & phase["union"]:
             raise AssertionError("extracted set touches an earlier set of this phase")
         for side_bits, which in ((action.side0.bits, "slot0"), (action.side1.bits, "slot1")):
             if not side_bits:
@@ -429,7 +424,7 @@ def color_with_progress(
             for v in iter_bits(side_bits):
                 for orig in groups[v]:
                     batch_color[orig] = slot
-        nbhd = union_neighborhoods(base, members) & alive & ~members
+        nbhd = reach & alive & ~members
         remove_bits(members | nbhd)
         phase["union"] |= members
         phase["aside"] |= nbhd

@@ -14,10 +14,18 @@ they stay exact when the two sides of a pair overlap.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
-from .graph import Graph, VertexSet, iter_bits, union_neighborhoods
+from .graph import (
+    Graph,
+    VertexSet,
+    degrees_into,
+    iter_bits,
+    union_neighborhoods,
+    with_degree_at_least,
+)
 from .params import Params
 from .progress import (
     ClaimLog,
@@ -106,21 +114,9 @@ class RoundAudit:
     flags: dict[str, bool]
 
     def to_dict(self) -> dict:
-        out = {
-            "j": self.j,
-            "size_S": self.size_S,
-            "size_T": self.size_T,
-            "size_X": self.size_X,
-            "size_Y": self.size_Y,
-            "delta_S": str(self.delta_S),
-            "delta_T": str(self.delta_T),
-            "mu": str(self.mu),
-            "ypp_size": self.ypp_size,
-            "edge_mass_cut": self.edge_mass_cut,
-            "edge_mass_side": self.edge_mass_side,
-            "side_cut_adopted": self.side_cut_adopted,
-            "side_cut_u": self.side_cut_u,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "flags"}
+        for name in ("delta_S", "delta_T", "mu"):
+            out[name] = str(out[name])
         out.update({f"flag_{k}": v for k, v in sorted(self.flags.items())})
         return out
 
@@ -180,24 +176,10 @@ def cut_or_color(
     X = G.adj_bits(t) & Sb
     if X == 0:
         raise ValueError("seed vertex has no neighbors in S")
-    Y = 0
-    y_size = 0
-    deg_into_Y = {v: 0 for v in iter_bits(Sb)}
+    Y = union_neighborhoods(G, X) & Tb
+    y_size = Y.bit_count()
     root_adj = G.adj_bits(r0)
     measure_cache: dict[int, tuple[int, int]] = {}
-
-    def grow_Y(bits: int) -> None:
-        nonlocal Y, y_size
-        add = bits & Tb & ~Y
-        if not add:
-            return
-        Y |= add
-        y_size += add.bit_count()
-        for w in iter_bits(add):
-            for s in iter_bits(G.adj_bits(w) & Sb):
-                deg_into_Y[s] += 1
-
-    grow_Y(union_neighborhoods(G, X))
 
     while True:
         if X == Sb:
@@ -213,14 +195,17 @@ def cut_or_color(
         extended = True
         while extended:
             extended = False
+            # Y grows inside this scan, so each degree into Y is read fresh
             for s in iter_bits(Sb & ~X):
-                if deg_into_Y[s] >= nh:
-                    witness = VertexSet(n, G.adj_bits(s) & Y)
-                    res = multichromatic_test(G, witness, p, claim_log=claim_log)
+                witness_bits = G.adj_bits(s) & Y
+                if witness_bits.bit_count() >= nh:
+                    res = multichromatic_test(G, VertexSet(n, witness_bits), p,
+                                              claim_log=claim_log)
                     if not isinstance(res, MultichromaticGuaranteed):
                         return ProgressFound(res)
                     X |= 1 << s
-                    grow_Y(G.adj_bits(s))
+                    Y |= G.adj_bits(s) & Tb
+                    y_size = Y.bit_count()
                     extended = True
                     _emit(trace, "extension", round=round_no, kind="x", vertex=s,
                           x_size=X.bit_count(), y_size=y_size)
@@ -234,10 +219,7 @@ def cut_or_color(
             cached = measure_cache.get(t2)
             if cached is not None and cached[0] + (y_size - cached[1]) < nh:
                 continue
-            reach = 0
-            for x in iter_bits(G.adj_bits(t2) & root_adj):
-                reach |= G.adj_bits(x)
-            witness_bits = reach & Y
+            witness_bits = union_neighborhoods(G, G.adj_bits(t2) & root_adj) & Y
             measured = witness_bits.bit_count()
             measure_cache[t2] = (measured, y_size)
             if measured >= nh:
@@ -245,7 +227,8 @@ def cut_or_color(
                                           claim_log=claim_log)
                 if not isinstance(res, MultichromaticGuaranteed):
                     return ProgressFound(res)
-                grow_Y(1 << t2)
+                Y |= 1 << t2
+                y_size += 1
                 applied = True
                 _emit(trace, "extension", round=round_no, kind="y", vertex=t2,
                       x_size=X.bit_count(), y_size=y_size)
@@ -287,19 +270,13 @@ def check_sparse_cut(
     if G.adj_bits(t) & S.bits & ~X.bits:
         violated.append("I1")
     outside_T = T.bits & ~Y.bits
-    for x in iter_bits(X.bits):
-        if G.adj_bits(x) & outside_T:
-            violated.append("I2")
-            break
-    for s in iter_bits(S.bits & ~X.bits):
-        if (G.adj_bits(s) & Y.bits).bit_count() >= p.nhat:
-            violated.append("I3")
-            break
+    if union_neighborhoods(G, X.bits) & outside_T:
+        violated.append("I2")
+    if with_degree_at_least(G, S.bits & ~X.bits, Y.bits, p.nhat):
+        violated.append("I3")
     root_adj = G.adj_bits(r0)
     for t2 in iter_bits(outside_T):
-        reach = 0
-        for x in iter_bits(G.adj_bits(t2) & root_adj):
-            reach |= G.adj_bits(x)
+        reach = union_neighborhoods(G, G.adj_bits(t2) & root_adj)
         if (reach & Y.bits).bit_count() >= p.nhat:
             violated.append("I4")
             break
@@ -317,9 +294,8 @@ def best_side_cut(
     from (S_j, T_j), so an empty scan returns the full pair.
     """
     Sj, Tj = pair.S.bits, pair.T.bits
-    threshold = pair.delta_T * p.sidecut_factor
-    # d < p/q  <=>  d < ceil(p/q) for integral d
-    threshold_int = -(-threshold.numerator // threshold.denominator)
+    # integral degrees: d >= x  <=>  d >= ceil(x)
+    threshold_int = math.ceil(pair.delta_T * p.sidecut_factor)
     fresh_mask = Tj & ~Y.bits
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
@@ -377,30 +353,23 @@ def inner_loop(
     """
     n = G.n
     Sb, Tb = pair.S.bits, pair.T.bits
-    seed_floor = pair.delta_T * p.highdeg_factor
-    # d >= p/q  <=>  d >= ceil(p/q) for integral d
-    seed_floor_int = -(-seed_floor.numerator // seed_floor.denominator)
+    # integral degrees: d >= x  <=>  d >= ceil(x)
+    seed_floor = math.ceil(pair.delta_T * p.highdeg_factor)
     first = True
     while True:
         if not first:
-            mass = sum(
-                (G.adj_bits(w) & Sb).bit_count() for w in iter_bits(Tb)
-            )
+            mass = sum(degrees_into(G, Tb, Sb).values())
             if mass < pair.delta_T * p.term_factor * Tb.bit_count():
-                for v in iter_bits(Sb):
-                    if G.adj_bits(v) & pair.T.bits & ~Tb:
-                        raise AssertionError(
-                            "final cut lost a T_j-neighbor of its X side"
-                        )
+                if union_neighborhoods(G, Sb) & pair.T.bits & ~Tb:
+                    raise AssertionError(
+                        "final cut lost a T_j-neighbor of its X side"
+                    )
                 return InnerCut(VertexSet(n, Sb), VertexSet(n, Tb))
         first = False
         if Sb.bit_count() <= 1:
             _emit(trace, "error", reason="ErrorA")
             return InnerError("ErrorA")
-        seeds = 0
-        for w in iter_bits(Tb):
-            if (G.adj_bits(w) & Sb).bit_count() >= seed_floor_int:
-                seeds |= 1 << w
+        seeds = with_degree_at_least(G, Tb, Sb, seed_floor)
         if seeds.bit_count() < p.nhat:
             _emit(trace, "error", reason="ErrorB")
             return InnerError("ErrorB")
@@ -458,23 +427,17 @@ def audit_round(
     nh = p.nhat
     d_S, d_T = pair.delta_S, pair.delta_T
     outside = pair.S.bits & ~sparse_X.bits
-    ypp_bits = 0
-    edge_mass_side = 0
-    side_floor = d_T * p.sidecut_factor
-    for u in iter_bits(sparse_Y.bits):
-        d = (G.adj_bits(u) & outside).bit_count()
-        if d >= side_floor:
-            ypp_bits |= 1 << u
-            edge_mass_side += d
-    edge_mass_cut = sum(
-        (G.adj_bits(w) & sparse_X.bits).bit_count() for w in iter_bits(sparse_Y.bits)
-    )
+    # integral degrees: d >= x  <=>  d >= ceil(x)
+    side_floor = math.ceil(d_T * p.sidecut_factor)
+    ypp_degrees = [
+        d for d in degrees_into(G, sparse_Y.bits, outside).values() if d >= side_floor
+    ]
+    edge_mass_side = sum(ypp_degrees)
+    edge_mass_cut = sum(degrees_into(G, sparse_Y.bits, sparse_X.bits).values())
     mu = Fraction(len(chosen_Y) * nh) / (d_S * d_S) if d_S else Fraction(0)
 
-    min_cut_deg = min(
-        ((G.adj_bits(v) & chosen_Y.bits).bit_count() for v in iter_bits(chosen_X.bits)),
-        default=0,
-    )
+    cut_degrees = degrees_into(G, chosen_X.bits, chosen_Y.bits).values()
+    min_cut_deg = min(cut_degrees, default=0)
     x_floor = d_T * (p.sidecut_factor if side_cut_adopted else p.highdeg_factor)
     flags = {
         "min_cut_degree": Fraction(min_cut_deg) >= d_S / 2,
@@ -495,12 +458,12 @@ def audit_round(
             raise AssertionError("adopted side cut overlaps the sparse cut")
         if not flags["x_size_floor"]:
             raise AssertionError("adopted side cut below the X' size floor")
-        degree_floor = d_S - nh
-        for v in iter_bits(chosen_X.bits):
-            if (G.adj_bits(v) & chosen_Y.bits).bit_count() < degree_floor:
-                raise AssertionError(
-                    "side-cut vertex below the delta_S - nhat degree floor"
-                )
+        # integral degrees: d < x  <=>  d < ceil(x)
+        degree_floor = math.ceil(d_S) - nh
+        if any(d < degree_floor for d in cut_degrees):
+            raise AssertionError(
+                "side-cut vertex below the delta_S - nhat degree floor"
+            )
 
     return RoundAudit(
         j=pair.j,
@@ -511,7 +474,7 @@ def audit_round(
         delta_S=d_S,
         delta_T=d_T,
         mu=mu,
-        ypp_size=ypp_bits.bit_count(),
+        ypp_size=len(ypp_degrees),
         edge_mass_cut=edge_mass_cut,
         edge_mass_side=edge_mass_side,
         side_cut_adopted=side_cut_adopted,
@@ -605,10 +568,7 @@ def _seek_from_root(
         _emit(trace, "round_end", round=j, **audit.to_dict())
         if not chosen_Y:
             return SeekOutcome(None, "StructureFailed", audits, counters, r0)
-        stripped = 0
-        for w in iter_bits(chosen_Y.bits):
-            if G.adj_bits(w) & chosen_X.bits:
-                stripped |= 1 << w
+        stripped = with_degree_at_least(G, chosen_Y.bits, chosen_X.bits, 1)
         if not stripped:
             return SeekOutcome(None, "StructureFailed", audits, counters, r0)
         if j == p.round_cap:

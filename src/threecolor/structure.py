@@ -10,6 +10,7 @@ independent), so it holds for every 3-coloring unconditionally.
 """
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,9 +20,10 @@ from .graph import (
     OddCycle,
     VertexSet,
     bipartition,
-    iter_bits,
+    degrees_into,
     spans_edge,
     union_neighborhoods,
+    with_degree_at_least,
 )
 from .params import Params
 from .progress import ClaimLog, Progress, Type1, Type2, log_claim, type1_threshold
@@ -70,8 +72,9 @@ def find_certificate(G: Graph, mask: int | None = None) -> tuple[int, tuple[int,
     """
     if mask is None:
         mask = (1 << G.n) - 1
-    degree = {v: (G.adj_bits(v) & mask).bit_count() for v in iter_bits(mask)}
-    for v in sorted(degree, key=lambda u: (-degree[u], u)):
+    degree = degrees_into(G, mask, mask)
+    # a stable sort keeps the ascending ids of equal degrees
+    for v in sorted(degree, key=degree.__getitem__, reverse=True):
         if degree[v] < 3:
             break
         result = bipartition(G, VertexSet(G.n, G.adj_bits(v) & mask))
@@ -104,18 +107,22 @@ class RegularPair:
     j: int
 
     def check(self, G: Graph, degree_cap: Fraction) -> list[str]:
-        bad = []
         if not self.S or not self.T:
-            bad.append("empty side")
-            return bad
-        for v in iter_bits(self.S.bits):
-            if (G.adj_bits(v) & self.T.bits).bit_count() <= self.delta_S:
-                bad.append(f"vertex {v} has S-side degree at most delta_S")
-        cap = degree_cap * self.delta_T
-        for w in iter_bits(self.T.bits):
-            d = (G.adj_bits(w) & self.S.bits).bit_count()
-            if d <= self.delta_T or d > cap:
-                bad.append(f"vertex {w} has T-side degree outside bounds")
+            return ["empty side"]
+        # integral degrees: d <= x  <=>  d <= floor(x)
+        floor_S = math.floor(self.delta_S)
+        floor_T = math.floor(self.delta_T)
+        cap = math.floor(degree_cap * self.delta_T)
+        bad = [
+            f"vertex {v} has S-side degree at most delta_S"
+            for v, d in degrees_into(G, self.S.bits, self.T.bits).items()
+            if d <= floor_S
+        ]
+        bad += [
+            f"vertex {w} has T-side degree outside bounds"
+            for w, d in degrees_into(G, self.T.bits, self.S.bits).items()
+            if d <= floor_T or d > cap
+        ]
         return bad
 
 
@@ -164,20 +171,19 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> Regul
     """
     if not S or not T:
         raise ValueError("regularize needs nonempty sides")
-    degs = {w: (G.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
+    degs = degrees_into(G, T.bits, S.bits)
     if any(d < 1 for d in degs.values()):
         raise ValueError("every T vertex needs a neighbor in S")
-    total = sum(degs.values())
-    avg = Fraction(total, len(T))
+    avg = Fraction(sum(degs.values()), len(T))
 
     base = p.bucket_base
     boundaries = [Fraction(1)]
     max_deg = max(degs.values())
     while boundaries[-1] <= max_deg:
         boundaries.append(boundaries[-1] * base)
-    # integral degrees: d >= p/q  <=>  d >= ceil(p/q), so levels can be
+    # integral degrees: d >= b  <=>  d >= ceil(b), so levels can be
     # assigned by bisecting the integer ceilings
-    ceilings = [-(-b.numerator // b.denominator) for b in boundaries]
+    ceilings = [math.ceil(b) for b in boundaries]
     buckets: dict[int, int] = {}
     bucket_mass: dict[int, int] = {}
     for w, d in degs.items():
@@ -193,33 +199,10 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> Regul
     U_bits = buckets[level]
 
     delta_T = boundaries[level] / p.base_degree_divisor
-    s_members = S.to_list()
-    avg_into_bucket = Fraction(
-        sum((G.adj_bits(v) & U_bits).bit_count() for v in s_members), len(s_members)
-    )
+    avg_into_bucket = Fraction(sum(degrees_into(G, S.bits, U_bits).values()), len(S))
     delta_S = avg_into_bucket / p.min_degree_divisor
 
-    # integer prune floors: d <= p/q  <=>  d <= floor(p/q) for integral d
-    floor_S = delta_S.numerator // delta_S.denominator
-    floor_T = delta_T.numerator // delta_T.denominator
-    surv_S = S.bits
-    surv_T = U_bits
-    changed = True
-    while changed:
-        changed = False
-        drop_S = 0
-        for v in iter_bits(surv_S):
-            if (G.adj_bits(v) & surv_T).bit_count() <= floor_S:
-                drop_S |= 1 << v
-        drop_T = 0
-        for w in iter_bits(surv_T):
-            if (G.adj_bits(w) & surv_S).bit_count() <= floor_T:
-                drop_T |= 1 << w
-        if drop_S or drop_T:
-            surv_S &= ~drop_S
-            surv_T &= ~drop_T
-            changed = True
-
+    surv_S, surv_T = _prune(G, S.bits, U_bits, delta_S, delta_T)
     if not surv_S or not surv_T:
         raise EmptyResult("regularization emptied a side")
     pair = RegularPair(
@@ -227,6 +210,21 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> Regul
     )
     _assert_regular(G, pair, p)
     return pair
+
+
+def _prune(G: Graph, s_bits: int, t_bits: int, delta_S: Fraction,
+           delta_T: Fraction) -> tuple[int, int]:
+    """Delete S vertices with at most delta_S neighbors in T and T vertices
+    with at most delta_T neighbors in S, both sides at once, to a fixed point."""
+    # integral degrees: d > x  <=>  d >= floor(x) + 1
+    need_S = math.floor(delta_S) + 1
+    need_T = math.floor(delta_T) + 1
+    while True:
+        keep_S = with_degree_at_least(G, s_bits, t_bits, need_S)
+        keep_T = with_degree_at_least(G, t_bits, s_bits, need_T)
+        if keep_S == s_bits and keep_T == t_bits:
+            return s_bits, t_bits
+        s_bits, t_bits = keep_S, keep_T
 
 
 def _assert_regular(G: Graph, pair: RegularPair, p: Params) -> None:
@@ -256,14 +254,11 @@ def build_two_level(
         return Type1(S, split.side0, split.side1)
     T_bits = union_neighborhoods(G, S.bits)
     limit = max(int(G.n / p.k), 1)
-    members = list(iter_bits(T_bits))
-    if len(members) > limit:
-        ranked = sorted(
-            members, key=lambda w: (-(G.adj_bits(w) & S.bits).bit_count(), w)
-        )
-        T_bits = 0
-        for w in ranked[:limit]:
-            T_bits |= 1 << w
+    degree = degrees_into(G, T_bits, S.bits)
+    if len(degree) > limit:
+        # a stable sort keeps the ascending ids of equal degrees
+        ranked = sorted(degree, key=degree.__getitem__, reverse=True)
+        T_bits = sum(1 << w for w in ranked[:limit])
     pair = regularize(G, S, VertexSet(G.n, T_bits), p, j=1)
     if not pair.S.issubset(S):
         raise AssertionError("regularized S escaped the root neighborhood")

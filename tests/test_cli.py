@@ -107,7 +107,7 @@ class TestColor:
         src.write_text(emit_dimacs(g))
         pfile = tmp_path / "params.json"
         pfile.write_text(json.dumps(
-            {"k": 2.5, "round_cap": 2, "c1": 2.0, "c2": 2.0}
+            {"k": 2.5, "c1": 2.0, "c2": 2.0}
         ))
         rep = tmp_path / "report.json"
         code = run_cli(["color", "--in", str(src), "--method", "seek",
@@ -193,6 +193,31 @@ class TestVerify:
         code = run_cli(["verify", "--in", str(src), "--claims", str(cfile)])
         assert code == 0
 
+    @pytest.mark.parametrize("text", ['"str"', '{"claims": 5}'])
+    def test_claims_file_not_a_list_exits_4(self, tmp_path, text):
+        src = tmp_path / "p3.col"
+        src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text(text)
+        assert run_cli(["verify", "--in", str(src), "--claims", str(cfile)]) == 4
+
+    @pytest.mark.parametrize("entry", [
+        1,
+        {"type": "mono", "vertices": [0, 2], "conditional": [0]},
+    ])
+    def test_malformed_entry_rejected(self, tmp_path, entry):
+        src = tmp_path / "p3.col"
+        src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text(json.dumps([entry]))
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--in", str(src), "--claims", str(cfile),
+                        "--out", str(out)])
+        assert code == 3
+        [verdict] = json.loads(out.read_text())
+        assert not verdict["verified"]
+        assert verdict["reasons"][0].startswith("malformed claim")
+
 
 class TestUsage:
     def test_usage_error_exits_4(self, tmp_path):
@@ -211,6 +236,22 @@ class TestUsage:
         src.write_text(K4_TEXT)
         params = tmp_path / "params.json"
         params.write_text(json.dumps({"no_such_knob": 25}))
+        assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
+
+    @pytest.mark.parametrize("text", [
+        # derived per working graph by the search, so not settable
+        '{"nhat": 2}', '{"round_cap": 2}',
+        # wrong type or range
+        '{"nhat": "x"}', '{"c1": "2"}', '{"k": [1]}', '{"tau": "x"}',
+        '{"degree_cap": "1/0"}', '{"bucket_floor_divisor": 0}',
+        '{"base_degree_divisor": 0}', '{"min_degree_divisor": 0}',
+        '{"c1": NaN, "c2": NaN}', '{"tau": NaN}', '{"side_cuts": "no"}',
+    ])
+    def test_params_file_with_a_refused_value_exits_4(self, tmp_path, text):
+        src = tmp_path / "k4.col"
+        src.write_text(K4_TEXT)
+        params = tmp_path / "params.json"
+        params.write_text(text)
         assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
 
 

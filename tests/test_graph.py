@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,11 +16,14 @@ from threecolor.graph import (
     bipartition,
     build_graph,
     contract,
+    degrees_into,
     is_proper_coloring,
+    iter_bits,
     pack_rows,
     spans_edge,
     unpack_bits,
     unpack_rows,
+    with_degree_at_least,
 )
 
 
@@ -78,6 +83,44 @@ class TestSpansEdge:
         assert spans_edge(PATH3, 0b011)
         assert not spans_edge(PATH3, 0b101)
         assert not spans_edge(PATH3, 0)
+
+
+@st.composite
+def graph_and_masks(draw):
+    """A G(n, p) graph on n <= 64 vertices with two vertex masks."""
+    n = draw(st.integers(0, 64))
+    p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < p])
+    bits = draw(st.integers(0, (1 << n) - 1))
+    mask = draw(st.integers(0, (1 << n) - 1))
+    return g, bits, mask
+
+
+def reference_degree(g, v, mask):
+    """Neighbors of v in mask, counted one vertex pair at a time."""
+    return sum(1 for u in range(g.n) if (mask >> u) & 1 and g.has_edge(v, u))
+
+
+class TestDegreeKernels:
+    @given(graph_and_masks())
+    @settings(max_examples=200, deadline=None)
+    def test_degrees_into_matches_pair_count(self, case):
+        g, bits, mask = case
+        degree = degrees_into(g, bits, mask)
+        assert list(degree) == list(iter_bits(bits))
+        assert degree == {v: reference_degree(g, v, mask) for v in iter_bits(bits)}
+
+    @given(graph_and_masks(), st.integers(-1, 66))
+    @settings(max_examples=200, deadline=None)
+    def test_with_degree_at_least_matches_pair_count(self, case, d):
+        g, bits, mask = case
+        expected = 0
+        for v in iter_bits(bits):
+            if reference_degree(g, v, mask) >= d:
+                expected |= 1 << v
+        assert with_degree_at_least(g, bits, mask, d) == expected
 
 
 class TestBipartition:

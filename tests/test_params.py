@@ -66,6 +66,28 @@ def test_invalid_values_rejected():
         Params(k=2.0, nhat=1, term_factor=Fraction(0))
 
 
+@pytest.mark.parametrize("text", [
+    '{"nhat": "x"}', '{"nhat": true}', '{"n0": 64.0}', '{"c1": "2"}', '{"k": [1]}',
+    '{"tau": "x"}', '{"tau": NaN}', '{"k": Infinity}', '{"degree_cap": "1/0"}',
+    '{"degree_cap": "x"}', '{"degree_cap": true}', '{"side_cuts": "no"}',
+    '{"side_cuts": 0}',
+])
+def test_parse_overrides_rejects_wrong_types(text):
+    with pytest.raises(ValueError):
+        parse_param_overrides(text)
+
+
+@pytest.mark.parametrize("text", [
+    '{"bucket_base": "1"}', '{"bucket_base": "1/2"}', '{"bucket_base": 1}',
+    '{"bucket_floor_divisor": 0}', '{"base_degree_divisor": 0}',
+    '{"min_degree_divisor": -1}',
+])
+def test_bucket_base_and_divisors_bounded(text):
+    overrides = parse_param_overrides(text)
+    with pytest.raises(ValueError):
+        Params(k=2.0, nhat=1, **overrides)
+
+
 def test_overrides_survive_for_graph():
     p = Params.for_graph(100, 10, c1=2.0, c2=2.0, side_cuts=False,
                          root_retries=3)

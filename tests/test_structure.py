@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import VertexSet, build_graph, iter_bits
@@ -15,6 +16,7 @@ from threecolor.structure import (
     RegularPair,
     SetTooSmall,
     _assert_regular,
+    _prune,
     TwoLevel,
     build_two_level,
     certificate_is_valid,
@@ -126,6 +128,75 @@ class TestRegularPairCheck:
         assert [int(msg.split()[1]) for msg in bad] == flagged
         with pytest.raises(AssertionError):
             _assert_regular(g, pair, p)
+
+
+def reference_check(G, pair, degree_cap):
+    """RegularPair.check with one Fraction comparison per vertex."""
+    bad = []
+    if not pair.S or not pair.T:
+        return ["empty side"]
+    for v in iter_bits(pair.S.bits):
+        if (G.adj_bits(v) & pair.T.bits).bit_count() <= pair.delta_S:
+            bad.append(f"vertex {v} has S-side degree at most delta_S")
+    cap = degree_cap * pair.delta_T
+    for w in iter_bits(pair.T.bits):
+        d = (G.adj_bits(w) & pair.S.bits).bit_count()
+        if d <= pair.delta_T or d > cap:
+            bad.append(f"vertex {w} has T-side degree outside bounds")
+    return bad
+
+
+def reference_prune(G, surv_S, surv_T, delta_S, delta_T):
+    """The prune fixed point with one Fraction comparison per vertex."""
+    changed = True
+    while changed:
+        changed = False
+        drop_S = 0
+        for v in iter_bits(surv_S):
+            if (G.adj_bits(v) & surv_T).bit_count() <= delta_S:
+                drop_S |= 1 << v
+        drop_T = 0
+        for w in iter_bits(surv_T):
+            if (G.adj_bits(w) & surv_S).bit_count() <= delta_T:
+                drop_T |= 1 << w
+        if drop_S or drop_T:
+            surv_S &= ~drop_S
+            surv_T &= ~drop_T
+            changed = True
+    return surv_S, surv_T
+
+
+@st.composite
+def pair_case(draw):
+    """A random graph, two possibly overlapping vertex masks and exact
+    positive thresholds, some of them integers so that degrees land on them."""
+    n = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < p])
+    s_bits = draw(st.integers(0, (1 << n) - 1))
+    t_bits = draw(st.integers(0, (1 << n) - 1))
+    delta = st.fractions(min_value=Fraction(1, 9), max_value=12, max_denominator=9)
+    return g, s_bits, t_bits, draw(delta), draw(delta), draw(delta)
+
+
+class TestIntegerThresholds:
+    @given(pair_case())
+    @settings(max_examples=200, deadline=None)
+    def test_check_matches_fraction_reference(self, case):
+        g, s_bits, t_bits, delta_S, delta_T, cap = case
+        pair = RegularPair(VertexSet(g.n, s_bits), VertexSet(g.n, t_bits),
+                           delta_S, delta_T, 1)
+        assert pair.check(g, cap) == reference_check(g, pair, cap)
+
+    @given(pair_case())
+    @settings(max_examples=200, deadline=None)
+    def test_prune_matches_fraction_reference(self, case):
+        g, s_bits, t_bits, delta_S, delta_T, _ = case
+        assert _prune(g, s_bits, t_bits, delta_S, delta_T) == reference_prune(
+            g, s_bits, t_bits, delta_S, delta_T
+        )
 
 
 class TestRegularize:
