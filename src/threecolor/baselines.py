@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
 from .graph import (
     Coloring,
     Graph,
@@ -109,10 +111,11 @@ def neighborhood_extraction_color(
     assign: list[int | None] = [None] * n
     extractions = 0
     while alive:
-        degree = degrees_into(G, alive, alive)
-        best_v = max(degree, key=degree.__getitem__)  # ties to the lowest id
-        if degree[best_v] < threshold:
+        ids, degrees = degrees_into(G, alive, alive)
+        best = int(np.argmax(degrees))  # ties to the lowest id
+        if degrees[best] < threshold:
             break
+        best_v = int(ids[best])
         W = VertexSet(n, G.adj_bits(best_v) & alive)
         split = graph_bipartition(G, W)
         if isinstance(split, OddCycle):

@@ -25,7 +25,7 @@ from .dimacs import ParseError, emit_coloring, emit_dimacs, parse_dimacs
 from .generate import GenParams, MinDegreeUnreachable, generate_planted
 from .graph import Graph, is_proper_coloring
 from .oracle import verify_claim_dict
-from .params import Params, parse_param_overrides
+from .params import Params, finite_number, parse_param_overrides
 from .search import seek_progress
 from .structure import Not3Colorable
 
@@ -210,6 +210,10 @@ def cmd_verify(args) -> int:
     if not isinstance(claims, list):
         print("error: claims file must hold a list of claims, or an object "
               "whose \"claims\" is one", file=sys.stderr)
+        return EXIT_IO
+    if k is not None and not (finite_number(k) and k >= 1):
+        print(f"error: color target k must be a finite number >= 1, not {k!r}",
+              file=sys.stderr)
         return EXIT_IO
     verdicts = []
     all_ok = True

@@ -9,6 +9,15 @@ from __future__ import annotations
 from .graph import Coloring, Graph, GraphError, build_graph
 
 
+# Largest vertex count a graph file may declare.  The search holds n x n
+# adjacency in bits (n**2 / 8 bytes, 128 MiB at the limit, for the int
+# rows and again for a materialized subgraph's packed uint64 rows).
+# progress.induced_subgraph and progress.merge_vertex_set unpack rows to
+# one byte per entry and gather a second copy: about 2.3 * n**2 bytes at
+# their peak (tracemalloc, G(n, 1/2), n = 2048-8192), 2.3 GiB here.
+MAX_VERTICES = 1 << 15
+
+
 class ParseError(ValueError):
     def __init__(self, message: str, line_no: int):
         super().__init__(f"line {line_no}: {message}")
@@ -36,6 +45,10 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"non-integer counts in {line!r}", line_no) from None
             if n < 0 or declared_m < 0:
                 raise ParseError("negative counts", line_no)
+            if n > MAX_VERTICES:
+                raise ParseError(
+                    f"declared {n} vertices, above the limit of {MAX_VERTICES}", line_no
+                )
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line_no)

@@ -109,15 +109,31 @@ _EXPECTED = {
 }
 
 
+def finite_number(val: Any) -> bool:
+    """``val`` is a JSON number that is finite as a float.
+
+    JSON true/false is a bool here, never a number; an int too large for
+    a float is not finite (``math.isfinite`` would raise OverflowError).
+    """
+    if not isinstance(val, (int, float)) or isinstance(val, bool):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:
+        return False
+
+
 def _parse_value(key: str, kind: str, val: Any) -> Any:
     """``val`` checked against the field type ``kind``; raises ValueError."""
-    # JSON true/false is a bool here, never a number
-    number = isinstance(val, (int, float)) and not isinstance(val, bool)
     if (kind == "bool" and isinstance(val, bool)
-            or kind == "int" and number and isinstance(val, int)):
+            or kind == "int" and isinstance(val, int) and not isinstance(val, bool)):
         return val
-    if kind in ("float", "Fraction") and number and math.isfinite(val):
-        return val if kind == "float" else Fraction(val).limit_denominator(10**9)
+    if kind == "float" and finite_number(val):
+        return val
+    if kind == "Fraction" and finite_number(val):
+        rounded = Fraction(val).limit_denominator(10**9)
+        # a nonzero value below 1e-9 would round to 0; keep it exact instead
+        return rounded if rounded or not val else Fraction(val)
     if kind == "Fraction" and isinstance(val, str):
         try:
             return Fraction(val)

@@ -35,6 +35,7 @@ from .graph import (
     is_proper_coloring,
     iter_bits,
     pack_rows,
+    packed_graph,
     spans_edge,
     union_neighborhoods,
     unpack_bits,
@@ -166,10 +167,7 @@ def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
     if not keep:
         return Graph(0, [], 0), []
     rows = unpack_rows([G.adj_bits(v) for v in keep], G.n)
-    sub = rows[:, keep].astype(bool)
-    adj = pack_rows(sub)
-    m = sum(a.bit_count() for a in adj) // 2
-    return Graph(len(keep), adj, m), keep
+    return packed_graph(rows[:, keep]), keep
 
 
 class DriverView:
@@ -328,8 +326,8 @@ def color_with_progress(
             for v in iter_bits(aside):
                 deg[:] += unpack_bits(base.adj_bits(v) & alive, base.n)
             alive |= aside
-            for v, d in degrees_into(base, aside, alive).items():
-                deg[v] = d
+            ids, degrees = degrees_into(base, aside, alive)
+            deg[ids] = degrees
         phase = None
 
     def alloc_side_slot(ph: dict, which: str) -> int:
@@ -396,8 +394,8 @@ def color_with_progress(
             groups = new_groups
             alive = new_alive
             deg = np.zeros(base.n, dtype=np.int64)
-            for v, d in degrees_into(base, alive, alive).items():
-                deg[v] = d
+            ids, degrees = degrees_into(base, alive, alive)
+            deg[ids] = degrees
             stats.contractions += len(pair_ids) - 1
             emit("contract", len(pair_ids))
             continue

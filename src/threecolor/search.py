@@ -358,7 +358,7 @@ def inner_loop(
     first = True
     while True:
         if not first:
-            mass = sum(degrees_into(G, Tb, Sb).values())
+            mass = int(degrees_into(G, Tb, Sb)[1].sum())
             if mass < pair.delta_T * p.term_factor * Tb.bit_count():
                 if union_neighborhoods(G, Sb) & pair.T.bits & ~Tb:
                     raise AssertionError(
@@ -429,15 +429,14 @@ def audit_round(
     outside = pair.S.bits & ~sparse_X.bits
     # integral degrees: d >= x  <=>  d >= ceil(x)
     side_floor = math.ceil(d_T * p.sidecut_factor)
-    ypp_degrees = [
-        d for d in degrees_into(G, sparse_Y.bits, outside).values() if d >= side_floor
-    ]
-    edge_mass_side = sum(ypp_degrees)
-    edge_mass_cut = sum(degrees_into(G, sparse_Y.bits, sparse_X.bits).values())
+    ypp_degrees = degrees_into(G, sparse_Y.bits, outside)[1]
+    ypp_degrees = ypp_degrees[ypp_degrees >= side_floor]
+    edge_mass_side = int(ypp_degrees.sum())
+    edge_mass_cut = int(degrees_into(G, sparse_Y.bits, sparse_X.bits)[1].sum())
     mu = Fraction(len(chosen_Y) * nh) / (d_S * d_S) if d_S else Fraction(0)
 
-    cut_degrees = degrees_into(G, chosen_X.bits, chosen_Y.bits).values()
-    min_cut_deg = min(cut_degrees, default=0)
+    cut_degrees = degrees_into(G, chosen_X.bits, chosen_Y.bits)[1]
+    min_cut_deg = int(cut_degrees.min()) if len(cut_degrees) else 0
     x_floor = d_T * (p.sidecut_factor if side_cut_adopted else p.highdeg_factor)
     flags = {
         "min_cut_degree": Fraction(min_cut_deg) >= d_S / 2,
@@ -460,7 +459,7 @@ def audit_round(
             raise AssertionError("adopted side cut below the X' size floor")
         # integral degrees: d < x  <=>  d < ceil(x)
         degree_floor = math.ceil(d_S) - nh
-        if any(d < degree_floor for d in cut_degrees):
+        if (cut_degrees < degree_floor).any():
             raise AssertionError(
                 "side-cut vertex below the delta_S - nhat degree floor"
             )

@@ -201,6 +201,21 @@ class TestVerify:
         cfile.write_text(text)
         assert run_cli(["verify", "--in", str(src), "--claims", str(cfile)]) == 4
 
+    @pytest.mark.parametrize("k", ["x", 0, 0.5, True, [2], 10**400])
+    def test_unusable_color_target_exits_4(self, tmp_path, capsys, k):
+        src = tmp_path / "p3.col"
+        src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text(json.dumps({"k": k, "claims": [
+            {"type": "type1", "vertices": [0, 2]},
+        ]}))
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--in", str(src), "--claims", str(cfile),
+                        "--out", str(out)])
+        assert code == 4
+        assert "color target k" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("entry", [
         1,
         {"type": "mono", "vertices": [0, 2], "conditional": [0]},
@@ -230,6 +245,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             run_cli(["color", "--help"])
         assert err.value.code == 0
+
+    def test_huge_declared_vertex_count_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "huge.col"
+        src.write_text("p edge 100000000000 0\n")
+        assert run_cli(["color", "--in", str(src)]) == 4
+        assert "above the limit" in capsys.readouterr().err
 
     def test_params_file_with_unknown_key_exits_4(self, tmp_path):
         src = tmp_path / "k4.col"

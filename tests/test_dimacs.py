@@ -1,6 +1,7 @@
 import pytest
 
 from threecolor.dimacs import (
+    MAX_VERTICES,
     ParseError,
     emit_coloring,
     emit_dimacs,
@@ -22,6 +23,13 @@ def test_parse_triangle():
 def test_round_trip_is_canonical():
     canonical = emit_dimacs(parse_dimacs(TRIANGLE_TEXT))
     assert emit_dimacs(parse_dimacs(canonical)) == canonical
+
+
+def test_declared_vertex_count_capped():
+    assert parse_dimacs(f"p edge {MAX_VERTICES} 0\n").n == MAX_VERTICES
+    for n in (MAX_VERTICES + 1, 100_000_000_000):
+        with pytest.raises(ParseError, match="above the limit"):
+            parse_dimacs(f"p edge {n} 0\ne 1 2\n")
 
 
 def test_out_of_range_edge():

@@ -1,9 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from threecolor.graph import (
+    PACKED_MIN_MEMBERS,
     AdjacentPair,
     Coloring,
     DuplicateEdge,
@@ -20,11 +22,15 @@ from threecolor.graph import (
     is_proper_coloring,
     iter_bits,
     pack_rows,
+    pack_words,
+    packed_graph,
     spans_edge,
+    union_neighborhoods,
     unpack_bits,
     unpack_rows,
     with_degree_at_least,
 )
+from threecolor.progress import induced_subgraph
 
 
 def vs(n, members):
@@ -85,16 +91,37 @@ class TestSpansEdge:
         assert not spans_edge(PATH3, 0)
 
 
-@st.composite
-def graph_and_masks(draw):
-    """A G(n, p) graph on n <= 64 vertices with two vertex masks."""
-    n = draw(st.integers(0, 64))
-    p = draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
-    rng = random.Random(draw(st.integers(0, 2**32)))
+def packed_copy(g):
+    """The same graph, also carrying packed uint64 rows."""
+    return packed_graph(unpack_rows([g.adj_bits(v) for v in range(g.n)], g.n))
+
+
+def random_graph(rng, n, p, packed):
+    """G(n, p); with ``packed`` the graph also carries packed uint64 rows."""
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < p])
-    bits = draw(st.integers(0, (1 << n) - 1))
-    mask = draw(st.integers(0, (1 << n) - 1))
+    return packed_copy(g) if packed else g
+
+
+def random_members(rng, n, size):
+    """Bitmask of ``size`` vertices of 0..n-1 (all of them if n is smaller)."""
+    return sum(1 << v for v in rng.sample(range(n), min(size, n)))
+
+
+@st.composite
+def graph_and_masks(draw):
+    """A G(n, p) graph on n <= 200 vertices, with or without packed rows,
+    and two vertex masks; the member mask is drawn on either side of the
+    packed kernels' size cutoff."""
+    n = draw(st.one_of(st.sampled_from([63, 64, 65, 128]), st.integers(0, 200)))
+    # sparse densities leave a large member set's union and inner edges partial
+    p = draw(st.sampled_from([0.0, 0.01, 0.03, 0.1, 0.3, 0.6, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = random_graph(rng, n, p, draw(st.booleans()))
+    size = draw(st.one_of(st.integers(0, PACKED_MIN_MEMBERS - 1),
+                          st.integers(PACKED_MIN_MEMBERS, 200)))
+    bits = random_members(rng, n, size)
+    mask = random_members(rng, n, draw(st.integers(0, n)))
     return g, bits, mask
 
 
@@ -108,11 +135,12 @@ class TestDegreeKernels:
     @settings(max_examples=200, deadline=None)
     def test_degrees_into_matches_pair_count(self, case):
         g, bits, mask = case
-        degree = degrees_into(g, bits, mask)
-        assert list(degree) == list(iter_bits(bits))
-        assert degree == {v: reference_degree(g, v, mask) for v in iter_bits(bits)}
+        ids, degrees = degrees_into(g, bits, mask)
+        assert ids.dtype == degrees.dtype == np.int64
+        assert ids.tolist() == list(iter_bits(bits))
+        assert degrees.tolist() == [reference_degree(g, v, mask) for v in iter_bits(bits)]
 
-    @given(graph_and_masks(), st.integers(-1, 66))
+    @given(graph_and_masks(), st.integers(-1, 202))
     @settings(max_examples=200, deadline=None)
     def test_with_degree_at_least_matches_pair_count(self, case, d):
         g, bits, mask = case
@@ -121,6 +149,80 @@ class TestDegreeKernels:
             if reference_degree(g, v, mask) >= d:
                 expected |= 1 << v
         assert with_degree_at_least(g, bits, mask, d) == expected
+
+    @given(graph_and_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_union_neighborhoods_matches_pair_test(self, case):
+        g, bits, _ = case
+        expected = 0
+        for u in range(g.n):
+            if any(g.has_edge(v, u) for v in iter_bits(bits)):
+                expected |= 1 << u
+        assert union_neighborhoods(g, bits) == expected
+
+    @given(graph_and_masks())
+    @settings(max_examples=150, deadline=None)
+    def test_spans_edge_matches_pair_test(self, case):
+        g, bits, _ = case
+        members = list(iter_bits(bits))
+        expected = any(g.has_edge(u, v) for u in members for v in members)
+        assert spans_edge(g, bits) is expected
+
+    @pytest.mark.parametrize("packed", [False, True])
+    def test_spans_edge_finds_a_single_inner_edge(self, packed):
+        # on the path 0-1-...-129 the 65 odd ids are independent, and each
+        # even id adds edges to its odd neighbors only
+        n = 130
+        g = build_graph(n, [(v, v + 1) for v in range(n - 1)])
+        if packed:
+            g = packed_copy(g)
+        odds = sum(1 << v for v in range(1, n, 2))
+        assert not spans_edge(g, odds)
+        assert all(spans_edge(g, odds | 1 << v) for v in range(0, n, 2))
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 200])
+    def test_packed_and_int_bodies_agree(self, n):
+        # both sides of the cutoff, every member set drawn from the same graph
+        rng = random.Random(n)
+        plain = random_graph(rng, n, 0.3, packed=False)
+        packed = packed_copy(plain)
+        for size in (PACKED_MIN_MEMBERS - 1, PACKED_MIN_MEMBERS, n):
+            bits = random_members(rng, n, size)
+            mask = random_members(rng, n, n // 2)
+            a, b = degrees_into(plain, bits, mask), degrees_into(packed, bits, mask)
+            assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+            for d in (0, 5, 20):
+                assert (with_degree_at_least(plain, bits, mask, d)
+                        == with_degree_at_least(packed, bits, mask, d))
+            assert union_neighborhoods(plain, bits) == union_neighborhoods(packed, bits)
+            assert spans_edge(plain, bits) == spans_edge(packed, bits)
+
+
+class TestPackedRows:
+    @given(graph_and_masks())
+    @settings(max_examples=100, deadline=None)
+    def test_induced_subgraph_rows_agree(self, case):
+        g, _, alive = case
+        sub, keep = induced_subgraph(g, alive)
+        assert keep == list(iter_bits(alive))
+        if not keep:
+            assert sub._rows is None
+            return
+        assert sub._rows.dtype == np.uint64
+        assert sub._rows.shape == (sub.n, (sub.n + 63) // 64)
+        for i, row in enumerate(sub._rows):
+            assert int.from_bytes(row.tobytes(), "little") == sub.adj_bits(i)
+        assert sub.adj_bits(0) == sum(
+            1 << j for j, w in enumerate(keep) if g.has_edge(keep[0], w))
+        assert sub.m == sum(sub.degree(v) for v in range(sub.n)) // 2
+
+    def test_packed_words_layout(self):
+        matrix = np.zeros((2, 130), dtype=np.uint8)
+        matrix[0, [0, 63, 64, 129]] = 1
+        words = pack_words(matrix)
+        assert words.shape == (2, 3)
+        assert words[0].tolist() == [1 | 1 << 63, 1, 2]
+        assert words[1].tolist() == [0, 0, 0]
 
 
 class TestBipartition:

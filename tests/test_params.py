@@ -52,6 +52,14 @@ def test_parse_overrides_fraction_strings():
     assert out["round_cap"] == 5
 
 
+def test_tiny_fraction_knob_kept_exact():
+    # limit_denominator(10**9) alone would round 1e-300 to 0
+    out = parse_param_overrides('{"term_factor": 1e-300, "sidecut_factor": 0.1}')
+    assert out["term_factor"] == Fraction(1e-300) > 0
+    assert out["sidecut_factor"] == Fraction(1, 10)
+    Params(k=2.0, nhat=1, **out)
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ValueError):
         parse_param_overrides('{"mystery": 1}')
@@ -70,7 +78,7 @@ def test_invalid_values_rejected():
     '{"nhat": "x"}', '{"nhat": true}', '{"n0": 64.0}', '{"c1": "2"}', '{"k": [1]}',
     '{"tau": "x"}', '{"tau": NaN}', '{"k": Infinity}', '{"degree_cap": "1/0"}',
     '{"degree_cap": "x"}', '{"degree_cap": true}', '{"side_cuts": "no"}',
-    '{"side_cuts": 0}',
+    '{"side_cuts": 0}', '{"k": %d}' % 10**400, '{"degree_cap": %d}' % 10**400,
 ])
 def test_parse_overrides_rejects_wrong_types(text):
     with pytest.raises(ValueError):

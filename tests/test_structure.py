@@ -1,11 +1,21 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import VertexSet, build_graph, iter_bits
+from threecolor import structure
+from threecolor.graph import (
+    VertexSet,
+    build_graph,
+    iter_bits,
+    packed_graph,
+    union_neighborhoods,
+    unpack_rows,
+)
 from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params
 from threecolor.progress import Type1, Type2
@@ -28,6 +38,10 @@ from threecolor.structure import (
 
 def vs(n, members):
     return VertexSet.from_iterable(n, members)
+
+
+class _Stop(Exception):
+    pass
 
 
 def make_params(n, k, **kw):
@@ -166,19 +180,56 @@ def reference_prune(G, surv_S, surv_T, delta_S, delta_T):
     return surv_S, surv_T
 
 
-@st.composite
-def pair_case(draw):
-    """A random graph, two possibly overlapping vertex masks and exact
-    positive thresholds, some of them integers so that degrees land on them."""
-    n = draw(st.integers(1, 40))
+def random_graph(draw, max_n):
+    """G(n, p) on at most ``max_n`` vertices; large ones also carry packed
+    rows half of the time, so the kernels' packed body runs on big sets."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(64, max_n)))
     rng = random.Random(draw(st.integers(0, 2**32)))
     p = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < p])
-    s_bits = draw(st.integers(0, (1 << n) - 1))
-    t_bits = draw(st.integers(0, (1 << n) - 1))
-    delta = st.fractions(min_value=Fraction(1, 9), max_value=12, max_denominator=9)
+    if draw(st.booleans()):
+        g = packed_graph(unpack_rows([g.adj_bits(v) for v in range(n)], n))
+    return g, rng
+
+
+@st.composite
+def pair_case(draw):
+    """A random graph, two possibly overlapping vertex masks and exact
+    positive thresholds, some of them integers so that degrees land on them."""
+    g, rng = random_graph(draw, 150)
+    s_bits = rng.getrandbits(g.n)
+    t_bits = rng.getrandbits(g.n)
+    top = max(12, g.n // 3)
+    delta = st.fractions(min_value=Fraction(1, 9), max_value=top, max_denominator=9)
     return g, s_bits, t_bits, draw(delta), draw(delta), draw(delta)
+
+
+def reference_regularize(G, S, T, p):
+    """regularize with the buckets built one vertex at a time by bisection;
+    None where regularize raises EmptyResult."""
+    degs = {w: (G.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
+    avg = Fraction(sum(degs.values()), len(degs))
+    boundaries = [Fraction(1)]
+    while boundaries[-1] <= max(degs.values()):
+        boundaries.append(boundaries[-1] * p.bucket_base)
+    buckets, mass = {}, {}
+    for w, d in degs.items():
+        level = bisect_right(boundaries, d) - 1
+        buckets[level] = buckets.get(level, 0) | (1 << w)
+        mass[level] = mass.get(level, 0) + d
+    floor = avg / p.bucket_floor_divisor
+    eligible = [lv for lv in sorted(buckets) if boundaries[lv] >= floor]
+    if not eligible:
+        return None
+    level = max(eligible, key=lambda lv: (mass[lv], -lv))
+    delta_T = boundaries[level] / p.base_degree_divisor
+    into = sum((G.adj_bits(v) & buckets[level]).bit_count() for v in iter_bits(S.bits))
+    delta_S = Fraction(into, len(S)) / p.min_degree_divisor
+    surv_S, surv_T = reference_prune(G, S.bits, buckets[level], delta_S, delta_T)
+    if not surv_S or not surv_T:
+        return None
+    return surv_S, surv_T, delta_S, delta_T
 
 
 class TestIntegerThresholds:
@@ -197,6 +248,55 @@ class TestIntegerThresholds:
         assert _prune(g, s_bits, t_bits, delta_S, delta_T) == reference_prune(
             g, s_bits, t_bits, delta_S, delta_T
         )
+
+
+class TestArrayBucketing:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_regularize_matches_loop_reference(self, data):
+        g, rng = random_graph(data.draw, 150)
+        S = VertexSet(g.n, rng.getrandbits(g.n))
+        reach = union_neighborhoods(g, S.bits)
+        T = VertexSet(g.n, reach & rng.getrandbits(g.n))
+        if not S or not T:
+            return
+        p = make_params(g.n, data.draw(st.sampled_from([1.5, 2.0, 3.0])),
+                        bucket_base=data.draw(st.sampled_from(
+                            [Fraction(4, 3), Fraction(5, 4), Fraction(9, 8)])))
+        try:
+            pair = regularize(g, S, T, p, j=1)
+            got = (pair.S.bits, pair.T.bits, pair.delta_S, pair.delta_T)
+        except EmptyResult:
+            got = None
+        assert got == reference_regularize(g, S, T, p)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_t_cap_keeps_highest_degrees_ties_to_lower_ids(self, data):
+        g, _ = random_graph(data.draw, 150)
+        if g.max_degree() == 0:
+            return
+        k = data.draw(st.sampled_from([1.5, 2.0, 4.0, 8.0]))
+        p = make_params(g.n, k)
+        r0 = data.draw(st.sampled_from([v for v in range(g.n) if g.degree(v)]))
+        seen = []
+
+        def capture(G, S, T, p, j):
+            seen.append(T)
+            raise _Stop
+
+        with patch.object(structure, "regularize", capture):
+            try:
+                build_two_level(g, r0, p)
+            except (Not3Colorable, _Stop):
+                pass
+        if not seen:
+            return
+        S = g.adj_bits(r0)
+        reach = union_neighborhoods(g, S)
+        limit = max(int(g.n / p.k), 1)
+        ranked = sorted(iter_bits(reach), key=lambda w: -(g.adj_bits(w) & S).bit_count())
+        assert seen[0].bits == sum(1 << w for w in ranked[:limit])
 
 
 class TestRegularize:
