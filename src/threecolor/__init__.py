@@ -1,7 +1,6 @@
 """Combinatorial coloring of 3-colorable graphs with certified progress claims."""
 
 from .graph import (
-    AdjacentPair,
     Coloring,
     DuplicateEdge,
     Graph,
@@ -14,7 +13,6 @@ from .graph import (
     VertexSet,
     bipartition,
     build_graph,
-    contract,
     is_proper_coloring,
 )
 from .generate import GenParams, MinDegreeUnreachable, generate_planted

@@ -50,10 +50,6 @@ class VertexOutOfRange(GraphError):
     pass
 
 
-class AdjacentPair(GraphError):
-    pass
-
-
 class PartialColoring(GraphError):
     pass
 
@@ -165,9 +161,6 @@ class Graph:
 
     def vertices(self) -> range:
         return range(self.n)
-
-    def full_set(self) -> VertexSet:
-        return VertexSet(self.n, (1 << self.n) - 1)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v, lexicographically sorted."""
@@ -410,39 +403,6 @@ def _close_cycle(parent: dict[int, int | None], v: int, u: int) -> tuple[int, ..
     iv = in_v[lca]
     path = anc_v[: iv + 1] + list(reversed(anc_u[:iu]))
     return tuple(path)
-
-
-def contract(G: Graph, u: int, v: int) -> tuple[Graph, tuple[int, ...]]:
-    """Merge two non-adjacent vertices into one.
-
-    Returns the contracted graph on n-1 vertices and the old->new vertex
-    map.  The merged vertex keeps min(u, v)'s new id; ids above
-    max(u, v) shift down by one.
-    """
-    if not (0 <= u < G.n) or not (0 <= v < G.n):
-        raise VertexOutOfRange(f"contract({u}, {v}) out of range")
-    if u == v:
-        raise GraphError("cannot contract a vertex with itself")
-    if G.has_edge(u, v):
-        raise AdjacentPair(f"vertices {u} and {v} are adjacent")
-    lo, hi = min(u, v), max(u, v)
-    mask_lo = (1 << hi) - 1
-
-    def drop_hi(bits: int) -> int:
-        return (bits & mask_lo) | ((bits >> (hi + 1)) << hi)
-
-    merged = G.adj_bits(lo) | G.adj_bits(hi)
-    adj = []
-    for w in range(G.n):
-        if w == hi:
-            continue
-        bits = merged if w == lo else G.adj_bits(w)
-        if w != lo and (bits >> hi) & 1:
-            bits |= 1 << lo
-        adj.append(drop_hi(bits))
-    m = sum(b.bit_count() for b in adj) // 2
-    mapping = tuple(lo if w == hi else (w if w < hi else w - 1) for w in range(G.n))
-    return Graph(G.n - 1, adj, m), mapping
 
 
 @dataclass(frozen=True)

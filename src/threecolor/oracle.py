@@ -4,32 +4,44 @@
 backtracking with canonical-color symmetry reduction: colors must appear
 in first-use order, so each orbit of the color permutation group is
 visited once and counts are restored by the orbit size (3 for
-single-color colorings, 6 otherwise).  Equality queries and per-set
-color multiplicities are invariant under color permutation, so the
-reduced walk answers them exactly.  An optional conditional restricts
-the walk to colorings where two chosen vertices differ; the filter is
-applied during the walk, as soon as the later of the two is assigned.
+single-color colorings, 6 otherwise).  The representatives are kept as
+rows of colors, and each query is one vectorized test over them: are two
+columns equal, how many colors do a set's columns take.  Both answers,
+and the conditional "t and r0 differ" that filters the rows, are
+invariant under color permutation, so the reduced walk answers exactly.
+
+Consecutive calls on one graph object share one walk: its rows are kept
+until a call on another graph replaces them.  ``CHUNK_BYTES`` bounds the
+memory: the walk hands its rows to the answers in chunks of at most that
+size, and a walk that fills more than one chunk is not kept.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .graph import Graph, VertexSet, iter_bits, union_neighborhoods
+import numpy as np
+
+from .graph import (
+    Graph, OddCycle, VertexSet, bipartition, iter_bits, union_neighborhoods,
+)
 from .progress import (
-    Claim,
-    MonoSet,
-    Progress,
-    Type0,
-    Type1,
-    Type2,
-    validate_progress,
+    Claim, MonoSet, Progress, Type0, Type1, Type2, validate_progress,
 )
 
 SAME_IN_ALL = "all"
 SAME_IN_SOME = "some"
 SAME_IN_NONE = "none"
 NO_COLORINGS = "no_colorings"
+
+# bytes of representative colorings, one byte per vertex, in one chunk
+CHUNK_BYTES = 1 << 20
+
+# (graph, rows) of the last walk that fit in one chunk.  Graphs are
+# immutable and the strong reference keeps the id from being reused, so
+# identity is a sound key; the pair is replaced as one tuple.
+_last_walk: tuple[Graph, np.ndarray] | None = None
 
 
 class TooLarge(ValueError):
@@ -51,8 +63,7 @@ def _search_order(G: Graph) -> list[int]:
     """Deterministic order: BFS per component from the max-degree vertex."""
     seen = [False] * G.n
     order: list[int] = []
-    remaining = sorted(range(G.n), key=lambda v: (-G.degree(v), v))
-    for start in remaining:
+    for start in sorted(range(G.n), key=lambda v: (-G.degree(v), v)):
         if seen[start]:
             continue
         seen[start] = True
@@ -67,6 +78,46 @@ def _search_order(G: Graph) -> list[int]:
     return order
 
 
+def _walk(G: Graph, fold: Callable[[np.ndarray], None]) -> np.ndarray | None:
+    """Hand every representative 3-coloring of G (n >= 1) to ``fold``, as
+    the rows of read-only uint8 arrays in vertex order of at most
+    CHUNK_BYTES each.  Returns the rows if they all fit in one chunk."""
+    n = G.n
+    order = _search_order(G)
+    adjs = [G.adj_bits(v) for v in order]
+    per_chunk = max(1, CHUNK_BYTES // n)
+    colors = [0] * n
+    classes = [0, 0, 0]  # the vertices placed so far, by color
+    rows: list[bytes] = []
+    spilled = False
+
+    def flush() -> np.ndarray:
+        reps = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n)
+        rows.clear()
+        fold(reps)
+        return reps
+
+    def walk(i: int, introduced: int) -> None:
+        nonlocal spilled
+        if i == n:
+            rows.append(bytes(colors))
+            if len(rows) == per_chunk:
+                flush()
+                spilled = True
+            return
+        v, bit = order[i], 1 << order[i]
+        for c in range(min(introduced, 2) + 1):
+            if not classes[c] & adjs[i]:
+                colors[v] = c
+                classes[c] |= bit
+                walk(i + 1, introduced if c < introduced else c + 1)
+                classes[c] ^= bit
+
+    walk(0, 0)
+    reps = flush()
+    return None if spilled else reps
+
+
 def enumerate_3colorings(
     G: Graph,
     pairs: tuple[tuple[int, int], ...] = (),
@@ -79,8 +130,10 @@ def enumerate_3colorings(
     ``pairs`` are queried for same-color status, ``sets`` for the
     minimum and maximum number of distinct colors they receive.  With a
     ``conditional`` (t, r0), only colorings giving t and r0 different
-    colors are considered; t == r0 makes the class empty.
+    colors are considered; t == r0 makes the class empty.  A call on the
+    graph object of the previous call reuses that call's walk.
     """
+    global _last_walk
     n = G.n
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
@@ -88,96 +141,49 @@ def enumerate_3colorings(
     sets = tuple(tuple(sorted(set(s))) for s in sets)
 
     summary = ColoringSummary(0, False, conditional=conditional)
-    if conditional is not None and conditional[0] == conditional[1]:
-        for pr in pairs:
-            summary.pair_status[pr] = NO_COLORINGS
-        for st in sets:
-            summary.set_min_colors[st] = 0
-            summary.set_max_colors[st] = 0
-        return summary
-    if n == 0:
-        summary.count_3colorings = 1
+    empty_class = conditional is not None and conditional[0] == conditional[1]
+    if n == 0 and not empty_class:
+        summary.count_3colorings = summary.reps_seen = 1
         summary.colorable = True
-        summary.reps_seen = 1
         return summary
+    # fewest and most colors of each pair, then of each set, over the rows
+    spans = [[4, 0] for _ in pairs + sets]
+    if not empty_class:
+        col = {v: v for v in range(n)}  # KeyError for an id outside the graph
+        cond = None if conditional is None else [col[v] for v in conditional]
+        queries = [[col[v] for v in q] for q in pairs + sets]
 
-    order = _search_order(G)
-    pos = {v: i for i, v in enumerate(order)}
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for i, v in enumerate(order):
-        for u in iter_bits(G.adj_bits(v)):
-            if pos[u] < i:
-                preds[i].append(pos[u])
+        def fold(reps: np.ndarray) -> None:
+            if cond is not None:
+                reps = reps[reps[:, cond[0]] != reps[:, cond[1]]]
+            if not len(reps):
+                return
+            # canonical colors: a single-color row is all 0
+            single = len(reps) - int(np.count_nonzero(reps.any(axis=1)))
+            summary.reps_seen += len(reps)
+            summary.count_3colorings += 6 * len(reps) - 3 * single
+            for span, cols in zip(spans, queries):
+                mult = np.bitwise_count(np.bitwise_or.reduce(1 << reps[:, cols], axis=1))
+                span[:] = min(span[0], int(mult.min())), max(span[1], int(mult.max()))
 
-    cond_late = cond_other = -1
-    if conditional is not None:
-        t, r0 = conditional
-        pt, pr = pos[t], pos[r0]
-        cond_late, cond_other = max(pt, pr), min(pt, pr)
+        last = _last_walk
+        if last is not None and last[0] is G:
+            fold(last[1])
+        else:
+            reps = _walk(G, fold)
+            _last_walk = None if reps is None else (G, reps)
 
-    pair_pos = [(pos[u], pos[v]) for u, v in pairs]
-    set_pos = [[pos[v] for v in st] for st in sets]
-    pair_same = [False] * len(pairs)
-    pair_diff = [False] * len(pairs)
-    set_min = [4] * len(sets)
-    set_max = [0] * len(sets)
-
-    colors = [0] * n
-    state = {"count": 0, "reps": 0}
-
-    def leaf(introduced: int) -> None:
-        state["reps"] += 1
-        state["count"] += 3 if introduced == 1 else 6
-        for idx, (a, b) in enumerate(pair_pos):
-            if colors[a] == colors[b]:
-                pair_same[idx] = True
-            else:
-                pair_diff[idx] = True
-        for idx, positions in enumerate(set_pos):
-            used = 0
-            for q in positions:
-                used |= 1 << colors[q]
-            mult = used.bit_count()
-            set_min[idx] = min(set_min[idx], mult)
-            set_max[idx] = max(set_max[idx], mult)
-
-    def walk(i: int, introduced: int) -> None:
-        if i == n:
-            leaf(introduced)
-            return
-        banned = 0
-        for q in preds[i]:
-            banned |= 1 << colors[q]
-        limit = introduced if introduced < 2 else 2
-        for c in range(limit + 1):
-            if (banned >> c) & 1:
-                continue
-            if i == cond_late and c == colors[cond_other]:
-                continue
-            colors[i] = c
-            walk(i + 1, introduced if c < introduced else c + 1)
-
-    walk(0, 0)
-
-    summary.count_3colorings = state["count"]
-    summary.colorable = state["count"] > 0
-    summary.reps_seen = state["reps"]
-    for idx, pr in enumerate(pairs):
-        if not summary.colorable:
+    summary.colorable = colorable = summary.count_3colorings > 0
+    for pr, (fewest, most) in zip(pairs, spans):
+        if not colorable:
             summary.pair_status[pr] = NO_COLORINGS
-        elif pair_same[idx] and not pair_diff[idx]:
-            summary.pair_status[pr] = SAME_IN_ALL
-        elif pair_same[idx]:
-            summary.pair_status[pr] = SAME_IN_SOME
-        else:
+        elif fewest == 2:
             summary.pair_status[pr] = SAME_IN_NONE
-    for idx, st in enumerate(sets):
-        if not summary.colorable:
-            summary.set_min_colors[st] = 0
-            summary.set_max_colors[st] = 0
         else:
-            summary.set_min_colors[st] = set_min[idx]
-            summary.set_max_colors[st] = set_max[idx]
+            summary.pair_status[pr] = SAME_IN_ALL if most == 1 else SAME_IN_SOME
+    for st, (fewest, most) in zip(sets, spans[len(pairs):]):
+        summary.set_min_colors[st] = fewest if colorable else 0
+        summary.set_max_colors[st] = most if colorable else 0
     return summary
 
 
@@ -185,6 +191,26 @@ def enumerate_3colorings(
 class Verdict:
     verified: bool
     reasons: list[str] = field(default_factory=list)
+
+
+def _pair_reasons(G: Graph, u: int, v: int, cap: int) -> list[str]:
+    """Why u and v do not share a color in every 3-coloring of G, if so."""
+    summary = enumerate_3colorings(G, pairs=((u, v),), cap=cap)
+    status = summary.pair_status[(min(u, v), max(u, v))]
+    if status in (SAME_IN_ALL, NO_COLORINGS):
+        return []
+    return [f"pair is same-colored in {status} colorings only"]
+
+
+def _set_colors(G: Graph, vertices, cap: int,
+                conditional: tuple[int, int] | None = None) -> tuple[int, int] | None:
+    """Fewest and most colors ``vertices`` take over the 3-colorings of G
+    (those giving the conditional pair different colors); None if none."""
+    summary = enumerate_3colorings(G, sets=(vertices,), conditional=conditional, cap=cap)
+    if not summary.colorable:
+        return None
+    key = tuple(sorted(set(vertices)))
+    return summary.set_min_colors[key], summary.set_max_colors[key]
 
 
 def verify_progress_claim(
@@ -207,50 +233,32 @@ def verify_progress_claim(
     if reasons:
         return Verdict(False, reasons)
     if isinstance(claim, Type0):
-        summary = enumerate_3colorings(G, pairs=((claim.u, claim.v),), cap=cap)
-        status = summary.pair_status[(min(claim.u, claim.v), max(claim.u, claim.v))]
-        if status not in (SAME_IN_ALL, NO_COLORINGS):
-            reasons.append(f"pair is same-colored in {status} colorings only")
+        reasons = _pair_reasons(G, claim.u, claim.v, cap)
     elif isinstance(claim, MonoSet):
-        members = tuple(claim.members)
-        summary = enumerate_3colorings(G, sets=(members,), cap=cap)
-        if summary.colorable and summary.set_max_colors[members] > 1:
+        colors = _set_colors(G, tuple(claim.members), cap)
+        if colors and colors[1] > 1:
             reasons.append("set takes two colors in some 3-coloring")
     return Verdict(not reasons, reasons)
 
 
 def verify_logged_claim(claim: Claim, cap: int = 25) -> Verdict:
     """Verify a guarantee recorded during a run against its own graph."""
-    G = claim.graph
+    G, kind = claim.graph, claim.kind
     reasons: list[str] = []
-    if claim.kind == "multi":
-        summary = enumerate_3colorings(G, sets=(claim.vertices,), cap=cap)
-        key = tuple(sorted(set(claim.vertices)))
-        if summary.colorable and summary.set_min_colors[key] < 2:
-            reasons.append("set is monochromatic in some 3-coloring")
-    elif claim.kind == "mono":
-        summary = enumerate_3colorings(G, sets=(claim.vertices,), cap=cap)
-        key = tuple(sorted(set(claim.vertices)))
-        if summary.colorable and summary.set_max_colors[key] > 1:
-            reasons.append("set is multichromatic in some 3-coloring")
-    elif claim.kind == "mono_if_differ":
-        if claim.conditional is None:
-            reasons.append("conditional pair missing")
-        else:
-            summary = enumerate_3colorings(
-                G, sets=(claim.vertices,), conditional=claim.conditional, cap=cap
-            )
-            key = tuple(sorted(set(claim.vertices)))
-            if summary.colorable and summary.set_max_colors[key] > 1:
-                reasons.append(
-                    "set is multichromatic in a coloring where the pair differs"
-                )
-    elif claim.kind == "type0":
+    if kind == "type0":
         u, v = claim.vertices
-        summary = enumerate_3colorings(G, pairs=((u, v),), cap=cap)
-        status = summary.pair_status[(min(u, v), max(u, v))]
-        if status not in (SAME_IN_ALL, NO_COLORINGS):
-            reasons.append(f"pair is same-colored in {status} colorings only")
+        reasons = _pair_reasons(G, u, v, cap)
+    elif kind == "mono_if_differ" and claim.conditional is None:
+        reasons.append("conditional pair missing")
+    elif kind in ("multi", "mono", "mono_if_differ"):
+        cond = claim.conditional if kind == "mono_if_differ" else None
+        colors = _set_colors(G, claim.vertices, cap, cond)
+        if colors and kind == "multi" and colors[0] < 2:
+            reasons.append("set is monochromatic in some 3-coloring")
+        elif colors and kind == "mono" and colors[1] > 1:
+            reasons.append("set is multichromatic in some 3-coloring")
+        elif colors and kind == "mono_if_differ" and colors[1] > 1:
+            reasons.append("set is multichromatic in a coloring where the pair differs")
     else:
         reasons.append(f"unknown logged claim kind {claim.kind!r}")
     return Verdict(not reasons, reasons)
@@ -284,17 +292,13 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
             if k is None:
                 return Verdict(False, ["color target k required for this claim"])
             members = VertexSet.from_iterable(G.n, entry["vertices"])
-            from .graph import OddCycle, bipartition
-
             split = bipartition(G, members)
             if isinstance(split, OddCycle):
                 return Verdict(False, ["set is not 2-colorable"])
             if kind == "type1":
                 claim: Progress = Type1(members, split.side0, split.side1)
             else:
-                nbhd = VertexSet(
-                    G.n, union_neighborhoods(G, members.bits) & ~members.bits
-                )
+                nbhd = VertexSet(G.n, union_neighborhoods(G, members.bits) & ~members.bits)
                 claim = Type2(members, split.side0, split.side1, nbhd)
             return verify_progress_claim(G, claim, k, cap=cap)
         if kind in ("mono", "multi"):
@@ -304,16 +308,11 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
             if kind == "mono":
                 logged = Claim("mono_if_differ" if cond else "mono",
                                vertices, G, cond)
+            elif cond:
+                colors = _set_colors(G, vertices, cap, cond)
+                ok = colors is None or colors[0] >= 2
+                return Verdict(ok, [] if ok else ["set monochromatic under the conditional"])
             else:
-                if cond:
-                    summary = enumerate_3colorings(
-                        G, sets=(vertices,), conditional=cond, cap=cap
-                    )
-                    key = tuple(sorted(set(vertices)))
-                    ok = (not summary.colorable) or summary.set_min_colors[key] >= 2
-                    return Verdict(
-                        ok, [] if ok else ["set monochromatic under the conditional"]
-                    )
                 logged = Claim("multi", vertices, G)
             return verify_logged_claim(logged, cap=cap)
         return Verdict(False, [f"unknown claim type {kind!r}"])

@@ -65,6 +65,11 @@ class Params:
         if min(self.bucket_floor_divisor, self.base_degree_divisor,
                self.min_degree_divisor) < 1:
             raise ValueError("degree divisors must be at least 1")
+        if self.bucket_base * self.base_degree_divisor > self.degree_cap:
+            # a bucket holds the degrees d with b <= d < bucket_base * b and
+            # regularize caps T-side degrees at degree_cap * b / base_degree_divisor;
+            # a larger base leaves degrees above the cap in large enough buckets
+            raise ValueError("bucket_base must not exceed degree_cap / base_degree_divisor")
 
     @classmethod
     def for_graph(cls, n: int, min_degree: int, k: float | None = None,
@@ -85,20 +90,6 @@ class Params:
 
     def with_overrides(self, **overrides: Any) -> "Params":
         return replace(self, **overrides)
-
-    def to_json(self) -> str:
-        out = {}
-        for f in fields(self):
-            val = getattr(self, f.name)
-            if isinstance(val, Fraction):
-                out[f.name] = f"{val.numerator}/{val.denominator}"
-            else:
-                out[f.name] = val
-        return json.dumps(out, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Params":
-        return cls(**parse_param_overrides(text))
 
 
 _EXPECTED = {

@@ -275,6 +275,17 @@ class TestUsage:
         params.write_text(text)
         assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
 
+    def test_bucket_base_past_the_degree_cap_exits_4(self, tmp_path, capsys):
+        # on this graph a bucket base of 2 leaves T-side degrees above
+        # degree_cap * delta_T, which regularize's regularity assertion refuses
+        graph, _ = generate_planted(GenParams(n=400, edge_prob=0.5, seed=0))
+        src = tmp_path / "g.col"
+        src.write_text(emit_dimacs(graph))
+        params = tmp_path / "params.json"
+        params.write_text('{"bucket_base": 2}')
+        assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
+        assert "bucket_base" in capsys.readouterr().err
+
 
 def test_seek_on_a_graph_that_is_not_3_colorable(tmp_path):
     # fuzz seed 1330: the seek colorer once ended here in UnsoundProgress

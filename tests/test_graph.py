@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from threecolor.graph import (
     PACKED_MIN_MEMBERS,
-    AdjacentPair,
     Coloring,
     DuplicateEdge,
+    Graph,
     OddCycle,
     PartialColoring,
     SelfLoop,
@@ -17,7 +17,6 @@ from threecolor.graph import (
     VertexSet,
     bipartition,
     build_graph,
-    contract,
     degrees_into,
     is_proper_coloring,
     iter_bits,
@@ -35,6 +34,42 @@ from threecolor.progress import induced_subgraph
 
 def vs(n, members):
     return VertexSet.from_iterable(n, members)
+
+
+def full_set(g):
+    return VertexSet(g.n, (1 << g.n) - 1)
+
+
+def contract(G, u, v):
+    """Merge two non-adjacent vertices into one: the pairwise reference
+    for ``progress.merge_vertex_set``.
+
+    Returns the contracted graph on n-1 vertices and the old->new vertex
+    map.  The merged vertex keeps min(u, v)'s new id; ids above
+    max(u, v) shift down by one.
+    """
+    if not (0 <= u < G.n) or not (0 <= v < G.n):
+        raise VertexOutOfRange(f"contract({u}, {v}) out of range")
+    if u == v or G.has_edge(u, v):
+        raise ValueError(f"vertices {u} and {v} cannot be merged")
+    lo, hi = min(u, v), max(u, v)
+    mask_lo = (1 << hi) - 1
+
+    def drop_hi(bits):
+        return (bits & mask_lo) | ((bits >> (hi + 1)) << hi)
+
+    merged = G.adj_bits(lo) | G.adj_bits(hi)
+    adj = []
+    for w in range(G.n):
+        if w == hi:
+            continue
+        bits = merged if w == lo else G.adj_bits(w)
+        if w != lo and (bits >> hi) & 1:
+            bits |= 1 << lo
+        adj.append(drop_hi(bits))
+    m = sum(b.bit_count() for b in adj) // 2
+    mapping = tuple(lo if w == hi else (w if w < hi else w - 1) for w in range(G.n))
+    return Graph(G.n - 1, adj, m), mapping
 
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -228,7 +263,7 @@ class TestPackedRows:
 class TestBipartition:
     def test_odd_cycle_witness(self):
         c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-        result = bipartition(c5, c5.full_set())
+        result = bipartition(c5, full_set(c5))
         assert isinstance(result, OddCycle)
         cyc = result.vertices
         assert len(cyc) % 2 == 1
@@ -242,9 +277,9 @@ class TestBipartition:
 
     def test_path_alternates(self):
         p4 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-        result = bipartition(p4, p4.full_set())
+        result = bipartition(p4, full_set(p4))
         assert isinstance(result, TwoColoring)
-        assert result.side0 | result.side1 == p4.full_set()
+        assert result.side0 | result.side1 == full_set(p4)
         for side in (result.side0, result.side1):
             for v in side:
                 assert not (p4.adj_bits(v) & side.bits)
@@ -271,10 +306,10 @@ class TestContract:
         assert g.m == 2
         assert sorted(g.adjacency(mapping[0])) == [mapping[1], mapping[3]]
         assert not g.has_edge(mapping[1], mapping[3])
-        assert isinstance(bipartition(g, g.full_set()), TwoColoring)
+        assert isinstance(bipartition(g, full_set(g)), TwoColoring)
 
     def test_adjacent_pair_rejected(self):
-        with pytest.raises(AdjacentPair):
+        with pytest.raises(ValueError):
             contract(TRIANGLE, 0, 1)
 
     def test_result_stays_simple(self):

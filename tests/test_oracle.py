@@ -3,12 +3,14 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threecolor import oracle
 from threecolor.graph import VertexSet, build_graph
 from threecolor.oracle import (
     NO_COLORINGS,
     SAME_IN_ALL,
     SAME_IN_NONE,
     SAME_IN_SOME,
+    ColoringSummary,
     TooLarge,
     enumerate_3colorings,
     verify_progress_claim,
@@ -41,6 +43,71 @@ def naive_summary(g, pairs=(), sets=(), conditional=None):
             set_min[s] = min(set_min[s], mult)
             set_max[s] = max(set_max[s], mult)
     return count, pair_same, pair_diff, set_min, set_max
+
+
+def per_leaf_summary(g, pairs=(), sets=(), conditional=None):
+    """Reference for ``enumerate_3colorings``: one pruned walk in vertex
+    order with canonical colors, which prunes the conditional as soon as
+    the later of its two vertices is colored and answers every query at
+    each leaf, with nothing kept between calls."""
+    n = g.n
+    pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
+    sets = tuple(tuple(sorted(set(s))) for s in sets)
+    out = ColoringSummary(0, False, conditional=conditional)
+    if conditional is not None and conditional[0] == conditional[1]:
+        out.pair_status = dict.fromkeys(pairs, NO_COLORINGS)
+        out.set_min_colors = dict.fromkeys(sets, 0)
+        out.set_max_colors = dict.fromkeys(sets, 0)
+        return out
+    late = early = -1
+    if conditional is not None:
+        late, early = max(conditional), min(conditional)
+    pair_same = dict.fromkeys(pairs, False)
+    pair_diff = dict.fromkeys(pairs, False)
+    set_min = dict.fromkeys(sets, 4)
+    set_max = dict.fromkeys(sets, 0)
+    colors = [0] * n
+
+    def leaf(introduced):
+        out.reps_seen += 1
+        out.count_3colorings += 3 if introduced == 1 else 6
+        for u, v in pairs:
+            if colors[u] == colors[v]:
+                pair_same[(u, v)] = True
+            else:
+                pair_diff[(u, v)] = True
+        for st_ in sets:
+            mult = len({colors[v] for v in st_})
+            set_min[st_] = min(set_min[st_], mult)
+            set_max[st_] = max(set_max[st_], mult)
+
+    def walk(v, introduced):
+        if v == n:
+            leaf(introduced)
+            return
+        for c in range(min(introduced, 2) + 1):
+            if any(colors[u] == c for u in g.adjacency(v) if u < v):
+                continue
+            if v == late and c == colors[early]:
+                continue
+            colors[v] = c
+            walk(v + 1, introduced if c < introduced else c + 1)
+
+    walk(0, 0)
+    out.colorable = out.count_3colorings > 0
+    for pr in pairs:
+        if not out.colorable:
+            out.pair_status[pr] = NO_COLORINGS
+        elif pair_same[pr] and not pair_diff[pr]:
+            out.pair_status[pr] = SAME_IN_ALL
+        elif pair_same[pr]:
+            out.pair_status[pr] = SAME_IN_SOME
+        else:
+            out.pair_status[pr] = SAME_IN_NONE
+    for st_ in sets:
+        out.set_min_colors[st_] = set_min[st_] if out.colorable else 0
+        out.set_max_colors[st_] = set_max[st_] if out.colorable else 0
+    return out
 
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -135,6 +202,48 @@ def test_reduced_enumeration_matches_naive(data):
         else:
             assert summary.set_min_colors[s] == set_min[s]
             assert summary.set_max_colors[s] == set_max[s]
+
+
+@pytest.mark.parametrize("chunk_bytes", [oracle.CHUNK_BYTES, 20])
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_stored_colorings_answer_like_the_per_leaf_walk(chunk_bytes, data):
+    # 20 bytes holds 1 to 20 rows of n <= 12 colors, so most walks span
+    # several chunks, some ending in a partial or an empty one
+    n = data.draw(st.integers(1, 12))
+    rng = data.draw(st.randoms(use_true_random=False))
+    density = data.draw(st.floats(0.0 if n <= 8 else 0.3, 1.0))
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < density])
+    vertex = st.integers(0, n - 1)
+    pairs = tuple(data.draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
+    sets = tuple(map(tuple, data.draw(st.lists(st.lists(vertex, max_size=6),
+                                               max_size=4))))
+    conditionals = [None, (data.draw(vertex), data.draw(vertex)),
+                    (data.draw(vertex),) * 2]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
+        # the first call walks g; the later ones reuse its rows when they
+        # fit in one chunk
+        for cond in conditionals + conditionals[::-1]:
+            got = enumerate_3colorings(g, pairs=pairs, sets=sets, conditional=cond)
+            assert got == per_leaf_summary(g, pairs, sets, cond)
+
+
+def test_claims_on_alternating_graphs_get_their_own_answers():
+    # on the path 0-1-2-3, {0, 2} may share a color and {1, 3} may differ
+    # while 0 and 3 do; adding the edge 0-2 forbids both, so an answer
+    # from the other graph's walk is wrong
+    path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    tailed = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
+    for g, holds in ((path, False), (tailed, True), (path, False), (tailed, True)):
+        assert verify_logged_claim(Claim("multi", (0, 2), g)).verified == holds
+        mono = Claim("mono_if_differ", (1, 3), g, conditional=(0, 3))
+        assert verify_logged_claim(mono).verified == holds
+        for cond in (None, (1, 3), (3, 3)):
+            assert (enumerate_3colorings(g, pairs=((0, 2),), sets=((0, 2, 3),),
+                                         conditional=cond)
+                    == per_leaf_summary(g, ((0, 2),), ((0, 2, 3),), cond))
 
 
 class TestVerifyProgressClaim:
@@ -256,7 +365,7 @@ def test_claim_dict_too_large_rejected():
 def test_sound_contraction_preserves_colorability():
     # complete bipartite S x T plus one T-edge forces S monochromatic;
     # merging inside S must keep the graph 3-colorable
-    from threecolor.graph import contract
+    from test_graph import contract
 
     edges = [(0, 1), (0, 2), (0, 3)]
     edges += [(s, t) for s in (1, 2, 3) for t in (4, 5, 6)]

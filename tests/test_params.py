@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from threecolor.params import Params, default_round_cap, parse_param_overrides
+from threecolor.structure import _bucket_boundaries
 
 
 def test_default_k_from_degree():
@@ -30,13 +31,6 @@ def test_k_clamped():
 def test_nhat_floor():
     p = Params.for_graph(4, 4, k=4.0)
     assert p.nhat == 1
-
-
-def test_json_round_trip():
-    p = Params.for_graph(300, 90, sidecut_factor=Fraction(2, 5))
-    q = Params.from_json(p.to_json())
-    assert q == p
-    assert q.sidecut_factor == Fraction(2, 5)
 
 
 def test_parse_overrides_fraction_strings():
@@ -89,11 +83,37 @@ def test_parse_overrides_rejects_wrong_types(text):
     '{"bucket_base": "1"}', '{"bucket_base": "1/2"}', '{"bucket_base": 1}',
     '{"bucket_floor_divisor": 0}', '{"base_degree_divisor": 0}',
     '{"min_degree_divisor": -1}',
+    # a bucket's top degree can pass the T-side cap degree_cap / base_degree_divisor
+    '{"bucket_base": 2}', '{"bucket_base": "400000001/300000000"}',
+    '{"degree_cap": 5}', '{"base_degree_divisor": 5}',
 ])
 def test_bucket_base_and_divisors_bounded(text):
     overrides = parse_param_overrides(text)
     with pytest.raises(ValueError):
         Params(k=2.0, nhat=1, **overrides)
+
+
+@pytest.mark.parametrize("base, cap, divisor", [
+    (Fraction(4, 3), Fraction(16, 3), 4),  # the defaults, exactly at the limit
+    (Fraction(3, 2), Fraction(6), 4), (Fraction(2), Fraction(8), 4),
+    (Fraction(5, 4), Fraction(8, 3), 2), (Fraction(9, 8), Fraction(16, 3), 4),
+    (Fraction(3, 2), Fraction(16, 3), 4), (Fraction(4, 3), Fraction(5), 4),
+    (Fraction(4, 3), Fraction(16, 3), 5), (Fraction(2), Fraction(3), 1),
+])
+def test_bucket_base_refused_exactly_when_a_bucket_passes_the_cap(base, cap, divisor):
+    # regularize's bucket l holds the degrees d with ceilings[l] <= d < ceilings[l + 1];
+    # RegularPair.check refuses T-side degrees above floor(cap * delta_T), where
+    # delta_T = boundaries[l] / divisor
+    boundaries, ceilings = _bucket_boundaries(base, 10_000)
+    passes = any(top > math.floor(cap * b / divisor)
+                 for b, top in zip(boundaries, (ceilings[1:] - 1).tolist()))
+    try:
+        Params(k=2.0, nhat=1, bucket_base=base, degree_cap=cap,
+               base_degree_divisor=divisor)
+    except ValueError:
+        assert passes
+    else:
+        assert not passes
 
 
 def test_overrides_survive_for_graph():

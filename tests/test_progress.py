@@ -1,7 +1,8 @@
 import pytest
+from test_graph import contract
 
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import VertexSet, build_graph, contract, is_proper_coloring
+from threecolor.graph import VertexSet, build_graph, is_proper_coloring
 from threecolor.progress import (
     EXHAUSTED,
     Defer,
