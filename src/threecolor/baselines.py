@@ -13,7 +13,7 @@ or still return a proper coloring with extra colors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 import numpy as np
@@ -44,6 +44,9 @@ from .progress import (
 )
 from .search import RoundAudit, seek_progress
 from .structure import Not3Colorable, certificate_is_valid, find_certificate
+
+N0 = 64  # the pipeline hands working graphs below this size to the greedy fallback
+TAU = 0.605  # the pipeline searches when the minimum degree reaches h**TAU
 
 
 @dataclass
@@ -241,7 +244,8 @@ def _seek(run: _Run, view: DriverView, min_degree: int) -> Progress | None:
     k = run.p.k
     report = run.report
     sub, idmap = view.materialize()
-    sub_params = run.p.with_overrides(
+    sub_params = replace(
+        run.p,
         nhat=max(1, math.ceil(h / (k * k))),
         round_cap=default_round_cap(h),
     )
@@ -315,7 +319,7 @@ def pipeline_color(
     def source(view: DriverView):
         nonlocal backoff_size
         h = view.n_alive
-        if h < p.n0:
+        if h < N0:
             found = find_certificate(view.base, view.alive_bits)
             if found is not None:
                 _raise_certificate(run, view, *found)
@@ -329,7 +333,7 @@ def pipeline_color(
                 return Defer(v_max)
             return Type1(W, split.side0, split.side1)
         v_min, d_min = view.min_degree_vertex()
-        split_floor = math.ceil(h ** p.tau)
+        split_floor = math.ceil(h ** TAU)
         throttled = backoff_size is not None and h > 0.9 * backoff_size
         if d_min >= split_floor and not throttled:
             progress = _seek(run, view, d_min)

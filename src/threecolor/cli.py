@@ -24,7 +24,7 @@ from .baselines import (
 from .dimacs import ParseError, emit_coloring, emit_dimacs, parse_dimacs
 from .generate import GenParams, MinDegreeUnreachable, generate_planted
 from .graph import Graph, is_proper_coloring
-from .oracle import verify_claim_dict
+from .oracle import MAX_CAP, verify_claim_dict
 from .params import Params, finite_number, parse_param_overrides
 from .search import seek_progress
 from .structure import Not3Colorable
@@ -46,11 +46,6 @@ def _load_params(args, graph: Graph) -> Params:
     overrides = {}
     if args.params:
         overrides = parse_param_overrides(Path(args.params).read_text())
-    # the search derives these afresh on every working graph
-    for key in ("nhat", "round_cap"):
-        if key in overrides:
-            raise ValueError(f"parameter {key!r} is derived per working graph "
-                             "and cannot be set")
     if args.no_side_cuts:
         overrides["side_cuts"] = False
     k = overrides.pop("k", None)
@@ -197,6 +192,10 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not 0 <= args.cap <= MAX_CAP:
+        print(f"error: --oracle-cap must be between 0 and {MAX_CAP}, not {args.cap}",
+              file=sys.stderr)
+        return EXIT_IO
     try:
         graph = _load_graph(args.input)
         payload = json.loads(Path(args.claims).read_text())

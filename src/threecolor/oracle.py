@@ -38,6 +38,10 @@ NO_COLORINGS = "no_colorings"
 # bytes of representative colorings, one byte per vertex, in one chunk
 CHUNK_BYTES = 1 << 20
 
+# The largest graph any cap admits: the walk recurses once per vertex, so
+# this stays well below Python's default recursion limit of 1000.
+MAX_CAP = 64
+
 # (graph, rows) of the last walk that fit in one chunk.  Graphs are
 # immutable and the strong reference keeps the id from being reused, so
 # identity is a sound key; the pair is replaced as one tuple.
@@ -125,7 +129,7 @@ def enumerate_3colorings(
     conditional: tuple[int, int] | None = None,
     cap: int = 25,
 ) -> ColoringSummary:
-    """Exact answers over all proper 3-colorings of G (n <= cap).
+    """Exact answers over all proper 3-colorings of G (n <= min(cap, MAX_CAP)).
 
     ``pairs`` are queried for same-color status, ``sets`` for the
     minimum and maximum number of distinct colors they receive.  With a
@@ -135,8 +139,8 @@ def enumerate_3colorings(
     """
     global _last_walk
     n = G.n
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
+    if n > min(cap, MAX_CAP):
+        raise TooLarge(f"n = {n} exceeds the enumeration cap {min(cap, MAX_CAP)}")
     pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
     sets = tuple(tuple(sorted(set(s))) for s in sets)
 
@@ -264,11 +268,19 @@ def verify_logged_claim(claim: Claim, cap: int = 25) -> Verdict:
     return Verdict(not reasons, reasons)
 
 
-def _two_ids(value, name: str) -> tuple[int, int]:
-    if (not isinstance(value, list) or len(value) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)):
-        raise ValueError(f"{name} must be two vertex ids")
-    return value[0], value[1]
+def _vertex_ids(G: Graph, value, name: str, pair: bool = False) -> tuple[int, ...]:
+    """The vertex ids of a claims-file field: a nonempty list (two long for
+    a ``pair``) of ints, not bools, in 0..n-1; raises ValueError naming
+    the first bad id."""
+    if not isinstance(value, list) or not value or pair and len(value) != 2:
+        raise ValueError(f"{name} must be {'two' if pair else 'a nonempty list of'} vertex ids")
+    for v in value:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ValueError(f"{name} holds {v!r}, which is not an integer vertex id")
+        if not 0 <= v < G.n:
+            raise ValueError(f"{name} holds {v}, which is not a vertex of the "
+                             f"{G.n}-vertex graph")
+    return tuple(value)
 
 
 def verify_claim_dict(G: Graph, entry: dict, k: float | None,
@@ -286,12 +298,13 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
     kind = entry.get("type")
     try:
         if kind == "type0":
-            u, v = _two_ids(entry["pair"], "pair")
+            u, v = _vertex_ids(G, entry.get("pair"), "pair", pair=True)
             return verify_progress_claim(G, Type0(u, v), k or 1.0, cap=cap)
         if kind in ("type1", "type2"):
             if k is None:
                 return Verdict(False, ["color target k required for this claim"])
-            members = VertexSet.from_iterable(G.n, entry["vertices"])
+            vertices = _vertex_ids(G, entry.get("vertices"), "vertices")
+            members = VertexSet.from_iterable(G.n, vertices)
             split = bipartition(G, members)
             if isinstance(split, OddCycle):
                 return Verdict(False, ["set is not 2-colorable"])
@@ -302,9 +315,10 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
                 claim = Type2(members, split.side0, split.side1, nbhd)
             return verify_progress_claim(G, claim, k, cap=cap)
         if kind in ("mono", "multi"):
-            vertices = tuple(entry["vertices"])
+            vertices = _vertex_ids(G, entry.get("vertices"), "vertices")
             conditional = entry.get("conditional")
-            cond = None if conditional is None else _two_ids(conditional, "conditional")
+            cond = (None if conditional is None
+                    else _vertex_ids(G, conditional, "conditional", pair=True))
             if kind == "mono":
                 logged = Claim("mono_if_differ" if cond else "mono",
                                vertices, G, cond)

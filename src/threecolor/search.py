@@ -42,6 +42,13 @@ from .structure import (
     regularize,
 )
 
+# The paper's search constants: three fractions of a round's base degree
+# delta_T, and the number of roots one search tries.
+HIGHDEG_FACTOR = Fraction(1, 4)  # seeds need degree >= delta_T / 4
+SIDECUT_FACTOR = Fraction(1, 3)  # side cuts need degree >= delta_T / 3
+TERM_FACTOR = Fraction(1, 2)  # inner loop stops below delta_T * |T| / 2
+ROOT_RETRIES = 10  # roots tried per search, in decreasing degree order
+
 
 @dataclass(frozen=True)
 class MonochromaticIfDiffer:
@@ -283,19 +290,17 @@ def check_sparse_cut(
     return violated
 
 
-def best_side_cut(
-    G: Graph, X: VertexSet, Y: VertexSet, pair: RegularPair, p: Params
-) -> SideCut:
+def best_side_cut(G: Graph, X: VertexSet, Y: VertexSet, pair: RegularPair) -> SideCut:
     """Smallest-Y' side cut over qualifying u in Y; ties keep the earliest u.
 
-    A vertex u qualifies when it has at least delta_T * sidecut_factor
+    A vertex u qualifies when it has at least delta_T * SIDECUT_FACTOR
     neighbors in S_j outside X; its cut is that outside neighborhood
     X'(u) and the fresh T_j-neighbors Y'(u) of X'(u).  The scan starts
     from (S_j, T_j), so an empty scan returns the full pair.
     """
     Sj, Tj = pair.S.bits, pair.T.bits
     # integral degrees: d >= x  <=>  d >= ceil(x)
-    threshold_int = math.ceil(pair.delta_T * p.sidecut_factor)
+    threshold_int = math.ceil(pair.delta_T * SIDECUT_FACTOR)
     fresh_mask = Tj & ~Y.bits
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
@@ -320,17 +325,6 @@ def best_side_cut(
 
 
 @dataclass(frozen=True)
-class InnerProgress:
-    progress: Progress
-
-
-@dataclass(frozen=True)
-class InnerCut:
-    X: VertexSet
-    Y: VertexSet
-
-
-@dataclass(frozen=True)
 class InnerError:
     reason: str  # "ErrorA" | "ErrorB"
 
@@ -344,7 +338,7 @@ def inner_loop(
     claim_log: ClaimLog | None = None,
     trace: list | None = None,
     counters: SeekCounters | None = None,
-) -> InnerProgress | InnerCut | InnerError:
+) -> ProgressFound | SparseCut | InnerError:
     """Recurse through nested sparse cuts until the edge mass thins out.
 
     Exits with the final cut when the degree sum from the current Y into
@@ -354,17 +348,17 @@ def inner_loop(
     n = G.n
     Sb, Tb = pair.S.bits, pair.T.bits
     # integral degrees: d >= x  <=>  d >= ceil(x)
-    seed_floor = math.ceil(pair.delta_T * p.highdeg_factor)
+    seed_floor = math.ceil(pair.delta_T * HIGHDEG_FACTOR)
     first = True
     while True:
         if not first:
             mass = int(degrees_into(G, Tb, Sb)[1].sum())
-            if mass < pair.delta_T * p.term_factor * Tb.bit_count():
+            if mass < pair.delta_T * TERM_FACTOR * Tb.bit_count():
                 if union_neighborhoods(G, Sb) & pair.T.bits & ~Tb:
                     raise AssertionError(
                         "final cut lost a T_j-neighbor of its X side"
                     )
-                return InnerCut(VertexSet(n, Sb), VertexSet(n, Tb))
+                return SparseCut(VertexSet(n, Sb), VertexSet(n, Tb))
         first = False
         if Sb.bit_count() <= 1:
             _emit(trace, "error", reason="ErrorA")
@@ -375,7 +369,7 @@ def inner_loop(
             return InnerError("ErrorB")
         res = multichromatic_test(G, VertexSet(n, seeds), p, claim_log=claim_log)
         if not isinstance(res, MultichromaticGuaranteed):
-            return InnerProgress(res)
+            return ProgressFound(res)
         found: SparseCut | None = None
         verdicts = 0
         for seed in iter_bits(seeds):
@@ -385,7 +379,7 @@ def inner_loop(
                 counters=counters,
             )
             if isinstance(outcome, ProgressFound):
-                return InnerProgress(outcome.progress)
+                return outcome
             if isinstance(outcome, SparseCut):
                 found = outcome
                 break
@@ -399,7 +393,7 @@ def inner_loop(
                 counters.monochromatic_sets += 1
             _emit(trace, "progress", round=pair.j, kind="mono",
                   set_size=Sb.bit_count())
-            return InnerProgress(MonoSet(members))
+            return ProgressFound(MonoSet(members))
         if found.X.bits == Sb:
             raise AssertionError("adopted cut failed to shrink the S side")
         Sb, Tb = found.X.bits, found.Y.bits
@@ -428,7 +422,7 @@ def audit_round(
     d_S, d_T = pair.delta_S, pair.delta_T
     outside = pair.S.bits & ~sparse_X.bits
     # integral degrees: d >= x  <=>  d >= ceil(x)
-    side_floor = math.ceil(d_T * p.sidecut_factor)
+    side_floor = math.ceil(d_T * SIDECUT_FACTOR)
     ypp_degrees = degrees_into(G, sparse_Y.bits, outside)[1]
     ypp_degrees = ypp_degrees[ypp_degrees >= side_floor]
     edge_mass_side = int(ypp_degrees.sum())
@@ -437,7 +431,7 @@ def audit_round(
 
     cut_degrees = degrees_into(G, chosen_X.bits, chosen_Y.bits)[1]
     min_cut_deg = int(cut_degrees.min()) if len(cut_degrees) else 0
-    x_floor = d_T * (p.sidecut_factor if side_cut_adopted else p.highdeg_factor)
+    x_floor = d_T * (SIDECUT_FACTOR if side_cut_adopted else HIGHDEG_FACTOR)
     flags = {
         "min_cut_degree": Fraction(min_cut_deg) >= d_S / 2,
         "x_size_floor": Fraction(len(chosen_X)) >= x_floor,
@@ -510,7 +504,7 @@ def seek_progress(
         v
         for v in sorted(range(G.n), key=lambda u: (-G.degree(u), u))
         if G.degree(v) >= 1
-    ][: p.root_retries]
+    ][:ROOT_RETRIES]
     if not roots:
         return SeekOutcome(None, "StructureFailed", [], counters, None)
     audits: list[RoundAudit] = []
@@ -547,13 +541,13 @@ def _seek_from_root(
                          counters=counters)
         if isinstance(res, InnerError):
             return SeekOutcome(None, res.reason, audits, counters, r0)
-        if isinstance(res, InnerProgress):
+        if isinstance(res, ProgressFound):
             return SeekOutcome(res.progress, None, audits, counters, r0)
         X, Y = res.X, res.Y
         adopted = False
         side = None
         if p.side_cuts:
-            side = best_side_cut(G, X, Y, pair, p)
+            side = best_side_cut(G, X, Y, pair)
             counters.side_cut_checks += 1
             adopted = side.u is not None and len(side.y) < len(Y)
         chosen_X, chosen_Y = (side.x, side.y) if adopted else (X, Y)
@@ -572,5 +566,5 @@ def _seek_from_root(
             return SeekOutcome(None, "StructureFailed", audits, counters, r0)
         if j == p.round_cap:
             break
-        pair = regularize(G, chosen_X, VertexSet(G.n, stripped), p, j + 1)
+        pair = regularize(G, chosen_X, VertexSet(G.n, stripped), j + 1)
     return SeekOutcome(None, "RoundCapExceeded", audits, counters, r0)

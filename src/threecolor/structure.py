@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +29,25 @@ from .graph import (
 )
 from .params import Params
 from .progress import ClaimLog, Progress, Type1, Type2, log_claim, type1_threshold
+
+# The paper's regularization constants.  A bucket holds the degrees d with
+# b <= d < BUCKET_BASE * b and its T side is capped at DEGREE_CAP * b /
+# BASE_DEGREE_DIVISOR, so BUCKET_BASE * BASE_DEGREE_DIVISOR <= DEGREE_CAP
+# keeps every bucket inside the cap.
+BUCKET_BASE = Fraction(4, 3)  # degree bucket boundaries BUCKET_BASE**l
+BUCKET_FLOOR_DIVISOR = 2  # eligible buckets need d_l >= avg / 2
+BASE_DEGREE_DIVISOR = 4  # delta_T = d_l / 4
+MIN_DEGREE_DIVISOR = 4  # delta_S = avg degree into the bucket / 4
+DEGREE_CAP = Fraction(16, 3)  # regularized T-side degrees <= DEGREE_CAP * delta_T
+
+# The bucket boundaries BUCKET_BASE**l, l = 0, 1, ..., up to the first
+# above every degree below 2**31, and their integer ceilings: integral
+# degrees have d >= b  <=>  d >= ceil(b), so levels are assigned by
+# bisecting the ceilings.
+BOUNDARIES = (Fraction(1),)
+while BOUNDARIES[-1] < 2**31:
+    BOUNDARIES += (BOUNDARIES[-1] * BUCKET_BASE,)
+CEILINGS = np.array([math.ceil(b) for b in BOUNDARIES])
 
 
 class SetTooSmall(ValueError):
@@ -100,7 +118,7 @@ class RegularPair:
     """Two-sided degree-regular pair of vertex sets for round j.
 
     Every v in S has more than ``delta_S`` neighbors in T; every w in T
-    has more than ``delta_T`` and at most ``degree_cap * delta_T``
+    has more than ``delta_T`` and at most ``DEGREE_CAP * delta_T``
     neighbors in S.
     """
 
@@ -110,13 +128,13 @@ class RegularPair:
     delta_T: Fraction
     j: int
 
-    def check(self, G: Graph, degree_cap: Fraction) -> list[str]:
+    def check(self, G: Graph) -> list[str]:
         if not self.S or not self.T:
             return ["empty side"]
         # integral degrees: d <= x  <=>  d <= floor(x)
         floor_S = math.floor(self.delta_S)
         floor_T = math.floor(self.delta_T)
-        cap = math.floor(degree_cap * self.delta_T)
+        cap = math.floor(DEGREE_CAP * self.delta_T)
         ids, degrees = degrees_into(G, self.S.bits, self.T.bits)
         bad = [
             f"vertex {v} has S-side degree at most delta_S"
@@ -164,10 +182,10 @@ def multichromatic_test(
     return Type2(X, X, VertexSet(G.n), nbhd)
 
 
-def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> RegularPair:
+def regularize(G: Graph, S: VertexSet, T: VertexSet, j: int) -> RegularPair:
     """Prune (S, T) to a two-sided degree-regular pair.
 
-    T is bucketed by degree into S along powers of bucket_base; among
+    T is bucketed by degree into S along powers of BUCKET_BASE; among
     buckets whose floor reaches half the average degree, the one with
     the largest edge mass into S wins (ties to the smaller bucket).
     Vertices at or below the derived floors are then deleted to a fixed
@@ -180,22 +198,21 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> Regul
         raise ValueError("every T vertex needs a neighbor in S")
     avg = Fraction(int(degs.sum()), len(ids))
 
-    boundaries, ceilings = _bucket_boundaries(p.bucket_base, int(degs.max()))
-    levels = ceilings.searchsorted(degs, side="right") - 1
+    levels = CEILINGS.searchsorted(degs, side="right") - 1
     # float sums, exact: degree sums stay far below 2**53; every degree is
     # at least 1, so a level has mass exactly when it has a vertex
     mass = np.bincount(levels, weights=degs).tolist()
 
-    floor = avg / p.bucket_floor_divisor
-    eligible = [lv for lv, w in enumerate(mass) if w and boundaries[lv] >= floor]
+    floor = avg / BUCKET_FLOOR_DIVISOR
+    eligible = [lv for lv, w in enumerate(mass) if w and BOUNDARIES[lv] >= floor]
     if not eligible:
         raise EmptyResult("no eligible degree bucket")
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
     U_bits = bits_of(ids[levels == level], G.n)
 
-    delta_T = boundaries[level] / p.base_degree_divisor
+    delta_T = BOUNDARIES[level] / BASE_DEGREE_DIVISOR
     avg_into_bucket = Fraction(int(degrees_into(G, S.bits, U_bits)[1].sum()), len(S))
-    delta_S = avg_into_bucket / p.min_degree_divisor
+    delta_S = avg_into_bucket / MIN_DEGREE_DIVISOR
 
     surv_S, surv_T = _prune(G, S.bits, U_bits, delta_S, delta_T)
     if not surv_S or not surv_T:
@@ -203,26 +220,8 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, p: Params, j: int) -> Regul
     pair = RegularPair(
         VertexSet(G.n, surv_S), VertexSet(G.n, surv_T), delta_S, delta_T, j
     )
-    _assert_regular(G, pair, p)
+    _assert_regular(G, pair)
     return pair
-
-
-# Cached: the search regularizes hundreds of pairs per graph with one base
-# and a few maximum degrees, and rebuilding the Fraction powers each time
-# cost pipeline-dense 9% of its instances/s (median 11.04 cached against
-# 10.06 rebuilt, 10 alternating pairs of 20 s, 2 vCPU, Python 3.11.7).
-@lru_cache(maxsize=1024)
-def _bucket_boundaries(base: Fraction, max_deg: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
-    """Bucket boundaries base**l, l = 0, 1, ..., up to the first above
-    ``max_deg``, with their integer ceilings."""
-    boundaries = [Fraction(1)]
-    while boundaries[-1] <= max_deg:
-        boundaries.append(boundaries[-1] * base)
-    # integral degrees: d >= b  <=>  d >= ceil(b), so levels can be
-    # assigned by bisecting the integer ceilings
-    ceilings = np.array([math.ceil(b) for b in boundaries])
-    ceilings.flags.writeable = False  # shared by every call with this key
-    return tuple(boundaries), ceilings
 
 
 def _prune(G: Graph, s_bits: int, t_bits: int, delta_S: Fraction,
@@ -240,8 +239,8 @@ def _prune(G: Graph, s_bits: int, t_bits: int, delta_S: Fraction,
         s_bits, t_bits = keep_S, keep_T
 
 
-def _assert_regular(G: Graph, pair: RegularPair, p: Params) -> None:
-    bad = pair.check(G, p.degree_cap)
+def _assert_regular(G: Graph, pair: RegularPair) -> None:
+    bad = pair.check(G)
     if bad:
         raise AssertionError(f"regularized pair is not regular: {bad}")
 
@@ -271,7 +270,7 @@ def build_two_level(
         ids, degrees = degrees_into(G, T_bits, S.bits)
         # a stable sort keeps the ascending ids of equal degrees
         T_bits = bits_of(ids[(-degrees).argsort(kind="stable")[:limit]], G.n)
-    pair = regularize(G, S, VertexSet(G.n, T_bits), p, j=1)
+    pair = regularize(G, S, VertexSet(G.n, T_bits), j=1)
     if not pair.S.issubset(S):
         raise AssertionError("regularized S escaped the root neighborhood")
     if len(pair.T) > limit:

@@ -27,12 +27,15 @@ from threecolor.graph import VertexSet, build_graph, is_proper_coloring, iter_bi
 from threecolor.oracle import verify_logged_claim
 from threecolor.params import Params
 from threecolor.search import (
+    SIDECUT_FACTOR,
     RegularPair,
     audit_round,
     best_side_cut,
     seek_progress,
 )
 from threecolor.structure import (
+    BUCKET_BASE,
+    DEGREE_CAP,
     Not3Colorable,
     certificate_is_valid,
     multichromatic_test,
@@ -134,9 +137,9 @@ def test_criterion_2_cut_invariants(cut_suite):
 def test_criterion_3_side_cut_oracle_equivalence():
     """best_side_cut matches an independent quadratic argmin."""
 
-    def brute(G, X, Y, pair, p):
+    def brute(G, X, Y, pair):
         Sj, Tj = pair.S.bits, pair.T.bits
-        floor = pair.delta_T * p.sidecut_factor
+        floor = pair.delta_T * SIDECUT_FACTOR
         best_x, best_y, best_u = Sj, Tj, None
         best_size = Tj.bit_count()
         for u in iter_bits(Y.bits):
@@ -171,9 +174,8 @@ def test_criterion_3_side_cut_oracle_equivalence():
             n, [v for v in members[:half] if rng.random() < 0.5])
         Y = VertexSet.from_iterable(
             n, [w for w in members[half:] if rng.random() < 0.5])
-        p = Params.for_graph(n, 1, k=2.0)
-        got = best_side_cut(g, X, Y, pair, p)
-        want = brute(g, X, Y, pair, p)
+        got = best_side_cut(g, X, Y, pair)
+        want = brute(g, X, Y, pair)
         if (got.x.bits, got.y.bits, got.u) != want:
             mismatches += 1
     assert mismatches == 0
@@ -189,7 +191,6 @@ def test_criterion_4_regularize_contract():
         g, _ = generate_planted(
             GenParams(n=n, edge_prob=rng.uniform(0.3, 0.8), seed=8000 + trial)
         )
-        p = Params.for_graph(n, max(g.min_degree(), 1))
         s_bits = 0
         for v in rng.sample(range(n), rng.randrange(3, max(4, n // 2))):
             s_bits |= 1 << v
@@ -199,15 +200,15 @@ def test_criterion_4_regularize_contract():
             continue
         S = VertexSet(n, s_bits)
         T = VertexSet.from_iterable(n, t_members)
-        pair = regularize(g, S, T, p, j=1)
+        pair = regularize(g, S, T, j=1)
         assert pair.S and pair.T
         for v in iter_bits(pair.S.bits):
             assert (g.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S
-        cap = p.degree_cap * pair.delta_T
+        cap = DEGREE_CAP * pair.delta_T
         for w in iter_bits(pair.T.bits):
             d = (g.adj_bits(w) & pair.S.bits).bit_count()
             assert pair.delta_T < d <= cap
-        ref_S, ref_T = _random_order_regularize(g, S, T, p, rng)
+        ref_S, ref_T = _random_order_regularize(g, S, T, rng)
         assert (pair.S.bits, pair.T.bits) == (ref_S, ref_T)
         checked += 1
     assert checked >= 190
@@ -215,12 +216,12 @@ def test_criterion_4_regularize_contract():
            "order-independence hold, 0 violations")
 
 
-def _random_order_regularize(g, S, T, p, rng):
+def _random_order_regularize(g, S, T, rng):
     degs = {w: (g.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
     avg = Fraction(sum(degs.values()), len(T))
     bounds = [Fraction(1)]
     while bounds[-1] <= max(degs.values()):
-        bounds.append(bounds[-1] * p.bucket_base)
+        bounds.append(bounds[-1] * BUCKET_BASE)
     buckets, mass = {}, {}
     for w, d in degs.items():
         lv = 0

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from threecolor.baselines import (
+    TAU,
     greedy_color,
     neighborhood_extraction_color,
     pipeline_color,
@@ -11,7 +12,6 @@ from threecolor.baselines import (
 )
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, is_proper_coloring
-from threecolor.params import Params
 from threecolor.structure import Not3Colorable, certificate_is_valid, find_certificate
 
 K4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -149,8 +149,7 @@ def test_empty_graph_everywhere():
 
 def test_degree_split_floor_arithmetic():
     # default split exponent puts the n=5000 floor at 173
-    p = Params.for_graph(5000, 1000)
-    assert math.ceil(5000 ** p.tau) == 173
+    assert math.ceil(5000 ** TAU) == 173
 
 
 class TestSeekOnly:

@@ -14,6 +14,13 @@ from threecolor.graph import build_graph, is_proper_coloring
 
 K4_TEXT = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 
+# the paper's constants, fixed in the code and refused in a params file
+FIXED_CONSTANTS = (
+    "k_scale", "highdeg_factor", "sidecut_factor", "term_factor", "bucket_base",
+    "bucket_floor_divisor", "base_degree_divisor", "min_degree_divisor",
+    "degree_cap", "root_retries", "n0", "tau",
+)
+
 
 def run_cli(args):
     return main(args)
@@ -219,6 +226,14 @@ class TestVerify:
     @pytest.mark.parametrize("entry", [
         1,
         {"type": "mono", "vertices": [0, 2], "conditional": [0]},
+        {"type": "mono", "vertices": [0, 2.0]},
+        {"type": "multi", "vertices": [0, 30]},
+        {"type": "multi", "vertices": [True]},
+        {"type": "mono", "vertices": []},
+        {"type": "mono", "vertices": [0, 2], "conditional": [1, 3]},
+        {"type": "type1", "vertices": [2.0]},
+        {"type": "type2", "vertices": [-1]},
+        {"type": "type0", "pair": [0, 3]},
     ])
     def test_malformed_entry_rejected(self, tmp_path, entry):
         src = tmp_path / "p3.col"
@@ -227,11 +242,28 @@ class TestVerify:
         cfile.write_text(json.dumps([entry]))
         out = tmp_path / "v.json"
         code = run_cli(["verify", "--in", str(src), "--claims", str(cfile),
-                        "--out", str(out)])
+                        "--out", str(out), "--k", "2"])
         assert code == 3
         [verdict] = json.loads(out.read_text())
         assert not verdict["verified"]
         assert verdict["reasons"][0].startswith("malformed claim")
+
+    @pytest.mark.parametrize("cap", ["2000", "65", "-1"])
+    def test_oracle_cap_outside_its_range_exits_4(self, tmp_path, capsys, cap):
+        # the walk recurses once per vertex: a cap of 2000 on this path once
+        # ended in RecursionError
+        n = 1100
+        src = tmp_path / "path.col"
+        src.write_text(emit_dimacs(build_graph(n, [(v, v + 1) for v in range(n - 1)])))
+        cfile = tmp_path / "claims.json"
+        cfile.write_text(json.dumps([{"type": "multi", "vertices": [0, 1]}]))
+        args = ["verify", "--in", str(src), "--claims", str(cfile)]
+        assert run_cli(args + ["--oracle-cap", cap]) == 4
+        assert "--oracle-cap" in capsys.readouterr().err
+        out = tmp_path / "v.json"
+        assert run_cli(args + ["--oracle-cap", "64", "--out", str(out)]) == 3
+        [verdict] = json.loads(out.read_text())
+        assert verdict["reasons"] == ["n = 1100 exceeds the enumeration cap 64"]
 
 
 class TestUsage:
@@ -252,21 +284,25 @@ class TestUsage:
         assert run_cli(["color", "--in", str(src)]) == 4
         assert "above the limit" in capsys.readouterr().err
 
-    def test_params_file_with_unknown_key_exits_4(self, tmp_path):
+    def test_params_file_with_unknown_key_exits_4(self, tmp_path, capsys):
         src = tmp_path / "k4.col"
         src.write_text(K4_TEXT)
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"no_such_knob": 25}))
-        assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
+        for key in ("no_such_knob",) + FIXED_CONSTANTS:
+            params.write_text(json.dumps({key: 25}))
+            assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
+            assert f"unknown parameter {key!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("text", [
         # derived per working graph by the search, so not settable
         '{"nhat": 2}', '{"round_cap": 2}',
         # wrong type or range
-        '{"nhat": "x"}', '{"c1": "2"}', '{"k": [1]}', '{"tau": "x"}',
-        '{"degree_cap": "1/0"}', '{"bucket_floor_divisor": 0}',
-        '{"base_degree_divisor": 0}', '{"min_degree_divisor": 0}',
-        '{"c1": NaN, "c2": NaN}', '{"tau": NaN}', '{"side_cuts": "no"}',
+        '{"nhat": "x"}', '{"c1": "2"}', '{"k": [1]}',
+        '{"c1": NaN, "c2": NaN}', '{"side_cuts": "no"}',
+        # fixed constants: refused whatever the value, as unknown parameters
+        '{"tau": "x"}', '{"tau": NaN}', '{"degree_cap": "1/0"}',
+        '{"bucket_floor_divisor": 0}', '{"base_degree_divisor": 0}',
+        '{"min_degree_divisor": 0}',
     ])
     def test_params_file_with_a_refused_value_exits_4(self, tmp_path, text):
         src = tmp_path / "k4.col"
@@ -276,8 +312,8 @@ class TestUsage:
         assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
 
     def test_bucket_base_past_the_degree_cap_exits_4(self, tmp_path, capsys):
-        # on this graph a bucket base of 2 leaves T-side degrees above
-        # degree_cap * delta_T, which regularize's regularity assertion refuses
+        # on this graph a bucket base of 2 would leave T-side degrees above
+        # DEGREE_CAP * delta_T; the base is a fixed constant, so the file is refused
         graph, _ = generate_planted(GenParams(n=400, edge_prob=0.5, seed=0))
         src = tmp_path / "g.col"
         src.write_text(emit_dimacs(graph))

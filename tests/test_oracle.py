@@ -157,6 +157,9 @@ class TestEnumerate:
         g = build_graph(30, [])
         with pytest.raises(TooLarge):
             enumerate_3colorings(g, cap=25)
+        # no cap admits more than MAX_CAP vertices: the walk recurses once per vertex
+        with pytest.raises(TooLarge):
+            enumerate_3colorings(build_graph(oracle.MAX_CAP + 1, []), cap=10**6)
 
     def test_single_vertex(self):
         g = build_graph(1, [])
@@ -360,6 +363,24 @@ def test_claim_dict_too_large_rejected():
                                 k=None, cap=25)
     assert not verdict.verified
     assert any("cap" in r for r in verdict.reasons)
+
+
+@pytest.mark.parametrize("n, entry, named", [
+    (3, {"type": "mono", "vertices": [0, 2.0]}, "2.0"),
+    (3, {"type": "multi", "vertices": [0, 30]}, "30"),
+    (3, {"type": "type1", "vertices": [2.0]}, "2.0"),
+    (3, {"type": "mono", "vertices": [1], "conditional": [False, 1]}, "False"),
+    (0, {"type": "multi", "vertices": [0]}, "0"),
+    (0, {"type": "mono", "vertices": [0, 1]}, "0"),
+])
+def test_claim_dict_bad_vertex_id_named(n, entry, named):
+    from threecolor.oracle import verify_claim_dict
+
+    graph = PATH3 if n == 3 else build_graph(0, [])
+    verdict = verify_claim_dict(graph, entry, k=2.0)
+    assert not verdict.verified
+    [reason] = verdict.reasons
+    assert reason.startswith("malformed claim: ") and f" holds {named}," in reason
 
 
 def test_sound_contraction_preserves_colorability():

@@ -10,9 +10,8 @@ from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params
 from threecolor.progress import MonoSet
 from threecolor.search import (
-    InnerCut,
+    SIDECUT_FACTOR,
     InnerError,
-    InnerProgress,
     MonochromaticIfDiffer,
     ProgressFound,
     SideCut,
@@ -127,10 +126,10 @@ class TestCheckSparseCut:
         assert out == []
 
 
-def brute_force_side_cut(G, X, Y, pair, p):
+def brute_force_side_cut(G, X, Y, pair):
     """Quadratic reference: scan every u, no shortcuts."""
     Sj, Tj = pair.S.bits, pair.T.bits
-    floor = pair.delta_T * p.sidecut_factor
+    floor = pair.delta_T * SIDECUT_FACTOR
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
     for u in iter_bits(Y.bits):
@@ -151,9 +150,8 @@ class TestBestSideCut:
         g, s_ids, t_ids = complete_bipartite_with_root()
         pair = RegularPair(vs(g.n, s_ids), vs(g.n, t_ids),
                            Fraction(2), Fraction(2), 1)
-        p = make_params(g.n, 2.0)
         # X = S: nobody has neighbors outside X
-        res = best_side_cut(g, vs(g.n, s_ids), vs(g.n, t_ids), pair, p)
+        res = best_side_cut(g, vs(g.n, s_ids), vs(g.n, t_ids), pair)
         assert res.u is None
         assert res.x == pair.S and res.y == pair.T
 
@@ -165,9 +163,8 @@ class TestBestSideCut:
         g = build_graph(8, edges)
         pair = RegularPair(vs(8, [1, 2, 3, 4]), vs(8, [5, 6, 7]),
                            Fraction(1), Fraction(2), 1)
-        p = make_params(8, 2.0)
         X, Y = vs(8, [1, 2]), vs(8, [5, 6])
-        res = best_side_cut(g, X, Y, pair, p)
+        res = best_side_cut(g, X, Y, pair)
         assert res.u == 6
         assert res.x == vs(8, [3, 4])
         assert res.y == vs(8, [7])
@@ -189,11 +186,8 @@ class TestBestSideCut:
                 vs(n, Sj), vs(n, Tj),
                 Fraction(1), Fraction(rng.randrange(1, 7), rng.randrange(1, 4)), 1,
             )
-            p = make_params(n, 2.0)
-            got = best_side_cut(g, vs(n, X), vs(n, Y), pair, p)
-            want_x, want_y, want_u = brute_force_side_cut(
-                g, vs(n, X), vs(n, Y), pair, p
-            )
+            got = best_side_cut(g, vs(n, X), vs(n, Y), pair)
+            want_x, want_y, want_u = brute_force_side_cut(g, vs(n, X), vs(n, Y), pair)
             assert got.x.bits == want_x
             assert got.y.bits == want_y
             assert got.u == want_u
@@ -221,7 +215,7 @@ class TestInnerLoop:
         p = make_params(g.n, 2.0)  # nhat = ceil(7/4) = 2
         log = []
         res = inner_loop(g, 0, pair, p, claim_log=log)
-        assert isinstance(res, InnerProgress)
+        assert isinstance(res, ProgressFound)
         assert isinstance(res.progress, MonoSet)
         assert res.progress.members == vs(g.n, s_ids)
         summary = enumerate_3colorings(g, sets=(tuple(s_ids),))

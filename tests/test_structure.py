@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -20,6 +21,13 @@ from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params
 from threecolor.progress import Type1, Type2
 from threecolor.structure import (
+    BASE_DEGREE_DIVISOR,
+    BOUNDARIES,
+    BUCKET_BASE,
+    BUCKET_FLOOR_DIVISOR,
+    CEILINGS,
+    DEGREE_CAP,
+    MIN_DEGREE_DIVISOR,
     EmptyResult,
     MultichromaticGuaranteed,
     Not3Colorable,
@@ -137,11 +145,10 @@ class TestRegularPairCheck:
         # path 1-0-2 with S = {0}, T = {1, 2}; both degree bounds are strict
         g = build_graph(3, [(0, 1), (0, 2)])
         pair = RegularPair(vs(3, [0]), vs(3, [1, 2]), delta_S, delta_T, 1)
-        p = make_params(3, 1.0)
-        bad = pair.check(g, p.degree_cap)
+        bad = pair.check(g)
         assert [int(msg.split()[1]) for msg in bad] == flagged
         with pytest.raises(AssertionError):
-            _assert_regular(g, pair, p)
+            _assert_regular(g, pair)
 
 
 def reference_check(G, pair, degree_cap):
@@ -202,49 +209,61 @@ def pair_case(draw):
     t_bits = rng.getrandbits(g.n)
     top = max(12, g.n // 3)
     delta = st.fractions(min_value=Fraction(1, 9), max_value=top, max_denominator=9)
-    return g, s_bits, t_bits, draw(delta), draw(delta), draw(delta)
+    return g, s_bits, t_bits, draw(delta), draw(delta)
 
 
-def reference_regularize(G, S, T, p):
+def reference_regularize(G, S, T):
     """regularize with the buckets built one vertex at a time by bisection;
     None where regularize raises EmptyResult."""
     degs = {w: (G.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
     avg = Fraction(sum(degs.values()), len(degs))
     boundaries = [Fraction(1)]
     while boundaries[-1] <= max(degs.values()):
-        boundaries.append(boundaries[-1] * p.bucket_base)
+        boundaries.append(boundaries[-1] * BUCKET_BASE)
     buckets, mass = {}, {}
     for w, d in degs.items():
         level = bisect_right(boundaries, d) - 1
         buckets[level] = buckets.get(level, 0) | (1 << w)
         mass[level] = mass.get(level, 0) + d
-    floor = avg / p.bucket_floor_divisor
+    floor = avg / BUCKET_FLOOR_DIVISOR
     eligible = [lv for lv in sorted(buckets) if boundaries[lv] >= floor]
     if not eligible:
         return None
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
-    delta_T = boundaries[level] / p.base_degree_divisor
+    delta_T = boundaries[level] / BASE_DEGREE_DIVISOR
     into = sum((G.adj_bits(v) & buckets[level]).bit_count() for v in iter_bits(S.bits))
-    delta_S = Fraction(into, len(S)) / p.min_degree_divisor
+    delta_S = Fraction(into, len(S)) / MIN_DEGREE_DIVISOR
     surv_S, surv_T = reference_prune(G, S.bits, buckets[level], delta_S, delta_T)
     if not surv_S or not surv_T:
         return None
     return surv_S, surv_T, delta_S, delta_T
 
 
+def test_no_degree_bucket_passes_the_t_side_cap():
+    # bucket l holds the degrees CEILINGS[l] <= d < CEILINGS[l + 1], and
+    # RegularPair.check refuses T-side degrees above floor(DEGREE_CAP * delta_T),
+    # where delta_T = BOUNDARIES[l] / BASE_DEGREE_DIVISOR
+    assert BUCKET_BASE * BASE_DEGREE_DIVISOR <= DEGREE_CAP
+    tops = (CEILINGS[1:] - 1).tolist()
+    assert all(top <= math.floor(DEGREE_CAP * b / BASE_DEGREE_DIVISOR)
+               for b, top in zip(BOUNDARIES, tops))
+    assert BOUNDARIES[-1] >= 2**31 > BOUNDARIES[-2]
+    assert CEILINGS.tolist() == [math.ceil(b) for b in BOUNDARIES]
+
+
 class TestIntegerThresholds:
     @given(pair_case())
     @settings(max_examples=200, deadline=None)
     def test_check_matches_fraction_reference(self, case):
-        g, s_bits, t_bits, delta_S, delta_T, cap = case
+        g, s_bits, t_bits, delta_S, delta_T = case
         pair = RegularPair(VertexSet(g.n, s_bits), VertexSet(g.n, t_bits),
                            delta_S, delta_T, 1)
-        assert pair.check(g, cap) == reference_check(g, pair, cap)
+        assert pair.check(g) == reference_check(g, pair, DEGREE_CAP)
 
     @given(pair_case())
     @settings(max_examples=200, deadline=None)
     def test_prune_matches_fraction_reference(self, case):
-        g, s_bits, t_bits, delta_S, delta_T, _ = case
+        g, s_bits, t_bits, delta_S, delta_T = case
         assert _prune(g, s_bits, t_bits, delta_S, delta_T) == reference_prune(
             g, s_bits, t_bits, delta_S, delta_T
         )
@@ -260,15 +279,12 @@ class TestArrayBucketing:
         T = VertexSet(g.n, reach & rng.getrandbits(g.n))
         if not S or not T:
             return
-        p = make_params(g.n, data.draw(st.sampled_from([1.5, 2.0, 3.0])),
-                        bucket_base=data.draw(st.sampled_from(
-                            [Fraction(4, 3), Fraction(5, 4), Fraction(9, 8)])))
         try:
-            pair = regularize(g, S, T, p, j=1)
+            pair = regularize(g, S, T, j=1)
             got = (pair.S.bits, pair.T.bits, pair.delta_S, pair.delta_T)
         except EmptyResult:
             got = None
-        assert got == reference_regularize(g, S, T, p)
+        assert got == reference_regularize(g, S, T)
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -281,7 +297,7 @@ class TestArrayBucketing:
         r0 = data.draw(st.sampled_from([v for v in range(g.n) if g.degree(v)]))
         seen = []
 
-        def capture(G, S, T, p, j):
+        def capture(G, S, T, j):
             seen.append(T)
             raise _Stop
 
@@ -306,8 +322,7 @@ class TestRegularize:
         # vertex is pruned
         edges = [(u, v) for u in range(4) for v in range(4, 8)]
         g = build_graph(8, edges)
-        p = make_params(8, 2.0)
-        pair = regularize(g, vs(8, range(4)), vs(8, range(4, 8)), p, j=1)
+        pair = regularize(g, vs(8, range(4)), vs(8, range(4, 8)), j=1)
         assert pair.S == vs(8, range(4))
         assert pair.T == vs(8, range(4, 8))
         assert pair.delta_S == Fraction(1)
@@ -318,8 +333,7 @@ class TestRegularize:
         # only eligible one; survivors are its vertex and its neighbors
         edges = [(8, 0), (9, 1), (10, 2)] + [(11, s) for s in range(8)]
         g = build_graph(12, edges)
-        p = make_params(12, 2.0)
-        pair = regularize(g, vs(12, range(8)), vs(12, range(8, 12)), p, j=1)
+        pair = regularize(g, vs(12, range(8)), vs(12, range(8, 12)), j=1)
         assert pair.T == vs(12, [11])
         assert pair.S == vs(12, range(8))
         assert pair.delta_T == Fraction(4, 3) ** 7 / 4
@@ -328,12 +342,12 @@ class TestRegularize:
     def test_contract_holds_on_random_inputs(self):
         rng = random.Random(5)
         for trial in range(60):
-            g, S, T, p = _random_regularize_input(rng, trial)
-            pair = regularize(g, S, T, p, j=1)
+            g, S, T = _random_regularize_input(rng, trial)
+            pair = regularize(g, S, T, j=1)
             assert pair.S and pair.T
             for v in iter_bits(pair.S.bits):
                 assert (g.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S
-            cap = p.degree_cap * pair.delta_T
+            cap = DEGREE_CAP * pair.delta_T
             for w in iter_bits(pair.T.bits):
                 d = (g.adj_bits(w) & pair.S.bits).bit_count()
                 assert pair.delta_T < d <= cap
@@ -341,22 +355,21 @@ class TestRegularize:
     def test_fixed_point_is_order_independent(self):
         rng = random.Random(77)
         for trial in range(50):
-            g, S, T, p = _random_regularize_input(rng, 500 + trial)
-            pair = regularize(g, S, T, p, j=1)
-            ref_S, ref_T = _random_order_prune(g, S, T, p, rng)
+            g, S, T = _random_regularize_input(rng, 500 + trial)
+            pair = regularize(g, S, T, j=1)
+            ref_S, ref_T = _random_order_prune(g, S, T, rng)
             assert pair.S.bits == ref_S
             assert pair.T.bits == ref_T
 
     def test_rejects_isolated_t_vertex(self):
         g = build_graph(3, [(0, 1)])
         with pytest.raises(ValueError):
-            regularize(g, vs(3, [0]), vs(3, [1, 2]), make_params(3, 1.0), j=1)
+            regularize(g, vs(3, [0]), vs(3, [1, 2]), j=1)
 
 
 def _random_regularize_input(rng, seed):
     n = rng.randrange(12, 30)
     g, _ = generate_planted(GenParams(n=n, edge_prob=rng.uniform(0.3, 0.8), seed=seed))
-    p = Params.for_graph(n, max(g.min_degree(), 1))
     while True:
         s_members = rng.sample(range(n), rng.randrange(3, max(4, n // 2)))
         s_bits = 0
@@ -368,16 +381,16 @@ def _random_regularize_input(rng, seed):
             if g.adj_bits(w) & s_bits and rng.random() < 0.8
         ]
         if t_members:
-            return g, VertexSet(n, s_bits), VertexSet.from_iterable(n, t_members), p
+            return g, VertexSet(n, s_bits), VertexSet.from_iterable(n, t_members)
 
 
-def _random_order_prune(g, S, T, p, rng):
+def _random_order_prune(g, S, T, rng):
     """Reference regularizer: same bucket choice, randomized deletions."""
     degs = {w: (g.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
     avg = Fraction(sum(degs.values()), len(T))
     boundaries = [Fraction(1)]
     while boundaries[-1] <= max(degs.values()):
-        boundaries.append(boundaries[-1] * p.bucket_base)
+        boundaries.append(boundaries[-1] * BUCKET_BASE)
     buckets, mass = {}, {}
     for w, d in degs.items():
         lv = 0
@@ -431,7 +444,7 @@ class TestBuildTwoLevel:
         assert isinstance(res, TwoLevel)
         assert res.pair.S.issubset(g.neighbors(r0))
         assert len(res.pair.T) <= int(500 / p.k)
-        assert not res.pair.check(g, p.degree_cap)
+        assert not res.pair.check(g)
 
 
 class TestCertificates:
