@@ -38,14 +38,23 @@ EXIT_IO = 4
 METHODS = ("pipeline", "greedy", "extract", "seek")
 
 
+def _read_text(path: str) -> str:
+    """The text of an input file; one that is not UTF-8 is a ValueError."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: byte {exc.start} is "
+                         f"{exc.object[exc.start]:#04x}") from None
+
+
 def _load_graph(path: str) -> Graph:
-    return parse_dimacs(Path(path).read_text())
+    return parse_dimacs(_read_text(path))
 
 
 def _load_params(args, graph: Graph) -> Params:
     overrides = {}
     if args.params:
-        overrides = parse_param_overrides(Path(args.params).read_text())
+        overrides = parse_param_overrides(_read_text(args.params))
     if args.no_side_cuts:
         overrides["side_cuts"] = False
     k = overrides.pop("k", None)
@@ -198,8 +207,8 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     try:
         graph = _load_graph(args.input)
-        payload = json.loads(Path(args.claims).read_text())
-    except (OSError, ParseError, json.JSONDecodeError) as exc:
+        payload = json.loads(_read_text(args.claims))
+    except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if isinstance(payload, dict):

@@ -22,6 +22,7 @@ never collide.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Union
 
@@ -117,8 +118,6 @@ def log_claim(log, kind: str, vertices: Iterable[int], graph: Graph,
 
 def type1_threshold(n: int, k: float, c1: float = 1.0) -> int:
     """Size floor for a large 2-colorable set: ceil(c1 * n / k)."""
-    import math
-
     if k < 1:
         raise ValueError("k must be at least 1")
     return math.ceil(c1 * n / k)
@@ -170,31 +169,63 @@ def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
     return packed_graph(rows[:, keep]), keep
 
 
+# the most bytes of unpacked rows ``_row_sums`` holds at once
+ROW_SUM_BYTES = 1 << 20
+
+
+def _row_sums(G: Graph, ids: list[int]) -> np.ndarray:
+    """For every vertex of G, its number of neighbors among ``ids``, as an
+    ``int64`` array; the rows are unpacked at most ROW_SUM_BYTES at a time."""
+    total = np.zeros(G.n, dtype=np.int64)
+    step = max(1, ROW_SUM_BYTES // max(G.n, 1))
+    for i in range(0, len(ids), step):
+        rows = unpack_rows([G.adj_bits(v) for v in ids[i:i + step]], G.n)
+        total += rows.sum(0, dtype=np.int64)
+    return total
+
+
+def _dead_offset(n: int) -> int:
+    """BIG of the driver's degree keys on an n-vertex graph (see DriverView)."""
+    return 2 * n + 2
+
+
+def _degree_keys(G: Graph, alive_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The driver's ``(hi, lo)`` keys of every vertex of G (see DriverView)."""
+    degrees = degrees_into(G, (1 << G.n) - 1, alive_bits)[1]
+    dead = (1 - unpack_bits(alive_bits, G.n).astype(np.int64)) * _dead_offset(G.n)
+    return degrees - dead, degrees + dead
+
+
 class DriverView:
     """Read-only window onto the driver's working graph.
 
-    Vertices are ids of ``base``; only those in ``alive`` exist.  The
-    degree array counts alive neighbors only and is kept incrementally
-    by the driver.  ``groups`` maps each base vertex to the original
-    vertex ids it represents after contractions.
+    Vertices are ids of ``base``; only those in ``alive`` exist.
+    ``groups`` maps each base vertex to the original vertex ids it
+    represents after contractions.
+
+    The driver keeps two keys per base vertex.  With deg[u] the number
+    of alive neighbors of u, dead or alive, and BIG = 2n + 2, ``hi[u]``
+    and ``lo[u]`` both equal deg[u] when u is alive; when u is dead,
+    ``hi[u] = deg[u] - BIG < 0`` and ``lo[u] = deg[u] + BIG > n``.  So the
+    alive vertex of largest degree is ``hi``'s argmax and the one of
+    smallest degree is ``lo``'s argmin, ties going to the lowest id.
+    The driver removes a set by subtracting its rows from both keys and
+    moving the set's own keys by BIG, and returns a set by the inverse,
+    so the keys stay exact without a rebuild; only a contraction, which
+    renumbers the vertices, rebuilds them (``_degree_keys``).
     """
 
-    def __init__(self, base: Graph, alive_bits: int, deg: np.ndarray,
-                 groups: list[tuple[int, ...]] | None = None):
+    def __init__(self, base: Graph, alive_bits: int, hi: np.ndarray,
+                 lo: np.ndarray, groups: list[tuple[int, ...]]):
         self.base = base
         self.alive_bits = alive_bits
-        self._deg = deg
-        self._alive_row = unpack_bits(alive_bits, base.n).astype(bool)
-        self.groups = groups if groups is not None else [
-            (v,) for v in range(base.n)
-        ]
+        self._hi = hi
+        self._lo = lo
+        self.groups = groups
 
     @property
     def n_alive(self) -> int:
         return self.alive_bits.bit_count()
-
-    def degree(self, v: int) -> int:
-        return int(self._deg[v])
 
     def neighbors_bits(self, v: int) -> int:
         return self.base.adj_bits(v) & self.alive_bits
@@ -202,16 +233,14 @@ class DriverView:
     def min_degree_vertex(self) -> tuple[int, int]:
         if not self.alive_bits:
             return -1, 0
-        masked = np.where(self._alive_row, self._deg, self.base.n + 1)
-        v = int(np.argmin(masked))
-        return v, int(self._deg[v])
+        v = int(self._lo.argmin())
+        return v, int(self._lo[v])
 
     def max_degree_vertex(self) -> tuple[int, int]:
         if not self.alive_bits:
             return -1, -1
-        masked = np.where(self._alive_row, self._deg, -1)
-        v = int(np.argmax(masked))
-        return v, int(self._deg[v])
+        v = int(self._hi.argmax())
+        return v, int(self._hi[v])
 
     def materialize(self) -> tuple[Graph, list[int]]:
         return induced_subgraph(self.base, self.alive_bits)
@@ -290,7 +319,7 @@ def color_with_progress(
     base = G
     alive = (1 << G.n) - 1
     groups: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
-    deg = np.array([G.degree(v) for v in range(G.n)], dtype=np.int64)
+    hi, lo = _degree_keys(G, alive)
     batch_color: dict[int, int] = {}
     batch_slots = 0
     fallback_color: dict[int, int] = {}
@@ -310,24 +339,30 @@ def color_with_progress(
                 "graph_size": alive.bit_count(),
             })
 
-    def remove_bits(bits: int):
+    def shift(bits: int, sign: int):
+        """Take the vertices of ``bits`` out of the working graph (sign -1)
+        or put them back (sign +1), keeping the degree keys exact."""
         nonlocal alive
-        alive &= ~bits
-        for v in iter_bits(bits):
-            deg[:] -= unpack_bits(base.adj_bits(v) & alive, base.n)
-            deg[v] = 0
+        alive = alive | bits if sign > 0 else alive & ~bits
+        ids = list(iter_bits(bits))
+        if len(ids) == 1:  # a deferral, the hot path: one row, scalar index
+            ids = ids[0]
+            counts = unpack_bits(base.adj_bits(ids), base.n)
+        else:
+            counts = _row_sums(base, ids)
+        move = np.add if sign > 0 else np.subtract
+        move(hi, counts, out=hi)
+        move(lo, counts, out=lo)
+        big = _dead_offset(base.n)
+        hi[ids] += sign * big
+        lo[ids] -= sign * big
 
     def close_phase():
-        nonlocal phase, alive
+        nonlocal phase
         if phase is None:
             return
-        aside = phase["aside"]
-        if aside:
-            for v in iter_bits(aside):
-                deg[:] += unpack_bits(base.adj_bits(v) & alive, base.n)
-            alive |= aside
-            ids, degrees = degrees_into(base, aside, alive)
-            deg[ids] = degrees
+        if phase["aside"]:
+            shift(phase["aside"], +1)
         phase = None
 
     def alloc_side_slot(ph: dict, which: str) -> int:
@@ -339,7 +374,7 @@ def color_with_progress(
 
     while alive:
         stats.graph_sizes.append(alive.bit_count())
-        view = DriverView(base, alive, deg, groups)
+        view = DriverView(base, alive, hi, lo, groups)
         action = source(view)
         step += 1
 
@@ -353,11 +388,11 @@ def color_with_progress(
                 raise UnsoundProgress([f"deferred vertex {v} is not in the working graph"])
             # set-aside neighborhoods are uncolored and will return at
             # phase close, so they count toward the residual degree
-            residual = int(deg[v])
+            residual = int(hi[v])
             if phase is not None:
                 residual += (base.adj_bits(v) & phase["aside"]).bit_count()
             defer_stack.append((groups[v], residual))
-            remove_bits(1 << v)
+            shift(1 << v, -1)
             stats.deferred += 1
             emit("defer", 1)
             continue
@@ -393,9 +428,7 @@ def color_with_progress(
             base = new_base
             groups = new_groups
             alive = new_alive
-            deg = np.zeros(base.n, dtype=np.int64)
-            ids, degrees = degrees_into(base, alive, alive)
-            deg[ids] = degrees
+            hi, lo = _degree_keys(base, alive)
             stats.contractions += len(pair_ids) - 1
             emit("contract", len(pair_ids))
             continue
@@ -423,7 +456,7 @@ def color_with_progress(
                 for orig in groups[v]:
                     batch_color[orig] = slot
         nbhd = reach & alive & ~members
-        remove_bits(members | nbhd)
+        shift(members | nbhd, -1)
         phase["union"] |= members
         phase["aside"] |= nbhd
         phase["removed"] += members.bit_count() + nbhd.bit_count()

@@ -1,7 +1,6 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from test_baselines import fuzz_graph
@@ -11,6 +10,7 @@ from threecolor.cli import main
 from threecolor.dimacs import emit_dimacs, parse_coloring, parse_dimacs
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, is_proper_coloring
+from threecolor.oracle import MAX_NODES
 
 K4_TEXT = "p edge 4 6\ne 1 2\ne 1 3\ne 1 4\ne 2 3\ne 2 4\ne 3 4\n"
 
@@ -264,6 +264,38 @@ class TestVerify:
         assert run_cli(args + ["--oracle-cap", "64", "--out", str(out)]) == 3
         [verdict] = json.loads(out.read_text())
         assert verdict["reasons"] == ["n = 1100 exceeds the enumeration cap 64"]
+
+    def test_edgeless_graph_at_the_top_cap_gives_a_verdict(self, tmp_path):
+        # 40 vertices are within the cap but have about 3^39 / 6 colorings;
+        # the walk once ran on past any time limit, now it stops at
+        # oracle.MAX_NODES
+        src = tmp_path / "edgeless.col"
+        src.write_text("p edge 40 0\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text(json.dumps([{"type": "multi", "vertices": [0, 1]}]))
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--in", str(src), "--claims", str(cfile),
+                        "--oracle-cap", "64", "--out", str(out)]) == 3
+        [verdict] = json.loads(out.read_text())
+        assert verdict["reasons"] == [
+            f"the enumeration passed {MAX_NODES} search nodes on the 40-vertex graph"
+        ]
+
+    @pytest.mark.parametrize("bad", ["graph", "claims"])
+    def test_non_utf8_file_exits_4(self, tmp_path, capsys, bad):
+        src = tmp_path / "p3.col"
+        src.write_bytes(b"p edge 3 1\ne 1 \xff2\n" if bad == "graph"
+                        else b"p edge 3 1\ne 1 2\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_bytes(b'[{"type": "multi", "vertices": [0, 1]}]'
+                          + (b"\xff" if bad == "claims" else b""))
+        out = tmp_path / "v.json"
+        code = run_cli(["verify", "--in", str(src), "--claims", str(cfile),
+                        "--out", str(out)])
+        assert code == 4
+        bad_path = src if bad == "graph" else cfile
+        assert f"{bad_path} is not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestUsage:

@@ -9,7 +9,7 @@ from threecolor.dimacs import (
     parse_dimacs,
 )
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import Coloring, build_graph
+from threecolor.graph import Coloring
 
 TRIANGLE_TEXT = "p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n"
 

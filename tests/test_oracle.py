@@ -161,6 +161,20 @@ class TestEnumerate:
         with pytest.raises(TooLarge):
             enumerate_3colorings(build_graph(oracle.MAX_CAP + 1, []), cap=10**6)
 
+    def test_walk_stops_at_its_node_budget(self, monkeypatch):
+        # the cap bounds the depth, not the leaves: an edgeless graph within
+        # the default cap has about 3^(n-1) / 6 colorings
+        # the walk of the edgeless 6-vertex graph visits every canonical
+        # coloring of its first i vertices, i = 0..6: 1+1+2+5+14+41+122 nodes
+        g = build_graph(6, [])
+        monkeypatch.setattr(oracle, "MAX_NODES", 186)
+        assert enumerate_3colorings(g).reps_seen == 122
+        monkeypatch.setattr(oracle, "MAX_NODES", 185)
+        with pytest.raises(TooLarge, match="passed 185 search nodes"):
+            enumerate_3colorings(build_graph(6, []))
+        with pytest.raises(TooLarge, match="on the 25-vertex graph"):
+            enumerate_3colorings(build_graph(25, []), sets=((0, 1),))
+
     def test_single_vertex(self):
         g = build_graph(1, [])
         assert enumerate_3colorings(g).count_3colorings == 3

@@ -1,8 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 from test_graph import contract
 
+from threecolor import progress
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import VertexSet, build_graph, is_proper_coloring
+from threecolor.graph import (
+    OddCycle,
+    VertexSet,
+    bipartition,
+    build_graph,
+    is_proper_coloring,
+    iter_bits,
+)
 from threecolor.progress import (
     EXHAUSTED,
     Defer,
@@ -197,6 +208,88 @@ class TestDriver:
         coloring, stats = color_with_progress(g, 2.0, source)
         ok, _ = is_proper_coloring(g, coloring)
         assert ok
+
+
+def recount_extremes(view):
+    """(max, min) degree vertex of the working graph, recounted over the
+    alive vertices: the largest and the smallest degree, lowest id first."""
+    degrees = [((view.base.adj_bits(v) & view.alive_bits).bit_count(), v)
+               for v in iter_bits(view.alive_bits)]
+    d_max = max(d for d, _ in degrees)
+    d_min = min(d for d, _ in degrees)
+    return ((min(v for d, v in degrees if d == d_max), d_max),
+            (min(v for d, v in degrees if d == d_min), d_min))
+
+
+def random_action(rng, view):
+    """A sound driver action on the working graph: a deferral, a
+    neighborhood or a vertex extracted as Type1 or Type2, a Type0 pair or a
+    monochromatic independent set to merge, or the end of the run."""
+    G, alive = view.base, view.alive_bits
+    ids = list(iter_bits(alive))
+    v = rng.choice(ids)
+    roll = rng.random()
+    if roll < 0.03:
+        return EXHAUSTED
+    if roll < 0.45:
+        return Defer(v)
+    if roll < 0.65:
+        W = VertexSet(G.n, view.neighbors_bits(v) or 1 << v)
+        split = bipartition(G, W)
+        if isinstance(split, OddCycle):
+            return Defer(v)
+        return Type1(W, split.side0, split.side1)
+    if roll < 0.75:
+        one = VertexSet(G.n, 1 << v)
+        return Type2(one, one, VertexSet(G.n),
+                     VertexSet(G.n, view.neighbors_bits(v)))
+    # an independent set of alive vertices, greedily in a random order
+    rng.shuffle(ids)
+    members = 0
+    for u in ids[:rng.randrange(2, 6)]:
+        if not G.adj_bits(u) & members:
+            members |= 1 << u
+    if members.bit_count() < 2:
+        return Defer(v)
+    if members.bit_count() == 2:
+        return Type0(*iter_bits(members))
+    return MonoSet(VertexSet(G.n, members))
+
+
+class TestDegreeKeys:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_extremes_match_a_recount_at_every_step(self, data):
+        # k = n puts the Type1 floor at one vertex and lets a Type2
+        # neighborhood hold n vertices, so every drawn set is sound
+        n = data.draw(st.integers(1, 70))
+        p = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        steps = []
+
+        def source(view):
+            steps.append(view.n_alive)
+            expect_max, expect_min = recount_extremes(view)
+            assert view.max_degree_vertex() == expect_max
+            assert view.min_degree_vertex() == expect_min
+            return random_action(rng, view)
+
+        coloring, _ = color_with_progress(g, float(n), source)
+        assert is_proper_coloring(g, coloring)[0]
+        assert steps[0] == n
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 70, 1 << 20])
+    def test_row_sums_in_chunks(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(progress, "ROW_SUM_BYTES", chunk_bytes)
+        rng = random.Random(5)
+        n = 70
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < 0.3])
+        ids = sorted(rng.sample(range(n), 40))
+        expect = [sum(g.has_edge(u, v) for v in ids) for u in range(n)]
+        assert progress._row_sums(g, ids).tolist() == expect
 
 
 class TestMergeVertexSet:

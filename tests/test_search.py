@@ -2,8 +2,6 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import VertexSet, build_graph, iter_bits
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
@@ -14,7 +12,6 @@ from threecolor.search import (
     InnerError,
     MonochromaticIfDiffer,
     ProgressFound,
-    SideCut,
     SparseCut,
     audit_round,
     best_side_cut,
