@@ -13,7 +13,7 @@ or still return a proper coloring with extra colors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 import numpy as np
@@ -38,7 +38,6 @@ from .progress import (
     Progress,
     Type0,
     Type1,
-    Type2,
     color_with_progress,
     type1_threshold,
 )
@@ -161,22 +160,9 @@ def _lift_bits(bits: int, idmap: list[int], n: int) -> VertexSet:
 def _lift_progress(claim: Progress, idmap: list[int], n: int) -> Progress:
     if isinstance(claim, Type0):
         return Type0(idmap[claim.u], idmap[claim.v])
-    if isinstance(claim, MonoSet):
-        return MonoSet(_lift_bits(claim.members.bits, idmap, n))
-    if isinstance(claim, Type1):
-        return Type1(
-            _lift_bits(claim.members.bits, idmap, n),
-            _lift_bits(claim.side0.bits, idmap, n),
-            _lift_bits(claim.side1.bits, idmap, n),
-        )
-    if isinstance(claim, Type2):
-        return Type2(
-            _lift_bits(claim.members.bits, idmap, n),
-            _lift_bits(claim.side0.bits, idmap, n),
-            _lift_bits(claim.side1.bits, idmap, n),
-            _lift_bits(claim.neighborhood.bits, idmap, n),
-        )
-    raise TypeError(f"cannot lift {claim!r}")
+    # every field of the other claims is a vertex set
+    return type(claim)(*(_lift_bits(getattr(claim, f.name).bits, idmap, n)
+                         for f in fields(claim)))
 
 
 @dataclass

@@ -6,15 +6,15 @@ canonical file and emitting it again is the identity.
 """
 from __future__ import annotations
 
-from .graph import Coloring, Graph, GraphError, build_graph
+from .graph import Coloring, Graph
 
 
 # Largest vertex count a graph file may declare.  The search holds n x n
 # adjacency in bits (n**2 / 8 bytes, 128 MiB at the limit, for the int
 # rows and again for a materialized subgraph's packed uint64 rows).
-# progress.induced_subgraph and progress.merge_vertex_set unpack rows to
-# one byte per entry and gather a second copy: about 2.3 * n**2 bytes at
-# their peak (tracemalloc, G(n, 1/2), n = 2048-8192), 2.3 GiB here.
+# progress.induced_subgraph and progress.merge_vertex_set unpack at most
+# graph.ROW_SUM_BYTES of rows at a time: 0.28 and 0.44 * n**2 bytes at
+# their peak (tracemalloc, G(4096, 1/2)), under 0.5 GiB here.
 MAX_VERTICES = 1 << 15
 
 
@@ -27,7 +27,8 @@ class ParseError(ValueError):
 def parse_dimacs(text: str) -> Graph:
     n = None
     declared_m = None
-    edges: list[tuple[int, int]] = []
+    adj: list[int] = []
+    m = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -49,6 +50,7 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(
                     f"declared {n} vertices, above the limit of {MAX_VERTICES}", line_no
                 )
+            adj = [0] * n
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before problem line", line_no)
@@ -61,17 +63,20 @@ def parse_dimacs(text: str) -> Graph:
                 raise ParseError(f"non-integer endpoints in {line!r}", line_no) from None
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise ParseError(f"endpoint out of range in {line!r}", line_no)
-            edges.append((u - 1, v - 1))
+            if u == v:
+                raise ParseError(f"self loop at vertex {u}", line_no)
+            if (adj[u - 1] >> (v - 1)) & 1:
+                raise ParseError(f"duplicate edge ({u}, {v})", line_no)
+            adj[u - 1] |= 1 << (v - 1)
+            adj[v - 1] |= 1 << (u - 1)
+            m += 1
         else:
             raise ParseError(f"unrecognized line {line!r}", line_no)
     if n is None:
         raise ParseError("missing problem line", 0)
-    if declared_m != len(edges):
-        raise ParseError(f"declared {declared_m} edges, found {len(edges)}", 0)
-    try:
-        return build_graph(n, edges)
-    except GraphError as exc:
-        raise ParseError(str(exc), 0) from exc
+    if declared_m != m:
+        raise ParseError(f"declared {declared_m} edges, found {m}", 0)
+    return Graph(n, adj, m)
 
 
 def emit_dimacs(graph: Graph, comment: str | None = None) -> str:

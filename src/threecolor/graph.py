@@ -3,27 +3,24 @@
 Vertex ids are dense integers 0..n-1.  Vertex subsets are arbitrary
 precision integer bitmasks, so the intersection-heavy queries the
 coloring machinery lives on (N(v) & Y, degree into a subset) cost
-O(n/64) machine words instead of O(degree) hash lookups.  Bulk
-rebuilds (induced subgraphs, merges, generation) go through numpy 0/1
-rows; ``unpack_bits``, ``unpack_rows``, ``pack_rows`` and ``pack_words``
-are the one conversion between the forms.
+O(n/64) machine words instead of O(degree) hash lookups.
+``unpack_bits``, ``unpack_rows``, ``pack_rows`` and ``pack_words`` are
+the one conversion to and from numpy 0/1 rows.  ``packed_subgraph`` is
+the one rebuild, under the search's working graphs
+(``progress.induced_subgraph``) and the driver's merges
+(``progress.merge_vertex_set``): it reads the rows through
+``row_blocks``, at most ``ROW_SUM_BYTES`` of unpacked rows at a time,
+and the graph it builds also holds its rows as an n x ceil(n/64)
+``uint64`` matrix.  Input and generated graphs carry no matrix.
 
 The subset queries are four kernels, ``degrees_into``,
 ``with_degree_at_least``, ``union_neighborhoods`` and ``spans_edge``;
 the other modules call them rather than scanning adjacency rows.  Each
-kernel has two bodies that return the same values:
-
-* a packed body, for a graph built by ``packed_graph`` and a member set
-  of at least ``PACKED_MIN_MEMBERS`` vertices: such a graph also holds
-  its rows as an n x ceil(n/64) ``uint64`` matrix, the member ids come
-  from one unpack, degrees from popcounts of the masked rows and a
-  neighborhood union from one OR-reduce;
-* the int loop over the members, for every other call.
-
-Only the working graphs that the search materializes
-(``progress.induced_subgraph``) are built by ``packed_graph``; the
-caller's graphs and the driver's merged graphs carry no matrix, so it
-lives exactly as long as the graph it was built for.
+has two bodies that return the same values: on a graph with the matrix
+and a member set of at least ``PACKED_MIN_MEMBERS`` vertices, member ids
+come from one unpack, degrees from popcounts of the masked rows and a
+union from one OR-reduce; every other call runs the int loop over the
+members.
 """
 from __future__ import annotations
 
@@ -130,8 +127,8 @@ class Graph:
     """Immutable simple undirected graph.
 
     Construct through :func:`build_graph` (validated) or the generators.
-    ``adjacency(v)`` returns the sorted neighbor ids; ``adj_bits(v)``
-    exposes the raw bitmask for subset arithmetic.
+    ``adj_bits(v)`` exposes v's neighbor bitmask for subset arithmetic,
+    ``adj_rows`` all of them.
     """
 
     __slots__ = ("n", "m", "_adj", "_rows")
@@ -150,17 +147,15 @@ class Graph:
     def adj_bits(self, v: int) -> int:
         return self._adj[v]
 
-    def adjacency(self, v: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self._adj[v]))
+    @property
+    def adj_rows(self) -> tuple[int, ...]:
+        return self._adj
 
     def neighbors(self, v: int) -> VertexSet:
         return VertexSet(self.n, self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self._adj[u] >> v) & 1 == 1
-
-    def vertices(self) -> range:
-        return range(self.n)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges (u, v) with u < v, lexicographically sorted."""
@@ -206,8 +201,6 @@ def unpack_bits(bits: int, n: int) -> np.ndarray:
 
 def unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
     """0/1 ``uint8`` matrix with one :func:`unpack_bits` row per bitmask."""
-    if not rows:
-        return np.zeros((0, n), dtype=np.uint8)
     nbytes = max((n + 7) // 8, 1)
     blob = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
     buf = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), nbytes)
@@ -232,12 +225,34 @@ def pack_rows(matrix: np.ndarray) -> list[int]:
     return _row_ints(pack_words(matrix))
 
 
-def packed_graph(matrix: np.ndarray) -> Graph:
-    """Graph of a symmetric 0/1 adjacency matrix with a zero diagonal that
-    keeps its packed rows for the kernels below."""
-    words = pack_words(matrix)
+ROW_SUM_BYTES = 1 << 20  # the most bytes of unpacked rows in one block
+
+
+def row_blocks(adj: Sequence[int], ids: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
+    """(i, the rows adj[v] for v in ids[i:i + b], unpacked), in blocks of
+    b rows that hold at most ROW_SUM_BYTES."""
+    n = len(adj)
+    step = max(1, ROW_SUM_BYTES // max(n, 1))
+    for i in range(0, len(ids), step):
+        yield i, unpack_rows([adj[v] for v in ids[i:i + step]], n)
+
+
+def packed_subgraph(adj: Sequence[int], keep: Sequence[int]) -> Graph:
+    """The graph the symmetric rows ``adj`` induce on ``keep``, vertex
+    keep[i] becoming i, with its packed rows; each block of rows is cut
+    to the kept columns and packed straight into the output words."""
+    k = len(keep)
+    cols = np.asarray(keep, dtype=np.intp)
+    words = np.empty((k, (k + 63) // 64), dtype="<u8")
+    for i, block in row_blocks(adj, keep):
+        # padded to whole words, the rows pack as one flat run of bits
+        bits = np.zeros((len(block), 64 * words.shape[1]), dtype=np.uint8)
+        np.take(block, cols, axis=1, out=bits[:, :k], mode="clip")
+        packed = np.packbits(bits, bitorder="little").view("<u8")
+        words[i:i + len(bits)] = packed.reshape(len(bits), -1)
+        del block, bits, packed  # before the next block is unpacked
     m = int(np.bitwise_count(words).sum()) // 2
-    return Graph(len(words), _row_ints(words), m, words)
+    return Graph(len(keep), _row_ints(words), m, words)
 
 
 # Member sets of at least this many vertices take the packed body of the

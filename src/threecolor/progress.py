@@ -35,12 +35,11 @@ from .graph import (
     degrees_into,
     is_proper_coloring,
     iter_bits,
-    pack_rows,
-    packed_graph,
+    packed_subgraph,
+    row_blocks,
     spans_edge,
     union_neighborhoods,
     unpack_bits,
-    unpack_rows,
 )
 
 
@@ -145,19 +144,17 @@ def merge_vertex_set(G: Graph, members: VertexSet) -> tuple[Graph, tuple[int, ..
     if len(ids) < 2:
         raise ValueError("need at least two vertices to merge")
     lo = ids[0]
-    drop = set(ids[1:])
-    keep = [v for v in range(G.n) if v not in drop]
-    new_id = {old: i for i, old in enumerate(keep)}
-    rows = unpack_rows([G.adj_bits(v) for v in range(G.n)], G.n).astype(bool)
-    merged_row = rows[ids].any(axis=0)
-    rows[lo] = merged_row
-    rows[:, lo] = rows[:, ids].any(axis=1)
-    rows[lo, lo] = False
-    sub = rows[np.ix_(keep, keep)]
-    adj = pack_rows(sub)
-    m = sum(a.bit_count() for a in adj) // 2
-    mapping = tuple(new_id[lo] if v in drop else new_id[v] for v in range(G.n))
-    return Graph(len(keep), adj, m), mapping
+    adj = list(G.adj_rows)
+    adj[lo] = union_neighborhoods(G, members.bits) & ~(1 << lo)
+    # the dropped members' columns are left out of the rebuild below
+    for w in iter_bits(adj[lo]):
+        adj[w] |= 1 << lo
+    dropped = set(ids[1:])
+    keep = [v for v in range(G.n) if v not in dropped]
+    mapping = [lo] * G.n  # no member lies below lo, so lo keeps its id
+    for i, v in enumerate(keep):
+        mapping[v] = i
+    return packed_subgraph(adj, keep), tuple(mapping)
 
 
 def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
@@ -165,22 +162,16 @@ def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
     keep = list(iter_bits(alive_bits))
     if not keep:
         return Graph(0, [], 0), []
-    rows = unpack_rows([G.adj_bits(v) for v in keep], G.n)
-    return packed_graph(rows[:, keep]), keep
-
-
-# the most bytes of unpacked rows ``_row_sums`` holds at once
-ROW_SUM_BYTES = 1 << 20
+    return packed_subgraph(G.adj_rows, keep), keep
 
 
 def _row_sums(G: Graph, ids: list[int]) -> np.ndarray:
     """For every vertex of G, its number of neighbors among ``ids``, as an
-    ``int64`` array; the rows are unpacked at most ROW_SUM_BYTES at a time."""
+    ``int64`` array."""
     total = np.zeros(G.n, dtype=np.int64)
-    step = max(1, ROW_SUM_BYTES // max(G.n, 1))
-    for i in range(0, len(ids), step):
-        rows = unpack_rows([G.adj_bits(v) for v in ids[i:i + step]], G.n)
-        total += rows.sum(0, dtype=np.int64)
+    for _, block in row_blocks(G.adj_rows, ids):
+        total += block.sum(0, dtype=np.int64)
+        del block  # before the next block is unpacked
     return total
 
 

@@ -3,11 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from test_baselines import fuzz_graph
 
 import threecolor.cli
 from threecolor.cli import main
-from threecolor.dimacs import emit_dimacs, parse_coloring, parse_dimacs
+from threecolor.dimacs import MAX_VERTICES, emit_dimacs, parse_coloring, parse_dimacs
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, is_proper_coloring
 from threecolor.oracle import MAX_NODES
@@ -353,6 +354,67 @@ class TestUsage:
         params.write_text('{"bucket_base": 2}')
         assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
         assert "bucket_base" in capsys.readouterr().err
+
+
+# tokens that are not vertex ids or counts: non-integers, junk and empty
+BAD_TOKENS = st.sampled_from(["x", "1.5", "0x1", "1e2", "-", "", "e", "p", "edge",
+                              "99999999999999999999"])
+JUNK_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def dimacs_like(draw):
+    """Text close to a DIMACS graph file.  Each malformation is drawn on
+    its own, about one time in five, so that many files still parse: a
+    problem line that is wrong, misplaced, repeated or missing; edge
+    ids out of range or not integers; a repeated edge, either way
+    round; a self loop; comments, blank lines and junk lines anywhere.
+    Declared sizes stay small, so a file that parses colors quickly."""
+    def sometimes():  # shrinks towards False, so towards a well-formed file
+        return draw(st.integers(0, 4)) == 4
+
+    n = draw(st.integers(0, 9))
+    good_id = st.integers(1, max(n, 1))
+    ids = st.one_of(st.integers(-2, n + 2), BAD_TOKENS) if sometimes() else good_id
+    edges = draw(st.lists(st.tuples(ids, ids), max_size=14))
+    if edges and sometimes():
+        u, v = draw(st.sampled_from(edges))
+        edges.append(draw(st.sampled_from([(u, v), (v, u)])))
+    if sometimes():
+        v = draw(ids)
+        edges.append((v, v))
+    lines = [f"e {u} {v}" for u, v in edges]
+    declared_n, declared_m = n, len(edges)
+    if sometimes():
+        declared_n = draw(st.one_of(st.sampled_from([-1, MAX_VERTICES + 1]), BAD_TOKENS))
+    if sometimes():
+        declared_m = draw(st.one_of(st.integers(-1, 20), BAD_TOKENS))
+    problem = f"p edge {declared_n} {declared_m}"
+    if sometimes():
+        problem = draw(st.sampled_from([
+            f"p col {n} {len(edges)}", f"p edge {n}", f"p edge {n} {len(edges)} 0", "p",
+        ]))
+    at = draw(st.integers(0, len(lines))) if sometimes() else 0
+    if not sometimes():
+        lines.insert(at, problem)
+    if sometimes():
+        lines.insert(draw(st.integers(0, len(lines))), problem)
+    extras = st.one_of(JUNK_TEXT.map(lambda t: "c" + t), st.just(""), JUNK_TEXT,
+                       st.lists(BAD_TOKENS, min_size=1, max_size=4).map(" ".join))
+    for extra in draw(st.lists(extras, max_size=3)) if sometimes() else []:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+@given(dimacs_like())
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_color_on_dimacs_like_text_never_raises(tmp_path, text):
+    # a parse failure exits 4; anything that parses is colored (0) or
+    # shown not 3-colorable (2)
+    src = tmp_path / "fuzz.col"
+    src.write_text(text)
+    assert main(["color", "--in", str(src)]) in (0, 2, 4)
 
 
 def test_seek_on_a_graph_that_is_not_3_colorable(tmp_path):

@@ -88,3 +88,16 @@ def test_coloring_missing_vertex():
 def test_coloring_out_of_range():
     with pytest.raises(ParseError):
         parse_coloring("s 5 0\n", 2)
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("p edge 3 2\ne 2 3\ne 3 2\n", 3, "duplicate edge (3, 2)"),
+    ("p edge 3 1\ne 3 3\n", 2, "self loop at vertex 3"),
+    ("c first\np edge 4 3\ne 1 2\n\ne 3 4\ne 1 2\n", 6, "duplicate edge (1, 2)"),
+])
+def test_duplicate_edge_and_self_loop_name_their_line(text, line_no, message):
+    # the message names the file's line and its 1-based vertex ids
+    with pytest.raises(ParseError) as err:
+        parse_dimacs(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"

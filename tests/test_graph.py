@@ -1,11 +1,14 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threecolor import graph
 from threecolor.graph import (
     PACKED_MIN_MEMBERS,
+    ROW_SUM_BYTES,
     Coloring,
     DuplicateEdge,
     Graph,
@@ -22,14 +25,14 @@ from threecolor.graph import (
     iter_bits,
     pack_rows,
     pack_words,
-    packed_graph,
+    packed_subgraph,
     spans_edge,
     union_neighborhoods,
     unpack_bits,
     unpack_rows,
     with_degree_at_least,
 )
-from threecolor.progress import induced_subgraph
+from threecolor.progress import _row_sums, induced_subgraph, merge_vertex_set
 
 
 def vs(n, members):
@@ -80,7 +83,7 @@ K4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
 class TestBuildGraph:
     def test_triangle(self):
         assert TRIANGLE.m == 3
-        assert TRIANGLE.adjacency(0) == (1, 2)
+        assert tuple(iter_bits(TRIANGLE.adj_bits(0))) == (1, 2)
 
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoop):
@@ -128,7 +131,7 @@ class TestSpansEdge:
 
 def packed_copy(g):
     """The same graph, also carrying packed uint64 rows."""
-    return packed_graph(unpack_rows([g.adj_bits(v) for v in range(g.n)], g.n))
+    return packed_subgraph(g.adj_rows, range(g.n))
 
 
 def random_graph(rng, n, p, packed):
@@ -260,6 +263,108 @@ class TestPackedRows:
         assert words[1].tolist() == [0, 0, 0]
 
 
+def contract_all(G, members):
+    """Merge ``members`` into the lowest one pair by pair with ``contract``;
+    returns the graph and the composed old->new vertex map."""
+    h, mapping = G, tuple(range(G.n))
+    for v in members[1:]:
+        h, step = contract(h, mapping[members[0]], mapping[v])
+        mapping = tuple(step[w] for w in mapping)
+    return h, mapping
+
+
+def independent_members(rng, g, size):
+    """Up to ``size`` pairwise non-adjacent vertices, picked greedily in a
+    random order, ascending."""
+    members = []
+    for v in rng.sample(range(g.n), g.n):
+        if len(members) < size and not any(g.has_edge(v, u) for u in members):
+            members.append(v)
+    return sorted(members)
+
+
+def assert_rows_packed(h):
+    """h carries packed rows that agree with its int rows."""
+    assert h._rows.shape == (h.n, (h.n + 63) // 64)
+    assert [int.from_bytes(row.tobytes(), "little") for row in h._rows] == list(h.adj_rows)
+
+
+def dense_graph(n, seed):
+    """G(n, 1/2), drawn as a numpy matrix so that large n stays quick."""
+    upper = np.triu(np.random.default_rng(seed).integers(0, 2, (n, n), dtype=np.uint8), 1)
+    return Graph(n, pack_rows(upper | upper.T), int(upper.sum()))
+
+
+# blocks of one row (1 and 70 bytes on 70 vertices), of three rows with a
+# shorter last block, and the default, which holds every row at once
+CHUNKS = pytest.mark.parametrize("chunk_bytes", [1, 70, 210, ROW_SUM_BYTES])
+
+
+class TestRowBlocks:
+    @staticmethod
+    def graph(seed):
+        rng = random.Random(seed)
+        n = 70
+        return rng, build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < 0.3])
+
+    @CHUNKS
+    def test_row_sums_in_chunks(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
+        rng, g = self.graph(5)
+        ids = sorted(rng.sample(range(g.n), 40))
+        expect = [sum(g.has_edge(u, v) for v in ids) for u in range(g.n)]
+        assert _row_sums(g, ids).tolist() == expect
+
+    @CHUNKS
+    @pytest.mark.parametrize("alive_share", [0.5, 1.0])
+    def test_induced_subgraph_in_chunks(self, monkeypatch, chunk_bytes, alive_share):
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
+        rng, g = self.graph(6)
+        keep = sorted(rng.sample(range(g.n), int(alive_share * g.n)))
+        sub, got = induced_subgraph(g, sum(1 << v for v in keep))
+        assert got == keep
+        for i, u in enumerate(keep):
+            assert [sub.has_edge(i, j) for j in range(sub.n)] == [g.has_edge(u, w) for w in keep]
+        assert sub.m == sum(g.has_edge(u, w) for u in keep for w in keep) // 2
+        assert_rows_packed(sub)
+
+    @CHUNKS
+    @pytest.mark.parametrize("size", [2, 5])
+    def test_merge_vertex_set_in_chunks(self, monkeypatch, chunk_bytes, size):
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
+        rng, g = self.graph(7)
+        members = independent_members(rng, g, size)
+        assert len(members) == size
+        merged, mapping = merge_vertex_set(g, vs(g.n, members))
+        expect, expect_map = contract_all(g, members)
+        assert mapping == expect_map
+        assert (merged.n, merged.m) == (expect.n, expect.m)
+        assert merged.adj_rows == expect.adj_rows
+        assert_rows_packed(merged)
+
+    def test_rebuilds_peak_at_half_n_squared_bytes(self):
+        n = 4096
+        g = dense_graph(n, 0)
+        members = [0, next(v for v in range(1, n) if not g.has_edge(0, v))]
+        rebuilds = {
+            "induced_subgraph": lambda: induced_subgraph(g, (1 << n) - 1),
+            "merge_vertex_set": lambda: merge_vertex_set(g, vs(n, members)),
+        }
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, rebuild in rebuilds.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = rebuild()  # the peak counts the output, held until here
+                peaks[name] = tracemalloc.get_traced_memory()[1] - before
+                del out
+        finally:
+            tracemalloc.stop()
+        assert all(peak <= n * n / 2 for peak in peaks.values()), peaks
+
+
 class TestBipartition:
     def test_odd_cycle_witness(self):
         c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
@@ -304,7 +409,7 @@ class TestContract:
         # merged vertex adjacent to both old 1 and old 3; no edge between them
         assert g.n == 3
         assert g.m == 2
-        assert sorted(g.adjacency(mapping[0])) == [mapping[1], mapping[3]]
+        assert sorted(iter_bits(g.adj_bits(mapping[0]))) == [mapping[1], mapping[3]]
         assert not g.has_edge(mapping[1], mapping[3])
         assert isinstance(bipartition(g, full_set(g)), TwoColoring)
 
@@ -317,9 +422,9 @@ class TestContract:
         h, mapping = contract(g, 0, 3)
         for v in range(h.n):
             assert not h.has_edge(v, v)
-            for u in h.adjacency(v):
+            for u in iter_bits(h.adj_bits(v)):
                 assert h.has_edge(u, v)
-        assert sorted(h.adjacency(mapping[0])) == sorted({mapping[1], mapping[2]})
+        assert sorted(iter_bits(h.adj_bits(mapping[0]))) == sorted({mapping[1], mapping[2]})
 
 
 class TestProperColoring:
@@ -375,7 +480,7 @@ def test_contract_preserves_simplicity(data):
     assert h.n == n - 1
     for w in range(h.n):
         assert not h.has_edge(w, w)
-        for x in h.adjacency(w):
+        for x in iter_bits(h.adj_bits(w)):
             assert h.has_edge(x, w)
     # every original edge survives under the map
     for a, b in g.edges():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from threecolor import oracle
-from threecolor.graph import VertexSet, build_graph
+from threecolor.graph import VertexSet, build_graph, iter_bits
 from threecolor.oracle import (
     NO_COLORINGS,
     SAME_IN_ALL,
@@ -86,7 +86,7 @@ def per_leaf_summary(g, pairs=(), sets=(), conditional=None):
             leaf(introduced)
             return
         for c in range(min(introduced, 2) + 1):
-            if any(colors[u] == c for u in g.adjacency(v) if u < v):
+            if any(colors[u] == c for u in iter_bits(g.adj_bits(v)) if u < v):
                 continue
             if v == late and c == colors[early]:
                 continue

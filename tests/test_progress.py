@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_graph import contract
 
-from threecolor import progress
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import (
     OddCycle,
@@ -279,17 +278,6 @@ class TestDegreeKeys:
         coloring, _ = color_with_progress(g, float(n), source)
         assert is_proper_coloring(g, coloring)[0]
         assert steps[0] == n
-
-    @pytest.mark.parametrize("chunk_bytes", [1, 70, 1 << 20])
-    def test_row_sums_in_chunks(self, monkeypatch, chunk_bytes):
-        monkeypatch.setattr(progress, "ROW_SUM_BYTES", chunk_bytes)
-        rng = random.Random(5)
-        n = 70
-        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
-                            if rng.random() < 0.3])
-        ids = sorted(rng.sample(range(n), 40))
-        expect = [sum(g.has_edge(u, v) for v in ids) for u in range(n)]
-        assert progress._row_sums(g, ids).tolist() == expect
 
 
 class TestMergeVertexSet:

@@ -13,9 +13,8 @@ from threecolor.graph import (
     VertexSet,
     build_graph,
     iter_bits,
-    packed_graph,
+    packed_subgraph,
     union_neighborhoods,
-    unpack_rows,
 )
 from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params
@@ -196,7 +195,7 @@ def random_graph(draw, max_n):
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < p])
     if draw(st.booleans()):
-        g = packed_graph(unpack_rows([g.adj_bits(v) for v in range(n)], n))
+        g = packed_subgraph(g.adj_rows, range(n))
     return g, rng
 
 
