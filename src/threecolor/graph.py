@@ -247,7 +247,7 @@ def packed_subgraph(adj: Sequence[int], keep: Sequence[int]) -> Graph:
     for i, block in row_blocks(adj, keep):
         # padded to whole words, the rows pack as one flat run of bits
         bits = np.zeros((len(block), 64 * words.shape[1]), dtype=np.uint8)
-        np.take(block, cols, axis=1, out=bits[:, :k], mode="clip")
+        bits[:, :k] = block[:, cols]
         packed = np.packbits(bits, bitorder="little").view("<u8")
         words[i:i + len(bits)] = packed.reshape(len(bits), -1)
         del block, bits, packed  # before the next block is unpacked

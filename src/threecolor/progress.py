@@ -23,7 +23,7 @@ never collide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 import numpy as np
@@ -131,7 +131,6 @@ class DriverStats:
     deferred: int = 0
     phases: int = 0
     fallback_colored: int = 0
-    graph_sizes: list = field(default_factory=list)
 
 
 def merge_vertex_set(G: Graph, members: VertexSet) -> tuple[Graph, tuple[int, ...]]:
@@ -159,7 +158,7 @@ def merge_vertex_set(G: Graph, members: VertexSet) -> tuple[Graph, tuple[int, ..
 
 def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
     """Materialize G[alive] on dense ids; returns (subgraph, new->old map)."""
-    keep = list(iter_bits(alive_bits))
+    keep = np.flatnonzero(unpack_bits(alive_bits, G.n)).tolist()
     if not keep:
         return Graph(0, [], 0), []
     return packed_subgraph(G.adj_rows, keep), keep
@@ -364,7 +363,6 @@ def color_with_progress(
         return ph[which]
 
     while alive:
-        stats.graph_sizes.append(alive.bit_count())
         view = DriverView(base, alive, hi, lo, groups)
         action = source(view)
         step += 1

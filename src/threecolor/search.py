@@ -89,7 +89,6 @@ class SeekCounters:
     side_cuts_adopted: int = 0
     side_cut_checks: int = 0
     verdicts: int = 0
-    monochromatic_sets: int = 0
     rounds: int = 0
     roots_tried: int = 0
 
@@ -134,7 +133,6 @@ class SeekOutcome:
     failure: str | None  # "ErrorA" | "ErrorB" | "RoundCapExceeded" | "StructureFailed"
     audits: list[RoundAudit]
     counters: SeekCounters
-    root: int | None
 
     def __post_init__(self):
         if (self.progress is None) == (self.failure is None):
@@ -389,8 +387,6 @@ def inner_loop(
                 raise AssertionError("monochromatic set without full verdict cover")
             members = VertexSet(n, Sb)
             log_claim(claim_log, "mono", members, G, provenance="inner_loop")
-            if counters is not None:
-                counters.monochromatic_sets += 1
             _emit(trace, "progress", round=pair.j, kind="mono",
                   set_size=Sb.bit_count())
             return ProgressFound(MonoSet(members))
@@ -490,7 +486,8 @@ def seek_progress(
     its round audits.  Every failure is data; only a non-3-colorability
     certificate escapes as an exception.
     """
-    actual_min = G.min_degree()
+    ids, degrees = degrees_into(G, (1 << G.n) - 1, (1 << G.n) - 1)
+    actual_min = int(degrees.min()) if G.n else 0
     if min_degree is None:
         min_degree = actual_min
     elif actual_min < min_degree:
@@ -500,13 +497,11 @@ def seek_progress(
     counters = SeekCounters()
     _emit(trace, "params", k=p.k, nhat=p.nhat, round_cap=p.round_cap,
           side_cuts=p.side_cuts, k_within_min_degree=p.k <= max(min_degree, 1))
-    roots = [
-        v
-        for v in sorted(range(G.n), key=lambda u: (-G.degree(u), u))
-        if G.degree(v) >= 1
-    ][:ROOT_RETRIES]
+    # a stable sort keeps the ascending ids of equal degrees
+    top = (-degrees).argsort(kind="stable")[:ROOT_RETRIES]
+    roots = ids[top][degrees[top] >= 1].tolist()
     if not roots:
-        return SeekOutcome(None, "StructureFailed", [], counters, None)
+        return SeekOutcome(None, "StructureFailed", [], counters)
     audits: list[RoundAudit] = []
     last: SeekOutcome | None = None
     for r0 in roots:
@@ -531,7 +526,7 @@ def _seek_from_root(
     if not isinstance(structure, TwoLevel):
         _emit(trace, "progress", round=0, kind=type(structure).__name__.lower(),
               set_size=len(structure.members))
-        return SeekOutcome(structure, None, audits, counters, r0)
+        return SeekOutcome(structure, None, audits, counters)
     pair = structure.pair
     _emit(trace, "structure", root=r0, s_size=len(pair.S), t_size=len(pair.T),
           delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
@@ -540,9 +535,9 @@ def _seek_from_root(
         res = inner_loop(G, r0, pair, p, claim_log=claim_log, trace=trace,
                          counters=counters)
         if isinstance(res, InnerError):
-            return SeekOutcome(None, res.reason, audits, counters, r0)
+            return SeekOutcome(None, res.reason, audits, counters)
         if isinstance(res, ProgressFound):
-            return SeekOutcome(res.progress, None, audits, counters, r0)
+            return SeekOutcome(res.progress, None, audits, counters)
         X, Y = res.X, res.Y
         adopted = False
         side = None
@@ -560,11 +555,12 @@ def _seek_from_root(
         audits.append(audit)
         _emit(trace, "round_end", round=j, **audit.to_dict())
         if not chosen_Y:
-            return SeekOutcome(None, "StructureFailed", audits, counters, r0)
-        stripped = with_degree_at_least(G, chosen_Y.bits, chosen_X.bits, 1)
-        if not stripped:
-            return SeekOutcome(None, "StructureFailed", audits, counters, r0)
+            return SeekOutcome(None, "StructureFailed", audits, counters)
+        ids, degrees = degrees_into(G, chosen_Y.bits, chosen_X.bits)
+        linked = degrees >= 1
+        if not linked.any():
+            return SeekOutcome(None, "StructureFailed", audits, counters)
         if j == p.round_cap:
             break
-        pair = regularize(G, chosen_X, VertexSet(G.n, stripped), j + 1)
-    return SeekOutcome(None, "RoundCapExceeded", audits, counters, r0)
+        pair = regularize(G, chosen_X, ids[linked], degrees[linked], j + 1)
+    return SeekOutcome(None, "RoundCapExceeded", audits, counters)

@@ -182,39 +182,45 @@ def multichromatic_test(
     return Type2(X, X, VertexSet(G.n), nbhd)
 
 
-def regularize(G: Graph, S: VertexSet, T: VertexSet, j: int) -> RegularPair:
+def regularize(G: Graph, S: VertexSet, t_ids: np.ndarray, t_degrees: np.ndarray,
+               j: int) -> RegularPair:
     """Prune (S, T) to a two-sided degree-regular pair.
 
-    T is bucketed by degree into S along powers of BUCKET_BASE; among
-    buckets whose floor reaches half the average degree, the one with
-    the largest edge mass into S wins (ties to the smaller bucket).
-    Vertices at or below the derived floors are then deleted to a fixed
-    point, which is independent of deletion order.
+    T comes as its degree table into S: ``t_ids`` are T's vertex ids in
+    ascending order and ``t_degrees[i]`` is |N(t_ids[i]) & S|, the two
+    arrays ``degrees_into(G, T.bits, S.bits)`` returns; both callers
+    already hold them.  T is bucketed by these degrees along powers of
+    BUCKET_BASE; among buckets whose floor reaches half the average
+    degree, the one with the largest edge mass into S wins (ties to the
+    smaller bucket).  Vertices at or below the derived floors are then
+    deleted to a fixed point, which is independent of deletion order.
     """
-    if not S or not T:
+    if not S or not len(t_ids):
         raise ValueError("regularize needs nonempty sides")
-    ids, degs = degrees_into(G, T.bits, S.bits)
-    if degs.min() < 1:
+    if t_degrees.min() < 1:
         raise ValueError("every T vertex needs a neighbor in S")
-    avg = Fraction(int(degs.sum()), len(ids))
+    avg = Fraction(int(t_degrees.sum()), len(t_ids))
 
-    levels = CEILINGS.searchsorted(degs, side="right") - 1
+    levels = CEILINGS.searchsorted(t_degrees, side="right") - 1
     # float sums, exact: degree sums stay far below 2**53; every degree is
     # at least 1, so a level has mass exactly when it has a vertex
-    mass = np.bincount(levels, weights=degs).tolist()
+    mass = np.bincount(levels, weights=t_degrees).tolist()
 
     floor = avg / BUCKET_FLOOR_DIVISOR
     eligible = [lv for lv, w in enumerate(mass) if w and BOUNDARIES[lv] >= floor]
     if not eligible:
         raise EmptyResult("no eligible degree bucket")
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
-    U_bits = bits_of(ids[levels == level], G.n)
+    in_bucket = levels == level
+    u_table = t_ids[in_bucket], t_degrees[in_bucket]
+    U_bits = bits_of(u_table[0], G.n)
 
     delta_T = BOUNDARIES[level] / BASE_DEGREE_DIVISOR
-    avg_into_bucket = Fraction(int(degrees_into(G, S.bits, U_bits)[1].sum()), len(S))
+    s_table = degrees_into(G, S.bits, U_bits)
+    avg_into_bucket = Fraction(int(s_table[1].sum()), len(S))
     delta_S = avg_into_bucket / MIN_DEGREE_DIVISOR
 
-    surv_S, surv_T = _prune(G, S.bits, U_bits, delta_S, delta_T)
+    surv_S, surv_T = _prune(G, S.bits, U_bits, delta_S, delta_T, s_table, u_table)
     if not surv_S or not surv_T:
         raise EmptyResult("regularization emptied a side")
     pair = RegularPair(
@@ -224,19 +230,32 @@ def regularize(G: Graph, S: VertexSet, T: VertexSet, j: int) -> RegularPair:
     return pair
 
 
-def _prune(G: Graph, s_bits: int, t_bits: int, delta_S: Fraction,
-           delta_T: Fraction) -> tuple[int, int]:
+def _prune(G: Graph, s_bits: int, t_bits: int, delta_S: Fraction, delta_T: Fraction,
+           s_table: tuple[np.ndarray, np.ndarray],
+           t_table: tuple[np.ndarray, np.ndarray]) -> tuple[int, int]:
     """Delete S vertices with at most delta_S neighbors in T and T vertices
-    with at most delta_T neighbors in S, both sides at once, to a fixed point."""
+    with at most delta_T neighbors in S, both sides at once, to a fixed point.
+
+    ``s_table`` and ``t_table`` are the degree tables of S into T and of T
+    into S, as ``degrees_into`` returns them; they give the first pass, and
+    later passes recount only if it deleted a vertex."""
     # integral degrees: d > x  <=>  d >= floor(x) + 1
     need_S = math.floor(delta_S) + 1
     need_T = math.floor(delta_T) + 1
-    while True:
+    keep_S = _kept(G, s_bits, s_table, need_S)
+    keep_T = _kept(G, t_bits, t_table, need_T)
+    while keep_S != s_bits or keep_T != t_bits:
+        s_bits, t_bits = keep_S, keep_T
         keep_S = with_degree_at_least(G, s_bits, t_bits, need_S)
         keep_T = with_degree_at_least(G, t_bits, s_bits, need_T)
-        if keep_S == s_bits and keep_T == t_bits:
-            return s_bits, t_bits
-        s_bits, t_bits = keep_S, keep_T
+    return s_bits, t_bits
+
+
+def _kept(G: Graph, bits: int, table: tuple[np.ndarray, np.ndarray], need: int) -> int:
+    """The members of ``bits`` whose degree in ``table`` is at least ``need``."""
+    ids, degrees = table
+    keep = degrees >= need
+    return bits if keep.all() else bits_of(ids[keep], G.n)
 
 
 def _assert_regular(G: Graph, pair: RegularPair) -> None:
@@ -264,13 +283,14 @@ def build_two_level(
         raise Not3Colorable(r0, split.vertices)
     if len(S) >= type1_threshold(G.n, p.k, p.c1):
         return Type1(S, split.side0, split.side1)
-    T_bits = union_neighborhoods(G, S.bits)
+    ids, degrees = degrees_into(G, union_neighborhoods(G, S.bits), S.bits)
     limit = max(int(G.n / p.k), 1)
-    if T_bits.bit_count() > limit:
-        ids, degrees = degrees_into(G, T_bits, S.bits)
-        # a stable sort keeps the ascending ids of equal degrees
-        T_bits = bits_of(ids[(-degrees).argsort(kind="stable")[:limit]], G.n)
-    pair = regularize(G, S, VertexSet(G.n, T_bits), j=1)
+    if len(ids) > limit:
+        # a stable sort keeps the ascending ids of equal degrees; the cut
+        # goes back to ascending id order for regularize
+        top = np.sort((-degrees).argsort(kind="stable")[:limit])
+        ids, degrees = ids[top], degrees[top]
+    pair = regularize(G, S, ids, degrees, j=1)
     if not pair.S.issubset(S):
         raise AssertionError("regularized S escaped the root neighborhood")
     if len(pair.T) > limit:

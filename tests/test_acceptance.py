@@ -23,7 +23,13 @@ from threecolor.baselines import (
 )
 from threecolor.dimacs import emit_dimacs
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import VertexSet, build_graph, is_proper_coloring, iter_bits
+from threecolor.graph import (
+    VertexSet,
+    build_graph,
+    degrees_into,
+    is_proper_coloring,
+    iter_bits,
+)
 from threecolor.oracle import verify_logged_claim
 from threecolor.params import Params
 from threecolor.search import (
@@ -200,7 +206,7 @@ def test_criterion_4_regularize_contract():
             continue
         S = VertexSet(n, s_bits)
         T = VertexSet.from_iterable(n, t_members)
-        pair = regularize(g, S, T, j=1)
+        pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
         assert pair.S and pair.T
         for v in iter_bits(pair.S.bits):
             assert (g.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S

@@ -101,3 +101,43 @@ def test_duplicate_edge_and_self_loop_name_their_line(text, line_no, message):
         parse_dimacs(text)
     assert err.value.line_no == line_no
     assert str(err.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("text, line_no", [
+    ("p edge 1_0 1\ne 1 2\n", 1),
+    ("p edge +3 1\ne 1 2\n", 1),
+    ("p edge 3 1\ne +1 2\n", 2),
+    ("p edge 10 1\ne 1 ١٠\n", 2),  # Arabic-Indic digits
+    ("p edge 3 1\ne 1 ２\n", 2),  # fullwidth digit
+    ("p edge 3 1\ne 1 2²\n", 2),  # superscript two
+    ("p edge 3 1\ne 1 -\n", 2),
+])
+def test_integers_are_ascii_digits(text, line_no):
+    # Python's int() takes each of these spellings; a DIMACS file does not
+    with pytest.raises(ParseError, match="non-integer") as err:
+        parse_dimacs(text)
+    assert err.value.line_no == line_no
+
+
+def test_minus_sign_keeps_the_range_messages():
+    with pytest.raises(ParseError, match="negative counts"):
+        parse_dimacs("p edge -3 0\n")
+    with pytest.raises(ParseError, match="out of range"):
+        parse_dimacs("p edge 3 1\ne -1 2\n")
+    with pytest.raises(ParseError, match="negative color"):
+        parse_coloring("s 1 -2\n", 1)
+
+
+@pytest.mark.parametrize("text", ["s 1_0 0\n", "s +1 0\n", "s 1 ١\n", "s 1 0_0\n"])
+def test_coloring_integers_are_ascii_digits(text):
+    with pytest.raises(ParseError, match="line 1: non-integer"):
+        parse_coloring(text, 10)
+
+
+def test_comments_may_hold_any_spelling():
+    # such a comment sends the numbers through the per-token check
+    comment = "c by a+b_c, é ١\n"
+    assert parse_dimacs(comment + TRIANGLE_TEXT).m == 3
+    assert parse_coloring(comment + "s 2 1\ns 1 0\n", 2).assignment == (0, 1)
+    with pytest.raises(ParseError, match="line 3: non-integer"):
+        parse_dimacs(comment + "p edge 3 1\ne 1 +2\n")

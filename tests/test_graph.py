@@ -254,6 +254,11 @@ class TestPackedRows:
             1 << j for j, w in enumerate(keep) if g.has_edge(keep[0], w))
         assert sub.m == sum(sub.degree(v) for v in range(sub.n)) // 2
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_nothing_alive_materializes_empty(self, n):
+        sub, keep = induced_subgraph(build_graph(n, []), 0)
+        assert (sub.n, sub.m, sub.adj_rows, keep) == (0, 0, (), [])
+
     def test_packed_words_layout(self):
         matrix = np.zeros((2, 130), dtype=np.uint8)
         matrix[0, [0, 63, 64, 129]] = 1

@@ -65,7 +65,7 @@ class TestDriver:
         assert coloring.palette_size == 2
         assert coloring.assignment[0] == coloring.assignment[2]
         assert stats.type1_batches == 1
-        assert stats.graph_sizes[0] == 3
+        assert calls[0] == 3
 
     def test_type0_contraction_propagates(self):
         g = build_graph(3, [(0, 1), (1, 2)])

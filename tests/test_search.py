@@ -1,17 +1,23 @@
 import json
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
+from hypothesis import given, settings, strategies as st
+
+from threecolor import search
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import VertexSet, build_graph, iter_bits
+from threecolor.graph import VertexSet, build_graph, iter_bits, packed_subgraph
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params
 from threecolor.progress import MonoSet
 from threecolor.search import (
+    ROOT_RETRIES,
     SIDECUT_FACTOR,
     InnerError,
     MonochromaticIfDiffer,
     ProgressFound,
+    SeekOutcome,
     SparseCut,
     audit_round,
     best_side_cut,
@@ -302,6 +308,32 @@ class TestSeekProgress:
         seek_progress(g, p=p, trace=t2)
         assert json.dumps(t1, sort_keys=True) == json.dumps(t2, sort_keys=True)
         assert t1  # something was traced
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_roots_by_degree_ties_to_lower_ids(self, data):
+        # sparse draws and appended isolated vertices leave degree-0 vertices;
+        # n >= 64 with packed rows takes the kernels' packed body
+        n = data.draw(st.one_of(st.integers(0, 12), st.integers(60, 90)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        p = data.draw(st.sampled_from([0.03, 0.1, 0.3, 0.6]))
+        isolated = data.draw(st.integers(0, 3))
+        g = build_graph(n + isolated, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                       if rng.random() < p])
+        if data.draw(st.booleans()):
+            g = packed_subgraph(g.adj_rows, range(g.n))
+        tried = []
+
+        def first_root_fails(G, r0, p, audits, counters, claim_log, trace):
+            tried.append(r0)
+            return SeekOutcome(None, "ErrorB", audits, counters)
+
+        with patch.object(search, "_seek_from_root", first_root_fails):
+            seek_progress(g)
+        expect = [v for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u))
+                  if g.degree(v) >= 1][:ROOT_RETRIES]
+        assert tried == expect
+        assert all(type(v) is int for v in tried)
 
     def test_edgeless_graph_fails_structurally(self):
         g = build_graph(5, [])

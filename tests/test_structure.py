@@ -12,9 +12,11 @@ from threecolor import structure
 from threecolor.graph import (
     VertexSet,
     build_graph,
+    degrees_into,
     iter_bits,
     packed_subgraph,
     union_neighborhoods,
+    with_degree_at_least,
 )
 from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params
@@ -263,8 +265,10 @@ class TestIntegerThresholds:
     @settings(max_examples=200, deadline=None)
     def test_prune_matches_fraction_reference(self, case):
         g, s_bits, t_bits, delta_S, delta_T = case
-        assert _prune(g, s_bits, t_bits, delta_S, delta_T) == reference_prune(
-            g, s_bits, t_bits, delta_S, delta_T
+        s_table = degrees_into(g, s_bits, t_bits)
+        t_table = degrees_into(g, t_bits, s_bits)
+        assert _prune(g, s_bits, t_bits, delta_S, delta_T, s_table, t_table) == (
+            reference_prune(g, s_bits, t_bits, delta_S, delta_T)
         )
 
 
@@ -279,11 +283,47 @@ class TestArrayBucketing:
         if not S or not T:
             return
         try:
-            pair = regularize(g, S, T, j=1)
+            pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
             got = (pair.S.bits, pair.T.bits, pair.delta_S, pair.delta_T)
         except EmptyResult:
             got = None
         assert got == reference_regularize(g, S, T)
+
+    def test_first_pass_reads_the_handed_tables(self):
+        # the first prune pass reads the degree tables regularize holds; the
+        # recount loop runs only when that pass deletes a vertex, and the
+        # drawn examples hold both cases
+        first_pass_final = set()
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def check(data):
+            g, rng = random_graph(data.draw, 150)
+            S = VertexSet(g.n, rng.getrandbits(g.n))
+            T = VertexSet(g.n, union_neighborhoods(g, S.bits) & rng.getrandbits(g.n))
+            if not S or not T:
+                return
+            with patch.object(structure, "with_degree_at_least",
+                              wraps=with_degree_at_least) as recount:
+                try:
+                    pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
+                    got = (pair.S.bits, pair.T.bits, pair.delta_S, pair.delta_T)
+                except EmptyResult:
+                    got = None
+            expect = reference_regularize(g, S, T)
+            assert got == expect
+            if expect is None:
+                return
+            surv_S, surv_T, _, delta_T = expect
+            low = delta_T * BASE_DEGREE_DIVISOR  # the chosen bucket's floor
+            bucket = sum(1 << w for w in iter_bits(T.bits)
+                         if low <= (g.adj_bits(w) & S.bits).bit_count() < low * BUCKET_BASE)
+            final = (surv_S, surv_T) == (S.bits, bucket)
+            assert (recount.call_count == 0) == final
+            first_pass_final.add(final)
+
+        check()
+        assert first_pass_final == {True, False}
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -296,8 +336,8 @@ class TestArrayBucketing:
         r0 = data.draw(st.sampled_from([v for v in range(g.n) if g.degree(v)]))
         seen = []
 
-        def capture(G, S, T, j):
-            seen.append(T)
+        def capture(G, S, t_ids, t_degrees, j):
+            seen.append(t_ids.tolist())
             raise _Stop
 
         with patch.object(structure, "regularize", capture):
@@ -311,7 +351,7 @@ class TestArrayBucketing:
         reach = union_neighborhoods(g, S)
         limit = max(int(g.n / p.k), 1)
         ranked = sorted(iter_bits(reach), key=lambda w: -(g.adj_bits(w) & S).bit_count())
-        assert seen[0].bits == sum(1 << w for w in ranked[:limit])
+        assert seen[0] == sorted(ranked[:limit])
 
 
 class TestRegularize:
@@ -321,7 +361,8 @@ class TestRegularize:
         # vertex is pruned
         edges = [(u, v) for u in range(4) for v in range(4, 8)]
         g = build_graph(8, edges)
-        pair = regularize(g, vs(8, range(4)), vs(8, range(4, 8)), j=1)
+        S, T = vs(8, range(4)), vs(8, range(4, 8))
+        pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
         assert pair.S == vs(8, range(4))
         assert pair.T == vs(8, range(4, 8))
         assert pair.delta_S == Fraction(1)
@@ -332,7 +373,8 @@ class TestRegularize:
         # only eligible one; survivors are its vertex and its neighbors
         edges = [(8, 0), (9, 1), (10, 2)] + [(11, s) for s in range(8)]
         g = build_graph(12, edges)
-        pair = regularize(g, vs(12, range(8)), vs(12, range(8, 12)), j=1)
+        S, T = vs(12, range(8)), vs(12, range(8, 12))
+        pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
         assert pair.T == vs(12, [11])
         assert pair.S == vs(12, range(8))
         assert pair.delta_T == Fraction(4, 3) ** 7 / 4
@@ -342,7 +384,7 @@ class TestRegularize:
         rng = random.Random(5)
         for trial in range(60):
             g, S, T = _random_regularize_input(rng, trial)
-            pair = regularize(g, S, T, j=1)
+            pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
             assert pair.S and pair.T
             for v in iter_bits(pair.S.bits):
                 assert (g.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S
@@ -355,15 +397,16 @@ class TestRegularize:
         rng = random.Random(77)
         for trial in range(50):
             g, S, T = _random_regularize_input(rng, 500 + trial)
-            pair = regularize(g, S, T, j=1)
+            pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
             ref_S, ref_T = _random_order_prune(g, S, T, rng)
             assert pair.S.bits == ref_S
             assert pair.T.bits == ref_T
 
     def test_rejects_isolated_t_vertex(self):
         g = build_graph(3, [(0, 1)])
+        S, T = vs(3, [0]), vs(3, [1, 2])
         with pytest.raises(ValueError):
-            regularize(g, vs(3, [0]), vs(3, [1, 2]), j=1)
+            regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
 
 
 def _random_regularize_input(rng, seed):
