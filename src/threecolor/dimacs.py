@@ -6,8 +6,6 @@ canonical file and emitting it again is the identity.
 """
 from __future__ import annotations
 
-from typing import Callable
-
 from .graph import Coloring, Graph
 
 
@@ -26,27 +24,16 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _integer(token: str) -> int:
-    """A decimal integer as the file formats spell it: an optional ``-``
-    and ASCII digits.  Python's ``int`` also takes ``+``, ``_`` and
-    non-ASCII digits; those raise ValueError here."""
-    if token.isascii() and (token.isdigit() or token[:1] == "-" and token[1:].isdigit()):
-        return int(token)
-    raise ValueError(f"not an integer: {token!r}")
-
-
-def _number_reader(text: str) -> Callable[[str], int]:
-    """The reader for the number tokens of ``text``.  On ASCII text with
-    no ``+`` or ``_``, ``int`` reads exactly the spellings ``_integer``
-    takes (split tokens hold no whitespace), and costs one call less per
-    token; elsewhere, comments included, every token is checked."""
-    if text.isascii() and "+" not in text and "_" not in text:
-        return int
-    return _integer
+def _require_decimal(line: str) -> None:
+    """Raise ValueError unless ``int`` reads the number tokens of ``line``
+    as the file formats spell a number: an optional ``-`` and ASCII
+    digits.  ``int`` also takes ``+``, ``_`` and non-ASCII digits; split
+    tokens hold no whitespace."""
+    if not line.isascii() or "+" in line or "_" in line:
+        raise ValueError(f"not a decimal integer line: {line!r}")
 
 
 def parse_dimacs(text: str) -> Graph:
-    number = _number_reader(text)
     n = None
     declared_m = None
     adj: list[int] = []
@@ -62,8 +49,9 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "edge":
                 raise ParseError(f"malformed problem line {line!r}", line_no)
             try:
-                n = number(parts[2])
-                declared_m = number(parts[3])
+                _require_decimal(line)
+                n = int(parts[2])
+                declared_m = int(parts[3])
             except ValueError:
                 raise ParseError(f"non-integer counts in {line!r}", line_no) from None
             if n < 0 or declared_m < 0:
@@ -79,8 +67,9 @@ def parse_dimacs(text: str) -> Graph:
             if len(parts) != 3:
                 raise ParseError(f"malformed edge line {line!r}", line_no)
             try:
-                u = number(parts[1])
-                v = number(parts[2])
+                _require_decimal(line)
+                u = int(parts[1])
+                v = int(parts[2])
             except ValueError:
                 raise ParseError(f"non-integer endpoints in {line!r}", line_no) from None
             if not (1 <= u <= n) or not (1 <= v <= n):
@@ -118,7 +107,6 @@ def emit_coloring(coloring: Coloring) -> str:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
-    number = _number_reader(text)
     assign: list[int | None] = [None] * n
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -128,8 +116,9 @@ def parse_coloring(text: str, n: int) -> Coloring:
         if parts[0] != "s" or len(parts) != 3:
             raise ParseError(f"unrecognized line {line!r}", line_no)
         try:
-            v = number(parts[1])
-            color = number(parts[2])
+            _require_decimal(line)
+            v = int(parts[1])
+            color = int(parts[2])
         except ValueError:
             raise ParseError(f"non-integer fields in {line!r}", line_no) from None
         if not 1 <= v <= n:

@@ -186,9 +186,9 @@ def regularize(G: Graph, S: VertexSet, t_ids: np.ndarray, t_degrees: np.ndarray,
                j: int) -> RegularPair:
     """Prune (S, T) to a two-sided degree-regular pair.
 
-    T comes as its degree table into S: ``t_ids`` are T's vertex ids in
-    ascending order and ``t_degrees[i]`` is |N(t_ids[i]) & S|, the two
-    arrays ``degrees_into(G, T.bits, S.bits)`` returns; both callers
+    T comes as its degree table into S: ``t_ids`` are T's vertex ids, in
+    any order, and ``t_degrees[i]`` is |N(t_ids[i]) & S|, as
+    ``degrees_into(G, T.bits, S.bits)`` returns them; both callers
     already hold them.  T is bucketed by these degrees along powers of
     BUCKET_BASE; among buckets whose floor reaches half the average
     degree, the one with the largest edge mass into S wins (ties to the
@@ -286,9 +286,8 @@ def build_two_level(
     ids, degrees = degrees_into(G, union_neighborhoods(G, S.bits), S.bits)
     limit = max(int(G.n / p.k), 1)
     if len(ids) > limit:
-        # a stable sort keeps the ascending ids of equal degrees; the cut
-        # goes back to ascending id order for regularize
-        top = np.sort((-degrees).argsort(kind="stable")[:limit])
+        # a stable sort keeps the ascending ids of equal degrees
+        top = (-degrees).argsort(kind="stable")[:limit]
         ids, degrees = ids[top], degrees[top]
     pair = regularize(G, S, ids, degrees, j=1)
     if not pair.S.issubset(S):

@@ -135,7 +135,7 @@ def test_coloring_integers_are_ascii_digits(text):
 
 
 def test_comments_may_hold_any_spelling():
-    # such a comment sends the numbers through the per-token check
+    # the spelling check reads only problem, edge and coloring lines
     comment = "c by a+b_c, é ١\n"
     assert parse_dimacs(comment + TRIANGLE_TEXT).m == 3
     assert parse_coloring(comment + "s 2 1\ns 1 0\n", 2).assignment == (0, 1)
