@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Coloring, Graph, _row_ints, row_blocks
+from .graph import ROW_SUM_BYTES, Coloring, Graph, _row_ints, row_blocks
 
 
 # Largest vertex count a graph file may declare.  The search holds n x n
@@ -271,26 +271,36 @@ _BIT = np.array([1 << b for b in range(8)], dtype=np.uint8)
 
 def _rows(n: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
     """Adjacency bitmasks of the edges (tail[i], head[i]).  Both
-    orientations become bit indices into n rows of ceil(n/64) words, whose
-    sorted runs per byte add up (each bit once, so the sum is the OR)."""
+    orientations become bit indices into rows of ceil(n/64) words; sorted,
+    they are written ROW_SUM_BYTES of rows at a time, each byte the sum of
+    its run of bits (each bit once, so the sum is the OR)."""
     words = (n + 63) // 64
+    width = 64 * words  # bits per row
     m = len(tail)
     bits = np.empty(2 * m, dtype=np.int32)
-    np.multiply(tail, 64 * words, out=bits[:m])
+    np.multiply(tail, width, out=bits[:m])
     bits[:m] += head
-    np.multiply(head, 64 * words, out=bits[m:])
+    np.multiply(head, width, out=bits[m:])
     bits[m:] += tail
     del tail, head
     bits.sort()
-    values = _BIT[bits & 7]
-    bits >>= 3
-    heads = np.empty(len(bits), dtype=np.bool_)
-    heads[:1] = True
-    np.not_equal(bits[1:], bits[:-1], out=heads[1:])
-    heads = np.flatnonzero(heads)
-    out = np.zeros(n * words * 8, dtype=np.uint8)
-    out[bits[heads]] = np.add.reduceat(values, heads, dtype=np.uint8)
-    return _row_ints(out.view("<u8").reshape(n, words))
+    rows: list[int] = []
+    step = max(1, ROW_SUM_BYTES // max(8 * words, 1))
+    for first in range(0, n, step):
+        count = min(step, n - first)
+        lo, hi = bits.searchsorted(np.array([first, first + count], dtype=np.int32) * width)
+        chunk = bits[lo:hi]
+        chunk -= first * width
+        values = _BIT[chunk & 7]
+        chunk >>= 3
+        new_byte = np.empty(len(chunk), dtype=np.bool_)
+        new_byte[:1] = True
+        np.not_equal(chunk[1:], chunk[:-1], out=new_byte[1:])
+        runs = np.flatnonzero(new_byte)
+        out = np.zeros(count * words * 8, dtype=np.uint8)
+        out[chunk[runs]] = np.add.reduceat(values, runs, dtype=np.uint8)
+        rows += _row_ints(out.view("<u8").reshape(count, words))
+    return rows
 
 
 def _id_digits(n: int) -> np.ndarray:
@@ -310,17 +320,20 @@ def emit_dimacs(graph: Graph, comment: str | None = None) -> str:
     out = ["\n".join(lines) + "\n"]
     table = _id_digits(graph.n)
     width = table.shape[1]
-    for i, block in row_blocks(graph.adj_rows, range(graph.n)):
-        # rows i.., columns i + 1..: the upper triangle has column >= row
-        r, c = np.nonzero(block[:, i + 1:])
-        upper = c >= r
-        r, c = r[upper], c[upper]
-        line = np.zeros((len(r), 2 * width + 4), dtype=np.uint8)
+    adj = graph.adj_rows
+    ids = [v for v in range(graph.n) if adj[v] >> (v + 1)]  # rows with an edge upwards
+    for i, block in row_blocks(adj, ids):
+        rows = np.array(ids[i:i + len(block)])
+        r, c = np.nonzero(block[:, rows[0] + 1:])
+        c += rows[0] + 1
+        upper = c > rows[r]
+        u, v = rows[r[upper]], c[upper]
+        line = np.zeros((len(u), 2 * width + 4), dtype=np.uint8)
         line[:, 0] = ord("e")
         line[:, 1] = line[:, width + 2] = ord(" ")
         line[:, -1] = ord("\n")
-        line[:, 2:width + 2] = table[r + i + 1]
-        line[:, width + 3:-1] = table[c + i + 2]
+        line[:, 2:width + 2] = table[u + 1]
+        line[:, width + 3:-1] = table[v + 1]
         out.append(line[line != 0].tobytes().decode("ascii"))
     return "".join(out)
 

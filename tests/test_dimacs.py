@@ -252,11 +252,14 @@ def outcome(read, *args):
     return (result.n, result.adj_rows, result.m)
 
 
-@given(scanner_text("e"), st.sampled_from([dimacs.BLOCK, 24, 48]))
+@given(scanner_text("e"), st.sampled_from([dimacs.BLOCK, 24, 48]),
+       st.sampled_from([dimacs.ROW_SUM_BYTES, 8, 16]))
 @settings(max_examples=400, deadline=None, derandomize=True)
-def test_parse_dimacs_matches_reference(text, block):
-    # small blocks make a file span many of them
-    with mock.patch.object(dimacs, "BLOCK", block):
+def test_parse_dimacs_matches_reference(text, block, row_bytes):
+    # small blocks make a file span many of them, and the rows be built a
+    # row or two at a time
+    with mock.patch.object(dimacs, "BLOCK", block), \
+            mock.patch.object(dimacs, "ROW_SUM_BYTES", row_bytes):
         assert outcome(parse_dimacs, text) == outcome(reference.parse_dimacs, text)
 
 
@@ -279,8 +282,8 @@ def test_emit_dimacs_matches_reference(data):
     g = build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
     comment = data.draw(st.sampled_from([None, "", "one", "two\nlines", "x\n"]))
     # small blocks of rows make emit_dimacs write many blocks
-    rows = data.draw(st.sampled_from([graph_module.ROW_SUM_BYTES, 1, 150]))
-    with mock.patch.object(graph_module, "ROW_SUM_BYTES", rows):
+    row_bytes = data.draw(st.sampled_from([graph_module.ROW_SUM_BYTES, 1, 150]))
+    with mock.patch.object(graph_module, "ROW_SUM_BYTES", row_bytes):
         assert emit_dimacs(g, comment) == reference.emit_dimacs(g, comment)
 
 
