@@ -20,10 +20,12 @@ line number.  A block's lines and arrays take about 40 bytes per
 character at their peak (2.7 MiB for a block of a canonical file), so
 the scanner holds O(``BLOCK`` + the longest line) beyond the text;
 ``parse_dimacs`` keeps 8 bytes per edge until it builds the rows from
-the sorted bit indices of both orientations of the edges.  The graph it
-returns carries no packed matrix.  ``emit_dimacs`` writes the edges of
+the sorted bit indices of both orientations of the edges, writing
+``graph.ROW_SUM_BYTES`` of packed rows at a time.  The graph it returns
+carries no packed matrix.  ``emit_dimacs`` writes the edges of
 ``graph.row_blocks``'s blocks of unpacked rows, at most
-``graph.ROW_SUM_BYTES`` at a time.
+``graph.ROW_SUM_BYTES`` at a time, taking only the rows that have an
+edge to a higher vertex.
 """
 from __future__ import annotations
 
