@@ -54,7 +54,9 @@ _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # as s
 # that each line break is a token of its own; each non-ASCII whitespace
 # character becomes "\x1c" and any other non-ASCII character "\x1d".
 # "\n", "\x1c" and "\x1d" are line breaks to str.splitlines, so none
-# occurs inside a line.  Tokens are the runs of bytes that are not gaps.
+# occurs inside a line.  Tokens are the runs of bytes other than the gaps
+# " ", "\t" and "\x1f" (the whitespace str.split finds inside a line) and
+# "\x1c".
 _NONASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
 _NONASCII = re.compile(r"[^\x00-\x7f]")
 _SOLID = bytes(int(b not in b" \t\x1f\x1c") for b in range(256))
