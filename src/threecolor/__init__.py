@@ -38,7 +38,6 @@ from .structure import (
     Not3Colorable,
     RegularPair,
     SetTooSmall,
-    TwoLevel,
     build_two_level,
     multichromatic_test,
     regularize,

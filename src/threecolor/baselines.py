@@ -13,7 +13,7 @@ or still return a proper coloring with extra colors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +28,7 @@ from .graph import (
     spans_edge,
 )
 from .graph import bipartition as graph_bipartition
-from .params import Params, default_round_cap
+from .params import Params
 from .progress import (
     EXHAUSTED,
     Defer,
@@ -218,7 +218,7 @@ def _raise_certificate(run: _Run, view: DriverView, hub: int | None = None,
             raise Not3Colorable(*found)
 
 
-def _seek(run: _Run, view: DriverView, min_degree: int) -> Progress | None:
+def _seek(run: _Run, view: DriverView) -> Progress | None:
     """One progress search on the materialized working graph.
 
     Returns the progress in ids of ``view.base``, or None when the source
@@ -226,21 +226,12 @@ def _seek(run: _Run, view: DriverView, min_degree: int) -> Progress | None:
     not 3-colorable (an odd wheel, or a monochromatic set spanning an
     edge) and the certificate path found no certificate to raise.
     """
-    h = view.n_alive
-    k = run.p.k
     report = run.report
     sub, idmap = view.materialize()
-    sub_params = replace(
-        run.p,
-        nhat=max(1, math.ceil(h / (k * k))),
-        round_cap=default_round_cap(h),
-    )
     report.seek_calls += 1
     try:
-        outcome = seek_progress(
-            sub, min_degree=min_degree, p=sub_params,
-            claim_log=run.claim_log, trace=run.trace,
-        )
+        outcome = seek_progress(sub, p=run.p, claim_log=run.claim_log,
+                                trace=run.trace)
     except Not3Colorable as exc:
         _raise_certificate(run, view, idmap[exc.hub],
                             tuple(idmap[v] for v in exc.cycle))
@@ -280,7 +271,7 @@ def seek_only_color(
         _, d_min = view.min_degree_vertex()
         if view.n_alive < 2 or d_min < 1:
             return EXHAUSTED
-        progress = _seek(run, view, d_min)
+        progress = _seek(run, view)
         return EXHAUSTED if progress is None else progress
 
     return run.drive(source)
@@ -322,7 +313,7 @@ def pipeline_color(
         split_floor = math.ceil(h ** TAU)
         throttled = backoff_size is not None and h > 0.9 * backoff_size
         if d_min >= split_floor and not throttled:
-            progress = _seek(run, view, d_min)
+            progress = _seek(run, view)
             if progress is not None:
                 return progress
             backoff_size = h

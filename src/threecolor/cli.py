@@ -69,7 +69,11 @@ def _write_trace(path: str, events: list) -> None:
 
 
 def cmd_generate(args) -> int:
-    balance = tuple(float(x) for x in args.balance.split(","))
+    try:
+        balance = tuple(float(x) for x in args.balance.split(","))
+    except ValueError as exc:
+        print(f"error: --balance: {exc}", file=sys.stderr)
+        return EXIT_IO
     total = sum(balance)
     if total <= 0:
         print("error: class balance must have positive total", file=sys.stderr)
@@ -294,8 +298,15 @@ def _ablation_ratios(graph: Graph) -> tuple[str, str]:
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(x) for x in args.sizes.split(",")]
-    densities = [float(x) for x in args.densities.split(",")]
+    try:
+        sizes = [int(x) for x in args.sizes.split(",")]
+        densities = [float(x) for x in args.densities.split(",")]
+        for n in sizes:
+            for prob in densities:
+                GenParams(n=n, edge_prob=prob)
+    except ValueError as exc:
+        print(f"error: --sizes/--densities: {exc}", file=sys.stderr)
+        return EXIT_IO
     methods = args.methods.split(",")
     unknown = [m for m in methods if m not in METHODS]
     if unknown:

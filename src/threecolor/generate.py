@@ -12,7 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dimacs import MAX_VERTICES
 from .graph import Coloring, Graph, pack_rows
+
+MAX_RETRIES = 16  # resamples after the first draw misses the degree target
 
 
 class MinDegreeUnreachable(RuntimeError):
@@ -34,15 +37,16 @@ class GenParams:
     edge_prob: float = 0.5
     min_degree_target: int | None = None
     seed: int = 0
-    max_retries: int = 16
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("n must be nonnegative")
+        # capped at what parse_dimacs reads back, before the n x n draw allocates
+        if not 0 <= self.n <= MAX_VERTICES:
+            raise ValueError(f"n must lie in [0, {MAX_VERTICES}], not {self.n}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must lie in [0, 1]")
-        if len(self.class_balance) != 3 or any(w < 0 for w in self.class_balance):
-            raise ValueError("class_balance needs three nonnegative weights")
+        if len(self.class_balance) != 3 or not all(
+                math.isfinite(w) and w >= 0 for w in self.class_balance):
+            raise ValueError("class_balance needs three finite nonnegative weights")
         if abs(sum(self.class_balance) - 1.0) > 1e-9:
             raise ValueError("class_balance weights must sum to 1")
 
@@ -91,7 +95,7 @@ def generate_planted(params: GenParams) -> tuple[Graph, Coloring]:
     """Generate a planted instance, resampling until the degree target holds."""
     best = -1
     attempts = 0
-    for attempt in range(params.max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         attempts += 1
         graph, coloring = _generate_once(params, attempt)
         if params.min_degree_target is None:

@@ -1,9 +1,12 @@
-"""Run parameters: the color target k and the set-size scales c1, c2.
+"""Run parameters: the color target k, the set-size scales c1, c2 and the
+side-cut switch, the values a caller sets.
 
-The paper's other constants are fixed where they are read: the degree
-buckets and caps of ``regularize`` in ``structure``, the seed, side-cut
-and exit factors and the root retries in ``search``, and the pipeline's
-size floor and degree split in ``baselines``.
+``nhat(h, k)`` and ``default_round_cap(h)`` are computed from each working
+graph of h vertices where they are read.  The paper's other constants
+are fixed where they are read: the degree buckets and caps of
+``regularize`` in ``structure``, the seed, side-cut and exit factors and
+the root retries in ``search``, and the pipeline's size floor and degree
+split in ``baselines``.
 """
 from __future__ import annotations
 
@@ -12,8 +15,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any
 
-# derived afresh for every working graph, so a params file cannot set them
+# computed from every working graph, so a params file cannot set them
 DERIVED = ("nhat", "round_cap")
+
+
+def nhat(n: int, k: float) -> int:
+    """max(1, ceil(n / k^2)), the multichromatic-test size floor on n vertices."""
+    return max(1, math.ceil(n / (k * k)))
 
 
 def default_round_cap(n: int) -> int:
@@ -27,18 +35,14 @@ def default_round_cap(n: int) -> int:
 
 @dataclass(frozen=True)
 class Params:
-    """Parameters for one run of the progress search on one graph."""
+    """The values a caller sets for one run, read on every working graph."""
 
     k: float
-    nhat: int  # ceil(n / k^2), the multichromatic-test size floor
     c1: float = 1.0  # large-set threshold scale: ceil(c1 * n / k)
     c2: float = 1.0  # small-neighborhood factor: |N(X)| <= c2 * k * |X|
-    round_cap: int = 3
     side_cuts: bool = True
 
     def __post_init__(self):
-        if self.nhat < 1:
-            raise ValueError("nhat must be at least 1")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.c1 > self.c2:
@@ -49,15 +53,15 @@ class Params:
     @classmethod
     def for_graph(cls, n: int, min_degree: int, k: float | None = None,
                   **overrides: Any) -> "Params":
-        """Derive per-graph parameters, filling k, nhat and round_cap.
+        """Parameters for an n-vertex graph of minimum degree ``min_degree``.
 
-        k defaults to sqrt(n / min_degree), clamped to [1, n].
+        k defaults to sqrt(n / min_degree), clamped to [1, n]; the other
+        fields come from ``overrides`` or their defaults.
         """
         if k is None:
             k = math.sqrt(max(n, 1) / max(min_degree, 1))
         k = min(max(float(k), 1.0), float(max(n, 1)))
-        nhat = max(1, math.ceil(n / (k * k))) if n > 0 else 1
-        return cls(k=k, nhat=nhat, round_cap=default_round_cap(n), **overrides)
+        return cls(k=k, **overrides)
 
 
 _EXPECTED = {
@@ -97,7 +101,7 @@ def parse_param_overrides(text: str) -> dict[str, Any]:
     raw = json.loads(text)
     if not isinstance(raw, dict):
         raise ValueError("params file must hold a JSON object")
-    kinds = {f.name: f.type for f in fields(Params) if f.name not in DERIVED}
+    kinds = {f.name: f.type for f in fields(Params)}
     out: dict[str, Any] = {}
     for key, val in raw.items():
         if key in DERIVED:

@@ -103,16 +103,15 @@ class Claim:
     vertices: tuple[int, ...]
     graph: Graph
     conditional: tuple[int, int] | None = None
-    provenance: str = ""
 
 
 ClaimLog = list
 
 
 def log_claim(log, kind: str, vertices: Iterable[int], graph: Graph,
-              conditional: tuple[int, int] | None = None, provenance: str = "") -> None:
+              conditional: tuple[int, int] | None = None) -> None:
     if log is not None:
-        log.append(Claim(kind, tuple(vertices), graph, conditional, provenance))
+        log.append(Claim(kind, tuple(vertices), graph, conditional))
 
 
 def type1_threshold(n: int, k: float, c1: float = 1.0) -> int:
@@ -124,7 +123,6 @@ def type1_threshold(n: int, k: float, c1: float = 1.0) -> int:
 
 @dataclass
 class DriverStats:
-    colors_used: int = 0
     contractions: int = 0
     type1_batches: int = 0
     type2_batches: int = 0
@@ -401,8 +399,7 @@ def color_with_progress(
             if claim_log is not None:
                 anchor = pair_ids[0]
                 for other in pair_ids[1:]:
-                    log_claim(claim_log, "type0", (anchor, other), base,
-                              provenance="driver-merge")
+                    log_claim(claim_log, "type0", (anchor, other), base)
             close_phase()
             new_base, mapping = merge_vertex_set(base, VertexSet(base.n, members_bits))
             new_groups: list[tuple[int, ...]] = [() for _ in range(new_base.n)]
@@ -501,5 +498,4 @@ def color_with_progress(
     ok, edge = is_proper_coloring(G, coloring)
     if not ok:
         raise AssertionError(f"driver produced an improper coloring at edge {edge}")
-    stats.colors_used = palette
     return coloring, stats

@@ -26,7 +26,7 @@ from .graph import (
     union_neighborhoods,
     with_degree_at_least,
 )
-from .params import Params
+from .params import Params, default_round_cap, nhat
 from .progress import (
     ClaimLog,
     MonoSet,
@@ -36,7 +36,6 @@ from .progress import (
 from .structure import (
     MultichromaticGuaranteed,
     RegularPair,
-    TwoLevel,
     build_two_level,
     multichromatic_test,
     regularize,
@@ -88,8 +87,6 @@ class SeekCounters:
     sparse_cut_violations: int = 0
     side_cuts_adopted: int = 0
     side_cut_checks: int = 0
-    verdicts: int = 0
-    rounds: int = 0
     roots_tried: int = 0
 
 
@@ -169,7 +166,7 @@ def cut_or_color(
     id, with X-extensions exhausted before each Y-extension attempt.
     """
     n = G.n
-    nh = p.nhat
+    nh = nhat(n, p.k)
     Sb, Tb = S.bits, T.bits
     if Sb.bit_count() < 2:
         raise ValueError("cut_or_color needs |S| >= 2")
@@ -189,10 +186,7 @@ def cut_or_color(
     while True:
         if X == Sb:
             members = VertexSet(n, Sb)
-            log_claim(claim_log, "mono_if_differ", members, G,
-                      conditional=(t, r0), provenance="cut_or_color")
-            if counters is not None:
-                counters.verdicts += 1
+            log_claim(claim_log, "mono_if_differ", members, G, conditional=(t, r0))
             _emit(trace, "cut", round=round_no, seed=t, verdict=True,
                   x_size=Sb.bit_count(), y_size=y_size)
             return MonochromaticIfDiffer(members, t, r0)
@@ -271,18 +265,19 @@ def check_sparse_cut(
     I4: every t' outside Y reaches fewer than nhat vertices of Y through
         its neighbors in N(r0).
     """
+    nh = nhat(G.n, p.k)
     violated = []
     if G.adj_bits(t) & S.bits & ~X.bits:
         violated.append("I1")
     outside_T = T.bits & ~Y.bits
     if union_neighborhoods(G, X.bits) & outside_T:
         violated.append("I2")
-    if with_degree_at_least(G, S.bits & ~X.bits, Y.bits, p.nhat):
+    if with_degree_at_least(G, S.bits & ~X.bits, Y.bits, nh):
         violated.append("I3")
     root_adj = G.adj_bits(r0)
     for t2 in iter_bits(outside_T):
         reach = union_neighborhoods(G, G.adj_bits(t2) & root_adj)
-        if (reach & Y.bits).bit_count() >= p.nhat:
+        if (reach & Y.bits).bit_count() >= nh:
             violated.append("I4")
             break
     return violated
@@ -344,6 +339,7 @@ def inner_loop(
     one of the two error outcomes (|S| <= 1, or too few seed vertices).
     """
     n = G.n
+    nh = nhat(n, p.k)
     Sb, Tb = pair.S.bits, pair.T.bits
     # integral degrees: d >= x  <=>  d >= ceil(x)
     seed_floor = math.ceil(pair.delta_T * HIGHDEG_FACTOR)
@@ -362,7 +358,7 @@ def inner_loop(
             _emit(trace, "error", reason="ErrorA")
             return InnerError("ErrorA")
         seeds = with_degree_at_least(G, Tb, Sb, seed_floor)
-        if seeds.bit_count() < p.nhat:
+        if seeds.bit_count() < nh:
             _emit(trace, "error", reason="ErrorB")
             return InnerError("ErrorB")
         res = multichromatic_test(G, VertexSet(n, seeds), p, claim_log=claim_log)
@@ -386,7 +382,7 @@ def inner_loop(
             if verdicts != seeds.bit_count():
                 raise AssertionError("monochromatic set without full verdict cover")
             members = VertexSet(n, Sb)
-            log_claim(claim_log, "mono", members, G, provenance="inner_loop")
+            log_claim(claim_log, "mono", members, G)
             _emit(trace, "progress", round=pair.j, kind="mono",
                   set_size=Sb.bit_count())
             return ProgressFound(MonoSet(members))
@@ -414,7 +410,7 @@ def audit_round(
     cut, disjointness from the sparse cut, the X' size floor, and the
     per-vertex degree floor delta_S - nhat into Y'.
     """
-    nh = p.nhat
+    nh = nhat(G.n, p.k)
     d_S, d_T = pair.delta_S, pair.delta_T
     outside = pair.S.bits & ~sparse_X.bits
     # integral degrees: d >= x  <=>  d >= ceil(x)
@@ -474,7 +470,6 @@ def audit_round(
 
 def seek_progress(
     G: Graph,
-    min_degree: int | None = None,
     p: Params | None = None,
     *,
     claim_log: ClaimLog | None = None,
@@ -487,16 +482,13 @@ def seek_progress(
     certificate escapes as an exception.
     """
     ids, degrees = degrees_into(G, (1 << G.n) - 1, (1 << G.n) - 1)
-    actual_min = int(degrees.min()) if G.n else 0
-    if min_degree is None:
-        min_degree = actual_min
-    elif actual_min < min_degree:
-        raise ValueError(f"graph min degree {actual_min} below stated {min_degree}")
+    min_degree = max(int(degrees.min()) if G.n else 0, 1)
     if p is None:
-        p = Params.for_graph(G.n, max(min_degree, 1))
+        p = Params.for_graph(G.n, min_degree)
     counters = SeekCounters()
-    _emit(trace, "params", k=p.k, nhat=p.nhat, round_cap=p.round_cap,
-          side_cuts=p.side_cuts, k_within_min_degree=p.k <= max(min_degree, 1))
+    _emit(trace, "params", k=p.k, nhat=nhat(G.n, p.k),
+          round_cap=default_round_cap(G.n), side_cuts=p.side_cuts,
+          k_within_min_degree=p.k <= min_degree)
     # a stable sort keeps the ascending ids of equal degrees
     top = (-degrees).argsort(kind="stable")[:ROOT_RETRIES]
     roots = ids[top][degrees[top] >= 1].tolist()
@@ -522,16 +514,15 @@ def _seek_from_root(
     claim_log: ClaimLog | None,
     trace: list | None,
 ) -> SeekOutcome:
-    structure = build_two_level(G, r0, p, claim_log=claim_log)
-    if not isinstance(structure, TwoLevel):
-        _emit(trace, "progress", round=0, kind=type(structure).__name__.lower(),
-              set_size=len(structure.members))
-        return SeekOutcome(structure, None, audits, counters)
-    pair = structure.pair
+    pair = build_two_level(G, r0, p, claim_log=claim_log)
+    if not isinstance(pair, RegularPair):  # the root's neighborhood is progress
+        _emit(trace, "progress", round=0, kind=type(pair).__name__.lower(),
+              set_size=len(pair.members))
+        return SeekOutcome(pair, None, audits, counters)
     _emit(trace, "structure", root=r0, s_size=len(pair.S), t_size=len(pair.T),
           delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
-    for j in range(1, p.round_cap + 1):
-        counters.rounds += 1
+    round_cap = default_round_cap(G.n)
+    for j in range(1, round_cap + 1):
         res = inner_loop(G, r0, pair, p, claim_log=claim_log, trace=trace,
                          counters=counters)
         if isinstance(res, InnerError):
@@ -560,7 +551,7 @@ def _seek_from_root(
         linked = degrees >= 1
         if not linked.any():
             return SeekOutcome(None, "StructureFailed", audits, counters)
-        if j == p.round_cap:
+        if j == round_cap:
             break
         pair = regularize(G, chosen_X, ids[linked], degrees[linked], j + 1)
     return SeekOutcome(None, "RoundCapExceeded", audits, counters)

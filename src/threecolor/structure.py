@@ -27,7 +27,7 @@ from .graph import (
     union_neighborhoods,
     with_degree_at_least,
 )
-from .params import Params
+from .params import Params, nhat
 from .progress import ClaimLog, Progress, Type1, Type2, log_claim, type1_threshold
 
 # The paper's regularization constants.  A bucket holds the degrees d with
@@ -148,34 +148,27 @@ class RegularPair:
         return bad
 
 
-@dataclass(frozen=True)
-class TwoLevel:
-    """Root plus the round-1 regular pair grown from its neighborhood."""
-
-    r0: int
-    pair: RegularPair
-
-
 def multichromatic_test(
     G: Graph, X: VertexSet, p: Params, *, claim_log: ClaimLog | None = None
 ) -> MultichromaticGuaranteed | Progress:
     """Either certify X multichromatic in every 3-coloring, or make progress.
 
-    Requires |X| >= p.nhat.  If a monochromatic X were possible, its
+    Requires |X| >= nhat(G.n, p.k).  If a monochromatic X were possible, its
     neighborhood would have to be 2-colorable; so an edge inside X or an
     odd cycle in G[N(X)] certifies the guarantee for every coloring.
     Otherwise N(X) is bipartite: large N(X) is a large 2-colorable set,
     and small N(X) makes independent X a small-neighborhood set.
     """
-    if len(X) < p.nhat:
-        raise SetTooSmall(f"|X| = {len(X)} below the test floor {p.nhat}")
+    floor = nhat(G.n, p.k)
+    if len(X) < floor:
+        raise SetTooSmall(f"|X| = {len(X)} below the test floor {floor}")
     if spans_edge(G, X.bits):
-        log_claim(claim_log, "multi", X, G, provenance="internal-edge")
+        log_claim(claim_log, "multi", X, G)
         return MultichromaticGuaranteed(X, "internal-edge")
     nbhd = VertexSet(G.n, union_neighborhoods(G, X.bits) & ~X.bits)
     split = bipartition(G, nbhd)
     if isinstance(split, OddCycle):
-        log_claim(claim_log, "multi", X, G, provenance="neighborhood-odd-cycle")
+        log_claim(claim_log, "multi", X, G)
         return MultichromaticGuaranteed(X, "neighborhood-odd-cycle")
     if len(nbhd) >= type1_threshold(G.n, p.k, p.c1):
         return Type1(nbhd, split.side0, split.side1)
@@ -266,8 +259,8 @@ def _assert_regular(G: Graph, pair: RegularPair) -> None:
 
 def build_two_level(
     G: Graph, r0: int, p: Params, *, claim_log: ClaimLog | None = None
-) -> TwoLevel | Progress:
-    """Grow the round-1 structure from a root vertex.
+) -> RegularPair | Progress:
+    """Grow the round-1 regular pair from a root vertex.
 
     S is the root's neighborhood; if it is not 2-colorable the graph is
     not 3-colorable (raised with the odd-cycle certificate).  A large S
@@ -294,4 +287,4 @@ def build_two_level(
         raise AssertionError("regularized S escaped the root neighborhood")
     if len(pair.T) > limit:
         raise AssertionError("second level exceeds its size cap")
-    return TwoLevel(r0, pair)
+    return pair

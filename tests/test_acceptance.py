@@ -31,7 +31,7 @@ from threecolor.graph import (
     iter_bits,
 )
 from threecolor.oracle import verify_logged_claim
-from threecolor.params import Params
+from threecolor.params import Params, nhat
 from threecolor.search import (
     SIDECUT_FACTOR,
     RegularPair,
@@ -269,7 +269,7 @@ def test_criterion_5_multichromatic_dichotomy():
         )
         p = Params.for_graph(n, max(g.min_degree(), 1),
                              k=rng.choice([None, 1.5, 2.5, 4.0]))
-        size = rng.randrange(p.nhat, n + 1)
+        size = rng.randrange(nhat(n, p.k), n + 1)
         members = VertexSet.from_iterable(n, rng.sample(range(n), size))
         res = multichromatic_test(g, members, p)
         if isinstance(res, MultichromaticGuaranteed):
@@ -396,7 +396,7 @@ def test_criterion_8_boundary_constants(cut_suite):
     """mu = 1/8 exactly at the cut-size floor; edge-mass floor always held."""
     g = build_graph(8, [(0, 4), (1, 4), (2, 4), (3, 4)])
     p = Params.for_graph(8, 1, k=2.0)
-    assert p.nhat == 2
+    assert nhat(8, p.k) == 2
     pair = RegularPair(
         VertexSet.from_iterable(8, [0, 1, 2, 3]),
         VertexSet.from_iterable(8, [4]),

@@ -48,6 +48,17 @@ class TestGenerate:
             assert (tmp_path / ("a" + suffix)).read_bytes() == \
                 (tmp_path / ("b" + suffix)).read_bytes()
 
+    @pytest.mark.parametrize("flags", [
+        ["--balance", "1,x,1"], ["--balance", "nan,1,1"], ["--balance", "inf,1,1"],
+        ["--n", str(MAX_VERTICES + 1)],
+    ])
+    def test_unusable_input_exits_4(self, tmp_path, capsys, flags):
+        code = run_cli(["generate", "--n", "10", *flags, "--out", str(tmp_path / "g")])
+        assert code == 4
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_p_zero_edgeless(self, tmp_path):
         run_cli(["generate", "--n", "10", "--p", "0", "--out",
                  str(tmp_path / "z")])
@@ -449,6 +460,18 @@ class TestBench:
         assert code == 4
         assert "bogus" in capsys.readouterr().err
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--sizes", "abc"], ["--sizes", "-5"], ["--densities", "1.5"],
+    ])
+    def test_unusable_sizes_or_densities_exit_4(self, tmp_path, capsys, flags):
+        code = run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",
+                        "--methods", "greedy", *flags, "--out-csv", str(tmp_path / "b.csv"),
+                        "--out-json", str(tmp_path / "b.json")])
+        assert code == 4
+        assert not list(tmp_path.iterdir())
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_error_rows_written_and_exit_1(self, tmp_path, monkeypatch):
         def broken(graph, order=None, base=0):

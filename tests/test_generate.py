@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from threecolor.dimacs import MAX_VERTICES
 from threecolor.generate import GenParams, MinDegreeUnreachable, generate_planted
 from threecolor.graph import is_proper_coloring
 
@@ -84,8 +85,7 @@ def test_min_degree_target_retries():
 def test_min_degree_unreachable():
     with pytest.raises(MinDegreeUnreachable):
         generate_planted(
-            GenParams(n=30, edge_prob=0.1, seed=0, min_degree_target=25,
-                      max_retries=2)
+            GenParams(n=30, edge_prob=0.1, seed=0, min_degree_target=25)
         )
 
 
@@ -94,3 +94,9 @@ def test_bad_params_rejected():
         GenParams(n=10, class_balance=(0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         GenParams(n=10, edge_prob=1.5)
+    for weights in ((math.nan, 0.5, 0.5), (0.5, math.inf, 0.5)):
+        with pytest.raises(ValueError, match="finite"):
+            GenParams(n=10, class_balance=weights)
+    # a file that color could not read back, and an n x n draw to match
+    with pytest.raises(ValueError):
+        GenParams(n=MAX_VERTICES + 1)

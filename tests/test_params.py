@@ -5,13 +5,19 @@ from pathlib import Path
 
 import pytest
 
-from threecolor.params import DERIVED, Params, default_round_cap, parse_param_overrides
+from threecolor.params import (
+    DERIVED,
+    Params,
+    default_round_cap,
+    nhat,
+    parse_param_overrides,
+)
 
 
 def test_default_k_from_degree():
     p = Params.for_graph(5000, 1666)
     assert abs(p.k - math.sqrt(5000 / 1666)) < 1e-12
-    assert p.nhat == math.ceil(5000 / p.k**2)
+    assert nhat(5000, p.k) == math.ceil(5000 / p.k**2)
 
 
 def test_round_cap_default():
@@ -30,7 +36,7 @@ def test_k_clamped():
 
 def test_nhat_floor():
     p = Params.for_graph(4, 4, k=4.0)
-    assert p.nhat == 1
+    assert nhat(4, p.k) == 1
 
 
 def test_parse_overrides_fraction_strings():
@@ -56,9 +62,7 @@ def test_unknown_key_rejected():
 
 def test_invalid_values_rejected():
     with pytest.raises(ValueError):
-        Params(k=2.0, nhat=0)
-    with pytest.raises(ValueError):
-        Params(k=0.5, nhat=1)
+        Params(k=0.5)
 
 
 @pytest.mark.parametrize("text", [

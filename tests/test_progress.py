@@ -41,11 +41,10 @@ class TestThresholds:
 class TestDriver:
     def test_triangle_exhausted_goes_greedy(self):
         g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-        coloring, stats = color_with_progress(g, 1.0, lambda view: EXHAUSTED)
+        coloring, _ = color_with_progress(g, 1.0, lambda view: EXHAUSTED)
         ok, _ = is_proper_coloring(g, coloring)
         assert ok
         assert coloring.palette_size == 3
-        assert stats.colors_used == 3
 
     def test_path_type1_then_exhausted(self):
         g = build_graph(3, [(0, 1), (1, 2)])

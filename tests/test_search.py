@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from fractions import Fraction
 from unittest.mock import patch
@@ -9,8 +10,8 @@ from threecolor import search
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import VertexSet, build_graph, iter_bits, packed_subgraph
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
-from threecolor.params import Params
-from threecolor.progress import MonoSet
+from threecolor.params import Params, default_round_cap, nhat
+from threecolor.progress import MonoSet, induced_subgraph
 from threecolor.search import (
     ROOT_RETRIES,
     SIDECUT_FACTOR,
@@ -234,7 +235,7 @@ class TestAuditRound:
         # |Y| = 1 and mu = 1/8 exactly
         g = build_graph(8, [(0, 4), (1, 4), (2, 4), (3, 4)])
         p = make_params(8, 2.0)
-        assert p.nhat == 2
+        assert nhat(8, p.k) == 2
         pair = RegularPair(vs(8, [0, 1, 2, 3]), vs(8, [4]),
                            Fraction(4), Fraction(3), 1)
         audit = audit_round(
@@ -287,7 +288,23 @@ class TestAuditRound:
 
 class TestSeekProgress:
     def test_round_cap_default(self):
-        assert Params.for_graph(2000, 900).round_cap == 3
+        assert default_round_cap(2000) == 3
+
+    def test_params_event_derives_from_the_working_graph(self):
+        # the run's parameters are made for the input graph; a search on a
+        # smaller materialized working graph reads nhat and round_cap off it
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.5, seed=4))
+        for given_k, alive in ((None, (1 << 120) - 1), (2.6, (1 << 200) - 1),
+                               (None, sum(1 << v for v in range(0, 300, 7)))):
+            run_params = Params.for_graph(g.n, g.min_degree(), k=given_k)
+            sub, _ = induced_subgraph(g, alive)
+            assert sub.n < g.n
+            t = []
+            seek_progress(sub, p=run_params, trace=t)
+            event, k = t[0], run_params.k
+            assert event["event"] == "params"
+            assert event["nhat"] == max(1, math.ceil(sub.n / (k * k)))
+            assert event["round_cap"] == default_round_cap(sub.n)
 
     def test_planted_run_returns_valid_outcome(self):
         g, _ = generate_planted(GenParams(n=300, edge_prob=0.5, seed=21))

@@ -20,7 +20,7 @@ from threecolor.graph import (
     with_degree_at_least,
 )
 from threecolor.oracle import enumerate_3colorings
-from threecolor.params import Params
+from threecolor.params import Params, nhat
 from threecolor.progress import Type1, Type2
 from threecolor.structure import (
     BASE_DEGREE_DIVISOR,
@@ -37,7 +37,6 @@ from threecolor.structure import (
     SetTooSmall,
     _assert_regular,
     _prune,
-    TwoLevel,
     build_two_level,
     certificate_is_valid,
     find_certificate,
@@ -111,7 +110,7 @@ class TestMultichromaticTest:
                 GenParams(n=n, edge_prob=rng.choice([0.2, 0.4, 0.6]), seed=trial)
             )
             p = Params.for_graph(n, max(g.min_degree(), 1))
-            size = rng.randrange(p.nhat, n + 1)
+            size = rng.randrange(nhat(n, p.k), n + 1)
             members = vs(n, rng.sample(range(n), size))
             res = multichromatic_test(g, members, p)
             assert isinstance(res, (MultichromaticGuaranteed, Type1, Type2))
@@ -127,7 +126,7 @@ class TestMultichromaticTest:
                 GenParams(n=n, edge_prob=rng.choice([0.25, 0.45]), seed=1000 + trial)
             )
             p = Params.for_graph(n, max(g.min_degree(), 1))
-            size = rng.randrange(p.nhat, n + 1)
+            size = rng.randrange(nhat(n, p.k), n + 1)
             members = tuple(sorted(rng.sample(range(n), size)))
             res = multichromatic_test(g, vs(n, members), p)
             if isinstance(res, MultichromaticGuaranteed):
@@ -487,10 +486,10 @@ class TestBuildTwoLevel:
         p = Params.for_graph(500, g.min_degree())
         r0 = max(range(500), key=lambda v: (g.degree(v), -v))
         res = build_two_level(g, r0, p)
-        assert isinstance(res, TwoLevel)
-        assert res.pair.S.issubset(g.neighbors(r0))
-        assert len(res.pair.T) <= int(500 / p.k)
-        assert not res.pair.check(g)
+        assert isinstance(res, RegularPair)
+        assert res.S.issubset(g.neighbors(r0))
+        assert len(res.T) <= int(500 / p.k)
+        assert not res.check(g)
 
 
 class TestCertificates:
