@@ -313,6 +313,9 @@ def cmd_bench(args) -> int:
         print(f"error: unknown method(s) {', '.join(unknown)}; "
               f"choose from {', '.join(METHODS)}", file=sys.stderr)
         return EXIT_IO
+    if args.seeds < 1:
+        print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
+        return EXIT_IO
     seeds = list(range(args.seeds))
     rows = []
     timings = []

@@ -358,8 +358,12 @@ def bipartition(G: Graph, W: VertexSet) -> TwoColoring | OddCycle:
     """2-color G[W] or exhibit an odd cycle inside it.
 
     Sides are BFS layer parities (components explored from their lowest
-    vertex), computed with whole-frontier bitmask sweeps; the witness
-    path walk only runs once a conflict is known to exist.
+    vertex), computed with whole-frontier bitmask sweeps.  A BFS edge
+    joins one layer or two adjacent ones, so an edge inside a side is an
+    edge inside a layer: the sweep sees it as a layer that reaches
+    itself and stops there.  The witness path walk only runs once such
+    a conflict is known to exist; it reads W alone, so the cycle it
+    returns does not depend on where the sweep stopped.
     """
     Wb = W.bits
     bits0 = 0
@@ -375,10 +379,11 @@ def bipartition(G: Graph, W: VertexSet) -> TwoColoring | OddCycle:
             else:
                 bits1 |= frontier
             unseen &= ~frontier
-            frontier = union_neighborhoods(G, frontier) & unseen
+            reach = union_neighborhoods(G, frontier)
+            if reach & frontier:
+                return OddCycle(_extract_odd_cycle(G, Wb))
+            frontier = reach & unseen
             parity ^= 1
-    if spans_edge(G, bits0) or spans_edge(G, bits1):
-        return OddCycle(_extract_odd_cycle(G, Wb))
     return TwoColoring(VertexSet(G.n, bits0), VertexSet(G.n, bits1))
 
 

@@ -357,7 +357,10 @@ def inner_loop(
         if Sb.bit_count() <= 1:
             _emit(trace, "error", reason="ErrorA")
             return InnerError("ErrorA")
-        seeds = with_degree_at_least(G, Tb, Sb, seed_floor)
+        # the seeds are a subset of T, so a T below nhat fails uncounted
+        seeds = 0
+        if Tb.bit_count() >= nh:
+            seeds = with_degree_at_least(G, Tb, Sb, seed_floor)
         if seeds.bit_count() < nh:
             _emit(trace, "error", reason="ErrorB")
             return InnerError("ErrorB")

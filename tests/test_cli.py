@@ -463,6 +463,7 @@ class TestBench:
 
     @pytest.mark.parametrize("flags", [
         ["--sizes", "abc"], ["--sizes", "-5"], ["--densities", "1.5"],
+        ["--seeds", "0"], ["--seeds", "-1"],
     ])
     def test_unusable_sizes_or_densities_exit_4(self, tmp_path, capsys, flags):
         code = run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",

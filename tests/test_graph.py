@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -399,6 +400,69 @@ class TestBipartition:
         result = bipartition(K4, vs(4, [0, 1, 2]))
         assert isinstance(result, OddCycle)
         assert set(result.vertices) <= {0, 1, 2}
+
+
+def sweep_then_scan_bipartition(G, W):
+    """The layer sweep followed by an inner-edge scan of each side: the
+    reference for ``bipartition``'s conflict test inside the sweep."""
+    Wb = W.bits
+    bits0 = bits1 = 0
+    unseen = Wb
+    while unseen:
+        frontier = unseen & -unseen
+        parity = 0
+        while frontier:
+            if parity == 0:
+                bits0 |= frontier
+            else:
+                bits1 |= frontier
+            unseen &= ~frontier
+            frontier = union_neighborhoods(G, frontier) & unseen
+            parity ^= 1
+    if spans_edge(G, bits0) or spans_edge(G, bits1):
+        return OddCycle(graph._extract_odd_cycle(G, Wb))
+    return TwoColoring(VertexSet(G.n, bits0), VertexSet(G.n, bits1))
+
+
+@st.composite
+def graph_and_subset(draw):
+    """A simple graph on n <= 40 vertices, with or without packed rows, and
+    a vertex set W that is everything, nothing, or arbitrary.  Dropping
+    the edges across a split point makes the graph, and so most W,
+    disconnected."""
+    n = draw(st.integers(0, 40))
+    p = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4, 0.7, 1.0]))
+    split = draw(st.integers(0, n))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < p and (u < split) == (v < split)]
+    g = build_graph(n, edges)
+    if draw(st.booleans()):
+        g = packed_copy(g)
+    kind = draw(st.sampled_from(["all", "empty", "arbitrary"]))
+    bits = {"all": (1 << n) - 1, "empty": 0, "arbitrary": rng.getrandbits(n)}[kind]
+    return g, VertexSet(n, bits)
+
+
+class TestBipartitionSweep:
+    @given(graph_and_subset(), st.sampled_from([1, 2, 4, PACKED_MIN_MEMBERS]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_sweep_then_scan(self, case, cutoff):
+        # a low cutoff sends the small frontiers of a packed graph through
+        # the kernels' packed body
+        g, W = case
+        with patch.object(graph, "PACKED_MIN_MEMBERS", cutoff):
+            got = bipartition(g, W)
+            want = sweep_then_scan_bipartition(g, W)
+        assert got == want
+        if isinstance(got, OddCycle):
+            cyc = got.vertices
+            assert len(cyc) % 2 == 1 and set(cyc) <= set(W)
+            assert all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
+        else:
+            assert got.side0 | got.side1 == W and not got.side0 & got.side1
+            for side in (got.side0, got.side1):
+                assert not any(g.has_edge(u, v) for u in side for v in side)
 
 
 class TestContract:

@@ -209,8 +209,30 @@ class TestInnerLoop:
         pair = RegularPair(vs(g.n, s_ids), vs(g.n, t_ids),
                            Fraction(1), Fraction(1), 1)
         p = make_params(g.n, 1.0)  # nhat = n, unreachable
-        res = inner_loop(g, 0, pair, p)
+        trace = []
+        with patch.object(search, "with_degree_at_least",
+                          wraps=search.with_degree_at_least) as count:
+            res = inner_loop(g, 0, pair, p, trace=trace)
         assert isinstance(res, InnerError) and res.reason == "ErrorB"
+        # |T| = 1 < nhat settles it: no seed is counted
+        assert count.call_count == 0
+        assert trace == [{"event": "error", "reason": "ErrorB"}]
+
+    def test_too_few_qualifying_seeds_is_error_b_after_one_count(self):
+        # S = {1, 2}, T = {3..8}; only 3 and 4 have S-neighbors, so 2 of
+        # the 6 members of T reach the seed floor ceil(delta_T / 4) = 1
+        g = build_graph(9, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+        pair = RegularPair(vs(9, [1, 2]), vs(9, range(3, 9)),
+                           Fraction(1), Fraction(2), 1)
+        p = make_params(9, 1.5)
+        assert nhat(9, p.k) == 4
+        trace = []
+        with patch.object(search, "with_degree_at_least",
+                          wraps=search.with_degree_at_least) as count:
+            res = inner_loop(g, 0, pair, p, trace=trace)
+        assert isinstance(res, InnerError) and res.reason == "ErrorB"
+        assert count.call_count == 1
+        assert trace == [{"event": "error", "reason": "ErrorB"}]
 
     def test_complete_bipartite_yields_monochromatic_set(self):
         g, s_ids, t_ids = complete_bipartite_with_root(extra_t_edge=True)
