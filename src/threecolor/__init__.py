@@ -10,7 +10,6 @@ from .graph import (
     SelfLoop,
     TwoColoring,
     VertexOutOfRange,
-    VertexSet,
     bipartition,
     build_graph,
     is_proper_coloring,

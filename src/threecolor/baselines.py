@@ -22,7 +22,6 @@ from .graph import (
     Coloring,
     Graph,
     OddCycle,
-    VertexSet,
     degrees_into,
     iter_bits,
     spans_edge,
@@ -118,16 +117,16 @@ def neighborhood_extraction_color(
         if degrees[best] < threshold:
             break
         best_v = int(ids[best])
-        W = VertexSet(n, G.adj_bits(best_v) & alive)
+        W = G.adj_bits(best_v) & alive
         split = graph_bipartition(G, W)
         if isinstance(split, OddCycle):
             raise Not3Colorable(best_v, split.vertices)
         lo, hi = 2 * extractions, 2 * extractions + 1
-        for v in iter_bits(split.side0.bits):
+        for v in iter_bits(split.side0):
             assign[v] = lo
-        for v in iter_bits(split.side1.bits):
+        for v in iter_bits(split.side1):
             assign[v] = hi
-        alive &= ~W.bits
+        alive &= ~W
         extractions += 1
 
     palette = _first_fit(G, iter_bits(alive), assign, 2 * extractions) if n else 0
@@ -150,18 +149,18 @@ class PipelineReport:
     audits: list[RoundAudit] = field(default_factory=list)
 
 
-def _lift_bits(bits: int, idmap: list[int], n: int) -> VertexSet:
+def _lift_bits(bits: int, idmap: list[int]) -> int:
     out = 0
     for i in iter_bits(bits):
         out |= 1 << idmap[i]
-    return VertexSet(n, out)
+    return out
 
 
-def _lift_progress(claim: Progress, idmap: list[int], n: int) -> Progress:
+def _lift_progress(claim: Progress, idmap: list[int]) -> Progress:
     if isinstance(claim, Type0):
         return Type0(idmap[claim.u], idmap[claim.v])
     # every field of the other claims is a vertex set
-    return type(claim)(*(_lift_bits(getattr(claim, f.name).bits, idmap, n)
+    return type(claim)(*(_lift_bits(getattr(claim, f.name), idmap)
                          for f in fields(claim)))
 
 
@@ -243,8 +242,8 @@ def _seek(run: _Run, view: DriverView) -> Progress | None:
         )
         return None
     report.seek_progress_found += 1
-    progress = _lift_progress(outcome.progress, idmap, view.base.n)
-    if isinstance(progress, MonoSet) and spans_edge(view.base, progress.members.bits):
+    progress = _lift_progress(outcome.progress, idmap)
+    if isinstance(progress, MonoSet) and spans_edge(view.base, progress.members):
         _raise_certificate(run, view)
         return None
     return progress
@@ -303,7 +302,7 @@ def pipeline_color(
             return EXHAUSTED
         v_max, d_max = view.max_degree_vertex()
         if d_max >= type1_threshold(h, p.k, p.c1):
-            W = VertexSet(view.base.n, view.neighbors_bits(v_max))
+            W = view.neighbors_bits(v_max)
             split = graph_bipartition(view.base, W)
             if isinstance(split, OddCycle):
                 _raise_certificate(run, view, v_max, split.vertices)

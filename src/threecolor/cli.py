@@ -51,21 +51,41 @@ def _load_graph(path: str) -> Graph:
     return parse_dimacs(_read_text(path))
 
 
+def _read_json(path: str, parse=json.loads):
+    """``parse`` applied to the text of an input file; JSON nested past the
+    parser's recursion limit is a ValueError naming the file."""
+    text = _read_text(path)
+    try:
+        return parse(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def _load_params(args, graph: Graph) -> Params:
     overrides = {}
     if args.params:
-        overrides = parse_param_overrides(_read_text(args.params))
+        overrides = _read_json(args.params, parse_param_overrides)
     if args.no_side_cuts:
         overrides["side_cuts"] = False
     k = overrides.pop("k", None)
     return Params.for_graph(graph.n, max(graph.min_degree(), 1), k=k, **overrides)
 
 
-def _write_trace(path: str, events: list) -> None:
-    with open(path, "w") as fh:
-        for entry in events:
-            fh.write(json.dumps(entry, sort_keys=True))
-            fh.write("\n")
+def _write_outputs(outputs: list[tuple[str | Path | None, object]]) -> int | None:
+    """Write each (path, content) pair whose path is given: a str as it is,
+    anything else as indented, key-sorted JSON.  Returns EXIT_IO after an
+    ``error:`` line at the first path that cannot be written, else None."""
+    for path, content in outputs:
+        if not path:
+            continue
+        if not isinstance(content, str):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        try:
+            Path(path).write_text(content)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
+    return None
 
 
 def cmd_generate(args) -> int:
@@ -96,12 +116,14 @@ def cmd_generate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     prefix = Path(args.out)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        prefix.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
     col_path = prefix.with_suffix(".col")
     sol_path = prefix.with_suffix(".sol")
     meta_path = prefix.with_suffix(".json")
-    col_path.write_text(emit_dimacs(graph))
-    sol_path.write_text(emit_coloring(coloring))
     meta = {
         "n": graph.n,
         "m": graph.m,
@@ -112,7 +134,10 @@ def cmd_generate(args) -> int:
         "max_degree": graph.max_degree(),
         "min_degree_target": args.min_degree_target,
     }
-    meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    failed = _write_outputs([(col_path, emit_dimacs(graph)),
+                             (sol_path, emit_coloring(coloring)), (meta_path, meta)])
+    if failed:
+        return failed
     print(f"wrote {col_path} {sol_path} {meta_path}")
     return EXIT_OK
 
@@ -162,46 +187,37 @@ def cmd_color(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     trace: list | None = [] if args.trace else None
+    report = {"n": graph.n, "m": graph.m}
+    outputs = []
     started = time.perf_counter()
     try:
         coloring, info = _run_method(args.method, graph, p, trace, None)
     except Not3Colorable as exc:
-        elapsed = time.perf_counter() - started
-        report = {
-            "method": args.method,
-            "n": graph.n,
-            "m": graph.m,
-            "not3colorable": True,
-            "witness": {"hub": exc.hub, "cycle": list(exc.cycle)},
-            "runtime_s": elapsed,
-        }
-        if args.report:
-            Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        if args.trace and trace is not None:
-            _write_trace(args.trace, trace)
-        print(f"not 3-colorable: odd cycle of length {len(exc.cycle)} in N({exc.hub})")
-        return EXIT_NOT3COLORABLE
-    elapsed = time.perf_counter() - started
-    ok, edge = is_proper_coloring(graph, coloring)
-    if not ok:
-        print(f"internal error: improper coloring at edge {edge}", file=sys.stderr)
-        return EXIT_INTERNAL
-    if args.output:
-        Path(args.output).write_text(emit_coloring(coloring))
-    if args.trace and trace is not None:
-        _write_trace(args.trace, trace)
-    report = {
-        "n": graph.n,
-        "m": graph.m,
-        "proper": True,
-        "not3colorable": False,
-        "runtime_s": elapsed,
-    }
-    report.update(info)
-    if args.report:
-        Path(args.report).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"colored with {coloring.palette_size} colors ({args.method})")
-    return EXIT_OK
+        report.update(method=args.method, not3colorable=True,
+                      witness={"hub": exc.hub, "cycle": list(exc.cycle)},
+                      runtime_s=time.perf_counter() - started)
+        message = f"not 3-colorable: odd cycle of length {len(exc.cycle)} in N({exc.hub})"
+        code = EXIT_NOT3COLORABLE
+    else:
+        report.update(proper=True, not3colorable=False,
+                      runtime_s=time.perf_counter() - started)
+        ok, edge = is_proper_coloring(graph, coloring)
+        if not ok:
+            print(f"internal error: improper coloring at edge {edge}", file=sys.stderr)
+            return EXIT_INTERNAL
+        report.update(info)
+        outputs.append((args.output, emit_coloring(coloring)))
+        message = f"colored with {coloring.palette_size} colors ({args.method})"
+        code = EXIT_OK
+    if trace is not None:
+        outputs.append((args.trace, "".join(json.dumps(entry, sort_keys=True) + "\n"
+                                            for entry in trace)))
+    outputs.append((args.report, report))
+    failed = _write_outputs(outputs)
+    if failed:
+        return failed
+    print(message)
+    return code
 
 
 def cmd_verify(args) -> int:
@@ -211,7 +227,7 @@ def cmd_verify(args) -> int:
         return EXIT_IO
     try:
         graph = _load_graph(args.input)
-        payload = json.loads(_read_text(args.claims))
+        payload = _read_json(args.claims)
     except (OSError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -238,11 +254,12 @@ def cmd_verify(args) -> int:
             "reasons": verdict.reasons,
         })
         all_ok = all_ok and verdict.verified
-    out = json.dumps(verdicts, indent=2, sort_keys=True) + "\n"
     if args.output:
-        Path(args.output).write_text(out)
+        failed = _write_outputs([(args.output, verdicts)])
+        if failed:
+            return failed
     else:
-        print(out, end="")
+        print(json.dumps(verdicts, indent=2, sort_keys=True))
     return EXIT_OK if all_ok else EXIT_REJECTED
 
 
@@ -375,7 +392,6 @@ def cmd_bench(args) -> int:
     writer.writeheader()
     for row in rows:
         writer.writerow(row)
-    Path(args.out_csv).write_text(buf.getvalue())
     errors = sum(1 for row in rows if row["outcome"].startswith("error:"))
     summary = {
         "rows": len(rows),
@@ -397,7 +413,9 @@ def cmd_bench(args) -> int:
         },
         "timings": timings,
     }
-    Path(args.out_json).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    failed = _write_outputs([(args.out_csv, buf.getvalue()), (args.out_json, summary)])
+    if failed:
+        return failed
     print(f"wrote {len(rows)} rows to {args.out_csv}")
     if errors:
         print(f"error: {errors} run(s) ended in an error", file=sys.stderr)

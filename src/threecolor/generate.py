@@ -49,6 +49,15 @@ class GenParams:
             raise ValueError("class_balance needs three finite nonnegative weights")
         if abs(sum(self.class_balance) - 1.0) > 1e-9:
             raise ValueError("class_balance weights must sum to 1")
+        if self.min_degree_target is not None:
+            # a vertex of the largest class has at most n - |class| neighbors,
+            # and none at p = 0; refused before the retries draw n x n matrices
+            reach = 0
+            if self.edge_prob > 0:
+                reach = self.n - max(_class_sizes(self.n, self.class_balance))
+            if self.min_degree_target > reach:
+                raise ValueError(f"min degree target {self.min_degree_target} exceeds "
+                                 f"{reach}, the most a planted graph here can reach")
 
 
 def _class_sizes(n: int, weights: tuple[float, float, float]) -> list[int]:

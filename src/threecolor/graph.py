@@ -1,7 +1,8 @@
 """Bitset-backed simple undirected graphs with cheap subset views.
 
 Vertex ids are dense integers 0..n-1.  Vertex subsets are arbitrary
-precision integer bitmasks, so the intersection-heavy queries the
+precision integer bitmasks, bit v for vertex v, in every module's fields
+and signatures as in the kernels, so the intersection-heavy queries the
 coloring machinery lives on (N(v) & Y, degree into a subset) cost
 O(n/64) machine words instead of O(degree) hash lookups.
 ``unpack_bits``, ``unpack_rows``, ``pack_rows`` and ``pack_words`` are
@@ -59,70 +60,6 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-class VertexSet:
-    """Immutable subset of the vertices 0..n-1, stored as a bitmask."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0):
-        if bits < 0 or bits >> n:
-            raise VertexOutOfRange(f"bits out of range for universe of size {n}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
-
-    @classmethod
-    def from_iterable(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        bits = 0
-        for v in members:
-            if not 0 <= v < n:
-                raise VertexOutOfRange(f"vertex {v} not in 0..{n - 1}")
-            bits |= 1 << v
-        return cls(n, bits)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.bits >> v) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.n == other.n
-            and self.bits == other.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.bits & other.bits)
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.bits | other.bits)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet(self.n, self.bits & ~other.bits)
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self.bits & ~other.bits == 0
-
-    def to_list(self) -> list[int]:
-        return list(iter_bits(self.bits))
-
-    def __repr__(self) -> str:
-        return f"VertexSet(n={self.n}, members={self.to_list()})"
-
-
 class Graph:
     """Immutable simple undirected graph.
 
@@ -150,9 +87,6 @@ class Graph:
     @property
     def adj_rows(self) -> tuple[int, ...]:
         return self._adj
-
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet(self.n, self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
         return (self._adj[u] >> v) & 1 == 1
@@ -278,9 +212,13 @@ def _words(bits: int, rows: np.ndarray) -> np.ndarray:
 
 
 def bits_of(ids: np.ndarray, n: int) -> int:
-    """Bitmask of the vertex ids in ``ids``; inverse of ``np.flatnonzero(unpack_bits(.))``."""
+    """Bitmask of the vertex ids in ``ids``, a repeated id set once; inverse
+    of ``np.flatnonzero(unpack_bits(.))``."""
     if len(ids) < PACKED_MIN_MEMBERS:  # below the cutoff the int loop is cheaper here too
-        return sum(1 << v for v in ids.tolist())
+        bits = 0
+        for v in ids.tolist():
+            bits |= 1 << v
+        return bits
     row = np.zeros(n, dtype=np.uint8)
     row[ids] = 1
     return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
@@ -337,10 +275,11 @@ def union_neighborhoods(G: Graph, bits: int) -> int:
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """Proper 2-coloring of an induced subgraph, as the two color classes."""
+    """Proper 2-coloring of an induced subgraph, as the bitmasks of the two
+    color classes."""
 
-    side0: VertexSet
-    side1: VertexSet
+    side0: int
+    side1: int
 
 
 @dataclass(frozen=True)
@@ -354,8 +293,8 @@ class OddCycle:
     vertices: tuple[int, ...]
 
 
-def bipartition(G: Graph, W: VertexSet) -> TwoColoring | OddCycle:
-    """2-color G[W] or exhibit an odd cycle inside it.
+def bipartition(G: Graph, W: int) -> TwoColoring | OddCycle:
+    """2-color G[W], W a bitmask, or exhibit an odd cycle inside it.
 
     Sides are BFS layer parities (components explored from their lowest
     vertex), computed with whole-frontier bitmask sweeps.  A BFS edge
@@ -365,10 +304,9 @@ def bipartition(G: Graph, W: VertexSet) -> TwoColoring | OddCycle:
     a conflict is known to exist; it reads W alone, so the cycle it
     returns does not depend on where the sweep stopped.
     """
-    Wb = W.bits
     bits0 = 0
     bits1 = 0
-    unseen = Wb
+    unseen = W
     while unseen:
         start = unseen & -unseen
         frontier = start
@@ -381,17 +319,17 @@ def bipartition(G: Graph, W: VertexSet) -> TwoColoring | OddCycle:
             unseen &= ~frontier
             reach = union_neighborhoods(G, frontier)
             if reach & frontier:
-                return OddCycle(_extract_odd_cycle(G, Wb))
+                return OddCycle(_extract_odd_cycle(G, W))
             frontier = reach & unseen
             parity ^= 1
-    return TwoColoring(VertexSet(G.n, bits0), VertexSet(G.n, bits1))
+    return TwoColoring(bits0, bits1)
 
 
-def _extract_odd_cycle(G: Graph, Wb: int) -> tuple[int, ...]:
+def _extract_odd_cycle(G: Graph, W: int) -> tuple[int, ...]:
     """Parent-tracking BFS, used only when an odd cycle is present."""
     side: dict[int, int] = {}
     parent: dict[int, int | None] = {}
-    for start in iter_bits(Wb):
+    for start in iter_bits(W):
         if start in side:
             continue
         side[start] = 0
@@ -399,7 +337,7 @@ def _extract_odd_cycle(G: Graph, Wb: int) -> tuple[int, ...]:
         queue = deque([start])
         while queue:
             v = queue.popleft()
-            for u in iter_bits(G.adj_bits(v) & Wb):
+            for u in iter_bits(G.adj_bits(v) & W):
                 if u not in side:
                     side[u] = side[v] ^ 1
                     parent[u] = v

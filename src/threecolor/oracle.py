@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import (
-    Graph, OddCycle, VertexSet, bipartition, iter_bits, union_neighborhoods,
+    Graph, OddCycle, bipartition, bits_of, iter_bits, union_neighborhoods,
 )
 from .progress import (
     Claim, MonoSet, Progress, Type0, Type1, Type2, validate_progress,
@@ -255,7 +255,7 @@ def verify_progress_claim(
     if isinstance(claim, Type0):
         reasons = _pair_reasons(G, claim.u, claim.v, cap)
     elif isinstance(claim, MonoSet):
-        colors = _set_colors(G, tuple(claim.members), cap)
+        colors = _set_colors(G, tuple(iter_bits(claim.members)), cap)
         if colors and colors[1] > 1:
             reasons.append("set takes two colors in some 3-coloring")
     return Verdict(not reasons, reasons)
@@ -320,14 +320,14 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
             if k is None:
                 return Verdict(False, ["color target k required for this claim"])
             vertices = _vertex_ids(G, entry.get("vertices"), "vertices")
-            members = VertexSet.from_iterable(G.n, vertices)
+            members = bits_of(np.array(vertices), G.n)
             split = bipartition(G, members)
             if isinstance(split, OddCycle):
                 return Verdict(False, ["set is not 2-colorable"])
             if kind == "type1":
                 claim: Progress = Type1(members, split.side0, split.side1)
             else:
-                nbhd = VertexSet(G.n, union_neighborhoods(G, members.bits) & ~members.bits)
+                nbhd = union_neighborhoods(G, members) & ~members
                 claim = Type2(members, split.side0, split.side1, nbhd)
             return verify_progress_claim(G, claim, k, cap=cap)
         if kind in ("mono", "multi"):

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .graph import (
     Coloring,
     Graph,
-    VertexSet,
     degrees_into,
     is_proper_coloring,
     iter_bits,
@@ -59,22 +58,22 @@ class Type0:
 
 @dataclass(frozen=True)
 class Type1:
-    members: VertexSet
-    side0: VertexSet
-    side1: VertexSet
+    members: int
+    side0: int
+    side1: int
 
 
 @dataclass(frozen=True)
 class Type2:
-    members: VertexSet
-    side0: VertexSet
-    side1: VertexSet
-    neighborhood: VertexSet
+    members: int
+    side0: int
+    side1: int
+    neighborhood: int
 
 
 @dataclass(frozen=True)
 class MonoSet:
-    members: VertexSet
+    members: int
 
 
 Progress = Union[Type0, Type1, Type2, MonoSet]
@@ -108,10 +107,12 @@ class Claim:
 ClaimLog = list
 
 
-def log_claim(log, kind: str, vertices: Iterable[int], graph: Graph,
+def log_claim(log, kind: str, members: int, graph: Graph,
               conditional: tuple[int, int] | None = None) -> None:
+    """Append the claim on the vertex set ``members``, listed in ascending
+    id order, to ``log`` unless it is None."""
     if log is not None:
-        log.append(Claim(kind, tuple(vertices), graph, conditional))
+        log.append(Claim(kind, tuple(iter_bits(members)), graph, conditional))
 
 
 def type1_threshold(n: int, k: float, c1: float = 1.0) -> int:
@@ -131,18 +132,18 @@ class DriverStats:
     fallback_colored: int = 0
 
 
-def merge_vertex_set(G: Graph, members: VertexSet) -> tuple[Graph, tuple[int, ...]]:
+def merge_vertex_set(G: Graph, members: int) -> tuple[Graph, tuple[int, ...]]:
     """Merge a pairwise non-adjacent vertex set into its lowest member.
 
     Equivalent to repeated pairwise contraction; done in one rebuild.
     Returns the new graph and the old->new vertex map.
     """
-    ids = members.to_list()
+    ids = list(iter_bits(members))
     if len(ids) < 2:
         raise ValueError("need at least two vertices to merge")
     lo = ids[0]
     adj = list(G.adj_rows)
-    adj[lo] = union_neighborhoods(G, members.bits) & ~(1 << lo)
+    adj[lo] = union_neighborhoods(G, members) & ~(1 << lo)
     # the dropped members' columns are left out of the rebuild below
     for w in iter_bits(adj[lo]):
         adj[w] |= 1 << lo
@@ -245,16 +246,17 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
     only: the same-color statement itself needs the oracle.  An edge
     inside a MonoSet is not a shape fault (the claim holds vacuously
     when G[alive] has no 3-coloring); the driver refuses to merge one.
+    A Type 1/2 set with a vertex outside G[alive] gets that fault alone.
     """
     bad: list[str] = []
 
     def inside(v: int) -> bool:
         return v >= 0 and (alive_bits >> v) & 1 == 1
 
-    def check_witness(members: VertexSet, side0: VertexSet, side1: VertexSet):
-        if (side0.bits | side1.bits) != members.bits or (side0.bits & side1.bits):
+    def check_witness(members: int, side0: int, side1: int):
+        if (side0 | side1) != members or (side0 & side1):
             bad.append("witness sides do not partition the set")
-        elif spans_edge(G, side0.bits) or spans_edge(G, side1.bits):
+        elif spans_edge(G, side0) or spans_edge(G, side1):
             bad.append("witness side contains an edge")
 
     if isinstance(claim, Type0):
@@ -265,28 +267,28 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
         elif G.has_edge(claim.u, claim.v):
             bad.append("same-color pair is adjacent")
     elif isinstance(claim, MonoSet):
-        bits = claim.members.bits
-        if bits.bit_count() < 2:
+        if claim.members.bit_count() < 2:
             bad.append("monochromatic set needs at least two vertices")
-        if bits & ~alive_bits:
+        if claim.members & ~alive_bits:
             bad.append("monochromatic set leaves the working graph")
     elif isinstance(claim, (Type1, Type2)):
         if isinstance(claim, Type2) and not claim.members:
             bad.append("small-neighborhood set is empty")
-        if claim.members.bits & ~alive_bits:
+        if claim.members & ~alive_bits:
+            # the checks below read G's rows of the members
             bad.append("set leaves the working graph")
+            return bad
         check_witness(claim.members, claim.side0, claim.side1)
+        size = claim.members.bit_count()
         if isinstance(claim, Type1):
             floor = type1_threshold(alive_bits.bit_count(), k, c1)
-            if len(claim.members) < floor:
-                bad.append(
-                    f"set of size {len(claim.members)} below threshold {floor}"
-                )
+            if size < floor:
+                bad.append(f"set of size {size} below threshold {floor}")
         else:
-            want = union_neighborhoods(G, claim.members.bits) & alive_bits
-            if claim.neighborhood.bits != want & ~claim.members.bits:
+            want = union_neighborhoods(G, claim.members) & alive_bits
+            if claim.neighborhood != want & ~claim.members:
                 bad.append("declared neighborhood does not match the working graph")
-            if len(claim.neighborhood) > c2 * k * max(len(claim.members), 1):
+            if claim.neighborhood.bit_count() > c2 * k * max(size, 1):
                 bad.append("neighborhood exceeds the allowed factor")
     else:
         bad.append(f"unknown claim {claim!r}")
@@ -385,23 +387,23 @@ def color_with_progress(
             continue
 
         violations = validate_progress(base, alive, action, k, c1, c2)
-        if isinstance(action, MonoSet) and spans_edge(base, action.members.bits):
+        if not violations and isinstance(action, MonoSet) and spans_edge(base, action.members):
             violations.append("monochromatic set contains an edge")
         if violations:
             raise UnsoundProgress(violations)
 
         if isinstance(action, (Type0, MonoSet)):
             if isinstance(action, Type0):
-                members_bits = (1 << action.u) | (1 << action.v)
+                members = (1 << action.u) | (1 << action.v)
             else:
-                members_bits = action.members.bits
-            pair_ids = list(iter_bits(members_bits))
+                members = action.members
+            pair_ids = list(iter_bits(members))
             if claim_log is not None:
-                anchor = pair_ids[0]
+                anchor = 1 << pair_ids[0]
                 for other in pair_ids[1:]:
-                    log_claim(claim_log, "type0", (anchor, other), base)
+                    log_claim(claim_log, "type0", anchor | 1 << other, base)
             close_phase()
-            new_base, mapping = merge_vertex_set(base, VertexSet(base.n, members_bits))
+            new_base, mapping = merge_vertex_set(base, members)
             new_groups: list[tuple[int, ...]] = [() for _ in range(new_base.n)]
             for old in range(base.n):
                 if (alive >> old) & 1 or mapping[old] == mapping[pair_ids[0]]:
@@ -420,7 +422,7 @@ def color_with_progress(
             continue
 
         # Type 1 / Type 2: extract under the current phase's color pair.
-        members = action.members.bits
+        members = action.members
         if phase is None:
             phase = {
                 "start": alive.bit_count(),
@@ -434,7 +436,7 @@ def color_with_progress(
         reach = union_neighborhoods(base, members)
         if reach & phase["union"]:
             raise AssertionError("extracted set touches an earlier set of this phase")
-        for side_bits, which in ((action.side0.bits, "slot0"), (action.side1.bits, "slot1")):
+        for side_bits, which in ((action.side0, "slot0"), (action.side1, "slot1")):
             if not side_bits:
                 continue
             slot = alloc_side_slot(phase, which)

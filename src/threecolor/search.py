@@ -20,7 +20,6 @@ from fractions import Fraction
 
 from .graph import (
     Graph,
-    VertexSet,
     degrees_into,
     iter_bits,
     union_neighborhoods,
@@ -53,15 +52,15 @@ ROOT_RETRIES = 10  # roots tried per search, in decreasing degree order
 class MonochromaticIfDiffer:
     """S is monochromatic in every 3-coloring where t and r0 differ."""
 
-    members: VertexSet
+    members: int
     t: int
     r0: int
 
 
 @dataclass(frozen=True)
 class SparseCut:
-    X: VertexSet
-    Y: VertexSet
+    X: int
+    Y: int
 
 
 @dataclass(frozen=True)
@@ -76,8 +75,8 @@ CutResult = MonochromaticIfDiffer | SparseCut | ProgressFound
 class SideCut:
     """Best side cut; ``u`` is None when no vertex qualified."""
 
-    x: VertexSet
-    y: VertexSet
+    x: int
+    y: int
     u: int | None
 
 
@@ -146,8 +145,8 @@ def _emit(trace, event: str, **payload):
 def cut_or_color(
     G: Graph,
     r0: int,
-    S: VertexSet,
-    T: VertexSet,
+    S: int,
+    T: int,
     t: int,
     p: Params,
     *,
@@ -165,65 +164,60 @@ def cut_or_color(
     sound for every legal 3-coloring.  Scan order is ascending vertex
     id, with X-extensions exhausted before each Y-extension attempt.
     """
-    n = G.n
-    nh = nhat(n, p.k)
-    Sb, Tb = S.bits, T.bits
-    if Sb.bit_count() < 2:
+    nh = nhat(G.n, p.k)
+    if S.bit_count() < 2:
         raise ValueError("cut_or_color needs |S| >= 2")
-    if Sb & ~G.adj_bits(r0):
+    if S & ~G.adj_bits(r0):
         raise ValueError("S must lie inside N(r0)")
-    if not (Tb >> t) & 1:
+    if not (T >> t) & 1:
         raise ValueError("seed vertex must lie in T")
 
-    X = G.adj_bits(t) & Sb
+    X = G.adj_bits(t) & S
     if X == 0:
         raise ValueError("seed vertex has no neighbors in S")
-    Y = union_neighborhoods(G, X) & Tb
+    Y = union_neighborhoods(G, X) & T
     y_size = Y.bit_count()
     root_adj = G.adj_bits(r0)
     measure_cache: dict[int, tuple[int, int]] = {}
 
     while True:
-        if X == Sb:
-            members = VertexSet(n, Sb)
-            log_claim(claim_log, "mono_if_differ", members, G, conditional=(t, r0))
+        if X == S:
+            log_claim(claim_log, "mono_if_differ", S, G, conditional=(t, r0))
             _emit(trace, "cut", round=round_no, seed=t, verdict=True,
-                  x_size=Sb.bit_count(), y_size=y_size)
-            return MonochromaticIfDiffer(members, t, r0)
+                  x_size=S.bit_count(), y_size=y_size)
+            return MonochromaticIfDiffer(S, t, r0)
 
         extended = True
         while extended:
             extended = False
             # Y grows inside this scan, so each degree into Y is read fresh
-            for s in iter_bits(Sb & ~X):
-                witness_bits = G.adj_bits(s) & Y
-                if witness_bits.bit_count() >= nh:
-                    res = multichromatic_test(G, VertexSet(n, witness_bits), p,
-                                              claim_log=claim_log)
+            for s in iter_bits(S & ~X):
+                witness = G.adj_bits(s) & Y
+                if witness.bit_count() >= nh:
+                    res = multichromatic_test(G, witness, p, claim_log=claim_log)
                     if not isinstance(res, MultichromaticGuaranteed):
                         return ProgressFound(res)
                     X |= 1 << s
-                    Y |= G.adj_bits(s) & Tb
+                    Y |= G.adj_bits(s) & T
                     y_size = Y.bit_count()
                     extended = True
                     _emit(trace, "extension", round=round_no, kind="x", vertex=s,
                           x_size=X.bit_count(), y_size=y_size)
-            if X == Sb:
+            if X == S:
                 break
-        if X == Sb:
+        if X == S:
             continue
 
         applied = False
-        for t2 in iter_bits(Tb & ~Y):
+        for t2 in iter_bits(T & ~Y):
             cached = measure_cache.get(t2)
             if cached is not None and cached[0] + (y_size - cached[1]) < nh:
                 continue
-            witness_bits = union_neighborhoods(G, G.adj_bits(t2) & root_adj) & Y
-            measured = witness_bits.bit_count()
+            witness = union_neighborhoods(G, G.adj_bits(t2) & root_adj) & Y
+            measured = witness.bit_count()
             measure_cache[t2] = (measured, y_size)
             if measured >= nh:
-                res = multichromatic_test(G, VertexSet(n, witness_bits), p,
-                                          claim_log=claim_log)
+                res = multichromatic_test(G, witness, p, claim_log=claim_log)
                 if not isinstance(res, MultichromaticGuaranteed):
                     return ProgressFound(res)
                 Y |= 1 << t2
@@ -235,8 +229,7 @@ def cut_or_color(
         if applied:
             continue
 
-        cut = SparseCut(VertexSet(n, X), VertexSet(n, Y))
-        violations = check_sparse_cut(G, r0, S, T, t, cut.X, cut.Y, p)
+        violations = check_sparse_cut(G, r0, S, T, t, X, Y, p)
         if counters is not None:
             counters.sparse_cuts += 1
             counters.sparse_cut_violations += len(violations)
@@ -244,17 +237,17 @@ def cut_or_color(
             raise AssertionError(f"sparse cut violates {violations}")
         _emit(trace, "cut", round=round_no, seed=t, verdict=False,
               x_size=X.bit_count(), y_size=y_size)
-        return cut
+        return SparseCut(X, Y)
 
 
 def check_sparse_cut(
     G: Graph,
     r0: int,
-    S: VertexSet,
-    T: VertexSet,
+    S: int,
+    T: int,
     t: int,
-    X: VertexSet,
-    Y: VertexSet,
+    X: int,
+    Y: int,
     p: Params,
 ) -> list[str]:
     """Independently re-derive the four sparse-cut invariants.
@@ -267,23 +260,23 @@ def check_sparse_cut(
     """
     nh = nhat(G.n, p.k)
     violated = []
-    if G.adj_bits(t) & S.bits & ~X.bits:
+    if G.adj_bits(t) & S & ~X:
         violated.append("I1")
-    outside_T = T.bits & ~Y.bits
-    if union_neighborhoods(G, X.bits) & outside_T:
+    outside_T = T & ~Y
+    if union_neighborhoods(G, X) & outside_T:
         violated.append("I2")
-    if with_degree_at_least(G, S.bits & ~X.bits, Y.bits, nh):
+    if with_degree_at_least(G, S & ~X, Y, nh):
         violated.append("I3")
     root_adj = G.adj_bits(r0)
     for t2 in iter_bits(outside_T):
         reach = union_neighborhoods(G, G.adj_bits(t2) & root_adj)
-        if (reach & Y.bits).bit_count() >= nh:
+        if (reach & Y).bit_count() >= nh:
             violated.append("I4")
             break
     return violated
 
 
-def best_side_cut(G: Graph, X: VertexSet, Y: VertexSet, pair: RegularPair) -> SideCut:
+def best_side_cut(G: Graph, X: int, Y: int, pair: RegularPair) -> SideCut:
     """Smallest-Y' side cut over qualifying u in Y; ties keep the earliest u.
 
     A vertex u qualifies when it has at least delta_T * SIDECUT_FACTOR
@@ -291,14 +284,14 @@ def best_side_cut(G: Graph, X: VertexSet, Y: VertexSet, pair: RegularPair) -> Si
     X'(u) and the fresh T_j-neighbors Y'(u) of X'(u).  The scan starts
     from (S_j, T_j), so an empty scan returns the full pair.
     """
-    Sj, Tj = pair.S.bits, pair.T.bits
+    Sj, Tj = pair.S, pair.T
     # integral degrees: d >= x  <=>  d >= ceil(x)
     threshold_int = math.ceil(pair.delta_T * SIDECUT_FACTOR)
-    fresh_mask = Tj & ~Y.bits
+    fresh_mask = Tj & ~Y
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
-    for u in iter_bits(Y.bits):
-        outside = G.adj_bits(u) & Sj & ~X.bits
+    for u in iter_bits(Y):
+        outside = G.adj_bits(u) & Sj & ~X
         if outside.bit_count() < threshold_int:
             continue
         reach = 0
@@ -314,7 +307,7 @@ def best_side_cut(G: Graph, X: VertexSet, Y: VertexSet, pair: RegularPair) -> Si
         size = y_bits.bit_count()
         if size < best_size:
             best_x, best_y, best_u, best_size = outside, y_bits, u, size
-    return SideCut(VertexSet(G.n, best_x), VertexSet(G.n, best_y), best_u)
+    return SideCut(best_x, best_y, best_u)
 
 
 @dataclass(frozen=True)
@@ -338,40 +331,39 @@ def inner_loop(
     the current X drops below delta_T * |Y| / 2, with progress, or with
     one of the two error outcomes (|S| <= 1, or too few seed vertices).
     """
-    n = G.n
-    nh = nhat(n, p.k)
-    Sb, Tb = pair.S.bits, pair.T.bits
+    nh = nhat(G.n, p.k)
+    S, T = pair.S, pair.T
     # integral degrees: d >= x  <=>  d >= ceil(x)
     seed_floor = math.ceil(pair.delta_T * HIGHDEG_FACTOR)
     first = True
     while True:
         if not first:
-            mass = int(degrees_into(G, Tb, Sb)[1].sum())
-            if mass < pair.delta_T * TERM_FACTOR * Tb.bit_count():
-                if union_neighborhoods(G, Sb) & pair.T.bits & ~Tb:
+            mass = int(degrees_into(G, T, S)[1].sum())
+            if mass < pair.delta_T * TERM_FACTOR * T.bit_count():
+                if union_neighborhoods(G, S) & pair.T & ~T:
                     raise AssertionError(
                         "final cut lost a T_j-neighbor of its X side"
                     )
-                return SparseCut(VertexSet(n, Sb), VertexSet(n, Tb))
+                return SparseCut(S, T)
         first = False
-        if Sb.bit_count() <= 1:
+        if S.bit_count() <= 1:
             _emit(trace, "error", reason="ErrorA")
             return InnerError("ErrorA")
         # the seeds are a subset of T, so a T below nhat fails uncounted
         seeds = 0
-        if Tb.bit_count() >= nh:
-            seeds = with_degree_at_least(G, Tb, Sb, seed_floor)
+        if T.bit_count() >= nh:
+            seeds = with_degree_at_least(G, T, S, seed_floor)
         if seeds.bit_count() < nh:
             _emit(trace, "error", reason="ErrorB")
             return InnerError("ErrorB")
-        res = multichromatic_test(G, VertexSet(n, seeds), p, claim_log=claim_log)
+        res = multichromatic_test(G, seeds, p, claim_log=claim_log)
         if not isinstance(res, MultichromaticGuaranteed):
             return ProgressFound(res)
         found: SparseCut | None = None
         verdicts = 0
         for seed in iter_bits(seeds):
             outcome = cut_or_color(
-                G, r0, VertexSet(n, Sb), VertexSet(n, Tb), seed, p,
+                G, r0, S, T, seed, p,
                 claim_log=claim_log, trace=trace, round_no=pair.j,
                 counters=counters,
             )
@@ -384,24 +376,23 @@ def inner_loop(
         if found is None:
             if verdicts != seeds.bit_count():
                 raise AssertionError("monochromatic set without full verdict cover")
-            members = VertexSet(n, Sb)
-            log_claim(claim_log, "mono", members, G)
+            log_claim(claim_log, "mono", S, G)
             _emit(trace, "progress", round=pair.j, kind="mono",
-                  set_size=Sb.bit_count())
-            return ProgressFound(MonoSet(members))
-        if found.X.bits == Sb:
+                  set_size=S.bit_count())
+            return ProgressFound(MonoSet(S))
+        if found.X == S:
             raise AssertionError("adopted cut failed to shrink the S side")
-        Sb, Tb = found.X.bits, found.Y.bits
+        S, T = found.X, found.Y
 
 
 def audit_round(
     G: Graph,
     p: Params,
     pair: RegularPair,
-    sparse_X: VertexSet,
-    sparse_Y: VertexSet,
-    chosen_X: VertexSet,
-    chosen_Y: VertexSet,
+    sparse_X: int,
+    sparse_Y: int,
+    chosen_X: int,
+    chosen_Y: int,
     side_cut_adopted: bool,
     side_cut_u: int | None,
     termination_fired: bool = True,
@@ -415,34 +406,36 @@ def audit_round(
     """
     nh = nhat(G.n, p.k)
     d_S, d_T = pair.delta_S, pair.delta_T
-    outside = pair.S.bits & ~sparse_X.bits
+    outside = pair.S & ~sparse_X
     # integral degrees: d >= x  <=>  d >= ceil(x)
     side_floor = math.ceil(d_T * SIDECUT_FACTOR)
-    ypp_degrees = degrees_into(G, sparse_Y.bits, outside)[1]
+    ypp_degrees = degrees_into(G, sparse_Y, outside)[1]
     ypp_degrees = ypp_degrees[ypp_degrees >= side_floor]
     edge_mass_side = int(ypp_degrees.sum())
-    edge_mass_cut = int(degrees_into(G, sparse_Y.bits, sparse_X.bits)[1].sum())
-    mu = Fraction(len(chosen_Y) * nh) / (d_S * d_S) if d_S else Fraction(0)
+    edge_mass_cut = int(degrees_into(G, sparse_Y, sparse_X)[1].sum())
+    size_S, size_T = pair.S.bit_count(), pair.T.bit_count()
+    size_X, size_Y = chosen_X.bit_count(), chosen_Y.bit_count()
+    mu = Fraction(size_Y * nh) / (d_S * d_S) if d_S else Fraction(0)
 
-    cut_degrees = degrees_into(G, chosen_X.bits, chosen_Y.bits)[1]
+    cut_degrees = degrees_into(G, chosen_X, chosen_Y)[1]
     min_cut_deg = int(cut_degrees.min()) if len(cut_degrees) else 0
     x_floor = d_T * (SIDECUT_FACTOR if side_cut_adopted else HIGHDEG_FACTOR)
     flags = {
         "min_cut_degree": Fraction(min_cut_deg) >= d_S / 2,
-        "x_size_floor": Fraction(len(chosen_X)) >= x_floor,
-        "y_size_floor": Fraction(len(chosen_Y)) >= d_S * d_S / (8 * nh),
-        "y_sqrt_cap": len(chosen_Y) ** 2 <= 30 * nh * len(pair.T),
-        "y_round_cap": len(chosen_Y) < 30 * nh * (p.k ** (1 / 2 ** pair.j)),
+        "x_size_floor": Fraction(size_X) >= x_floor,
+        "y_size_floor": Fraction(size_Y) >= d_S * d_S / (8 * nh),
+        "y_sqrt_cap": size_Y ** 2 <= 30 * nh * size_T,
+        "y_round_cap": size_Y < 30 * nh * (p.k ** (1 / 2 ** pair.j)),
         "degree_vs_nhat": d_S > nh,
         "base_degree_floor": d_T >= 4 * d_S / nh,
         "side_edge_mass": (not termination_fired)
-        or Fraction(edge_mass_side) >= d_T * len(sparse_Y) / 6,
+        or Fraction(edge_mass_side) >= d_T * sparse_Y.bit_count() / 6,
     }
 
     if not flags["side_edge_mass"]:
         raise AssertionError("side-cut edge mass below the termination floor")
     if side_cut_adopted:
-        if chosen_X.bits & sparse_X.bits or chosen_Y.bits & sparse_Y.bits:
+        if chosen_X & sparse_X or chosen_Y & sparse_Y:
             raise AssertionError("adopted side cut overlaps the sparse cut")
         if not flags["x_size_floor"]:
             raise AssertionError("adopted side cut below the X' size floor")
@@ -455,10 +448,10 @@ def audit_round(
 
     return RoundAudit(
         j=pair.j,
-        size_S=len(pair.S),
-        size_T=len(pair.T),
-        size_X=len(chosen_X),
-        size_Y=len(chosen_Y),
+        size_S=size_S,
+        size_T=size_T,
+        size_X=size_X,
+        size_Y=size_Y,
         delta_S=d_S,
         delta_T=d_T,
         mu=mu,
@@ -520,9 +513,10 @@ def _seek_from_root(
     pair = build_two_level(G, r0, p, claim_log=claim_log)
     if not isinstance(pair, RegularPair):  # the root's neighborhood is progress
         _emit(trace, "progress", round=0, kind=type(pair).__name__.lower(),
-              set_size=len(pair.members))
+              set_size=pair.members.bit_count())
         return SeekOutcome(pair, None, audits, counters)
-    _emit(trace, "structure", root=r0, s_size=len(pair.S), t_size=len(pair.T),
+    _emit(trace, "structure", root=r0, s_size=pair.S.bit_count(),
+          t_size=pair.T.bit_count(),
           delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
     round_cap = default_round_cap(G.n)
     for j in range(1, round_cap + 1):
@@ -538,19 +532,19 @@ def _seek_from_root(
         if p.side_cuts:
             side = best_side_cut(G, X, Y, pair)
             counters.side_cut_checks += 1
-            adopted = side.u is not None and len(side.y) < len(Y)
+            adopted = side.u is not None and side.y.bit_count() < Y.bit_count()
         chosen_X, chosen_Y = (side.x, side.y) if adopted else (X, Y)
         if adopted:
             counters.side_cuts_adopted += 1
             _emit(trace, "side_cut", round=j, u=side.u,
-                  x_size=len(side.x), y_size=len(side.y))
+                  x_size=side.x.bit_count(), y_size=side.y.bit_count())
         audit = audit_round(G, p, pair, X, Y, chosen_X, chosen_Y, adopted,
                             side.u if adopted else None)
         audits.append(audit)
         _emit(trace, "round_end", round=j, **audit.to_dict())
         if not chosen_Y:
             return SeekOutcome(None, "StructureFailed", audits, counters)
-        ids, degrees = degrees_into(G, chosen_Y.bits, chosen_X.bits)
+        ids, degrees = degrees_into(G, chosen_Y, chosen_X)
         linked = degrees >= 1
         if not linked.any():
             return SeekOutcome(None, "StructureFailed", audits, counters)

@@ -19,7 +19,6 @@ import numpy as np
 from .graph import (
     Graph,
     OddCycle,
-    VertexSet,
     bipartition,
     bits_of,
     degrees_into,
@@ -99,7 +98,7 @@ def find_certificate(G: Graph, mask: int | None = None) -> tuple[int, tuple[int,
     for v, d in zip(ids[order].tolist(), degrees[order].tolist()):
         if d < 3:
             break
-        result = bipartition(G, VertexSet(G.n, G.adj_bits(v) & mask))
+        result = bipartition(G, G.adj_bits(v) & mask)
         if isinstance(result, OddCycle):
             return v, result.vertices
     return None
@@ -109,7 +108,7 @@ def find_certificate(G: Graph, mask: int | None = None) -> tuple[int, tuple[int,
 class MultichromaticGuaranteed:
     """X takes at least two colors in every legal 3-coloring."""
 
-    members: VertexSet
+    members: int
     reason: str  # "internal-edge" | "neighborhood-odd-cycle"
 
 
@@ -122,8 +121,8 @@ class RegularPair:
     neighbors in S.
     """
 
-    S: VertexSet
-    T: VertexSet
+    S: int
+    T: int
     delta_S: Fraction
     delta_T: Fraction
     j: int
@@ -135,12 +134,12 @@ class RegularPair:
         floor_S = math.floor(self.delta_S)
         floor_T = math.floor(self.delta_T)
         cap = math.floor(DEGREE_CAP * self.delta_T)
-        ids, degrees = degrees_into(G, self.S.bits, self.T.bits)
+        ids, degrees = degrees_into(G, self.S, self.T)
         bad = [
             f"vertex {v} has S-side degree at most delta_S"
             for v in ids[degrees <= floor_S].tolist()
         ]
-        ids, degrees = degrees_into(G, self.T.bits, self.S.bits)
+        ids, degrees = degrees_into(G, self.T, self.S)
         bad += [
             f"vertex {w} has T-side degree outside bounds"
             for w in ids[(degrees <= floor_T) | (degrees > cap)].tolist()
@@ -149,7 +148,7 @@ class RegularPair:
 
 
 def multichromatic_test(
-    G: Graph, X: VertexSet, p: Params, *, claim_log: ClaimLog | None = None
+    G: Graph, X: int, p: Params, *, claim_log: ClaimLog | None = None
 ) -> MultichromaticGuaranteed | Progress:
     """Either certify X multichromatic in every 3-coloring, or make progress.
 
@@ -160,28 +159,29 @@ def multichromatic_test(
     and small N(X) makes independent X a small-neighborhood set.
     """
     floor = nhat(G.n, p.k)
-    if len(X) < floor:
-        raise SetTooSmall(f"|X| = {len(X)} below the test floor {floor}")
-    if spans_edge(G, X.bits):
+    size = X.bit_count()
+    if size < floor:
+        raise SetTooSmall(f"|X| = {size} below the test floor {floor}")
+    if spans_edge(G, X):
         log_claim(claim_log, "multi", X, G)
         return MultichromaticGuaranteed(X, "internal-edge")
-    nbhd = VertexSet(G.n, union_neighborhoods(G, X.bits) & ~X.bits)
+    nbhd = union_neighborhoods(G, X) & ~X
     split = bipartition(G, nbhd)
     if isinstance(split, OddCycle):
         log_claim(claim_log, "multi", X, G)
         return MultichromaticGuaranteed(X, "neighborhood-odd-cycle")
-    if len(nbhd) >= type1_threshold(G.n, p.k, p.c1):
+    if nbhd.bit_count() >= type1_threshold(G.n, p.k, p.c1):
         return Type1(nbhd, split.side0, split.side1)
-    return Type2(X, X, VertexSet(G.n), nbhd)
+    return Type2(X, X, 0, nbhd)
 
 
-def regularize(G: Graph, S: VertexSet, t_ids: np.ndarray, t_degrees: np.ndarray,
+def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
                j: int) -> RegularPair:
     """Prune (S, T) to a two-sided degree-regular pair.
 
     T comes as its degree table into S: ``t_ids`` are T's vertex ids, in
     any order, and ``t_degrees[i]`` is |N(t_ids[i]) & S|, as
-    ``degrees_into(G, T.bits, S.bits)`` returns them; both callers
+    ``degrees_into(G, T, S)`` returns them; both callers
     already hold them.  T is bucketed by these degrees along powers of
     BUCKET_BASE; among buckets whose floor reaches half the average
     degree, the one with the largest edge mass into S wins (ties to the
@@ -209,16 +209,14 @@ def regularize(G: Graph, S: VertexSet, t_ids: np.ndarray, t_degrees: np.ndarray,
     U_bits = bits_of(u_table[0], G.n)
 
     delta_T = BOUNDARIES[level] / BASE_DEGREE_DIVISOR
-    s_table = degrees_into(G, S.bits, U_bits)
-    avg_into_bucket = Fraction(int(s_table[1].sum()), len(S))
+    s_table = degrees_into(G, S, U_bits)
+    avg_into_bucket = Fraction(int(s_table[1].sum()), S.bit_count())
     delta_S = avg_into_bucket / MIN_DEGREE_DIVISOR
 
-    surv_S, surv_T = _prune(G, S.bits, U_bits, delta_S, delta_T, s_table, u_table)
+    surv_S, surv_T = _prune(G, S, U_bits, delta_S, delta_T, s_table, u_table)
     if not surv_S or not surv_T:
         raise EmptyResult("regularization emptied a side")
-    pair = RegularPair(
-        VertexSet(G.n, surv_S), VertexSet(G.n, surv_T), delta_S, delta_T, j
-    )
+    pair = RegularPair(surv_S, surv_T, delta_S, delta_T, j)
     _assert_regular(G, pair)
     return pair
 
@@ -270,21 +268,21 @@ def build_two_level(
     """
     if G.degree(r0) == 0:
         raise ValueError("root must have at least one neighbor")
-    S = G.neighbors(r0)
+    S = G.adj_bits(r0)
     split = bipartition(G, S)
     if isinstance(split, OddCycle):
         raise Not3Colorable(r0, split.vertices)
-    if len(S) >= type1_threshold(G.n, p.k, p.c1):
+    if S.bit_count() >= type1_threshold(G.n, p.k, p.c1):
         return Type1(S, split.side0, split.side1)
-    ids, degrees = degrees_into(G, union_neighborhoods(G, S.bits), S.bits)
+    ids, degrees = degrees_into(G, union_neighborhoods(G, S), S)
     limit = max(int(G.n / p.k), 1)
     if len(ids) > limit:
         # a stable sort keeps the ascending ids of equal degrees
         top = (-degrees).argsort(kind="stable")[:limit]
         ids, degrees = ids[top], degrees[top]
     pair = regularize(G, S, ids, degrees, j=1)
-    if not pair.S.issubset(S):
+    if pair.S & ~S:
         raise AssertionError("regularized S escaped the root neighborhood")
-    if len(pair.T) > limit:
+    if pair.T.bit_count() > limit:
         raise AssertionError("second level exceeds its size cap")
     return pair

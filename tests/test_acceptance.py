@@ -14,6 +14,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from test_graph import mask
 
 from threecolor.baselines import (
     greedy_color,
@@ -24,7 +25,6 @@ from threecolor.baselines import (
 from threecolor.dimacs import emit_dimacs
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import (
-    VertexSet,
     build_graph,
     degrees_into,
     is_proper_coloring,
@@ -144,18 +144,18 @@ def test_criterion_3_side_cut_oracle_equivalence():
     """best_side_cut matches an independent quadratic argmin."""
 
     def brute(G, X, Y, pair):
-        Sj, Tj = pair.S.bits, pair.T.bits
+        Sj, Tj = pair.S, pair.T
         floor = pair.delta_T * SIDECUT_FACTOR
         best_x, best_y, best_u = Sj, Tj, None
         best_size = Tj.bit_count()
-        for u in iter_bits(Y.bits):
-            xs = G.adj_bits(u) & Sj & ~X.bits
+        for u in iter_bits(Y):
+            xs = G.adj_bits(u) & Sj & ~X
             if xs.bit_count() < floor:
                 continue
             ys = 0
             for x in iter_bits(xs):
                 ys |= G.adj_bits(x)
-            ys &= Tj & ~Y.bits
+            ys &= Tj & ~Y
             if ys.bit_count() < best_size:
                 best_x, best_y, best_u, best_size = xs, ys, u, ys.bit_count()
         return best_x, best_y, best_u
@@ -170,19 +170,17 @@ def test_criterion_3_side_cut_oracle_equivalence():
         members = rng.sample(range(n), rng.randrange(6, n))
         half = len(members) // 2
         pair = RegularPair(
-            VertexSet.from_iterable(n, members[:half]),
-            VertexSet.from_iterable(n, members[half:]),
+            mask(members[:half]),
+            mask(members[half:]),
             Fraction(1),
             Fraction(rng.randrange(1, 8), rng.randrange(1, 4)),
             1,
         )
-        X = VertexSet.from_iterable(
-            n, [v for v in members[:half] if rng.random() < 0.5])
-        Y = VertexSet.from_iterable(
-            n, [w for w in members[half:] if rng.random() < 0.5])
+        X = mask([v for v in members[:half] if rng.random() < 0.5])
+        Y = mask([w for w in members[half:] if rng.random() < 0.5])
         got = best_side_cut(g, X, Y, pair)
         want = brute(g, X, Y, pair)
-        if (got.x.bits, got.y.bits, got.u) != want:
+        if (got.x, got.y, got.u) != want:
             mismatches += 1
     assert mismatches == 0
     report("criterion-3", "100 random subproblems, 0 mismatches")
@@ -204,18 +202,17 @@ def test_criterion_4_regularize_contract():
                      if g.adj_bits(w) & s_bits and rng.random() < 0.8]
         if not t_members:
             continue
-        S = VertexSet(n, s_bits)
-        T = VertexSet.from_iterable(n, t_members)
-        pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
+        S, T = s_bits, mask(t_members)
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1)
         assert pair.S and pair.T
-        for v in iter_bits(pair.S.bits):
-            assert (g.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S
+        for v in iter_bits(pair.S):
+            assert (g.adj_bits(v) & pair.T).bit_count() > pair.delta_S
         cap = DEGREE_CAP * pair.delta_T
-        for w in iter_bits(pair.T.bits):
-            d = (g.adj_bits(w) & pair.S.bits).bit_count()
+        for w in iter_bits(pair.T):
+            d = (g.adj_bits(w) & pair.S).bit_count()
             assert pair.delta_T < d <= cap
         ref_S, ref_T = _random_order_regularize(g, S, T, rng)
-        assert (pair.S.bits, pair.T.bits) == (ref_S, ref_T)
+        assert (pair.S, pair.T) == (ref_S, ref_T)
         checked += 1
     assert checked >= 190
     report("criterion-4", f"{checked} random pairs, contract and "
@@ -223,8 +220,8 @@ def test_criterion_4_regularize_contract():
 
 
 def _random_order_regularize(g, S, T, rng):
-    degs = {w: (g.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
-    avg = Fraction(sum(degs.values()), len(T))
+    degs = {w: (g.adj_bits(w) & S).bit_count() for w in iter_bits(T)}
+    avg = Fraction(sum(degs.values()), T.bit_count())
     bounds = [Fraction(1)]
     while bounds[-1] <= max(degs.values()):
         bounds.append(bounds[-1] * BUCKET_BASE)
@@ -238,12 +235,12 @@ def _random_order_regularize(g, S, T, rng):
     eligible = [lv for lv in sorted(buckets) if bounds[lv] >= avg / 2]
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
     delta_T = bounds[level] / 4
-    s_list = S.to_list()
+    s_list = list(iter_bits(S))
     delta_S = Fraction(
         sum((g.adj_bits(v) & buckets[level]).bit_count() for v in s_list),
         4 * len(s_list),
     )
-    surv_S, surv_T = S.bits, buckets[level]
+    surv_S, surv_T = S, buckets[level]
     while True:
         bad = [("s", v) for v in iter_bits(surv_S)
                if (g.adj_bits(v) & surv_T).bit_count() <= delta_S]
@@ -270,7 +267,7 @@ def test_criterion_5_multichromatic_dichotomy():
         p = Params.for_graph(n, max(g.min_degree(), 1),
                              k=rng.choice([None, 1.5, 2.5, 4.0]))
         size = rng.randrange(nhat(n, p.k), n + 1)
-        members = VertexSet.from_iterable(n, rng.sample(range(n), size))
+        members = mask(rng.sample(range(n), size))
         res = multichromatic_test(g, members, p)
         if isinstance(res, MultichromaticGuaranteed):
             outcomes["guaranteed"] += 1
@@ -287,11 +284,11 @@ def test_criterion_5_multichromatic_dichotomy():
 
 
 def _check_sides(g, members, side0, side1):
-    if (side0.bits | side1.bits) != members.bits or (side0.bits & side1.bits):
+    if (side0 | side1) != members or (side0 & side1):
         return False
     for side in (side0, side1):
-        for v in iter_bits(side.bits):
-            if g.adj_bits(v) & side.bits:
+        for v in iter_bits(side):
+            if g.adj_bits(v) & side:
                 return False
     return True
 
@@ -301,19 +298,19 @@ def _structurally_valid_type1(g, claim, p):
 
     return (
         _check_sides(g, claim.members, claim.side0, claim.side1)
-        and len(claim.members) >= type1_threshold(g.n, p.k, p.c1)
+        and claim.members.bit_count() >= type1_threshold(g.n, p.k, p.c1)
     )
 
 
 def _structurally_valid_type2(g, claim, p):
     from threecolor.graph import union_neighborhoods
 
-    want = union_neighborhoods(g, claim.members.bits) & ~claim.members.bits
+    want = union_neighborhoods(g, claim.members) & ~claim.members
     return (
         bool(claim.members)
         and _check_sides(g, claim.members, claim.side0, claim.side1)
-        and claim.neighborhood.bits == want
-        and len(claim.neighborhood) <= p.c2 * p.k * len(claim.members)
+        and claim.neighborhood == want
+        and claim.neighborhood.bit_count() <= p.c2 * p.k * claim.members.bit_count()
     )
 
 
@@ -398,16 +395,16 @@ def test_criterion_8_boundary_constants(cut_suite):
     p = Params.for_graph(8, 1, k=2.0)
     assert nhat(8, p.k) == 2
     pair = RegularPair(
-        VertexSet.from_iterable(8, [0, 1, 2, 3]),
-        VertexSet.from_iterable(8, [4]),
+        mask([0, 1, 2, 3]),
+        mask([4]),
         Fraction(4), Fraction(3), 1,
     )
     audit = audit_round(
         g, p, pair,
-        sparse_X=VertexSet.from_iterable(8, [0, 1, 2, 3]),
-        sparse_Y=VertexSet.from_iterable(8, [4]),
-        chosen_X=VertexSet.from_iterable(8, [0, 1, 2, 3]),
-        chosen_Y=VertexSet.from_iterable(8, [4]),
+        sparse_X=mask([0, 1, 2, 3]),
+        sparse_Y=mask([4]),
+        chosen_X=mask([0, 1, 2, 3]),
+        chosen_Y=mask([4]),
         side_cut_adopted=False, side_cut_u=None,
         termination_fired=False,
     )

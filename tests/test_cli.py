@@ -51,6 +51,8 @@ class TestGenerate:
     @pytest.mark.parametrize("flags", [
         ["--balance", "1,x,1"], ["--balance", "nan,1,1"], ["--balance", "inf,1,1"],
         ["--n", str(MAX_VERTICES + 1)],
+        # the largest class holds 4 of the 10 vertices, so 6 is the most
+        ["--min-degree-target", "7"], ["--p", "0", "--min-degree-target", "1"],
     ])
     def test_unusable_input_exits_4(self, tmp_path, capsys, flags):
         code = run_cli(["generate", "--n", "10", *flags, "--out", str(tmp_path / "g")])
@@ -58,6 +60,12 @@ class TestGenerate:
         assert not list(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_output_under_a_file_exits_4(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code = run_cli(["generate", "--n", "10", "--out", str(tmp_path / "file" / "g")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_p_zero_edgeless(self, tmp_path):
         run_cli(["generate", "--n", "10", "--p", "0", "--out",
@@ -108,6 +116,21 @@ class TestColor:
 
     def test_missing_file_exit_4(self, tmp_path):
         assert run_cli(["color", "--in", str(tmp_path / "nope.col")]) == 4
+
+    @pytest.mark.parametrize("text", ["p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n", K4_TEXT],
+                             ids=["triangle", "k4"])
+    @pytest.mark.parametrize("flag", ["--out", "--report", "--trace"])
+    def test_unwritable_output_path_exits_4(self, tmp_path, capsys, text, flag):
+        # K4 ends in the not-3-colorable branch, which writes no --out
+        src = tmp_path / "g.col"
+        src.write_text(text)
+        bad = tmp_path / "nodir" / "x"
+        code = run_cli(["color", "--in", str(src), flag, str(bad)])
+        assert code == (2 if flag == "--out" and text == K4_TEXT else 4)
+        captured = capsys.readouterr()
+        if code == 4:
+            assert captured.err.startswith("error:") and str(bad) in captured.err
+            assert not captured.out
 
     def test_trace_written(self, tmp_path):
         g, _ = generate_planted(GenParams(n=80, edge_prob=0.5, seed=1))
@@ -184,6 +207,26 @@ class TestVerify:
         cfile.write_text(json.dumps([{"type": "type0", "pair": [0, 2]}]))
         code = run_cli(["verify", "--in", str(src), "--claims", str(cfile)])
         assert code == 3
+
+    def test_unwritable_out_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "p3.col"
+        src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text("[]")
+        code = run_cli(["verify", "--in", str(src), "--claims", str(cfile),
+                        "--out", str(tmp_path / "nodir" / "v.json")])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_deeply_nested_claims_file_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "p3.col"
+        src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text("[" * 100_000)
+        code = run_cli(["verify", "--in", str(src), "--claims", str(cfile)])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cfile) in err
 
     def test_empty_claims_ok(self, tmp_path):
         src = tmp_path / "p3.col"
@@ -355,6 +398,15 @@ class TestUsage:
         params.write_text(text)
         assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
 
+    def test_deeply_nested_params_file_exits_4(self, tmp_path, capsys):
+        src = tmp_path / "k4.col"
+        src.write_text(K4_TEXT)
+        params = tmp_path / "params.json"
+        params.write_text('{"k": ' + "[" * 100_000)
+        assert run_cli(["color", "--in", str(src), "--params", str(params)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(params) in err
+
     def test_bucket_base_past_the_degree_cap_exits_4(self, tmp_path, capsys):
         # on this graph a bucket base of 2 would leave T-side degrees above
         # DEGREE_CAP * delta_T; the base is a fixed constant, so the file is refused
@@ -473,6 +525,16 @@ class TestBench:
         assert not list(tmp_path.iterdir())
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("which", ["--out-csv", "--out-json"])
+    def test_unwritable_output_path_exits_4(self, tmp_path, capsys, which):
+        paths = {"--out-csv": tmp_path / "b.csv", "--out-json": tmp_path / "b.json"}
+        paths[which] = tmp_path / "nodir" / "b"
+        code = run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",
+                        "--methods", "greedy", "--out-csv", str(paths["--out-csv"]),
+                        "--out-json", str(paths["--out-json"])])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_error_rows_written_and_exit_1(self, tmp_path, monkeypatch):
         def broken(graph, order=None, base=0):

@@ -83,10 +83,24 @@ def test_min_degree_target_retries():
 
 
 def test_min_degree_unreachable():
+    # 20 = n - the largest class is legal, but out of reach at p = 0.1
     with pytest.raises(MinDegreeUnreachable):
         generate_planted(
-            GenParams(n=30, edge_prob=0.1, seed=0, min_degree_target=25)
+            GenParams(n=30, edge_prob=0.1, seed=0, min_degree_target=20)
         )
+
+
+@pytest.mark.parametrize("n, p, balance, target", [
+    (30, 0.1, (1 / 3, 1 / 3, 1 / 3), 21),
+    (30, 1.0, (0.5, 0.25, 0.25), 16),
+    (30, 0.0, (1 / 3, 1 / 3, 1 / 3), 1),
+    (0, 0.5, (1 / 3, 1 / 3, 1 / 3), 1),
+])
+def test_min_degree_target_beyond_any_planted_graph_refused(n, p, balance, target):
+    # a vertex of the largest class has at most n - |class| neighbors
+    with pytest.raises(ValueError, match="min degree target"):
+        GenParams(n=n, edge_prob=p, class_balance=balance, min_degree_target=target)
+    GenParams(n=n, edge_prob=p, class_balance=balance, min_degree_target=target - 1)
 
 
 def test_bad_params_rejected():

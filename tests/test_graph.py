@@ -18,8 +18,8 @@ from threecolor.graph import (
     SelfLoop,
     TwoColoring,
     VertexOutOfRange,
-    VertexSet,
     bipartition,
+    bits_of,
     build_graph,
     degrees_into,
     is_proper_coloring,
@@ -36,12 +36,16 @@ from threecolor.graph import (
 from threecolor.progress import _row_sums, induced_subgraph, merge_vertex_set
 
 
-def vs(n, members):
-    return VertexSet.from_iterable(n, members)
+def mask(members):
+    """Bitmask of the vertex ids in ``members``."""
+    bits = 0
+    for v in members:
+        bits |= 1 << v
+    return bits
 
 
 def full_set(g):
-    return VertexSet(g.n, (1 << g.n) - 1)
+    return (1 << g.n) - 1
 
 
 def contract(G, u, v):
@@ -167,6 +171,14 @@ def graph_and_masks(draw):
 def reference_degree(g, v, mask):
     """Neighbors of v in mask, counted one vertex pair at a time."""
     return sum(1 for u in range(g.n) if (mask >> u) & 1 and g.has_edge(v, u))
+
+
+@pytest.mark.parametrize("size", [5, PACKED_MIN_MEMBERS, 150])
+def test_bits_of_sets_a_repeated_id_once(size):
+    # both bodies: the int loop below the cutoff, the packed row at it
+    rng = random.Random(size)
+    ids = [rng.randrange(200) for _ in range(size - 2)] + [7, 7]
+    assert bits_of(np.array(ids), 200) == mask(ids)
 
 
 class TestDegreeKernels:
@@ -342,7 +354,7 @@ class TestRowBlocks:
         rng, g = self.graph(7)
         members = independent_members(rng, g, size)
         assert len(members) == size
-        merged, mapping = merge_vertex_set(g, vs(g.n, members))
+        merged, mapping = merge_vertex_set(g, mask(members))
         expect, expect_map = contract_all(g, members)
         assert mapping == expect_map
         assert (merged.n, merged.m) == (expect.n, expect.m)
@@ -355,7 +367,7 @@ class TestRowBlocks:
         members = [0, next(v for v in range(1, n) if not g.has_edge(0, v))]
         rebuilds = {
             "induced_subgraph": lambda: induced_subgraph(g, (1 << n) - 1),
-            "merge_vertex_set": lambda: merge_vertex_set(g, vs(n, members)),
+            "merge_vertex_set": lambda: merge_vertex_set(g, mask(members)),
         }
         peaks = {}
         tracemalloc.start()
@@ -382,7 +394,7 @@ class TestBipartition:
             assert c5.has_edge(cyc[i], cyc[(i + 1) % len(cyc)])
 
     def test_empty_set(self):
-        result = bipartition(TRIANGLE, vs(3, []))
+        result = bipartition(TRIANGLE, 0)
         assert isinstance(result, TwoColoring)
         assert not result.side0 and not result.side1
 
@@ -392,12 +404,12 @@ class TestBipartition:
         assert isinstance(result, TwoColoring)
         assert result.side0 | result.side1 == full_set(p4)
         for side in (result.side0, result.side1):
-            for v in side:
-                assert not (p4.adj_bits(v) & side.bits)
+            for v in iter_bits(side):
+                assert not (p4.adj_bits(v) & side)
 
     def test_triangle_within_subset_only(self):
         # the odd cycle must stay inside the queried subset
-        result = bipartition(K4, vs(4, [0, 1, 2]))
+        result = bipartition(K4, mask([0, 1, 2]))
         assert isinstance(result, OddCycle)
         assert set(result.vertices) <= {0, 1, 2}
 
@@ -405,9 +417,8 @@ class TestBipartition:
 def sweep_then_scan_bipartition(G, W):
     """The layer sweep followed by an inner-edge scan of each side: the
     reference for ``bipartition``'s conflict test inside the sweep."""
-    Wb = W.bits
     bits0 = bits1 = 0
-    unseen = Wb
+    unseen = W
     while unseen:
         frontier = unseen & -unseen
         parity = 0
@@ -420,8 +431,8 @@ def sweep_then_scan_bipartition(G, W):
             frontier = union_neighborhoods(G, frontier) & unseen
             parity ^= 1
     if spans_edge(G, bits0) or spans_edge(G, bits1):
-        return OddCycle(graph._extract_odd_cycle(G, Wb))
-    return TwoColoring(VertexSet(G.n, bits0), VertexSet(G.n, bits1))
+        return OddCycle(graph._extract_odd_cycle(G, W))
+    return TwoColoring(bits0, bits1)
 
 
 @st.composite
@@ -441,7 +452,7 @@ def graph_and_subset(draw):
         g = packed_copy(g)
     kind = draw(st.sampled_from(["all", "empty", "arbitrary"]))
     bits = {"all": (1 << n) - 1, "empty": 0, "arbitrary": rng.getrandbits(n)}[kind]
-    return g, VertexSet(n, bits)
+    return g, bits
 
 
 class TestBipartitionSweep:
@@ -457,12 +468,13 @@ class TestBipartitionSweep:
         assert got == want
         if isinstance(got, OddCycle):
             cyc = got.vertices
-            assert len(cyc) % 2 == 1 and set(cyc) <= set(W)
+            assert len(cyc) % 2 == 1 and set(cyc) <= set(iter_bits(W))
             assert all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
         else:
             assert got.side0 | got.side1 == W and not got.side0 & got.side1
             for side in (got.side0, got.side1):
-                assert not any(g.has_edge(u, v) for u in side for v in side)
+                assert not any(g.has_edge(u, v) for u in iter_bits(side)
+                               for v in iter_bits(side))
 
 
 class TestContract:
@@ -514,22 +526,6 @@ class TestProperColoring:
     def test_partial_rejected(self):
         with pytest.raises(PartialColoring):
             is_proper_coloring(TRIANGLE, Coloring((0, 1), 2))
-
-
-class TestVertexSet:
-    def test_iteration_ascending(self):
-        assert vs(10, [7, 2, 5]).to_list() == [2, 5, 7]
-
-    def test_operators(self):
-        a, b = vs(6, [0, 1, 2]), vs(6, [2, 3])
-        assert (a & b) == vs(6, [2])
-        assert (a | b) == vs(6, [0, 1, 2, 3])
-        assert (a - b) == vs(6, [0, 1])
-        assert vs(6, [2]).issubset(a)
-
-    def test_out_of_range(self):
-        with pytest.raises(VertexOutOfRange):
-            vs(3, [3])
 
 
 @given(st.data())

@@ -2,9 +2,10 @@ from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_graph import mask
 
 from threecolor import oracle
-from threecolor.graph import VertexSet, build_graph, iter_bits
+from threecolor.graph import build_graph, iter_bits
 from threecolor.oracle import (
     NO_COLORINGS,
     SAME_IN_ALL,
@@ -265,8 +266,8 @@ def test_claims_on_alternating_graphs_get_their_own_answers():
 
 class TestVerifyProgressClaim:
     def test_type1_on_path(self):
-        members = VertexSet.from_iterable(3, [0, 2])
-        claim = Type1(members, members, VertexSet(3))
+        members = mask([0, 2])
+        claim = Type1(members, members, 0)
         # threshold ceil(n / k): at k = 1.5 the floor is 2 and the
         # independent pair qualifies; at k = 1 it falls short
         assert verify_progress_claim(PATH3, claim, k=1.5).verified
@@ -277,38 +278,38 @@ class TestVerifyProgressClaim:
         assert not verdict.verified
 
     def test_type2_single_vertex(self):
-        members = VertexSet.from_iterable(3, [0])
-        nbhd = VertexSet.from_iterable(3, [1])
-        claim = Type2(members, members, VertexSet(3), nbhd)
+        members = mask([0])
+        nbhd = mask([1])
+        claim = Type2(members, members, 0, nbhd)
         verdict = verify_progress_claim(PATH3, claim, k=1.0)
         assert verdict.verified
 
     def test_type2_wrong_neighborhood(self):
-        members = VertexSet.from_iterable(3, [0])
-        claim = Type2(members, members, VertexSet(3), VertexSet(3))
+        members = mask([0])
+        claim = Type2(members, members, 0, 0)
         assert not verify_progress_claim(PATH3, claim, k=1.0).verified
 
     def test_mono_set_on_star_points(self):
         # in the 4-star plus an edge between two leaves, the two other
         # leaves need not share a color: expect rejection
         g = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
-        claim = MonoSet(VertexSet.from_iterable(4, [1, 3]))
+        claim = MonoSet(mask([1, 3]))
         assert not verify_progress_claim(g, claim, k=1.0).verified
 
     def test_mono_set_with_edge_is_vacuous_on_k4(self):
         # K4 has no 3-coloring, so every set is monochromatic in all of them
         k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        claim = MonoSet(VertexSet.from_iterable(4, [0, 1]))
+        claim = MonoSet(mask([0, 1]))
         assert verify_progress_claim(k4, claim, k=1.0).verified
-        assert not verify_progress_claim(PATH3, MonoSet(VertexSet.from_iterable(3, [0, 1])),
+        assert not verify_progress_claim(PATH3, MonoSet(mask([0, 1])),
                                          k=1.0).verified
 
     def test_type0_outside_the_graph_rejected(self):
         assert not verify_progress_claim(PATH3, Type0(0, 3), k=1.0).verified
 
     def test_type1_below_threshold(self):
-        members = VertexSet.from_iterable(3, [0])
-        claim = Type1(members, members, VertexSet(3))
+        members = mask([0])
+        claim = Type1(members, members, 0)
         assert not verify_progress_claim(PATH3, claim, k=1.0).verified
 
 
@@ -395,6 +396,26 @@ def test_claim_dict_bad_vertex_id_named(n, entry, named):
     assert not verdict.verified
     [reason] = verdict.reasons
     assert reason.startswith("malformed claim: ") and f" holds {named}," in reason
+
+
+@pytest.mark.parametrize("n, entry, k, holds", [
+    (3, {"type": "type1", "vertices": [0, 0, 2]}, 1.5, True),
+    (3, {"type": "type1", "vertices": [2, 0, 2]}, 1.0, False),
+    (3, {"type": "type2", "vertices": [0, 0]}, 1.0, True),
+    (3, {"type": "mono", "vertices": [0, 2, 0]}, None, False),
+    (3, {"type": "multi", "vertices": [1, 1, 2]}, None, True),
+    (70, {"type": "type1", "vertices": [*range(70), 69, 0]}, 1.0, True),
+])
+def test_claim_dict_repeated_id_counts_once(n, entry, k, holds):
+    # a repeated id names the same vertex again: the verdict is that of
+    # the entry with each id once
+    from threecolor.oracle import verify_claim_dict
+
+    graph = PATH3 if n == 3 else build_graph(n, [])
+    once = dict(entry, vertices=sorted(set(entry["vertices"])))
+    verdict = verify_claim_dict(graph, entry, k=k)
+    assert verdict.verified is holds
+    assert verdict == verify_claim_dict(graph, once, k=k)
 
 
 def test_sound_contraction_preserves_colorability():

@@ -2,12 +2,11 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_graph import contract
+from test_graph import contract, mask
 
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import (
     OddCycle,
-    VertexSet,
     bipartition,
     build_graph,
     is_proper_coloring,
@@ -25,10 +24,6 @@ from threecolor.progress import (
     merge_vertex_set,
     type1_threshold,
 )
-
-
-def vs(n, members):
-    return VertexSet.from_iterable(n, members)
 
 
 class TestThresholds:
@@ -53,8 +48,8 @@ class TestDriver:
         def source(view):
             calls.append(view.n_alive)
             if len(calls) == 1:
-                members = vs(3, [0, 2])
-                return Type1(members, members, VertexSet(3))
+                members = mask([0, 2])
+                return Type1(members, members, 0)
             return EXHAUSTED
 
         coloring, stats = color_with_progress(g, 2.0, source)
@@ -85,7 +80,7 @@ class TestDriver:
 
         def source(view):
             if view.n_alive == 5:
-                return MonoSet(vs(5, [0, 1, 2, 3]))
+                return MonoSet(mask([0, 1, 2, 3]))
             return EXHAUSTED
 
         coloring, stats = color_with_progress(g, 1.0, source)
@@ -122,8 +117,8 @@ class TestDriver:
         def source(view):
             steps.append(view.n_alive)
             if len(steps) == 1:
-                members = vs(12, [0])
-                return Type2(members, members, VertexSet(12), vs(12, [1, 2, 3]))
+                members = mask([0])
+                return Type2(members, members, 0, mask([1, 2, 3]))
             if len(steps) == 2:
                 return Defer(4)
             return EXHAUSTED
@@ -137,9 +132,9 @@ class TestDriver:
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
 
         def source(view):
-            members = vs(4, [0])
+            members = mask([0])
             # neighborhood understated: should be {1, 2, 3}
-            return Type2(members, members, VertexSet(4), vs(4, [1]))
+            return Type2(members, members, 0, mask([1]))
 
         with pytest.raises(UnsoundProgress):
             color_with_progress(g, 1.0, source)
@@ -148,11 +143,25 @@ class TestDriver:
         g = build_graph(6, [(0, 1), (2, 3), (4, 5)])
 
         def source(view):
-            members = vs(6, [0])
-            return Type1(members, members, VertexSet(6))
+            members = mask([0])
+            return Type1(members, members, 0)
 
         with pytest.raises(UnsoundProgress):
             color_with_progress(g, 1.0, source)
+
+    @pytest.mark.parametrize("claim", [
+        Type1(mask([0, 4]), mask([0, 4]), 0),
+        Type1(mask([0]), mask([0, 9]), 0),
+        Type2(mask([1, 70]), mask([1, 70]), 0, mask([0, 2])),
+        MonoSet(mask([0, 4])),
+        MonoSet(mask([2, 3, 64])),
+        MonoSet(-1),
+    ])
+    def test_mask_beyond_the_graph_rejected(self, claim):
+        # a bit at or above n names no vertex of the 4-vertex working graph
+        g = build_graph(4, [(0, 1), (1, 2)])
+        with pytest.raises(UnsoundProgress):
+            color_with_progress(g, 4.0, lambda view: claim)
 
     def test_adjacent_type0_rejected(self):
         g = build_graph(2, [(0, 1)])
@@ -170,12 +179,12 @@ class TestDriver:
         def source(view):
             if not handed:
                 handed.append(1)
-                members = vs(8, [0])
-                return Type2(members, members, VertexSet(8), vs(8, [1, 2]))
+                members = mask([0])
+                return Type2(members, members, 0, mask([1, 2]))
             if len(handed) == 1:
                 handed.append(2)
-                members = vs(8, [4])
-                return Type2(members, members, VertexSet(8), vs(8, [5, 6]))
+                members = mask([4])
+                return Type2(members, members, 0, mask([5, 6]))
             return EXHAUSTED
 
         coloring, stats = color_with_progress(g, 8.0, source)
@@ -232,15 +241,14 @@ def random_action(rng, view):
     if roll < 0.45:
         return Defer(v)
     if roll < 0.65:
-        W = VertexSet(G.n, view.neighbors_bits(v) or 1 << v)
+        W = view.neighbors_bits(v) or 1 << v
         split = bipartition(G, W)
         if isinstance(split, OddCycle):
             return Defer(v)
         return Type1(W, split.side0, split.side1)
     if roll < 0.75:
-        one = VertexSet(G.n, 1 << v)
-        return Type2(one, one, VertexSet(G.n),
-                     VertexSet(G.n, view.neighbors_bits(v)))
+        one = 1 << v
+        return Type2(one, one, 0, view.neighbors_bits(v))
     # an independent set of alive vertices, greedily in a random order
     rng.shuffle(ids)
     members = 0
@@ -251,7 +259,7 @@ def random_action(rng, view):
         return Defer(v)
     if members.bit_count() == 2:
         return Type0(*iter_bits(members))
-    return MonoSet(VertexSet(G.n, members))
+    return MonoSet(members)
 
 
 class TestDegreeKeys:
@@ -285,7 +293,7 @@ class TestMergeVertexSet:
             7,
             [(0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 6), (5, 6), (2, 6)],
         )
-        members = vs(7, [0, 1, 5])  # pairwise non-adjacent
+        members = mask([0, 1, 5])  # pairwise non-adjacent
         merged, mapping = merge_vertex_set(g, members)
 
         step, map1 = contract(g, 0, 1)
@@ -301,4 +309,4 @@ class TestMergeVertexSet:
     def test_rejects_singleton(self):
         g = build_graph(3, [])
         with pytest.raises(ValueError):
-            merge_vertex_set(g, vs(3, [1]))
+            merge_vertex_set(g, mask([1]))

@@ -5,10 +5,11 @@ from fractions import Fraction
 from unittest.mock import patch
 
 from hypothesis import given, settings, strategies as st
+from test_graph import mask
 
 from threecolor import search
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import VertexSet, build_graph, iter_bits, packed_subgraph
+from threecolor.graph import build_graph, iter_bits, packed_subgraph
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params, default_round_cap, nhat
 from threecolor.progress import MonoSet, induced_subgraph
@@ -28,10 +29,6 @@ from threecolor.search import (
     seek_progress,
 )
 from threecolor.structure import RegularPair
-
-
-def vs(n, members):
-    return VertexSet.from_iterable(n, members)
 
 
 def make_params(n, k, **kw):
@@ -54,9 +51,9 @@ class TestCutOrColor:
     def test_full_absorption_gives_verdict(self):
         g, s_ids, t_ids = complete_bipartite_with_root()
         p = make_params(g.n, 2.0)
-        res = cut_or_color(g, 0, vs(g.n, s_ids), vs(g.n, t_ids), t_ids[0], p)
+        res = cut_or_color(g, 0, mask(s_ids), mask(t_ids), t_ids[0], p)
         assert isinstance(res, MonochromaticIfDiffer)
-        assert res.members == vs(g.n, s_ids)
+        assert res.members == mask(s_ids)
         assert res.t == t_ids[0] and res.r0 == 0
 
     def test_disconnected_blocks_give_sparse_cut(self):
@@ -67,11 +64,11 @@ class TestCutOrColor:
         edges += [(3, 7), (3, 8), (4, 7), (4, 8)]  # block b: S {3,4} x T {7,8}
         g = build_graph(9, edges)
         p = make_params(9, 2.0)
-        S, T = vs(9, [1, 2, 3, 4]), vs(9, [5, 6, 7, 8])
+        S, T = mask([1, 2, 3, 4]), mask([5, 6, 7, 8])
         res = cut_or_color(g, 0, S, T, 5, p)
         assert isinstance(res, SparseCut)
-        assert res.X == vs(9, [1, 2])
-        assert res.Y == vs(9, [5, 6])
+        assert res.X == mask([1, 2])
+        assert res.Y == mask([5, 6])
         assert check_sparse_cut(g, 0, S, T, 5, res.X, res.Y, p) == []
 
     def test_x_extension_absorbs_via_shared_t(self):
@@ -82,7 +79,7 @@ class TestCutOrColor:
         edges += [(2, 3), (2, 4)]
         g = build_graph(5, edges)
         p = make_params(5, 3.0)  # nhat = 1
-        res = cut_or_color(g, 0, vs(5, [1, 2]), vs(5, [3, 4]), 3, p)
+        res = cut_or_color(g, 0, mask([1, 2]), mask([3, 4]), 3, p)
         assert isinstance(res, MonochromaticIfDiffer)
 
     def test_verdicts_sound_against_oracle(self):
@@ -107,43 +104,43 @@ class TestCheckSparseCut:
     def test_constructed_i1_violation(self):
         g, s_ids, t_ids = complete_bipartite_with_root()
         p = make_params(g.n, 2.0)
-        X = vs(g.n, s_ids[1:])  # drops one neighbor of the seed
-        Y = vs(g.n, t_ids)
-        out = check_sparse_cut(g, 0, vs(g.n, s_ids), vs(g.n, t_ids),
+        X = mask(s_ids[1:])  # drops one neighbor of the seed
+        Y = mask(t_ids)
+        out = check_sparse_cut(g, 0, mask(s_ids), mask(t_ids),
                                t_ids[0], X, Y, p)
         assert "I1" in out
 
     def test_constructed_i2_violation(self):
         g, s_ids, t_ids = complete_bipartite_with_root()
         p = make_params(g.n, 2.0)
-        X = vs(g.n, s_ids)
-        Y = vs(g.n, t_ids[:-1])  # X keeps an edge into T \ Y
-        out = check_sparse_cut(g, 0, vs(g.n, s_ids), vs(g.n, t_ids),
+        X = mask(s_ids)
+        Y = mask(t_ids[:-1])  # X keeps an edge into T \ Y
+        out = check_sparse_cut(g, 0, mask(s_ids), mask(t_ids),
                                t_ids[0], X, Y, p)
         assert "I2" in out
 
     def test_clean_cut_passes(self):
         g, s_ids, t_ids = complete_bipartite_with_root()
         p = make_params(g.n, 2.0)
-        out = check_sparse_cut(g, 0, vs(g.n, s_ids), vs(g.n, t_ids),
-                               t_ids[0], vs(g.n, s_ids), vs(g.n, t_ids), p)
+        out = check_sparse_cut(g, 0, mask(s_ids), mask(t_ids),
+                               t_ids[0], mask(s_ids), mask(t_ids), p)
         assert out == []
 
 
 def brute_force_side_cut(G, X, Y, pair):
     """Quadratic reference: scan every u, no shortcuts."""
-    Sj, Tj = pair.S.bits, pair.T.bits
+    Sj, Tj = pair.S, pair.T
     floor = pair.delta_T * SIDECUT_FACTOR
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
-    for u in iter_bits(Y.bits):
-        xs = G.adj_bits(u) & Sj & ~X.bits
+    for u in iter_bits(Y):
+        xs = G.adj_bits(u) & Sj & ~X
         if xs.bit_count() < floor:
             continue
         ys = 0
         for x in iter_bits(xs):
             ys |= G.adj_bits(x)
-        ys &= Tj & ~Y.bits
+        ys &= Tj & ~Y
         if ys.bit_count() < best_size:
             best_x, best_y, best_u, best_size = xs, ys, u, ys.bit_count()
     return best_x, best_y, best_u
@@ -152,10 +149,10 @@ def brute_force_side_cut(G, X, Y, pair):
 class TestBestSideCut:
     def test_no_qualifier_returns_full_pair(self):
         g, s_ids, t_ids = complete_bipartite_with_root()
-        pair = RegularPair(vs(g.n, s_ids), vs(g.n, t_ids),
+        pair = RegularPair(mask(s_ids), mask(t_ids),
                            Fraction(2), Fraction(2), 1)
         # X = S: nobody has neighbors outside X
-        res = best_side_cut(g, vs(g.n, s_ids), vs(g.n, t_ids), pair)
+        res = best_side_cut(g, mask(s_ids), mask(t_ids), pair)
         assert res.u is None
         assert res.x == pair.S and res.y == pair.T
 
@@ -165,14 +162,14 @@ class TestBestSideCut:
         edges += [(1, 5), (2, 5), (1, 6), (2, 6)]
         edges += [(3, 6), (4, 6), (3, 7), (4, 7)]
         g = build_graph(8, edges)
-        pair = RegularPair(vs(8, [1, 2, 3, 4]), vs(8, [5, 6, 7]),
+        pair = RegularPair(mask([1, 2, 3, 4]), mask([5, 6, 7]),
                            Fraction(1), Fraction(2), 1)
-        X, Y = vs(8, [1, 2]), vs(8, [5, 6])
+        X, Y = mask([1, 2]), mask([5, 6])
         res = best_side_cut(g, X, Y, pair)
         assert res.u == 6
-        assert res.x == vs(8, [3, 4])
-        assert res.y == vs(8, [7])
-        assert not (res.x.bits & X.bits) and not (res.y.bits & Y.bits)
+        assert res.x == mask([3, 4])
+        assert res.y == mask([7])
+        assert not (res.x & X) and not (res.y & Y)
 
     def test_matches_brute_force_on_random_subproblems(self):
         rng = random.Random(13)
@@ -187,26 +184,26 @@ class TestBestSideCut:
             X = [v for v in Sj if rng.random() < 0.5]
             Y = [w for w in Tj if rng.random() < 0.5]
             pair = RegularPair(
-                vs(n, Sj), vs(n, Tj),
+                mask(Sj), mask(Tj),
                 Fraction(1), Fraction(rng.randrange(1, 7), rng.randrange(1, 4)), 1,
             )
-            got = best_side_cut(g, vs(n, X), vs(n, Y), pair)
-            want_x, want_y, want_u = brute_force_side_cut(g, vs(n, X), vs(n, Y), pair)
-            assert got.x.bits == want_x
-            assert got.y.bits == want_y
+            got = best_side_cut(g, mask(X), mask(Y), pair)
+            want_x, want_y, want_u = brute_force_side_cut(g, mask(X), mask(Y), pair)
+            assert got.x == want_x
+            assert got.y == want_y
             assert got.u == want_u
 
 
 class TestInnerLoop:
     def test_singleton_s_is_error_a(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        pair = RegularPair(vs(3, [1]), vs(3, [2]), Fraction(1), Fraction(1), 1)
+        pair = RegularPair(mask([1]), mask([2]), Fraction(1), Fraction(1), 1)
         res = inner_loop(g, 0, pair, make_params(3, 1.0))
         assert isinstance(res, InnerError) and res.reason == "ErrorA"
 
     def test_too_few_seeds_is_error_b(self):
         g, s_ids, t_ids = complete_bipartite_with_root(2, 1)
-        pair = RegularPair(vs(g.n, s_ids), vs(g.n, t_ids),
+        pair = RegularPair(mask(s_ids), mask(t_ids),
                            Fraction(1), Fraction(1), 1)
         p = make_params(g.n, 1.0)  # nhat = n, unreachable
         trace = []
@@ -222,7 +219,7 @@ class TestInnerLoop:
         # S = {1, 2}, T = {3..8}; only 3 and 4 have S-neighbors, so 2 of
         # the 6 members of T reach the seed floor ceil(delta_T / 4) = 1
         g = build_graph(9, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
-        pair = RegularPair(vs(9, [1, 2]), vs(9, range(3, 9)),
+        pair = RegularPair(mask([1, 2]), mask(range(3, 9)),
                            Fraction(1), Fraction(2), 1)
         p = make_params(9, 1.5)
         assert nhat(9, p.k) == 4
@@ -236,14 +233,14 @@ class TestInnerLoop:
 
     def test_complete_bipartite_yields_monochromatic_set(self):
         g, s_ids, t_ids = complete_bipartite_with_root(extra_t_edge=True)
-        pair = RegularPair(vs(g.n, s_ids), vs(g.n, t_ids),
+        pair = RegularPair(mask(s_ids), mask(t_ids),
                            Fraction(2), Fraction(1), 1)
         p = make_params(g.n, 2.0)  # nhat = ceil(7/4) = 2
         log = []
         res = inner_loop(g, 0, pair, p, claim_log=log)
         assert isinstance(res, ProgressFound)
         assert isinstance(res.progress, MonoSet)
-        assert res.progress.members == vs(g.n, s_ids)
+        assert res.progress.members == mask(s_ids)
         summary = enumerate_3colorings(g, sets=(tuple(s_ids),))
         assert summary.colorable
         assert summary.set_max_colors[tuple(s_ids)] == 1
@@ -258,12 +255,12 @@ class TestAuditRound:
         g = build_graph(8, [(0, 4), (1, 4), (2, 4), (3, 4)])
         p = make_params(8, 2.0)
         assert nhat(8, p.k) == 2
-        pair = RegularPair(vs(8, [0, 1, 2, 3]), vs(8, [4]),
+        pair = RegularPair(mask([0, 1, 2, 3]), mask([4]),
                            Fraction(4), Fraction(3), 1)
         audit = audit_round(
             g, p, pair,
-            sparse_X=vs(8, [0, 1, 2, 3]), sparse_Y=vs(8, [4]),
-            chosen_X=vs(8, [0, 1, 2, 3]), chosen_Y=vs(8, [4]),
+            sparse_X=mask([0, 1, 2, 3]), sparse_Y=mask([4]),
+            chosen_X=mask([0, 1, 2, 3]), chosen_Y=mask([4]),
             side_cut_adopted=False, side_cut_u=None,
             termination_fired=False,
         )
@@ -276,12 +273,12 @@ class TestAuditRound:
         edges = [(u, v) for u in range(4) for v in range(4, 10)]
         g = build_graph(10, edges)
         p = make_params(10, 2.0)
-        pair = RegularPair(vs(10, range(4)), vs(10, range(4, 10)),
+        pair = RegularPair(mask(range(4)), mask(range(4, 10)),
                            Fraction(3), Fraction(3), 1)
         audit = audit_round(
             g, p, pair,
-            sparse_X=vs(10, [0]), sparse_Y=vs(10, range(4, 10)),
-            chosen_X=vs(10, [0]), chosen_Y=vs(10, range(4, 10)),
+            sparse_X=mask([0]), sparse_Y=mask(range(4, 10)),
+            chosen_X=mask([0]), chosen_Y=mask(range(4, 10)),
             side_cut_adopted=False, side_cut_u=None,
             termination_fired=True,
         )
@@ -295,12 +292,12 @@ class TestAuditRound:
         edges += [(3, 6), (4, 6), (3, 7), (4, 7)]
         g = build_graph(8, edges)
         p = make_params(8, 2.0)
-        pair = RegularPair(vs(8, [1, 2, 3, 4]), vs(8, [5, 6, 7]),
+        pair = RegularPair(mask([1, 2, 3, 4]), mask([5, 6, 7]),
                            Fraction(1), Fraction(2), 1)
         audit = audit_round(
             g, p, pair,
-            sparse_X=vs(8, [1, 2]), sparse_Y=vs(8, [5, 6]),
-            chosen_X=vs(8, [3, 4]), chosen_Y=vs(8, [7]),
+            sparse_X=mask([1, 2]), sparse_Y=mask([5, 6]),
+            chosen_X=mask([3, 4]), chosen_Y=mask([7]),
             side_cut_adopted=True, side_cut_u=6,
             termination_fired=False,
         )

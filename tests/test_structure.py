@@ -7,11 +7,11 @@ from unittest.mock import patch
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_graph import mask
 
 from threecolor.generate import GenParams, generate_planted
 from threecolor import structure
 from threecolor.graph import (
-    VertexSet,
     build_graph,
     degrees_into,
     iter_bits,
@@ -45,10 +45,6 @@ from threecolor.structure import (
 )
 
 
-def vs(n, members):
-    return VertexSet.from_iterable(n, members)
-
-
 class _Stop(Exception):
     pass
 
@@ -61,7 +57,7 @@ class TestMultichromaticTest:
     def test_internal_edge(self):
         g = build_graph(4, [(0, 1), (2, 3)])
         p = make_params(4, 2.0)  # nhat = 1
-        res = multichromatic_test(g, vs(4, [0, 1]), p)
+        res = multichromatic_test(g, mask([0, 1]), p)
         assert isinstance(res, MultichromaticGuaranteed)
         assert res.reason == "internal-edge"
 
@@ -74,7 +70,7 @@ class TestMultichromaticTest:
             edges += [(x, i), (x, i + 1)]
         g = build_graph(9, edges)
         p = make_params(9, 2.0)  # nhat = ceil(9/4) = 3 <= |X| = 4
-        res = multichromatic_test(g, vs(9, [5, 6, 7, 8]), p)
+        res = multichromatic_test(g, mask([5, 6, 7, 8]), p)
         assert isinstance(res, MultichromaticGuaranteed)
         assert res.reason == "neighborhood-odd-cycle"
         summary = enumerate_3colorings(g, sets=((5, 6, 7, 8),))
@@ -86,20 +82,20 @@ class TestMultichromaticTest:
         # clear the large-set threshold.  k = 3 keeps the test floor at 1
         # (the floor at k = 2 would be 2 and reject the singleton).
         g = build_graph(6, [(0, i) for i in range(1, 6)])
-        res = multichromatic_test(g, vs(6, [0]), make_params(6, 3.0))
+        res = multichromatic_test(g, mask([0]), make_params(6, 3.0))
         assert isinstance(res, Type1)
-        assert res.members == vs(6, [1, 2, 3, 4, 5])
+        assert res.members == mask([1, 2, 3, 4, 5])
         with pytest.raises(SetTooSmall):
-            multichromatic_test(g, vs(6, [0]), make_params(6, 2.0))
+            multichromatic_test(g, mask([0]), make_params(6, 2.0))
 
     def test_small_neighborhood_outcome(self):
         # one isolated-ish pendant chain: X = {3} with lone neighbor {2}
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)])
         p = make_params(8, 3.0)  # nhat = 1, threshold = ceil(8/3) = 3
-        res = multichromatic_test(g, vs(8, [3]), p)
+        res = multichromatic_test(g, mask([3]), p)
         assert isinstance(res, Type2)
-        assert res.members == vs(8, [3])
-        assert res.neighborhood == vs(8, [2])
+        assert res.members == mask([3])
+        assert res.neighborhood == mask([2])
 
     def test_dichotomy_on_random_sets(self):
         rng = random.Random(11)
@@ -111,7 +107,7 @@ class TestMultichromaticTest:
             )
             p = Params.for_graph(n, max(g.min_degree(), 1))
             size = rng.randrange(nhat(n, p.k), n + 1)
-            members = vs(n, rng.sample(range(n), size))
+            members = mask(rng.sample(range(n), size))
             res = multichromatic_test(g, members, p)
             assert isinstance(res, (MultichromaticGuaranteed, Type1, Type2))
             outcomes.add(type(res).__name__)
@@ -128,7 +124,7 @@ class TestMultichromaticTest:
             p = Params.for_graph(n, max(g.min_degree(), 1))
             size = rng.randrange(nhat(n, p.k), n + 1)
             members = tuple(sorted(rng.sample(range(n), size)))
-            res = multichromatic_test(g, vs(n, members), p)
+            res = multichromatic_test(g, mask(members), p)
             if isinstance(res, MultichromaticGuaranteed):
                 summary = enumerate_3colorings(g, sets=(members,))
                 if summary.colorable:
@@ -145,7 +141,7 @@ class TestRegularPairCheck:
     def test_degree_equal_to_a_bound_fails(self, delta_S, delta_T, flagged):
         # path 1-0-2 with S = {0}, T = {1, 2}; both degree bounds are strict
         g = build_graph(3, [(0, 1), (0, 2)])
-        pair = RegularPair(vs(3, [0]), vs(3, [1, 2]), delta_S, delta_T, 1)
+        pair = RegularPair(mask([0]), mask([1, 2]), delta_S, delta_T, 1)
         bad = pair.check(g)
         assert [int(msg.split()[1]) for msg in bad] == flagged
         with pytest.raises(AssertionError):
@@ -157,12 +153,12 @@ def reference_check(G, pair, degree_cap):
     bad = []
     if not pair.S or not pair.T:
         return ["empty side"]
-    for v in iter_bits(pair.S.bits):
-        if (G.adj_bits(v) & pair.T.bits).bit_count() <= pair.delta_S:
+    for v in iter_bits(pair.S):
+        if (G.adj_bits(v) & pair.T).bit_count() <= pair.delta_S:
             bad.append(f"vertex {v} has S-side degree at most delta_S")
     cap = degree_cap * pair.delta_T
-    for w in iter_bits(pair.T.bits):
-        d = (G.adj_bits(w) & pair.S.bits).bit_count()
+    for w in iter_bits(pair.T):
+        d = (G.adj_bits(w) & pair.S).bit_count()
         if d <= pair.delta_T or d > cap:
             bad.append(f"vertex {w} has T-side degree outside bounds")
     return bad
@@ -216,7 +212,7 @@ def pair_case(draw):
 def reference_regularize(G, S, T):
     """regularize with the buckets built one vertex at a time by bisection;
     None where regularize raises EmptyResult."""
-    degs = {w: (G.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
+    degs = {w: (G.adj_bits(w) & S).bit_count() for w in iter_bits(T)}
     avg = Fraction(sum(degs.values()), len(degs))
     boundaries = [Fraction(1)]
     while boundaries[-1] <= max(degs.values()):
@@ -232,9 +228,9 @@ def reference_regularize(G, S, T):
         return None
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
     delta_T = boundaries[level] / BASE_DEGREE_DIVISOR
-    into = sum((G.adj_bits(v) & buckets[level]).bit_count() for v in iter_bits(S.bits))
-    delta_S = Fraction(into, len(S)) / MIN_DEGREE_DIVISOR
-    surv_S, surv_T = reference_prune(G, S.bits, buckets[level], delta_S, delta_T)
+    into = sum((G.adj_bits(v) & buckets[level]).bit_count() for v in iter_bits(S))
+    delta_S = Fraction(into, S.bit_count()) / MIN_DEGREE_DIVISOR
+    surv_S, surv_T = reference_prune(G, S, buckets[level], delta_S, delta_T)
     if not surv_S or not surv_T:
         return None
     return surv_S, surv_T, delta_S, delta_T
@@ -257,8 +253,7 @@ class TestIntegerThresholds:
     @settings(max_examples=200, deadline=None)
     def test_check_matches_fraction_reference(self, case):
         g, s_bits, t_bits, delta_S, delta_T = case
-        pair = RegularPair(VertexSet(g.n, s_bits), VertexSet(g.n, t_bits),
-                           delta_S, delta_T, 1)
+        pair = RegularPair(s_bits, t_bits, delta_S, delta_T, 1)
         assert pair.check(g) == reference_check(g, pair, DEGREE_CAP)
 
     @given(pair_case())
@@ -277,17 +272,17 @@ class TestArrayBucketing:
     @settings(max_examples=150, deadline=None)
     def test_regularize_matches_loop_reference(self, data):
         g, rng = random_graph(data.draw, 150)
-        S = VertexSet(g.n, rng.getrandbits(g.n))
-        reach = union_neighborhoods(g, S.bits)
-        T = VertexSet(g.n, reach & rng.getrandbits(g.n))
+        S = rng.getrandbits(g.n)
+        reach = union_neighborhoods(g, S)
+        T = reach & rng.getrandbits(g.n)
         if not S or not T:
             return
         # the table may come in any order
-        ids, degrees = degrees_into(g, T.bits, S.bits)
+        ids, degrees = degrees_into(g, T, S)
         order = np.array(data.draw(st.permutations(range(len(ids)))), dtype=np.int64)
         try:
             pair = regularize(g, S, ids[order], degrees[order], j=1)
-            got = (pair.S.bits, pair.T.bits, pair.delta_S, pair.delta_T)
+            got = (pair.S, pair.T, pair.delta_S, pair.delta_T)
         except EmptyResult:
             got = None
         assert got == reference_regularize(g, S, T)
@@ -302,15 +297,15 @@ class TestArrayBucketing:
         @settings(max_examples=150, deadline=None, derandomize=True, database=None)
         def check(data):
             g, rng = random_graph(data.draw, 150)
-            S = VertexSet(g.n, rng.getrandbits(g.n))
-            T = VertexSet(g.n, union_neighborhoods(g, S.bits) & rng.getrandbits(g.n))
+            S = rng.getrandbits(g.n)
+            T = union_neighborhoods(g, S) & rng.getrandbits(g.n)
             if not S or not T:
                 return
             with patch.object(structure, "with_degree_at_least",
                               wraps=with_degree_at_least) as recount:
                 try:
-                    pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
-                    got = (pair.S.bits, pair.T.bits, pair.delta_S, pair.delta_T)
+                    pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+                    got = (pair.S, pair.T, pair.delta_S, pair.delta_T)
                 except EmptyResult:
                     got = None
             expect = reference_regularize(g, S, T)
@@ -319,9 +314,9 @@ class TestArrayBucketing:
                 return
             surv_S, surv_T, _, delta_T = expect
             low = delta_T * BASE_DEGREE_DIVISOR  # the chosen bucket's floor
-            bucket = sum(1 << w for w in iter_bits(T.bits)
-                         if low <= (g.adj_bits(w) & S.bits).bit_count() < low * BUCKET_BASE)
-            final = (surv_S, surv_T) == (S.bits, bucket)
+            bucket = sum(1 << w for w in iter_bits(T)
+                         if low <= (g.adj_bits(w) & S).bit_count() < low * BUCKET_BASE)
+            final = (surv_S, surv_T) == (S, bucket)
             assert (recount.call_count == 0) == final
             first_pass_final.add(final)
 
@@ -364,10 +359,10 @@ class TestRegularize:
         # vertex is pruned
         edges = [(u, v) for u in range(4) for v in range(4, 8)]
         g = build_graph(8, edges)
-        S, T = vs(8, range(4)), vs(8, range(4, 8))
-        pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
-        assert pair.S == vs(8, range(4))
-        assert pair.T == vs(8, range(4, 8))
+        S, T = mask(range(4)), mask(range(4, 8))
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+        assert pair.S == mask(range(4))
+        assert pair.T == mask(range(4, 8))
         assert pair.delta_S == Fraction(1)
         assert pair.delta_T == Fraction(64, 81)
 
@@ -376,10 +371,10 @@ class TestRegularize:
         # only eligible one; survivors are its vertex and its neighbors
         edges = [(8, 0), (9, 1), (10, 2)] + [(11, s) for s in range(8)]
         g = build_graph(12, edges)
-        S, T = vs(12, range(8)), vs(12, range(8, 12))
-        pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
-        assert pair.T == vs(12, [11])
-        assert pair.S == vs(12, range(8))
+        S, T = mask(range(8)), mask(range(8, 12))
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+        assert pair.T == mask([11])
+        assert pair.S == mask(range(8))
         assert pair.delta_T == Fraction(4, 3) ** 7 / 4
         assert pair.delta_S == Fraction(8, 8 * 4)
 
@@ -387,29 +382,29 @@ class TestRegularize:
         rng = random.Random(5)
         for trial in range(60):
             g, S, T = _random_regularize_input(rng, trial)
-            pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
+            pair = regularize(g, S, *degrees_into(g, T, S), j=1)
             assert pair.S and pair.T
-            for v in iter_bits(pair.S.bits):
-                assert (g.adj_bits(v) & pair.T.bits).bit_count() > pair.delta_S
+            for v in iter_bits(pair.S):
+                assert (g.adj_bits(v) & pair.T).bit_count() > pair.delta_S
             cap = DEGREE_CAP * pair.delta_T
-            for w in iter_bits(pair.T.bits):
-                d = (g.adj_bits(w) & pair.S.bits).bit_count()
+            for w in iter_bits(pair.T):
+                d = (g.adj_bits(w) & pair.S).bit_count()
                 assert pair.delta_T < d <= cap
 
     def test_fixed_point_is_order_independent(self):
         rng = random.Random(77)
         for trial in range(50):
             g, S, T = _random_regularize_input(rng, 500 + trial)
-            pair = regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
+            pair = regularize(g, S, *degrees_into(g, T, S), j=1)
             ref_S, ref_T = _random_order_prune(g, S, T, rng)
-            assert pair.S.bits == ref_S
-            assert pair.T.bits == ref_T
+            assert pair.S == ref_S
+            assert pair.T == ref_T
 
     def test_rejects_isolated_t_vertex(self):
         g = build_graph(3, [(0, 1)])
-        S, T = vs(3, [0]), vs(3, [1, 2])
+        S, T = mask([0]), mask([1, 2])
         with pytest.raises(ValueError):
-            regularize(g, S, *degrees_into(g, T.bits, S.bits), j=1)
+            regularize(g, S, *degrees_into(g, T, S), j=1)
 
 
 def _random_regularize_input(rng, seed):
@@ -426,13 +421,13 @@ def _random_regularize_input(rng, seed):
             if g.adj_bits(w) & s_bits and rng.random() < 0.8
         ]
         if t_members:
-            return g, VertexSet(n, s_bits), VertexSet.from_iterable(n, t_members)
+            return g, s_bits, mask(t_members)
 
 
 def _random_order_prune(g, S, T, rng):
     """Reference regularizer: same bucket choice, randomized deletions."""
-    degs = {w: (g.adj_bits(w) & S.bits).bit_count() for w in iter_bits(T.bits)}
-    avg = Fraction(sum(degs.values()), len(T))
+    degs = {w: (g.adj_bits(w) & S).bit_count() for w in iter_bits(T)}
+    avg = Fraction(sum(degs.values()), T.bit_count())
     boundaries = [Fraction(1)]
     while boundaries[-1] <= max(degs.values()):
         boundaries.append(boundaries[-1] * BUCKET_BASE)
@@ -446,11 +441,11 @@ def _random_order_prune(g, S, T, rng):
     eligible = [lv for lv in sorted(buckets) if boundaries[lv] >= avg / 2]
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
     delta_T = boundaries[level] / 4
-    s_list = S.to_list()
+    s_list = list(iter_bits(S))
     delta_S = Fraction(
         sum((g.adj_bits(v) & buckets[level]).bit_count() for v in s_list), 4 * len(s_list)
     )
-    surv_S, surv_T = S.bits, buckets[level]
+    surv_S, surv_T = S, buckets[level]
     while True:
         bad = []
         for v in iter_bits(surv_S):
@@ -479,7 +474,7 @@ class TestBuildTwoLevel:
         g = build_graph(6, [(0, i) for i in range(1, 6)])
         res = build_two_level(g, 0, make_params(6, 2.0))
         assert isinstance(res, Type1)
-        assert res.members == vs(6, [1, 2, 3, 4, 5])
+        assert res.members == mask([1, 2, 3, 4, 5])
 
     def test_planted_structure_invariants(self):
         g, _ = generate_planted(GenParams(n=500, edge_prob=0.5, seed=9))
@@ -487,8 +482,8 @@ class TestBuildTwoLevel:
         r0 = max(range(500), key=lambda v: (g.degree(v), -v))
         res = build_two_level(g, r0, p)
         assert isinstance(res, RegularPair)
-        assert res.S.issubset(g.neighbors(r0))
-        assert len(res.T) <= int(500 / p.k)
+        assert not res.S & ~g.adj_bits(r0)
+        assert res.T.bit_count() <= int(500 / p.k)
         assert not res.check(g)
 
 
