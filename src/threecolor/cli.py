@@ -71,6 +71,26 @@ def _load_params(args, graph: Graph) -> Params:
     return Params.for_graph(graph.n, max(graph.min_degree(), 1), k=k, **overrides)
 
 
+def _check_outputs(paths: list[str | None]) -> int | None:
+    """Returns EXIT_IO after an ``error:`` line at the first given output
+    path that is a directory or whose parent is not an existing directory,
+    else None.  Commands run it before any work, so a run that could not
+    write its outputs does no work and writes nothing."""
+    for path in paths:
+        if not path:
+            continue
+        path = Path(path)
+        if path.is_dir():
+            problem = "it is a directory"
+        elif not path.parent.is_dir():
+            problem = f"no directory {path.parent}"
+        else:
+            continue
+        print(f"error: cannot write {path}: {problem}", file=sys.stderr)
+        return EXIT_IO
+    return None
+
+
 def _write_outputs(outputs: list[tuple[str | Path | None, object]]) -> int | None:
     """Write each (path, content) pair whose path is given: a str as it is,
     anything else as indented, key-sorted JSON.  Returns EXIT_IO after an
@@ -180,6 +200,9 @@ def _run_method(method: str, graph: Graph, p: Params, trace, claim_log):
 
 
 def cmd_color(args) -> int:
+    failed = _check_outputs([args.output, args.report, args.trace])
+    if failed:
+        return failed
     try:
         graph = _load_graph(args.input)
         p = _load_params(args, graph)
@@ -225,6 +248,9 @@ def cmd_verify(args) -> int:
         print(f"error: --oracle-cap must be between 0 and {MAX_CAP}, not {args.cap}",
               file=sys.stderr)
         return EXIT_IO
+    failed = _check_outputs([args.output])
+    if failed:
+        return failed
     try:
         graph = _load_graph(args.input)
         payload = _read_json(args.claims)
@@ -333,6 +359,9 @@ def cmd_bench(args) -> int:
     if args.seeds < 1:
         print(f"error: --seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EXIT_IO
+    failed = _check_outputs([args.out_csv, args.out_json])
+    if failed:
+        return failed
     seeds = list(range(args.seeds))
     rows = []
     timings = []

@@ -373,7 +373,7 @@ def color_with_progress(
 
         if isinstance(action, Defer):
             v = action.vertex
-            if not (alive >> v) & 1:
+            if v < 0 or not (alive >> v) & 1:
                 raise UnsoundProgress([f"deferred vertex {v} is not in the working graph"])
             # set-aside neighborhoods are uncolored and will return at
             # phase close, so they count toward the residual degree

@@ -36,6 +36,7 @@ from .structure import (
     MultichromaticGuaranteed,
     RegularPair,
     build_two_level,
+    ceil_times,
     multichromatic_test,
     regularize,
 )
@@ -46,6 +47,12 @@ HIGHDEG_FACTOR = Fraction(1, 4)  # seeds need degree >= delta_T / 4
 SIDECUT_FACTOR = Fraction(1, 3)  # side cuts need degree >= delta_T / 3
 TERM_FACTOR = Fraction(1, 2)  # inner loop stops below delta_T * |T| / 2
 ROOT_RETRIES = 10  # roots tried per search, in decreasing degree order
+
+
+def thin_mass(mass: int, delta_T: Fraction, size: int) -> bool:
+    """mass < delta_T * TERM_FACTOR * size, cross-multiplied."""
+    return (mass * delta_T.denominator * TERM_FACTOR.denominator
+            < delta_T.numerator * TERM_FACTOR.numerator * size)
 
 
 @dataclass(frozen=True)
@@ -286,7 +293,7 @@ def best_side_cut(G: Graph, X: int, Y: int, pair: RegularPair) -> SideCut:
     """
     Sj, Tj = pair.S, pair.T
     # integral degrees: d >= x  <=>  d >= ceil(x)
-    threshold_int = math.ceil(pair.delta_T * SIDECUT_FACTOR)
+    threshold_int = ceil_times(pair.delta_T, SIDECUT_FACTOR)
     fresh_mask = Tj & ~Y
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
@@ -334,12 +341,12 @@ def inner_loop(
     nh = nhat(G.n, p.k)
     S, T = pair.S, pair.T
     # integral degrees: d >= x  <=>  d >= ceil(x)
-    seed_floor = math.ceil(pair.delta_T * HIGHDEG_FACTOR)
+    seed_floor = ceil_times(pair.delta_T, HIGHDEG_FACTOR)
     first = True
     while True:
         if not first:
             mass = int(degrees_into(G, T, S)[1].sum())
-            if mass < pair.delta_T * TERM_FACTOR * T.bit_count():
+            if thin_mass(mass, pair.delta_T, T.bit_count()):
                 if union_neighborhoods(G, S) & pair.T & ~T:
                     raise AssertionError(
                         "final cut lost a T_j-neighbor of its X side"
@@ -408,7 +415,7 @@ def audit_round(
     d_S, d_T = pair.delta_S, pair.delta_T
     outside = pair.S & ~sparse_X
     # integral degrees: d >= x  <=>  d >= ceil(x)
-    side_floor = math.ceil(d_T * SIDECUT_FACTOR)
+    side_floor = ceil_times(d_T, SIDECUT_FACTOR)
     ypp_degrees = degrees_into(G, sparse_Y, outside)[1]
     ypp_degrees = ypp_degrees[ypp_degrees >= side_floor]
     edge_mass_side = int(ypp_degrees.sum())
@@ -515,9 +522,10 @@ def _seek_from_root(
         _emit(trace, "progress", round=0, kind=type(pair).__name__.lower(),
               set_size=pair.members.bit_count())
         return SeekOutcome(pair, None, audits, counters)
-    _emit(trace, "structure", root=r0, s_size=pair.S.bit_count(),
-          t_size=pair.T.bit_count(),
-          delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
+    if trace is not None:
+        _emit(trace, "structure", root=r0, s_size=pair.S.bit_count(),
+              t_size=pair.T.bit_count(),
+              delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
     round_cap = default_round_cap(G.n)
     for j in range(1, round_cap + 1):
         res = inner_loop(G, r0, pair, p, claim_log=claim_log, trace=trace,

@@ -47,6 +47,29 @@ BOUNDARIES = (Fraction(1),)
 while BOUNDARIES[-1] < 2**31:
     BOUNDARIES += (BOUNDARIES[-1] * BUCKET_BASE,)
 CEILINGS = np.array([math.ceil(b) for b in BOUNDARIES])
+# delta_T of the pair regularize builds from bucket l
+BASE_DEGREES = tuple(b / BASE_DEGREE_DIVISOR for b in BOUNDARIES)
+
+
+# Exact integer forms of the rational thresholds.  Fractions are stored in
+# lowest terms with a positive denominator, so floor division of the
+# products of numerators and denominators is exact, and no product
+# Fraction (with its gcd) is built on the per-root path.
+def floor_times(x: Fraction, factor: Fraction) -> int:
+    """floor(x * factor)."""
+    return (x.numerator * factor.numerator) // (x.denominator * factor.denominator)
+
+
+def ceil_times(x: Fraction, factor: Fraction) -> int:
+    """ceil(x * factor)."""
+    return -(-(x.numerator * factor.numerator) // (x.denominator * factor.denominator))
+
+
+def bucket_eligible(boundary: Fraction, degree_sum: int, size: int) -> bool:
+    """boundary >= avg / BUCKET_FLOOR_DIVISOR, avg = degree_sum / size,
+    cross-multiplied."""
+    return (boundary.numerator * BUCKET_FLOOR_DIVISOR * size
+            >= boundary.denominator * degree_sum)
 
 
 class SetTooSmall(ValueError):
@@ -133,7 +156,7 @@ class RegularPair:
         # integral degrees: d <= x  <=>  d <= floor(x)
         floor_S = math.floor(self.delta_S)
         floor_T = math.floor(self.delta_T)
-        cap = math.floor(DEGREE_CAP * self.delta_T)
+        cap = floor_times(self.delta_T, DEGREE_CAP)
         ids, degrees = degrees_into(G, self.S, self.T)
         bad = [
             f"vertex {v} has S-side degree at most delta_S"
@@ -192,15 +215,15 @@ def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
         raise ValueError("regularize needs nonempty sides")
     if t_degrees.min() < 1:
         raise ValueError("every T vertex needs a neighbor in S")
-    avg = Fraction(int(t_degrees.sum()), len(t_ids))
+    t_sum, t_size = int(t_degrees.sum()), len(t_ids)
 
     levels = CEILINGS.searchsorted(t_degrees, side="right") - 1
     # float sums, exact: degree sums stay far below 2**53; every degree is
     # at least 1, so a level has mass exactly when it has a vertex
     mass = np.bincount(levels, weights=t_degrees).tolist()
 
-    floor = avg / BUCKET_FLOOR_DIVISOR
-    eligible = [lv for lv, w in enumerate(mass) if w and BOUNDARIES[lv] >= floor]
+    eligible = [lv for lv, w in enumerate(mass)
+                if w and bucket_eligible(BOUNDARIES[lv], t_sum, t_size)]
     if not eligible:
         raise EmptyResult("no eligible degree bucket")
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
@@ -208,10 +231,10 @@ def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
     u_table = t_ids[in_bucket], t_degrees[in_bucket]
     U_bits = bits_of(u_table[0], G.n)
 
-    delta_T = BOUNDARIES[level] / BASE_DEGREE_DIVISOR
+    delta_T = BASE_DEGREES[level]
     s_table = degrees_into(G, S, U_bits)
-    avg_into_bucket = Fraction(int(s_table[1].sum()), S.bit_count())
-    delta_S = avg_into_bucket / MIN_DEGREE_DIVISOR
+    # the average degree into the bucket over MIN_DEGREE_DIVISOR
+    delta_S = Fraction(int(s_table[1].sum()), MIN_DEGREE_DIVISOR * S.bit_count())
 
     surv_S, surv_T = _prune(G, S, U_bits, delta_S, delta_T, s_table, u_table)
     if not surv_S or not surv_T:
@@ -274,7 +297,17 @@ def build_two_level(
         raise Not3Colorable(r0, split.vertices)
     if S.bit_count() >= type1_threshold(G.n, p.k, p.c1):
         return Type1(S, split.side0, split.side1)
-    ids, degrees = degrees_into(G, union_neighborhoods(G, S), S)
+    if 4 * S.bit_count() >= G.n:
+        # T is N(S), the vertices with a neighbor in S by symmetry.  With S
+        # a quarter of V or more, one degree pass over every row scans at
+        # most four times the rows the union pass alone would, and N(S) is
+        # then all or nearly all of V on dense graphs, so the union pass is
+        # saved; a small S keeps the union, whose cost follows |N(S)|
+        ids, degrees = degrees_into(G, (1 << G.n) - 1, S)
+        linked = degrees >= 1
+        ids, degrees = ids[linked], degrees[linked]
+    else:
+        ids, degrees = degrees_into(G, union_neighborhoods(G, S), S)
     limit = max(int(G.n / p.k), 1)
     if len(ids) > limit:
         # a stable sort keeps the ascending ids of equal degrees

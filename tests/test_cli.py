@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -25,6 +26,34 @@ FIXED_CONSTANTS = (
 
 def run_cli(args):
     return main(args)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``threecolor.cli.<name>`` so each call is recorded; returns the
+    list of recorded calls."""
+    calls = []
+    real = getattr(threecolor.cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(threecolor.cli, name, counting)
+    return calls
+
+
+def refuse_write(monkeypatch, refused):
+    """Make ``Path.write_text`` raise PermissionError for the path
+    ``refused`` only, as a path that passes the up-front check but is
+    refused at the write would."""
+    real = Path.write_text
+
+    def write_text(self, *args, **kwargs):
+        if self == refused:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
 
 
 class TestGenerate:
@@ -120,17 +149,39 @@ class TestColor:
     @pytest.mark.parametrize("text", ["p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n", K4_TEXT],
                              ids=["triangle", "k4"])
     @pytest.mark.parametrize("flag", ["--out", "--report", "--trace"])
-    def test_unwritable_output_path_exits_4(self, tmp_path, capsys, text, flag):
-        # K4 ends in the not-3-colorable branch, which writes no --out
+    def test_unwritable_output_path_exits_4(self, tmp_path, capsys, monkeypatch,
+                                            text, flag):
+        # the paths are checked before any work, so nothing is colored and
+        # no output is written, K4's not-3-colorable branch included
+        runs = count_calls(monkeypatch, "_run_method")
         src = tmp_path / "g.col"
         src.write_text(text)
-        bad = tmp_path / "nodir" / "x"
-        code = run_cli(["color", "--in", str(src), flag, str(bad)])
-        assert code == (2 if flag == "--out" and text == K4_TEXT else 4)
+        paths = {"--out": tmp_path / "x.sol", "--report": tmp_path / "r.json",
+                 "--trace": tmp_path / "t.jsonl"}
+        bad = paths[flag] = tmp_path / "nodir" / "x"
+        code = run_cli(["color", "--in", str(src),
+                        *(arg for name, path in paths.items() for arg in (name, str(path)))])
+        assert code == 4
         captured = capsys.readouterr()
-        if code == 4:
-            assert captured.err.startswith("error:") and str(bad) in captured.err
-            assert not captured.out
+        assert captured.err.startswith("error:") and str(bad) in captured.err
+        assert not captured.out
+        assert not runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.col"]
+
+    @pytest.mark.parametrize("flag", ["--out", "--report", "--trace"])
+    def test_output_path_that_is_a_directory_exits_4(self, tmp_path, capsys,
+                                                     monkeypatch, flag):
+        runs = count_calls(monkeypatch, "_run_method")
+        src = tmp_path / "g.col"
+        src.write_text("p edge 3 3\ne 1 2\ne 2 3\ne 1 3\n")
+        (tmp_path / "taken").mkdir()
+        code = run_cli(["color", "--in", str(src), flag, str(tmp_path / "taken")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "directory" in err
+        assert not runs
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["g.col", "taken"]
+        assert not list((tmp_path / "taken").iterdir())
 
     def test_trace_written(self, tmp_path):
         g, _ = generate_planted(GenParams(n=80, edge_prob=0.5, seed=1))
@@ -208,15 +259,18 @@ class TestVerify:
         code = run_cli(["verify", "--in", str(src), "--claims", str(cfile)])
         assert code == 3
 
-    def test_unwritable_out_exits_4(self, tmp_path, capsys):
+    def test_unwritable_out_exits_4(self, tmp_path, capsys, monkeypatch):
+        checks = count_calls(monkeypatch, "verify_claim_dict")
         src = tmp_path / "p3.col"
         src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
         cfile = tmp_path / "claims.json"
-        cfile.write_text("[]")
+        cfile.write_text(json.dumps([{"type": "type0", "pair": [0, 2]}]))
         code = run_cli(["verify", "--in", str(src), "--claims", str(cfile),
                         "--out", str(tmp_path / "nodir" / "v.json")])
         assert code == 4
         assert capsys.readouterr().err.startswith("error:")
+        assert not checks
+        assert not (tmp_path / "nodir").exists()
 
     def test_deeply_nested_claims_file_exits_4(self, tmp_path, capsys):
         src = tmp_path / "p3.col"
@@ -527,7 +581,11 @@ class TestBench:
         assert err.startswith("error:") and "Traceback" not in err
 
     @pytest.mark.parametrize("which", ["--out-csv", "--out-json"])
-    def test_unwritable_output_path_exits_4(self, tmp_path, capsys, which):
+    def test_unwritable_output_path_exits_4(self, tmp_path, capsys, monkeypatch, which):
+        # checked before the first instance: nothing is generated or
+        # colored, and the other, writable output is not left behind
+        generated = count_calls(monkeypatch, "generate_planted")
+        runs = count_calls(monkeypatch, "_run_method")
         paths = {"--out-csv": tmp_path / "b.csv", "--out-json": tmp_path / "b.json"}
         paths[which] = tmp_path / "nodir" / "b"
         code = run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",
@@ -535,6 +593,8 @@ class TestBench:
                         "--out-json", str(paths["--out-json"])])
         assert code == 4
         assert capsys.readouterr().err.startswith("error:")
+        assert not generated and not runs
+        assert not list(tmp_path.iterdir())
 
     def test_error_rows_written_and_exit_1(self, tmp_path, monkeypatch):
         def broken(graph, order=None, base=0):
@@ -558,6 +618,35 @@ class TestBench:
         assert header.split(",")[:6] == ["method", "family", "n", "edge_prob",
                                          "seed", "colors"]
 
+
+@pytest.mark.parametrize("command,flag", [
+    ("color", "--out"), ("color", "--report"), ("color", "--trace"),
+    ("verify", "--out"), ("bench", "--out-csv"), ("bench", "--out-json"),
+])
+def test_output_refused_at_the_write_exits_4(tmp_path, capsys, monkeypatch,
+                                             command, flag):
+    src = tmp_path / "p3.col"
+    src.write_text("p edge 3 2\ne 1 2\ne 2 3\n")
+    claims = tmp_path / "claims.json"
+    claims.write_text("[]")
+    args = {
+        "color": ["color", "--in", str(src)],
+        "verify": ["verify", "--in", str(src), "--claims", str(claims)],
+        "bench": ["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",
+                  "--methods", "greedy"],
+    }[command]
+    flags = {"color": ["--out", "--report", "--trace"], "verify": ["--out"],
+             "bench": ["--out-csv", "--out-json"]}[command]
+    for name in flags:
+        args += [name, str(tmp_path / f"out{name}")]
+    refused = tmp_path / f"out{flag}"
+    refuse_write(monkeypatch, refused)
+    code = run_cli(args)
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(refused) in captured.err
+    assert "Traceback" not in captured.err
+    assert not refused.exists()
 
 @pytest.mark.slow
 def test_cli_subprocess_determinism(tmp_path):

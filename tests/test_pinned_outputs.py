@@ -1,0 +1,89 @@
+"""Pinned `color` outputs: a change meant to be output-neutral keeps these.
+
+Each case colors one small planted instance in-process through
+``cli.main`` and compares sha256 digests of the ``.sol`` file, the JSONL
+trace and the report without ``runtime_s`` with digests recorded before
+the change.  A change that alters outputs on purpose updates the digests
+and says why in CHANGES.md.
+"""
+import hashlib
+import json
+
+import pytest
+
+from threecolor.cli import main
+from threecolor.dimacs import emit_dimacs
+from threecolor.generate import GenParams, generate_planted
+
+# the cut params of the pipeline-cuts workload: the large-set exit is
+# blocked, so the nested sparse cuts, side cuts and round audits run
+CUT_PARAMS = {"k": 2.6, "c1": 2.0, "c2": 2.0}
+MODES = {
+    "pipeline": ["--method", "pipeline"],
+    "seek": ["--method", "seek"],
+    "cuts": ["--method", "pipeline", "--params", "{params}"],
+}
+
+# (n, p, seed) -> mode -> (sol, trace, report) sha256 digests
+PINNED = {
+    (200, 0.3, 1): {
+        "cuts": (
+            "acde7253e724717ec1653ba8bd9159bff82d1a4658ece1723d2144100a285f23",
+            "76fa49054b822940f8ef91b9914d74be24265c0213e8308a517eabf2d2257fc8",
+            "91f2529c771c56c1f478e923ad82268930fae02ade0e344b18221352f5413882",
+        ),
+        "pipeline": (
+            "ce570ccb43a952a772dffe459ea09b9b15753652be9fc5da5ef51a3aba364cb0",
+            "b65de768d787e130bd6017891bf03256724848b7a7934f2f63563f37f343ec65",
+            "a7d37a67bcf307b44b1a614a427b3519a2a17559e28dea479b14280df05e396a",
+        ),
+        "seek": (
+            "ce570ccb43a952a772dffe459ea09b9b15753652be9fc5da5ef51a3aba364cb0",
+            "c3ca73f2a19c6c354d8f0bb50a358541e436049bd9772b71882f2ef36fbe491b",
+            "7162526bfde221043d26daf39de2ba36fa3c2267337b870ef179f3bc6e3a5dfe",
+        ),
+    },
+    (300, 0.7, 0): {
+        "cuts": (
+            "c18e0cff70a459e86afbf01ab8ae6201f4f911f51f6a9e8f69e45100dad00f3d",
+            "b7c5f28b64f16d3372a4b0dda5638ce357c04eddfd0bd99afc2ceea50633f65b",
+            "0e13a426180c0c21ce5cfdc669f7c175fc8914b125c5ebb158a17032783a9b78",
+        ),
+        "pipeline": (
+            "863e6126cd272ed3abb95d6e91fce7daef478c19085a003d8d8f855a5c73c995",
+            "c1b53fc9e58cd0d86b298b4b7be33237718e87703338339037ca7fe7afe1609b",
+            "8b759ef18aaba5e2cc5fe902a1138cca958eb0470c43188c62559c5a520146b3",
+        ),
+        "seek": (
+            "a478bd5a241259a9304f990510c888f6e9e5c1ddc78b411c5118efbd58c49425",
+            "567e94c2741adad143bdac6b063410c19975adee1c934a251335ca813eff5fd4",
+            "1d43d5f2d87f72fe47f079b742ee71860a5bc84cb7387af5145c533f360f7be0",
+        ),
+    },
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", sorted(MODES))
+@pytest.mark.parametrize("instance", sorted(PINNED), ids=lambda t: "n{}-p{}-s{}".format(*t))
+def test_color_outputs_match_pinned_digests(tmp_path, capsys, instance, mode):
+    n, p, seed = instance
+    graph, _ = generate_planted(GenParams(n=n, edge_prob=p, seed=seed))
+    col = tmp_path / "g.col"
+    col.write_text(emit_dimacs(graph))
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(CUT_PARAMS))
+    sol, trace, report = (tmp_path / name for name in ("g.sol", "trace.jsonl", "report.json"))
+    flags = [flag.format(params=params) for flag in MODES[mode]]
+    code = main(["color", "--in", str(col), "--out", str(sol), "--trace", str(trace),
+                 "--report", str(report), *flags])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("colored with")
+    fields = json.loads(report.read_text())
+    del fields["runtime_s"]
+    got = (_digest(sol.read_text()), _digest(trace.read_text()),
+           _digest(json.dumps(fields, indent=2, sort_keys=True)))
+    assert got == PINNED[instance][mode]

@@ -163,6 +163,13 @@ class TestDriver:
         with pytest.raises(UnsoundProgress):
             color_with_progress(g, 4.0, lambda view: claim)
 
+    @pytest.mark.parametrize("vertex", [-1, -3, 3, 64])
+    def test_defer_outside_the_graph_rejected(self, vertex):
+        # a negative id names no vertex either; it must not reach a shift
+        g = build_graph(3, [(0, 1), (1, 2)])
+        with pytest.raises(UnsoundProgress, match="not in the working graph"):
+            color_with_progress(g, 1.0, lambda view: Defer(vertex))
+
     def test_adjacent_type0_rejected(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(UnsoundProgress):

@@ -10,8 +10,9 @@ from hypothesis import given, settings, strategies as st
 from test_graph import mask
 
 from threecolor.generate import GenParams, generate_planted
-from threecolor import structure
+from threecolor import graph, structure
 from threecolor.graph import (
+    PACKED_MIN_MEMBERS,
     build_graph,
     degrees_into,
     iter_bits,
@@ -22,8 +23,10 @@ from threecolor.graph import (
 from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params, nhat
 from threecolor.progress import Type1, Type2
+from threecolor.search import HIGHDEG_FACTOR, SIDECUT_FACTOR, TERM_FACTOR, thin_mass
 from threecolor.structure import (
     BASE_DEGREE_DIVISOR,
+    BASE_DEGREES,
     BOUNDARIES,
     BUCKET_BASE,
     BUCKET_FLOOR_DIVISOR,
@@ -37,9 +40,12 @@ from threecolor.structure import (
     SetTooSmall,
     _assert_regular,
     _prune,
+    bucket_eligible,
     build_two_level,
+    ceil_times,
     certificate_is_valid,
     find_certificate,
+    floor_times,
     multichromatic_test,
     regularize,
 )
@@ -267,6 +273,70 @@ class TestIntegerThresholds:
         )
 
 
+# a level's delta_T, or any nonnegative rational with a small denominator
+delta_values = st.one_of(
+    st.sampled_from(BASE_DEGREES),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**4),
+)
+
+
+class TestIntegerForms:
+    # each integer form against the Fraction expression it replaces,
+    # with the exact-equality boundaries drawn on purpose
+
+    @given(delta_values, st.sampled_from([DEGREE_CAP, HIGHDEG_FACTOR, SIDECUT_FACTOR]))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_floor_and_ceil_of_a_product(self, x, factor):
+        assert floor_times(x, factor) == math.floor(x * factor)
+        assert ceil_times(x, factor) == math.ceil(x * factor)
+
+    @given(st.integers(0, 10**6), st.sampled_from([DEGREE_CAP, HIGHDEG_FACTOR,
+                                                   SIDECUT_FACTOR]))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_integral_products_are_their_own_floor_and_ceil(self, m, factor):
+        # x * factor == m exactly, the seed floor's boundary among them
+        x = m / factor
+        assert floor_times(x, factor) == ceil_times(x, factor) == m
+
+    @given(st.integers(0, len(BOUNDARIES) - 1), st.integers(1, 50), st.integers(-2, 2))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_bucket_eligibility(self, level, copies, offset):
+        # size a multiple of the boundary's denominator puts the average
+        # exactly on BUCKET_FLOOR_DIVISOR * boundary at offset 0
+        boundary = BOUNDARIES[level]
+        size = boundary.denominator * copies
+        degree_sum = max(boundary.numerator * BUCKET_FLOOR_DIVISOR * copies + offset, 0)
+        avg = Fraction(degree_sum, size)
+        assert bucket_eligible(boundary, degree_sum, size) == (
+            boundary >= avg / BUCKET_FLOOR_DIVISOR
+        )
+        if offset == 0:
+            assert boundary == avg / BUCKET_FLOOR_DIVISOR
+            assert bucket_eligible(boundary, degree_sum, size)
+
+    @given(delta_values, st.integers(1, 500), st.integers(-2, 2))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_termination_mass(self, delta_T, copies, offset):
+        # at offset 0, mass == delta_T * TERM_FACTOR * size exactly
+        scale = delta_T.denominator * TERM_FACTOR.denominator
+        size = scale * copies
+        exact = delta_T * TERM_FACTOR * size
+        assert exact.denominator == 1
+        mass = max(int(exact) + offset, 0)
+        assert thin_mass(mass, delta_T, size) == (mass < delta_T * TERM_FACTOR * size)
+        if offset == 0:
+            assert not thin_mass(mass, delta_T, size)
+
+    @given(delta_values, st.integers(0, 10**5), st.integers(1, 10**4))
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_termination_mass_anywhere(self, delta_T, mass, size):
+        assert thin_mass(mass, delta_T, size) == (mass < delta_T * TERM_FACTOR * size)
+
+    def test_base_degrees_are_the_bucket_floors_over_the_divisor(self):
+        assert BASE_DEGREES == tuple(b / BASE_DEGREE_DIVISOR for b in BOUNDARIES)
+        assert all(isinstance(d, Fraction) for d in BASE_DEGREES)
+
+
 class TestArrayBucketing:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -485,6 +555,64 @@ class TestBuildTwoLevel:
         assert not res.S & ~g.adj_bits(r0)
         assert res.T.bit_count() <= int(500 / p.k)
         assert not res.check(g)
+
+
+def t_table(g, r0, cutoff):
+    """The T ids and degrees into S that build_two_level hands to
+    regularize for root r0 under k = 1, which keeps all of N(S) below the
+    T cap; None when it stops before regularize."""
+    seen = []
+
+    def capture(G, S, t_ids, t_degrees, j):
+        seen.append((t_ids.tolist(), t_degrees.tolist()))
+        raise _Stop
+
+    with patch.object(graph, "PACKED_MIN_MEMBERS", cutoff), \
+            patch.object(structure, "regularize", capture):
+        try:
+            build_two_level(g, r0, make_params(g.n, 1.0))
+        except (Not3Colorable, _Stop):
+            pass
+    return seen[0] if seen else None
+
+
+def union_table(g, r0):
+    S = g.adj_bits(r0)
+    ids, degrees = degrees_into(g, union_neighborhoods(g, S), S)
+    return ids.tolist(), degrees.tolist()
+
+
+class TestOnePassT:
+    # T comes from one pass over every row when 4|S| >= n and from the
+    # union of S's neighborhoods otherwise; both must give the union's
+    # table.  A low cutoff sends small member sets of a packed graph
+    # through the kernels' packed body.
+
+    @given(st.data(), st.sampled_from([1, 4, PACKED_MIN_MEMBERS]))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_t_table_equals_the_neighborhood_union_table(self, data, cutoff):
+        g, _ = random_graph(data.draw, 150)
+        if g.max_degree() == 0:
+            return
+        r0 = data.draw(st.sampled_from([v for v in range(g.n) if g.degree(v)]))
+        got = t_table(g, r0, cutoff)
+        if got is not None:
+            assert got == union_table(g, r0)
+
+    @pytest.mark.parametrize("cutoff", [1, PACKED_MIN_MEMBERS])
+    def test_planted_roots_on_both_sides_of_the_quarter_rule(self, cutoff):
+        # planted graphs keep N(r0) 2-colorable, so every root reaches T
+        sides = set()
+        for n, p, seed in [(150, 0.1, 0), (150, 0.6, 1), (90, 0.35, 2)]:
+            g, _ = generate_planted(GenParams(n=n, edge_prob=p, seed=seed))
+            for packed in (False, True):
+                if packed:
+                    g = packed_subgraph(g.adj_rows, range(n))
+                for r0 in range(0, n, 7):
+                    got = t_table(g, r0, cutoff)
+                    assert got == union_table(g, r0)
+                    sides.add(4 * g.degree(r0) >= n)
+        assert sides == {False, True}
 
 
 class TestCertificates:
