@@ -24,6 +24,7 @@ from .progress import (
     EXHAUSTED,
     MonoSet,
     Progress,
+    Sink,
     Type0,
     Type1,
     Type2,

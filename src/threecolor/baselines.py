@@ -35,6 +35,7 @@ from .progress import (
     DriverView,
     MonoSet,
     Progress,
+    Sink,
     Type0,
     Type1,
     color_with_progress,
@@ -167,28 +168,25 @@ def _lift_progress(claim: Progress, idmap: list[int]) -> Progress:
 @dataclass
 class _Run:
     """One colorer run: the input graph, its parameters, the report being
-    filled and the output sinks, shared by the seek source and the
+    filled and the output sink, shared by the seek source and the
     certificate path."""
 
     G: Graph
     p: Params
     report: PipelineReport
-    trace: list | None
-    claim_log: list | None
+    sink: Sink
     input_scanned: bool = False
 
     @classmethod
-    def start(cls, G: Graph, p: Params | None, method: str, trace,
-              claim_log) -> "_Run":
+    def start(cls, G: Graph, p: Params | None, method: str, sink: Sink) -> "_Run":
         if p is None:
             p = Params.for_graph(G.n, max(G.min_degree(), 1))
-        return cls(G, p, PipelineReport(method, 0, DriverStats()), trace, claim_log)
+        return cls(G, p, PipelineReport(method, 0, DriverStats()), sink)
 
     def drive(self, source) -> tuple[Coloring, PipelineReport]:
         """Drive ``source`` to a coloring of the input and fill the report."""
         coloring, stats = color_with_progress(
-            self.G, self.p.k, source, c1=self.p.c1, c2=self.p.c2,
-            trace=self.trace, claim_log=self.claim_log,
+            self.G, self.p.k, source, c1=self.p.c1, c2=self.p.c2, sink=self.sink,
         )
         self.report.colors_used = coloring.palette_size
         self.report.stats = stats
@@ -229,8 +227,8 @@ def _seek(run: _Run, view: DriverView) -> Progress | None:
     sub, idmap = view.materialize()
     report.seek_calls += 1
     try:
-        outcome = seek_progress(sub, p=run.p, claim_log=run.claim_log,
-                                trace=run.trace)
+        outcome = seek_progress(sub, p=run.p, claim_log=run.sink.claims,
+                                trace=run.sink.trace)
     except Not3Colorable as exc:
         _raise_certificate(run, view, idmap[exc.hub],
                             tuple(idmap[v] for v in exc.cycle))
@@ -264,7 +262,7 @@ def seek_only_color(
     Not3Colorable only with a certificate that checks out against the
     original graph.
     """
-    run = _Run.start(G, p, "seek", trace, claim_log)
+    run = _Run.start(G, p, "seek", Sink(trace, claim_log))
 
     def source(view: DriverView):
         _, d_min = view.min_degree_vertex()
@@ -288,7 +286,7 @@ def pipeline_color(
     Raises Not3Colorable only with a certificate that checks out against
     the original graph.
     """
-    run = _Run.start(G, p, "pipeline", trace, claim_log)
+    run = _Run.start(G, p, "pipeline", Sink(trace, claim_log))
     p = run.p
     backoff_size: int | None = None
 

@@ -162,7 +162,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _run_method(method: str, graph: Graph, p: Params, trace, claim_log):
+def _run_method(method: str, graph: Graph, p: Params, trace):
     if method == "greedy":
         coloring = greedy_color(graph)
         return coloring, {"method": "greedy", "colors": coloring.palette_size}
@@ -175,9 +175,9 @@ def _run_method(method: str, graph: Graph, p: Params, trace, claim_log):
             "threshold": rep.threshold,
         }
     if method == "seek":
-        coloring, rep = seek_only_color(graph, p, trace=trace, claim_log=claim_log)
+        coloring, rep = seek_only_color(graph, p, trace=trace)
     elif method == "pipeline":
-        coloring, rep = pipeline_color(graph, p, trace=trace, claim_log=claim_log)
+        coloring, rep = pipeline_color(graph, p, trace=trace)
     else:
         raise ValueError(f"unknown method {method!r}")
     info = {
@@ -214,7 +214,7 @@ def cmd_color(args) -> int:
     outputs = []
     started = time.perf_counter()
     try:
-        coloring, info = _run_method(args.method, graph, p, trace, None)
+        coloring, info = _run_method(args.method, graph, p, trace)
     except Not3Colorable as exc:
         report.update(method=args.method, not3colorable=True,
                       witness={"hub": exc.hub, "cycle": list(exc.cycle)},
@@ -392,7 +392,7 @@ def cmd_bench(args) -> int:
                     started = time.perf_counter()
                     try:
                         p = Params.for_graph(graph.n, max(graph.min_degree(), 1))
-                        coloring, info = _run_method(method, graph, p, None, None)
+                        coloring, info = _run_method(method, graph, p, None)
                         ok, _ = is_proper_coloring(graph, coloring)
                         row["colors"] = coloring.palette_size
                         row["proper"] = ok

@@ -45,6 +45,10 @@ class Params:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
+        if self.c1 <= 0:
+            # a large-set floor of 0 admits the empty set, which removes
+            # nothing and so cannot make progress
+            raise ValueError("c1 must be positive")
         if self.c1 > self.c2:
             # the multichromatic fall-through needs the large-set floor to
             # stay below the small-neighborhood cap, which holds iff c1 <= c2

@@ -104,15 +104,30 @@ class Claim:
     conditional: tuple[int, int] | None = None
 
 
-ClaimLog = list
+@dataclass(frozen=True)
+class Sink:
+    """Where one run's outputs go: its trace entries and its logged claims.
 
+    A list left at None is not kept, and writes to it are dropped.
+    """
 
-def log_claim(log, kind: str, members: int, graph: Graph,
+    trace: list | None = None
+    claims: list | None = None
+
+    def emit(self, **entry) -> None:
+        """Append ``entry`` to the trace, when one is kept."""
+        if self.trace is not None:
+            self.trace.append(entry)
+
+    def claim(self, kind: str, members: int, graph: Graph,
               conditional: tuple[int, int] | None = None) -> None:
-    """Append the claim on the vertex set ``members``, listed in ascending
-    id order, to ``log`` unless it is None."""
-    if log is not None:
-        log.append(Claim(kind, tuple(iter_bits(members)), graph, conditional))
+        """Log the claim on the vertex set ``members``, listed in ascending
+        id order, when claims are kept."""
+        if self.claims is not None:
+            self.claims.append(Claim(kind, tuple(iter_bits(members)), graph, conditional))
+
+
+NO_SINK = Sink()
 
 
 def type1_threshold(n: int, k: float, c1: float = 1.0) -> int:
@@ -239,13 +254,14 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
                       c1: float = 1.0, c2: float = 1.0) -> list[str]:
     """Structural check of a claim against the working graph G[alive].
 
-    Type 1/2 witness sides must partition the set into two independent
-    sides; a Type 1 set must reach the size floor of G[alive], and a
-    Type 2 set must declare its exact neighborhood in G[alive] within
-    the size factor.  Type 0 and MonoSet claims are checked for shape
-    only: the same-color statement itself needs the oracle.  An edge
-    inside a MonoSet is not a shape fault (the claim holds vacuously
-    when G[alive] has no 3-coloring); the driver refuses to merge one.
+    Type 1/2 sets must be nonempty, and their witness sides must
+    partition the set into two independent sides; a Type 1 set must
+    reach the size floor of G[alive], and a Type 2 set must declare its
+    exact neighborhood in G[alive] within the size factor.  Type 0 and
+    MonoSet claims are checked for shape only: the same-color statement
+    itself needs the oracle.  An edge inside a MonoSet is not a shape
+    fault (the claim holds vacuously when G[alive] has no 3-coloring);
+    the driver refuses to merge one.
     A Type 1/2 set with a vertex outside G[alive] gets that fault alone.
     """
     bad: list[str] = []
@@ -272,8 +288,9 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
         if claim.members & ~alive_bits:
             bad.append("monochromatic set leaves the working graph")
     elif isinstance(claim, (Type1, Type2)):
-        if isinstance(claim, Type2) and not claim.members:
-            bad.append("small-neighborhood set is empty")
+        if not claim.members:
+            kind = "large" if isinstance(claim, Type1) else "small-neighborhood"
+            bad.append(f"{kind} set is empty")
         if claim.members & ~alive_bits:
             # the checks below read G's rows of the members
             bad.append("set leaves the working graph")
@@ -302,8 +319,7 @@ def color_with_progress(
     *,
     c1: float = 1.0,
     c2: float = 1.0,
-    trace: list | None = None,
-    claim_log: ClaimLog | None = None,
+    sink: Sink = NO_SINK,
 ) -> tuple[Coloring, DriverStats]:
     """Drive a progress source to a full proper coloring of G."""
     base = G
@@ -319,15 +335,11 @@ def color_with_progress(
     step = 0
 
     def emit(mechanism: str, set_size: int = 0, nbhd: int = 0):
-        if trace is not None:
-            trace.append({
-                "step": step,
-                "mechanism": mechanism,
-                "set_size": set_size,
-                "neighborhood_size": nbhd,
-                "colors_so_far": batch_slots,
-                "graph_size": alive.bit_count(),
-            })
+        if sink.trace is None:  # most steps are deferrals: build no entry
+            return
+        sink.emit(step=step, mechanism=mechanism, set_size=set_size,
+                  neighborhood_size=nbhd, colors_so_far=batch_slots,
+                  graph_size=alive.bit_count())
 
     def shift(bits: int, sign: int):
         """Take the vertices of ``bits`` out of the working graph (sign -1)
@@ -398,10 +410,8 @@ def color_with_progress(
             else:
                 members = action.members
             pair_ids = list(iter_bits(members))
-            if claim_log is not None:
-                anchor = 1 << pair_ids[0]
-                for other in pair_ids[1:]:
-                    log_claim(claim_log, "type0", anchor | 1 << other, base)
+            for other in pair_ids[1:]:
+                sink.claim("type0", 1 << pair_ids[0] | 1 << other, base)
             close_phase()
             new_base, mapping = merge_vertex_set(base, members)
             new_groups: list[tuple[int, ...]] = [() for _ in range(new_base.n)]

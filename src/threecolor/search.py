@@ -26,12 +26,7 @@ from .graph import (
     with_degree_at_least,
 )
 from .params import Params, default_round_cap, nhat
-from .progress import (
-    ClaimLog,
-    MonoSet,
-    Progress,
-    log_claim,
-)
+from .progress import NO_SINK, MonoSet, Progress, Sink
 from .structure import (
     MultichromaticGuaranteed,
     RegularPair,
@@ -90,7 +85,6 @@ class SideCut:
 @dataclass
 class SeekCounters:
     sparse_cuts: int = 0
-    sparse_cut_violations: int = 0
     side_cuts_adopted: int = 0
     side_cut_checks: int = 0
     roots_tried: int = 0
@@ -142,13 +136,6 @@ class SeekOutcome:
             raise ValueError("exactly one of progress/failure must be set")
 
 
-def _emit(trace, event: str, **payload):
-    if trace is not None:
-        entry = {"event": event}
-        entry.update(payload)
-        trace.append(entry)
-
-
 def cut_or_color(
     G: Graph,
     r0: int,
@@ -157,10 +144,8 @@ def cut_or_color(
     t: int,
     p: Params,
     *,
-    claim_log: ClaimLog | None = None,
-    trace: list | None = None,
+    sink: Sink = NO_SINK,
     round_no: int = 0,
-    counters: SeekCounters | None = None,
 ) -> CutResult:
     """Grow (X, Y) from the seed t until S is swallowed or the cut is sparse.
 
@@ -189,9 +174,9 @@ def cut_or_color(
 
     while True:
         if X == S:
-            log_claim(claim_log, "mono_if_differ", S, G, conditional=(t, r0))
-            _emit(trace, "cut", round=round_no, seed=t, verdict=True,
-                  x_size=S.bit_count(), y_size=y_size)
+            sink.claim("mono_if_differ", S, G, conditional=(t, r0))
+            sink.emit(event="cut", round=round_no, seed=t, verdict=True,
+                      x_size=S.bit_count(), y_size=y_size)
             return MonochromaticIfDiffer(S, t, r0)
 
         extended = True
@@ -201,15 +186,15 @@ def cut_or_color(
             for s in iter_bits(S & ~X):
                 witness = G.adj_bits(s) & Y
                 if witness.bit_count() >= nh:
-                    res = multichromatic_test(G, witness, p, claim_log=claim_log)
+                    res = multichromatic_test(G, witness, p, sink=sink)
                     if not isinstance(res, MultichromaticGuaranteed):
                         return ProgressFound(res)
                     X |= 1 << s
                     Y |= G.adj_bits(s) & T
                     y_size = Y.bit_count()
                     extended = True
-                    _emit(trace, "extension", round=round_no, kind="x", vertex=s,
-                          x_size=X.bit_count(), y_size=y_size)
+                    sink.emit(event="extension", round=round_no, kind="x", vertex=s,
+                              x_size=X.bit_count(), y_size=y_size)
             if X == S:
                 break
         if X == S:
@@ -224,26 +209,23 @@ def cut_or_color(
             measured = witness.bit_count()
             measure_cache[t2] = (measured, y_size)
             if measured >= nh:
-                res = multichromatic_test(G, witness, p, claim_log=claim_log)
+                res = multichromatic_test(G, witness, p, sink=sink)
                 if not isinstance(res, MultichromaticGuaranteed):
                     return ProgressFound(res)
                 Y |= 1 << t2
                 y_size += 1
                 applied = True
-                _emit(trace, "extension", round=round_no, kind="y", vertex=t2,
-                      x_size=X.bit_count(), y_size=y_size)
+                sink.emit(event="extension", round=round_no, kind="y", vertex=t2,
+                          x_size=X.bit_count(), y_size=y_size)
                 break
         if applied:
             continue
 
         violations = check_sparse_cut(G, r0, S, T, t, X, Y, p)
-        if counters is not None:
-            counters.sparse_cuts += 1
-            counters.sparse_cut_violations += len(violations)
         if violations:
             raise AssertionError(f"sparse cut violates {violations}")
-        _emit(trace, "cut", round=round_no, seed=t, verdict=False,
-              x_size=X.bit_count(), y_size=y_size)
+        sink.emit(event="cut", round=round_no, seed=t, verdict=False,
+                  x_size=X.bit_count(), y_size=y_size)
         return SparseCut(X, Y)
 
 
@@ -328,8 +310,7 @@ def inner_loop(
     pair: RegularPair,
     p: Params,
     *,
-    claim_log: ClaimLog | None = None,
-    trace: list | None = None,
+    sink: Sink = NO_SINK,
     counters: SeekCounters | None = None,
 ) -> ProgressFound | SparseCut | InnerError:
     """Recurse through nested sparse cuts until the edge mass thins out.
@@ -354,38 +335,36 @@ def inner_loop(
                 return SparseCut(S, T)
         first = False
         if S.bit_count() <= 1:
-            _emit(trace, "error", reason="ErrorA")
+            sink.emit(event="error", reason="ErrorA")
             return InnerError("ErrorA")
         # the seeds are a subset of T, so a T below nhat fails uncounted
         seeds = 0
         if T.bit_count() >= nh:
             seeds = with_degree_at_least(G, T, S, seed_floor)
         if seeds.bit_count() < nh:
-            _emit(trace, "error", reason="ErrorB")
+            sink.emit(event="error", reason="ErrorB")
             return InnerError("ErrorB")
-        res = multichromatic_test(G, seeds, p, claim_log=claim_log)
+        res = multichromatic_test(G, seeds, p, sink=sink)
         if not isinstance(res, MultichromaticGuaranteed):
             return ProgressFound(res)
         found: SparseCut | None = None
         verdicts = 0
         for seed in iter_bits(seeds):
-            outcome = cut_or_color(
-                G, r0, S, T, seed, p,
-                claim_log=claim_log, trace=trace, round_no=pair.j,
-                counters=counters,
-            )
+            outcome = cut_or_color(G, r0, S, T, seed, p, sink=sink, round_no=pair.j)
             if isinstance(outcome, ProgressFound):
                 return outcome
             if isinstance(outcome, SparseCut):
+                if counters is not None:
+                    counters.sparse_cuts += 1
                 found = outcome
                 break
             verdicts += 1
         if found is None:
             if verdicts != seeds.bit_count():
                 raise AssertionError("monochromatic set without full verdict cover")
-            log_claim(claim_log, "mono", S, G)
-            _emit(trace, "progress", round=pair.j, kind="mono",
-                  set_size=S.bit_count())
+            sink.claim("mono", S, G)
+            sink.emit(event="progress", round=pair.j, kind="mono",
+                      set_size=S.bit_count())
             return ProgressFound(MonoSet(S))
         if found.X == S:
             raise AssertionError("adopted cut failed to shrink the S side")
@@ -475,23 +454,25 @@ def seek_progress(
     G: Graph,
     p: Params | None = None,
     *,
-    claim_log: ClaimLog | None = None,
+    claim_log: list | None = None,
     trace: list | None = None,
 ) -> SeekOutcome:
     """Run the full outer loop, retrying roots in decreasing degree order.
 
     Returns the first progress found, or the last root's failure with
     its round audits.  Every failure is data; only a non-3-colorability
-    certificate escapes as an exception.
+    certificate escapes as an exception.  The trace and the claim list,
+    when given, are filled through one ``Sink`` passed to every layer.
     """
     ids, degrees = degrees_into(G, (1 << G.n) - 1, (1 << G.n) - 1)
     min_degree = max(int(degrees.min()) if G.n else 0, 1)
     if p is None:
         p = Params.for_graph(G.n, min_degree)
     counters = SeekCounters()
-    _emit(trace, "params", k=p.k, nhat=nhat(G.n, p.k),
-          round_cap=default_round_cap(G.n), side_cuts=p.side_cuts,
-          k_within_min_degree=p.k <= min_degree)
+    sink = Sink(trace, claim_log)
+    sink.emit(event="params", k=p.k, nhat=nhat(G.n, p.k),
+              round_cap=default_round_cap(G.n), side_cuts=p.side_cuts,
+              k_within_min_degree=p.k <= min_degree)
     # a stable sort keeps the ascending ids of equal degrees
     top = (-degrees).argsort(kind="stable")[:ROOT_RETRIES]
     roots = ids[top][degrees[top] >= 1].tolist()
@@ -501,7 +482,7 @@ def seek_progress(
     last: SeekOutcome | None = None
     for r0 in roots:
         counters.roots_tried += 1
-        outcome = _seek_from_root(G, r0, p, audits, counters, claim_log, trace)
+        outcome = _seek_from_root(G, r0, p, audits, counters, sink)
         if outcome.progress is not None:
             return outcome
         last = outcome
@@ -514,22 +495,20 @@ def _seek_from_root(
     p: Params,
     audits: list[RoundAudit],
     counters: SeekCounters,
-    claim_log: ClaimLog | None,
-    trace: list | None,
+    sink: Sink,
 ) -> SeekOutcome:
-    pair = build_two_level(G, r0, p, claim_log=claim_log)
+    pair = build_two_level(G, r0, p)
     if not isinstance(pair, RegularPair):  # the root's neighborhood is progress
-        _emit(trace, "progress", round=0, kind=type(pair).__name__.lower(),
-              set_size=pair.members.bit_count())
+        sink.emit(event="progress", round=0, kind=type(pair).__name__.lower(),
+                  set_size=pair.members.bit_count())
         return SeekOutcome(pair, None, audits, counters)
-    if trace is not None:
-        _emit(trace, "structure", root=r0, s_size=pair.S.bit_count(),
-              t_size=pair.T.bit_count(),
-              delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
+    if sink.trace is not None:
+        sink.emit(event="structure", root=r0, s_size=pair.S.bit_count(),
+                  t_size=pair.T.bit_count(),
+                  delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
     round_cap = default_round_cap(G.n)
     for j in range(1, round_cap + 1):
-        res = inner_loop(G, r0, pair, p, claim_log=claim_log, trace=trace,
-                         counters=counters)
+        res = inner_loop(G, r0, pair, p, sink=sink, counters=counters)
         if isinstance(res, InnerError):
             return SeekOutcome(None, res.reason, audits, counters)
         if isinstance(res, ProgressFound):
@@ -544,12 +523,13 @@ def _seek_from_root(
         chosen_X, chosen_Y = (side.x, side.y) if adopted else (X, Y)
         if adopted:
             counters.side_cuts_adopted += 1
-            _emit(trace, "side_cut", round=j, u=side.u,
-                  x_size=side.x.bit_count(), y_size=side.y.bit_count())
+            sink.emit(event="side_cut", round=j, u=side.u,
+                      x_size=side.x.bit_count(), y_size=side.y.bit_count())
         audit = audit_round(G, p, pair, X, Y, chosen_X, chosen_Y, adopted,
                             side.u if adopted else None)
         audits.append(audit)
-        _emit(trace, "round_end", round=j, **audit.to_dict())
+        if sink.trace is not None:
+            sink.emit(event="round_end", round=j, **audit.to_dict())
         if not chosen_Y:
             return SeekOutcome(None, "StructureFailed", audits, counters)
         ids, degrees = degrees_into(G, chosen_Y, chosen_X)

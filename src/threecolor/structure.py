@@ -27,7 +27,7 @@ from .graph import (
     with_degree_at_least,
 )
 from .params import Params, nhat
-from .progress import ClaimLog, Progress, Type1, Type2, log_claim, type1_threshold
+from .progress import NO_SINK, Progress, Sink, Type1, Type2, type1_threshold
 
 # The paper's regularization constants.  A bucket holds the degrees d with
 # b <= d < BUCKET_BASE * b and its T side is capped at DEGREE_CAP * b /
@@ -171,7 +171,7 @@ class RegularPair:
 
 
 def multichromatic_test(
-    G: Graph, X: int, p: Params, *, claim_log: ClaimLog | None = None
+    G: Graph, X: int, p: Params, *, sink: Sink = NO_SINK
 ) -> MultichromaticGuaranteed | Progress:
     """Either certify X multichromatic in every 3-coloring, or make progress.
 
@@ -186,12 +186,12 @@ def multichromatic_test(
     if size < floor:
         raise SetTooSmall(f"|X| = {size} below the test floor {floor}")
     if spans_edge(G, X):
-        log_claim(claim_log, "multi", X, G)
+        sink.claim("multi", X, G)
         return MultichromaticGuaranteed(X, "internal-edge")
     nbhd = union_neighborhoods(G, X) & ~X
     split = bipartition(G, nbhd)
     if isinstance(split, OddCycle):
-        log_claim(claim_log, "multi", X, G)
+        sink.claim("multi", X, G)
         return MultichromaticGuaranteed(X, "neighborhood-odd-cycle")
     if nbhd.bit_count() >= type1_threshold(G.n, p.k, p.c1):
         return Type1(nbhd, split.side0, split.side1)
@@ -278,9 +278,7 @@ def _assert_regular(G: Graph, pair: RegularPair) -> None:
         raise AssertionError(f"regularized pair is not regular: {bad}")
 
 
-def build_two_level(
-    G: Graph, r0: int, p: Params, *, claim_log: ClaimLog | None = None
-) -> RegularPair | Progress:
+def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress:
     """Grow the round-1 regular pair from a root vertex.
 
     S is the root's neighborhood; if it is not 2-colorable the graph is

@@ -218,6 +218,25 @@ class TestColor:
         code = run_cli(["color", "--in", str(src), "--params", str(pfile)])
         assert code == 4
 
+    @pytest.mark.parametrize("c1", [0, -1])
+    def test_nonpositive_large_set_scale_exits_4(self, tmp_path, capsys, monkeypatch,
+                                                 c1):
+        # a large-set floor of 0 would let the pipeline offer the empty
+        # neighborhood of an isolated vertex as progress, over and over
+        def never(*args):
+            raise AssertionError("the run started")
+
+        monkeypatch.setattr(threecolor.cli, "_run_method", never)
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.02, seed=0))
+        src = tmp_path / "g.col"
+        src.write_text(emit_dimacs(g))
+        pfile = tmp_path / "params.json"
+        pfile.write_text(json.dumps({"c1": c1}))
+        code = run_cli(["color", "--in", str(src), "--method", "pipeline",
+                        "--params", str(pfile)])
+        assert code == 4
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_no_side_cuts_flag(self, tmp_path):
         g, _ = generate_planted(GenParams(n=80, edge_prob=0.5, seed=1))
         src = tmp_path / "g.col"

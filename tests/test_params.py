@@ -101,3 +101,10 @@ def test_overrides_survive_for_graph():
 def test_large_set_scale_cannot_exceed_neighborhood_scale():
     with pytest.raises(ValueError):
         Params.for_graph(100, 10, c1=2.0)
+
+
+@pytest.mark.parametrize("c1", [0, 0.0, -1])
+def test_large_set_scale_must_be_positive(c1):
+    # a large-set floor of 0 would accept an empty set as progress
+    with pytest.raises(ValueError, match="c1 must be positive"):
+        Params.for_graph(100, 10, c1=c1)

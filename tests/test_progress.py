@@ -16,6 +16,7 @@ from threecolor.progress import (
     EXHAUSTED,
     Defer,
     MonoSet,
+    Sink,
     Type0,
     Type1,
     Type2,
@@ -23,6 +24,7 @@ from threecolor.progress import (
     color_with_progress,
     merge_vertex_set,
     type1_threshold,
+    validate_progress,
 )
 
 
@@ -149,6 +151,22 @@ class TestDriver:
         with pytest.raises(UnsoundProgress):
             color_with_progress(g, 1.0, source)
 
+    def test_empty_type1_rejected_even_with_zero_scale(self):
+        # with c1 = 0 the size floor is 0, yet an empty set removes nothing:
+        # a source that offers it again would never let the driver finish
+        g = build_graph(3, [(0, 1)])
+        violations = validate_progress(g, mask([0, 1, 2]), Type1(0, 0, 0), 2.0, c1=0.0)
+        assert violations == ["large set is empty"]
+        calls = []
+
+        def source(view):
+            calls.append(view.n_alive)
+            return Type1(0, 0, 0) if len(calls) < 3 else EXHAUSTED
+
+        with pytest.raises(UnsoundProgress, match="empty"):
+            color_with_progress(g, 2.0, source, c1=0.0)
+        assert calls == [3]
+
     @pytest.mark.parametrize("claim", [
         Type1(mask([0, 4]), mask([0, 4]), 0),
         Type1(mask([0]), mask([0, 9]), 0),
@@ -204,7 +222,7 @@ class TestDriver:
     def test_trace_shape(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         trace = []
-        color_with_progress(g, 1.0, lambda view: EXHAUSTED, trace=trace)
+        color_with_progress(g, 1.0, lambda view: EXHAUSTED, sink=Sink(trace))
         assert trace
         for entry in trace:
             assert {"step", "mechanism", "set_size", "neighborhood_size",

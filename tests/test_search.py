@@ -4,15 +4,17 @@ import random
 from fractions import Fraction
 from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings, strategies as st
 from test_graph import mask
 
 from threecolor import search
+from threecolor.baselines import pipeline_color
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, iter_bits, packed_subgraph
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params, default_round_cap, nhat
-from threecolor.progress import MonoSet, induced_subgraph
+from threecolor.progress import MonoSet, Sink, induced_subgraph
 from threecolor.search import (
     ROOT_RETRIES,
     SIDECUT_FACTOR,
@@ -209,7 +211,7 @@ class TestInnerLoop:
         trace = []
         with patch.object(search, "with_degree_at_least",
                           wraps=search.with_degree_at_least) as count:
-            res = inner_loop(g, 0, pair, p, trace=trace)
+            res = inner_loop(g, 0, pair, p, sink=Sink(trace))
         assert isinstance(res, InnerError) and res.reason == "ErrorB"
         # |T| = 1 < nhat settles it: no seed is counted
         assert count.call_count == 0
@@ -226,7 +228,7 @@ class TestInnerLoop:
         trace = []
         with patch.object(search, "with_degree_at_least",
                           wraps=search.with_degree_at_least) as count:
-            res = inner_loop(g, 0, pair, p, trace=trace)
+            res = inner_loop(g, 0, pair, p, sink=Sink(trace))
         assert isinstance(res, InnerError) and res.reason == "ErrorB"
         assert count.call_count == 1
         assert trace == [{"event": "error", "reason": "ErrorB"}]
@@ -237,7 +239,7 @@ class TestInnerLoop:
                            Fraction(2), Fraction(1), 1)
         p = make_params(g.n, 2.0)  # nhat = ceil(7/4) = 2
         log = []
-        res = inner_loop(g, 0, pair, p, claim_log=log)
+        res = inner_loop(g, 0, pair, p, sink=Sink(claims=log))
         assert isinstance(res, ProgressFound)
         assert isinstance(res.progress, MonoSet)
         assert res.progress.members == mask(s_ids)
@@ -360,7 +362,7 @@ class TestSeekProgress:
             g = packed_subgraph(g.adj_rows, range(g.n))
         tried = []
 
-        def first_root_fails(G, r0, p, audits, counters, claim_log, trace):
+        def first_root_fails(G, r0, p, audits, counters, sink):
             tried.append(r0)
             return SeekOutcome(None, "ErrorB", audits, counters)
 
@@ -395,3 +397,41 @@ class TestSeekProgress:
             assert outcome.failure in (
                 "ErrorA", "ErrorB", "RoundCapExceeded", "StructureFailed"
             )
+
+
+# (instance, params): three audited rounds on the first; the second is a
+# pipeline-cuts instance, where the nested sparse cuts and side cuts run
+SINK_CASES = [
+    (GenParams(n=150, edge_prob=0.3, seed=0), {"k": 3.0, "c1": 2.0, "c2": 2.0}),
+    (GenParams(n=400, edge_prob=0.5, seed=0), {"k": 2.6, "c1": 2.0, "c2": 2.0}),
+]
+
+
+def sink_case(gen, overrides):
+    g, _ = generate_planted(gen)
+    return g, Params.for_graph(g.n, g.min_degree(), **overrides)
+
+
+class TestSink:
+    def test_untraced_search_builds_no_round_end_entry(self):
+        g, p = sink_case(*SINK_CASES[0])
+        with patch.object(search.RoundAudit, "to_dict",
+                          side_effect=AssertionError("round_end entry built")):
+            outcome = seek_progress(g, p=p)
+        assert len(outcome.audits) == 3
+
+    @pytest.mark.parametrize("gen, overrides", SINK_CASES)
+    def test_kept_outputs_do_not_change_the_search(self, gen, overrides):
+        g, p = sink_case(gen, overrides)
+        trace, claims = [], []
+        kept = seek_progress(g, p=p, trace=trace, claim_log=claims)
+        assert trace
+        assert kept == seek_progress(g, p=p)
+
+    @pytest.mark.parametrize("gen, overrides", SINK_CASES)
+    def test_kept_outputs_do_not_change_the_pipeline(self, gen, overrides):
+        g, p = sink_case(gen, overrides)
+        trace, claims = [], []
+        kept = pipeline_color(g, p, trace=trace, claim_log=claims)
+        assert claims and any(entry.get("event") == "cut" for entry in trace)
+        assert kept == pipeline_color(g, p)
