@@ -42,6 +42,8 @@ class GenParams:
         # capped at what parse_dimacs reads back, before the n x n draw allocates
         if not 0 <= self.n <= MAX_VERTICES:
             raise ValueError(f"n must lie in [0, {MAX_VERTICES}], not {self.n}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
         if not 0.0 <= self.edge_prob <= 1.0:
             raise ValueError("edge_prob must lie in [0, 1]")
         if len(self.class_balance) != 3 or not all(

@@ -5,10 +5,11 @@ backtracking with canonical-color symmetry reduction: colors must appear
 in first-use order, so each orbit of the color permutation group is
 visited once and counts are restored by the orbit size (3 for
 single-color colorings, 6 otherwise).  The representatives are kept as
-rows of colors, and each query is one vectorized test over them: are two
-columns equal, how many colors do a set's columns take.  Both answers,
-and the conditional "t and r0 differ" that filters the rows, are
-invariant under color permutation, so the reduced walk answers exactly.
+rows of colors, and each query is one vectorized test over them: how
+many colors do a set's columns take.  That count, and the conditional
+"t and r0 differ" that filters the rows, are invariant under color
+permutation, so the reduced walk answers exactly.  Every claim the
+verifiers check is a bound on that count for one set.
 
 Consecutive calls on one graph object share one walk: its rows are kept
 until a call on another graph replaces them.  ``CHUNK_BYTES`` bounds the
@@ -29,11 +30,6 @@ from .graph import (
 from .progress import (
     Claim, MonoSet, Progress, Type0, Type1, Type2, validate_progress,
 )
-
-SAME_IN_ALL = "all"
-SAME_IN_SOME = "some"
-SAME_IN_NONE = "none"
-NO_COLORINGS = "no_colorings"
 
 # bytes of representative colorings, one byte per vertex, in one chunk
 CHUNK_BYTES = 1 << 20
@@ -65,7 +61,6 @@ class TooLarge(ValueError):
 class ColoringSummary:
     count_3colorings: int
     colorable: bool
-    pair_status: dict[tuple[int, int], str] = field(default_factory=dict)
     set_min_colors: dict[tuple[int, ...], int] = field(default_factory=dict)
     set_max_colors: dict[tuple[int, ...], int] = field(default_factory=dict)
     conditional: tuple[int, int] | None = None
@@ -139,25 +134,23 @@ def _walk(G: Graph, fold: Callable[[np.ndarray], None]) -> np.ndarray | None:
 
 def enumerate_3colorings(
     G: Graph,
-    pairs: tuple[tuple[int, int], ...] = (),
     sets: tuple[tuple[int, ...], ...] = (),
     conditional: tuple[int, int] | None = None,
     cap: int = 25,
 ) -> ColoringSummary:
     """Exact answers over all proper 3-colorings of G (n <= min(cap, MAX_CAP)).
 
-    ``pairs`` are queried for same-color status, ``sets`` for the
-    minimum and maximum number of distinct colors they receive.  With a
-    ``conditional`` (t, r0), only colorings giving t and r0 different
-    colors are considered; t == r0 makes the class empty.  A call on the
-    graph object of the previous call reuses that call's walk.  Raises
-    TooLarge above the cap, or when the walk passes MAX_NODES calls.
+    ``sets`` are queried for the minimum and maximum number of distinct
+    colors they receive.  With a ``conditional`` (t, r0), only colorings
+    giving t and r0 different colors are considered; t == r0 makes the
+    class empty.  A call on the graph object of the previous call reuses
+    that call's walk.  Raises TooLarge above the cap, or when the walk
+    passes MAX_NODES calls.
     """
     global _last_walk
     n = G.n
     if n > min(cap, MAX_CAP):
         raise TooLarge(f"n = {n} exceeds the enumeration cap {min(cap, MAX_CAP)}")
-    pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
     sets = tuple(tuple(sorted(set(s))) for s in sets)
 
     summary = ColoringSummary(0, False, conditional=conditional)
@@ -166,12 +159,11 @@ def enumerate_3colorings(
         summary.count_3colorings = summary.reps_seen = 1
         summary.colorable = True
         return summary
-    # fewest and most colors of each pair, then of each set, over the rows
-    spans = [[4, 0] for _ in pairs + sets]
+    spans = [[4, 0] for _ in sets]  # fewest and most colors of each set
     if not empty_class:
         col = {v: v for v in range(n)}  # KeyError for an id outside the graph
         cond = None if conditional is None else [col[v] for v in conditional]
-        queries = [[col[v] for v in q] for q in pairs + sets]
+        queries = [[col[v] for v in q] for q in sets]
 
         def fold(reps: np.ndarray) -> None:
             if cond is not None:
@@ -194,14 +186,7 @@ def enumerate_3colorings(
             _last_walk = None if reps is None else (G, reps)
 
     summary.colorable = colorable = summary.count_3colorings > 0
-    for pr, (fewest, most) in zip(pairs, spans):
-        if not colorable:
-            summary.pair_status[pr] = NO_COLORINGS
-        elif fewest == 2:
-            summary.pair_status[pr] = SAME_IN_NONE
-        else:
-            summary.pair_status[pr] = SAME_IN_ALL if most == 1 else SAME_IN_SOME
-    for st, (fewest, most) in zip(sets, spans[len(pairs):]):
+    for st, (fewest, most) in zip(sets, spans):
         summary.set_min_colors[st] = fewest if colorable else 0
         summary.set_max_colors[st] = most if colorable else 0
     return summary
@@ -211,26 +196,6 @@ def enumerate_3colorings(
 class Verdict:
     verified: bool
     reasons: list[str] = field(default_factory=list)
-
-
-def _pair_reasons(G: Graph, u: int, v: int, cap: int) -> list[str]:
-    """Why u and v do not share a color in every 3-coloring of G, if so."""
-    summary = enumerate_3colorings(G, pairs=((u, v),), cap=cap)
-    status = summary.pair_status[(min(u, v), max(u, v))]
-    if status in (SAME_IN_ALL, NO_COLORINGS):
-        return []
-    return [f"pair is same-colored in {status} colorings only"]
-
-
-def _set_colors(G: Graph, vertices, cap: int,
-                conditional: tuple[int, int] | None = None) -> tuple[int, int] | None:
-    """Fewest and most colors ``vertices`` take over the 3-colorings of G
-    (those giving the conditional pair different colors); None if none."""
-    summary = enumerate_3colorings(G, sets=(vertices,), conditional=conditional, cap=cap)
-    if not summary.colorable:
-        return None
-    key = tuple(sorted(set(vertices)))
-    return summary.set_min_colors[key], summary.set_max_colors[key]
 
 
 def verify_progress_claim(
@@ -246,42 +211,46 @@ def verify_progress_claim(
 
     Every claim first passes the driver's structural check with all of G
     alive, which settles large-set and small-neighborhood claims with no
-    size limit.  Same-color pairs and monochromatic sets then go through
-    exhaustive enumeration (subject to the size cap).
+    size limit.  Same-color pairs and monochromatic sets then go to
+    ``verify_logged_claim`` as type0 and mono claims on G.
     """
     reasons = validate_progress(G, (1 << G.n) - 1, claim, k, c1, c2)
     if reasons:
         return Verdict(False, reasons)
     if isinstance(claim, Type0):
-        reasons = _pair_reasons(G, claim.u, claim.v, cap)
-    elif isinstance(claim, MonoSet):
-        colors = _set_colors(G, tuple(iter_bits(claim.members)), cap)
-        if colors and colors[1] > 1:
-            reasons.append("set takes two colors in some 3-coloring")
-    return Verdict(not reasons, reasons)
+        return verify_logged_claim(Claim("type0", (claim.u, claim.v), G), cap)
+    if isinstance(claim, MonoSet):
+        return verify_logged_claim(Claim("mono", tuple(iter_bits(claim.members)), G), cap)
+    return Verdict(True)
 
 
 def verify_logged_claim(claim: Claim, cap: int = 25) -> Verdict:
-    """Verify a guarantee recorded during a run against its own graph."""
-    G, kind = claim.graph, claim.kind
-    reasons: list[str] = []
+    """Verify a guarantee recorded during a run against its own graph.
+
+    Each kind bounds the colors ``claim.vertices`` take over the
+    3-colorings of the claim's graph that give ``claim.conditional``, when
+    set, two colors: multi at least two, type0, mono and mono_if_differ
+    (which needs the conditional) at most one.  One enumeration answers
+    it, and a graph without such a coloring verifies every claim.
+    """
+    kind, cond = claim.kind, claim.conditional
+    if kind not in ("type0", "multi", "mono", "mono_if_differ"):
+        return Verdict(False, [f"unknown logged claim kind {kind!r}"])
+    if kind == "mono_if_differ" and cond is None:
+        return Verdict(False, ["conditional pair missing"])
+    summary = enumerate_3colorings(claim.graph, sets=(claim.vertices,),
+                                   conditional=cond, cap=cap)
+    [fewest], [most] = summary.set_min_colors.values(), summary.set_max_colors.values()
+    where = "some 3-coloring" if cond is None else "a coloring where the pair differs"
+    if not summary.colorable or (fewest >= 2 if kind == "multi" else most <= 1):
+        return Verdict(True)
+    if kind == "multi":
+        return Verdict(False, [f"set is monochromatic in {where}"])
     if kind == "type0":
-        u, v = claim.vertices
-        reasons = _pair_reasons(G, u, v, cap)
-    elif kind == "mono_if_differ" and claim.conditional is None:
-        reasons.append("conditional pair missing")
-    elif kind in ("multi", "mono", "mono_if_differ"):
-        cond = claim.conditional if kind == "mono_if_differ" else None
-        colors = _set_colors(G, claim.vertices, cap, cond)
-        if colors and kind == "multi" and colors[0] < 2:
-            reasons.append("set is monochromatic in some 3-coloring")
-        elif colors and kind == "mono" and colors[1] > 1:
-            reasons.append("set is multichromatic in some 3-coloring")
-        elif colors and kind == "mono_if_differ" and colors[1] > 1:
-            reasons.append("set is multichromatic in a coloring where the pair differs")
-    else:
-        reasons.append(f"unknown logged claim kind {claim.kind!r}")
-    return Verdict(not reasons, reasons)
+        status = "none" if fewest == 2 else "some"
+        scope = "" if cond is None else ", among those where the conditional pair differs"
+        return Verdict(False, [f"pair is same-colored in {status} colorings only{scope}"])
+    return Verdict(False, [f"set is multichromatic in {where}"])
 
 
 def _vertex_ids(G: Graph, value, name: str, pair: bool = False) -> tuple[int, ...]:
@@ -335,16 +304,7 @@ def verify_claim_dict(G: Graph, entry: dict, k: float | None,
             conditional = entry.get("conditional")
             cond = (None if conditional is None
                     else _vertex_ids(G, conditional, "conditional", pair=True))
-            if kind == "mono":
-                logged = Claim("mono_if_differ" if cond else "mono",
-                               vertices, G, cond)
-            elif cond:
-                colors = _set_colors(G, vertices, cap, cond)
-                ok = colors is None or colors[0] >= 2
-                return Verdict(ok, [] if ok else ["set monochromatic under the conditional"])
-            else:
-                logged = Claim("multi", vertices, G)
-            return verify_logged_claim(logged, cap=cap)
+            return verify_logged_claim(Claim(kind, vertices, G, cond), cap=cap)
         return Verdict(False, [f"unknown claim type {kind!r}"])
     except TooLarge as exc:
         return Verdict(False, [str(exc)])

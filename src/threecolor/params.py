@@ -43,6 +43,10 @@ class Params:
     side_cuts: bool = True
 
     def __post_init__(self):
+        for name in ("k", "c1", "c2"):
+            # NaN passes every comparison below
+            if not finite_number(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.c1 <= 0:

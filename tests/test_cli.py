@@ -82,6 +82,7 @@ class TestGenerate:
         ["--n", str(MAX_VERTICES + 1)],
         # the largest class holds 4 of the 10 vertices, so 6 is the most
         ["--min-degree-target", "7"], ["--p", "0", "--min-degree-target", "1"],
+        ["--seed", "-1"],
     ])
     def test_unusable_input_exits_4(self, tmp_path, capsys, flags):
         code = run_cli(["generate", "--n", "10", *flags, "--out", str(tmp_path / "g")])

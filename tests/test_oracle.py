@@ -7,10 +7,6 @@ from test_graph import mask
 from threecolor import oracle
 from threecolor.graph import build_graph, iter_bits
 from threecolor.oracle import (
-    NO_COLORINGS,
-    SAME_IN_ALL,
-    SAME_IN_NONE,
-    SAME_IN_SOME,
     ColoringSummary,
     TooLarge,
     enumerate_3colorings,
@@ -21,11 +17,9 @@ from threecolor.oracle import verify_logged_claim
 from threecolor.generate import GenParams, generate_planted
 
 
-def naive_summary(g, pairs=(), sets=(), conditional=None):
+def naive_summary(g, sets=(), conditional=None):
     """Brute force over all 3^n assignments; the independent reference."""
     count = 0
-    pair_same = {p: False for p in pairs}
-    pair_diff = {p: False for p in pairs}
     set_min = {s: 4 for s in sets}
     set_max = {s: 0 for s in sets}
     for assign in product(range(3), repeat=g.n):
@@ -34,37 +28,28 @@ def naive_summary(g, pairs=(), sets=(), conditional=None):
         if conditional is not None and assign[conditional[0]] == assign[conditional[1]]:
             continue
         count += 1
-        for u, v in pairs:
-            if assign[u] == assign[v]:
-                pair_same[(u, v)] = True
-            else:
-                pair_diff[(u, v)] = True
         for s in sets:
             mult = len({assign[v] for v in s})
             set_min[s] = min(set_min[s], mult)
             set_max[s] = max(set_max[s], mult)
-    return count, pair_same, pair_diff, set_min, set_max
+    return count, set_min, set_max
 
 
-def per_leaf_summary(g, pairs=(), sets=(), conditional=None):
+def per_leaf_summary(g, sets=(), conditional=None):
     """Reference for ``enumerate_3colorings``: one pruned walk in vertex
     order with canonical colors, which prunes the conditional as soon as
     the later of its two vertices is colored and answers every query at
     each leaf, with nothing kept between calls."""
     n = g.n
-    pairs = tuple((min(u, v), max(u, v)) for u, v in pairs)
     sets = tuple(tuple(sorted(set(s))) for s in sets)
     out = ColoringSummary(0, False, conditional=conditional)
     if conditional is not None and conditional[0] == conditional[1]:
-        out.pair_status = dict.fromkeys(pairs, NO_COLORINGS)
         out.set_min_colors = dict.fromkeys(sets, 0)
         out.set_max_colors = dict.fromkeys(sets, 0)
         return out
     late = early = -1
     if conditional is not None:
         late, early = max(conditional), min(conditional)
-    pair_same = dict.fromkeys(pairs, False)
-    pair_diff = dict.fromkeys(pairs, False)
     set_min = dict.fromkeys(sets, 4)
     set_max = dict.fromkeys(sets, 0)
     colors = [0] * n
@@ -72,11 +57,6 @@ def per_leaf_summary(g, pairs=(), sets=(), conditional=None):
     def leaf(introduced):
         out.reps_seen += 1
         out.count_3colorings += 3 if introduced == 1 else 6
-        for u, v in pairs:
-            if colors[u] == colors[v]:
-                pair_same[(u, v)] = True
-            else:
-                pair_diff[(u, v)] = True
         for st_ in sets:
             mult = len({colors[v] for v in st_})
             set_min[st_] = min(set_min[st_], mult)
@@ -96,15 +76,6 @@ def per_leaf_summary(g, pairs=(), sets=(), conditional=None):
 
     walk(0, 0)
     out.colorable = out.count_3colorings > 0
-    for pr in pairs:
-        if not out.colorable:
-            out.pair_status[pr] = NO_COLORINGS
-        elif pair_same[pr] and not pair_diff[pr]:
-            out.pair_status[pr] = SAME_IN_ALL
-        elif pair_same[pr]:
-            out.pair_status[pr] = SAME_IN_SOME
-        else:
-            out.pair_status[pr] = SAME_IN_NONE
     for st_ in sets:
         out.set_min_colors[st_] = set_min[st_] if out.colorable else 0
         out.set_max_colors[st_] = set_max[st_] if out.colorable else 0
@@ -124,8 +95,10 @@ class TestEnumerate:
         assert summary.set_max_colors[(0, 1, 2)] == 3
 
     def test_path_pair_some_not_all(self):
-        summary = enumerate_3colorings(PATH3, pairs=((0, 2),))
-        assert summary.pair_status[(0, 2)] == SAME_IN_SOME
+        # the ends of the path share a color in some colorings, not in all
+        summary = enumerate_3colorings(PATH3, sets=((0, 2),))
+        assert summary.set_min_colors[(0, 2)] == 1
+        assert summary.set_max_colors[(0, 2)] == 2
         assert summary.count_3colorings == 12
 
     def test_c5_needs_three_colors(self):
@@ -134,14 +107,13 @@ class TestEnumerate:
 
     def test_k4_not_colorable(self):
         k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
-        summary = enumerate_3colorings(k4, pairs=((0, 1),))
+        summary = enumerate_3colorings(k4, sets=((0, 1),))
         assert summary.count_3colorings == 0
         assert not summary.colorable
-        assert summary.pair_status[(0, 1)] == NO_COLORINGS
 
     def test_adjacent_pair_never_same(self):
-        summary = enumerate_3colorings(PATH3, pairs=((0, 1),))
-        assert summary.pair_status[(0, 1)] == SAME_IN_NONE
+        summary = enumerate_3colorings(PATH3, sets=((0, 1),))
+        assert summary.set_min_colors[(0, 1)] == 2
 
     def test_conditional_restricts(self):
         # on the path, conditioning color(0) != color(2) kills the
@@ -150,9 +122,9 @@ class TestEnumerate:
         assert summary.count_3colorings == 6
 
     def test_conditional_same_vertex_is_empty(self):
-        summary = enumerate_3colorings(PATH3, pairs=((0, 1),), conditional=(1, 1))
+        summary = enumerate_3colorings(PATH3, sets=((0, 1),), conditional=(1, 1))
         assert summary.count_3colorings == 0
-        assert summary.pair_status[(0, 1)] == NO_COLORINGS
+        assert not summary.colorable
 
     def test_too_large(self):
         g = build_graph(30, [])
@@ -194,26 +166,18 @@ def test_reduced_enumeration_matches_naive(data):
     g = build_graph(n, edges)
     q_pairs = tuple(data.draw(st.sets(st.sampled_from(pairs_all), max_size=2))) if pairs_all else ()
     members = data.draw(st.sets(st.integers(0, n - 1), min_size=1))
-    q_sets = (tuple(sorted(members)),)
+    # a pair is a 2-set: same color in all colorings is at most 1 color,
+    # in none at least 2
+    q_sets = (*q_pairs, tuple(sorted(members)))
     conditional = None
     if n >= 2 and data.draw(st.booleans()):
         a = data.draw(st.integers(0, n - 1))
         b = data.draw(st.integers(0, n - 1).filter(lambda x: x != a))
         conditional = (a, b)
-    summary = enumerate_3colorings(g, pairs=q_pairs, sets=q_sets, conditional=conditional)
-    count, pair_same, pair_diff, set_min, set_max = naive_summary(
-        g, q_pairs, q_sets, conditional
-    )
+    summary = enumerate_3colorings(g, sets=q_sets, conditional=conditional)
+    count, set_min, set_max = naive_summary(g, q_sets, conditional)
     assert summary.count_3colorings == count
-    for pr in q_pairs:
-        if count == 0:
-            assert summary.pair_status[pr] == NO_COLORINGS
-        elif pair_same[pr] and not pair_diff[pr]:
-            assert summary.pair_status[pr] == SAME_IN_ALL
-        elif pair_same[pr]:
-            assert summary.pair_status[pr] == SAME_IN_SOME
-        else:
-            assert summary.pair_status[pr] == SAME_IN_NONE
+    assert summary.colorable == (count > 0)
     for s in q_sets:
         if count == 0:
             assert summary.set_min_colors[s] == 0
@@ -234,9 +198,10 @@ def test_stored_colorings_answer_like_the_per_leaf_walk(chunk_bytes, data):
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < density])
     vertex = st.integers(0, n - 1)
+    # pairs (which may repeat a vertex) beside sets of up to 6 ids
     pairs = tuple(data.draw(st.lists(st.tuples(vertex, vertex), max_size=4)))
-    sets = tuple(map(tuple, data.draw(st.lists(st.lists(vertex, max_size=6),
-                                               max_size=4))))
+    sets = pairs + tuple(map(tuple, data.draw(st.lists(st.lists(vertex, max_size=6),
+                                                       max_size=4))))
     conditionals = [None, (data.draw(vertex), data.draw(vertex)),
                     (data.draw(vertex),) * 2]
     with pytest.MonkeyPatch.context() as mp:
@@ -244,8 +209,8 @@ def test_stored_colorings_answer_like_the_per_leaf_walk(chunk_bytes, data):
         # the first call walks g; the later ones reuse its rows when they
         # fit in one chunk
         for cond in conditionals + conditionals[::-1]:
-            got = enumerate_3colorings(g, pairs=pairs, sets=sets, conditional=cond)
-            assert got == per_leaf_summary(g, pairs, sets, cond)
+            got = enumerate_3colorings(g, sets=sets, conditional=cond)
+            assert got == per_leaf_summary(g, sets, cond)
 
 
 def test_claims_on_alternating_graphs_get_their_own_answers():
@@ -259,9 +224,8 @@ def test_claims_on_alternating_graphs_get_their_own_answers():
         mono = Claim("mono_if_differ", (1, 3), g, conditional=(0, 3))
         assert verify_logged_claim(mono).verified == holds
         for cond in (None, (1, 3), (3, 3)):
-            assert (enumerate_3colorings(g, pairs=((0, 2),), sets=((0, 2, 3),),
-                                         conditional=cond)
-                    == per_leaf_summary(g, ((0, 2),), ((0, 2, 3),), cond))
+            assert (enumerate_3colorings(g, sets=((0, 2), (0, 2, 3)), conditional=cond)
+                    == per_leaf_summary(g, ((0, 2), (0, 2, 3)), cond))
 
 
 class TestVerifyProgressClaim:
@@ -346,11 +310,9 @@ def test_planted_small_instances_are_colorable():
 
 def test_query_order_irrelevant():
     g, _ = generate_planted(GenParams(n=10, edge_prob=0.4, seed=6))
-    pairs = ((0, 3), (2, 7), (1, 9))
-    sets = ((0, 1, 2), (3, 4, 5, 6))
-    fwd = enumerate_3colorings(g, pairs=pairs, sets=sets)
-    rev = enumerate_3colorings(g, pairs=pairs[::-1], sets=sets[::-1])
-    assert fwd.pair_status == rev.pair_status
+    sets = ((0, 3), (2, 7), (1, 9), (0, 1, 2), (3, 4, 5, 6))
+    fwd = enumerate_3colorings(g, sets=sets)
+    rev = enumerate_3colorings(g, sets=sets[::-1])
     assert fwd.set_min_colors == rev.set_min_colors
     assert fwd.set_max_colors == rev.set_max_colors
     assert fwd.count_3colorings == rev.count_3colorings
@@ -430,3 +392,75 @@ def test_sound_contraction_preserves_colorability():
     assert enumerate_3colorings(g, sets=((1, 2, 3),)).set_max_colors[(1, 2, 3)] == 1
     h, _ = contract(g, 1, 2)
     assert enumerate_3colorings(h).count_3colorings >= 1
+
+
+# the 4-cycle 0-2-1-3: 0 and 1 share a color whenever 2 and 3 differ
+C4 = build_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+@pytest.mark.parametrize("kind, cond, reason", [
+    ("type0", None, "pair is same-colored in some colorings only"),
+    ("type0", (2, 3), None),
+    ("mono", None, "set is multichromatic in some 3-coloring"),
+    ("mono", (2, 3), None),
+    ("mono_if_differ", (2, 3), None),
+    ("multi", None, "set is monochromatic in some 3-coloring"),
+    ("multi", (2, 3), "set is monochromatic in a coloring where the pair differs"),
+    ("multi", (3, 3), None),
+])
+def test_every_kind_honors_the_conditional(kind, cond, reason):
+    verdict = verify_logged_claim(Claim(kind, (0, 1), C4, cond))
+    assert verdict.verified is (reason is None)
+    assert verdict.reasons == ([] if reason is None else [reason])
+
+
+def test_type0_reason_keeps_the_conditional():
+    # on the path the ends differ whenever the conditional says so
+    verdict = verify_logged_claim(Claim("type0", (0, 2), PATH3, (0, 2)))
+    assert verdict.reasons == ["pair is same-colored in none colorings only, "
+                               "among those where the conditional pair differs"]
+
+
+def test_claims_reach_the_enumeration_only_through_the_logged_check(monkeypatch):
+    from threecolor.oracle import verify_claim_dict
+
+    inside = []
+    logged, enumerate_ = oracle.verify_logged_claim, oracle.enumerate_3colorings
+
+    def checked(claim, cap=25):
+        inside.append(claim.kind)
+        try:
+            return logged(claim, cap)
+        finally:
+            inside.pop()
+
+    def walked(*args, **kwargs):
+        assert inside, "enumeration reached outside verify_logged_claim"
+        return enumerate_(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "verify_logged_claim", checked)
+    monkeypatch.setattr(oracle, "enumerate_3colorings", walked)
+    assert not verify_progress_claim(C4, Type0(0, 1), k=1.0).verified
+    assert not verify_progress_claim(C4, MonoSet(mask([2, 3])), k=1.0).verified
+    for entry in ({"type": "type0", "pair": [0, 1]},
+                  {"type": "mono", "vertices": [0, 1], "conditional": [2, 3]},
+                  {"type": "multi", "vertices": [0, 1]}):
+        verify_claim_dict(C4, entry, k=None)
+
+
+def test_monoset_reason_names_the_multichromatic_set():
+    verdict = verify_progress_claim(PATH3, MonoSet(mask([0, 2])), k=1.0)
+    assert verdict.reasons == ["set is multichromatic in some 3-coloring"]
+
+
+@pytest.mark.parametrize("pair, reason", [
+    ([0, 0], "same-color pair must be two distinct vertices"),
+    ([0, 2], "same-color pair is adjacent"),
+])
+def test_claim_dict_type0_keeps_the_shape_check(pair, reason):
+    # K4 has no 3-coloring, so the enumeration alone would pass any pair
+    from threecolor.oracle import verify_claim_dict
+
+    k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
+    verdict = verify_claim_dict(k4, {"type": "type0", "pair": pair}, k=None)
+    assert verdict == oracle.Verdict(False, [reason])

@@ -65,6 +65,20 @@ def test_invalid_values_rejected():
         Params(k=0.5)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["k", "c1", "c2"])
+def test_non_finite_values_rejected(name, value):
+    # NaN passes every range guard, since each comparison with it is false
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        Params(**{"k": 2.0, "c1": 1.0, "c2": 1.0, name: value})
+
+
+def test_for_graph_refuses_a_nan_target():
+    # the clamp to [1, n] passes NaN through
+    with pytest.raises(ValueError, match="k must be a finite number"):
+        Params.for_graph(10, 1, k=math.nan)
+
+
 @pytest.mark.parametrize("text", [
     '{"nhat": "x"}', '{"nhat": true}', '{"c1": "2"}', '{"k": [1]}',
     '{"k": Infinity}', '{"side_cuts": "no"}', '{"side_cuts": 0}',
