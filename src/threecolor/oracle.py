@@ -5,21 +5,24 @@ backtracking with canonical-color symmetry reduction: colors must appear
 in first-use order, so each orbit of the color permutation group is
 visited once and counts are restored by the orbit size (3 for
 single-color colorings, 6 otherwise).  The representatives are kept as
-rows of colors, and each query is one vectorized test over them: how
-many colors do a set's columns take.  That count, and the conditional
-"t and r0 differ" that filters the rows, are invariant under color
-permutation, so the reduced walk answers exactly.  Every claim the
-verifiers check is a bound on that count for one set.
+color bit-planes, an int per vertex and color with bit r set when the
+r-th representative gives the vertex that color, and each query is a few
+int operations over them: how many colors do a set's members take.  That
+count, and the conditional "t and r0 differ" that filters the
+representatives, are invariant under color permutation, so the reduced
+walk answers exactly.  Every claim checked is a bound on it for one set.
 
-Consecutive calls on one graph object share one walk: its rows are kept
-until a call on another graph replaces them.  ``CHUNK_BYTES`` bounds the
-memory: the walk hands its rows to the answers in chunks of at most that
-size, and a walk that fills more than one chunk is not kept.
+Consecutive calls on one graph object share one walk: its planes are
+kept until a call on another graph replaces them.  ``CHUNK_BYTES`` bounds
+the memory: the walk turns its rows of colors into planes in chunks of
+at most that size, and keeps its planes (3 n / 8 bytes a row) only when
+they fit in that size too.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 import numpy as np
@@ -31,7 +34,7 @@ from .progress import (
     Claim, MonoSet, Progress, Type0, Type1, Type2, validate_progress,
 )
 
-# bytes of representative colorings, one byte per vertex, in one chunk
+# bytes of representative rows (a byte per vertex) in a chunk, and of kept planes
 CHUNK_BYTES = 1 << 20
 
 # The largest graph any cap admits: the walk recurses once per vertex, so
@@ -47,10 +50,14 @@ MAX_CAP = 64
 # p = 0.35) and 3,766,503 on planted n = 25, p = 0.2 graphs (seeds 0-59).
 MAX_NODES = 1 << 22
 
-# (graph, rows) of the last walk that fit in one chunk.  Graphs are
-# immutable and the strong reference keeps the id from being reused, so
-# identity is a sound key; the pair is replaced as one tuple.
-_last_walk: tuple[Graph, np.ndarray] | None = None
+# planes[c][v] has bit r set when representative r gives vertex v color c
+# (c < 3); planes[3] masks the single-color representatives and all of them
+Planes = list[list[int]]
+
+# (graph, planes) of the last walk whose planes fit in CHUNK_BYTES.  Graphs
+# are immutable and the strong reference keeps the id from being reused,
+# so identity is a sound key; the pair is replaced as one tuple.
+_last_walk: tuple[Graph, Planes] | None = None
 
 
 class TooLarge(ValueError):
@@ -86,11 +93,23 @@ def _search_order(G: Graph) -> list[int]:
     return order
 
 
-def _walk(G: Graph, fold: Callable[[np.ndarray], None]) -> np.ndarray | None:
+def _planes(reps: np.ndarray) -> Planes:
+    """The planes of a nonempty block of representative rows."""
+    n, size = reps.shape[1], (len(reps) + 7) // 8
+    colors = np.arange(3, dtype=np.uint8)[:, None, None]
+    # (3, n, size) bytes: per color and vertex, the bits of its rows
+    data = np.packbits(np.ascontiguousarray(reps.T) == colors, axis=2, bitorder="little").tobytes()
+    ints = [int.from_bytes(data[i:i + size], "little") for i in range(0, 3 * n * size, size)]
+    # canonical colors: a single-color row is all 0
+    single = int.from_bytes(np.packbits(~reps.any(axis=1), bitorder="little").tobytes(), "little")
+    return [ints[:n], ints[n:2 * n], ints[2 * n:], [single, (1 << len(reps)) - 1]]
+
+
+def _walk(G: Graph, fold: Callable[[Planes], None]) -> Planes | None:
     """Hand every representative 3-coloring of G (n >= 1) to ``fold``, as
-    the rows of read-only uint8 arrays in vertex order of at most
-    CHUNK_BYTES each.  Returns the rows if they all fit in one chunk;
-    raises TooLarge once the walk passes MAX_NODES calls."""
+    the planes of blocks of at most CHUNK_BYTES of rows of one byte per
+    vertex.  Returns the planes of the whole walk if they fit in
+    CHUNK_BYTES; raises TooLarge once the walk passes MAX_NODES calls."""
     n = G.n
     order = _search_order(G)
     adjs = [G.adj_bits(v) for v in order]
@@ -98,17 +117,22 @@ def _walk(G: Graph, fold: Callable[[np.ndarray], None]) -> np.ndarray | None:
     colors = [0] * n
     classes = [0, 0, 0]  # the vertices placed so far, by color
     rows: list[bytes] = []
-    spilled = False
-    nodes = 0
+    kept: Planes | None = [[0] * n for _ in range(3)] + [[0, 0]]  # no rows yet
+    seen = nodes = 0
 
-    def flush() -> np.ndarray:
-        reps = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n)
+    def flush() -> None:
+        nonlocal kept, seen
+        block = _planes(np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(len(rows), n))
+        fold(block)
+        if 3 * n * (seen + len(rows)) > 8 * CHUNK_BYTES:
+            kept = None
+        else:  # the earlier blocks fit too, so kept holds them
+            kept = [[a | b << seen for a, b in zip(old, new)] for old, new in zip(kept, block)]
+        seen += len(rows)
         rows.clear()
-        fold(reps)
-        return reps
 
     def walk(i: int, introduced: int) -> None:
-        nonlocal spilled, nodes
+        nonlocal nodes
         nodes += 1
         if nodes > MAX_NODES:
             raise TooLarge(f"the enumeration passed {MAX_NODES} search nodes "
@@ -117,7 +141,6 @@ def _walk(G: Graph, fold: Callable[[np.ndarray], None]) -> np.ndarray | None:
             rows.append(bytes(colors))
             if len(rows) == per_chunk:
                 flush()
-                spilled = True
             return
         v, bit = order[i], 1 << order[i]
         for c in range(min(introduced, 2) + 1):
@@ -128,8 +151,9 @@ def _walk(G: Graph, fold: Callable[[np.ndarray], None]) -> np.ndarray | None:
                 classes[c] ^= bit
 
     walk(0, 0)
-    reps = flush()
-    return None if spilled else reps
+    if rows:
+        flush()
+    return kept
 
 
 def enumerate_3colorings(
@@ -152,38 +176,44 @@ def enumerate_3colorings(
     if n > min(cap, MAX_CAP):
         raise TooLarge(f"n = {n} exceeds the enumeration cap {min(cap, MAX_CAP)}")
     sets = tuple(tuple(sorted(set(s))) for s in sets)
+    for v in chain(conditional or (), *sets):
+        if not 0 <= v < n:
+            raise KeyError(v)
 
     summary = ColoringSummary(0, False, conditional=conditional)
+    spans = [[4, 0] for _ in sets]  # fewest and most colors of each set
     empty_class = conditional is not None and conditional[0] == conditional[1]
     if n == 0 and not empty_class:
         summary.count_3colorings = summary.reps_seen = 1
-        summary.colorable = True
-        return summary
-    spans = [[4, 0] for _ in sets]  # fewest and most colors of each set
-    if not empty_class:
-        col = {v: v for v in range(n)}  # KeyError for an id outside the graph
-        cond = None if conditional is None else [col[v] for v in conditional]
-        queries = [[col[v] for v in q] for q in sets]
-
-        def fold(reps: np.ndarray) -> None:
-            if cond is not None:
-                reps = reps[reps[:, cond[0]] != reps[:, cond[1]]]
-            if not len(reps):
+        spans = [[0, 0] for _ in sets]  # every set of the empty graph is empty
+    elif not empty_class:
+        def fold(planes: Planes) -> None:
+            p0, p1, p2, (single, valid) = planes
+            if conditional is not None:
+                t, r0 = conditional
+                valid &= ~(p0[t] & p0[r0] | p1[t] & p1[r0] | p2[t] & p2[r0])
+            if not valid:
                 return
-            # canonical colors: a single-color row is all 0
-            single = len(reps) - int(np.count_nonzero(reps.any(axis=1)))
-            summary.reps_seen += len(reps)
-            summary.count_3colorings += 6 * len(reps) - 3 * single
-            for span, cols in zip(spans, queries):
-                mult = np.bitwise_count(np.bitwise_or.reduce(1 << reps[:, cols], axis=1))
-                span[:] = min(span[0], int(mult.min())), max(span[1], int(mult.max()))
+            reps = valid.bit_count()
+            summary.reps_seen += reps
+            summary.count_3colorings += 6 * reps - 3 * (valid & single).bit_count()
+            for span, members in zip(spans, sets):
+                # the valid representatives where some member takes color 0, 1, 2
+                a = b = c = 0
+                for v in members:
+                    a, b, c = a | p0[v], b | p1[v], c | p2[v]
+                a, b, c = a & valid, b & valid, c & valid
+                some, two, three = a | b | c, a & b | a & c | b & c, a & b & c  # >= 1, 2, 3 colors
+                fewest = 0 if valid & ~some else 1 if some & ~two else 2 if two & ~three else 3
+                most = 3 if three else 2 if two else 1 if some else 0
+                span[:] = min(span[0], fewest), max(span[1], most)
 
         last = _last_walk
         if last is not None and last[0] is G:
             fold(last[1])
         else:
-            reps = _walk(G, fold)
-            _last_walk = None if reps is None else (G, reps)
+            planes = _walk(G, fold)
+            _last_walk = None if planes is None else (G, planes)
 
     summary.colorable = colorable = summary.count_3colorings > 0
     for st, (fewest, most) in zip(sets, spans):

@@ -186,12 +186,14 @@ def test_reduced_enumeration_matches_naive(data):
             assert summary.set_max_colors[s] == set_max[s]
 
 
-@pytest.mark.parametrize("chunk_bytes", [oracle.CHUNK_BYTES, 20])
+@pytest.mark.parametrize("chunk_bytes", [oracle.CHUNK_BYTES, 200, 20])
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_stored_colorings_answer_like_the_per_leaf_walk(chunk_bytes, data):
     # 20 bytes holds 1 to 20 rows of n <= 12 colors, so most walks span
-    # several chunks, some ending in a partial or an empty one
+    # several chunks, some ending in a partial or an empty one; at 200
+    # bytes a walk of more than 200 / n rows spills its rows, and its
+    # planes (3 n / 8 bytes a row) are still kept up to 1600 / (3 n) rows
     n = data.draw(st.integers(1, 12))
     rng = data.draw(st.randoms(use_true_random=False))
     density = data.draw(st.floats(0.0 if n <= 8 else 0.3, 1.0))
@@ -206,11 +208,82 @@ def test_stored_colorings_answer_like_the_per_leaf_walk(chunk_bytes, data):
                     (data.draw(vertex),) * 2]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "CHUNK_BYTES", chunk_bytes)
-        # the first call walks g; the later ones reuse its rows when they
+        # the first call walks g; the later ones reuse its planes when they
         # fit in one chunk
         for cond in conditionals + conditionals[::-1]:
             got = enumerate_3colorings(g, sets=sets, conditional=cond)
             assert got == per_leaf_summary(g, sets, cond)
+
+
+def counted_walks(monkeypatch) -> list:
+    """Patch ``oracle._walk`` to record the graph of each call."""
+    walked, walk = [], oracle._walk
+
+    def counting(g, fold):
+        walked.append(g)
+        return walk(g, fold)
+
+    monkeypatch.setattr(oracle, "_walk", counting)
+    return walked
+
+
+def test_claims_on_a_walk_that_spills_its_rows_share_one_walk(monkeypatch):
+    # the edgeless 12-vertex graph has 88,574 representatives: 1.06 MB of
+    # rows spill one CHUNK_BYTES chunk, 0.40 MB of planes fit
+    g = build_graph(12, [])
+    walked = counted_walks(monkeypatch)
+    claims = [Claim("multi", (0, 1), g), Claim("mono", (2, 3), g),
+              Claim("multi", (4, 5, 6), g), Claim("mono", (7,), g),
+              Claim("mono_if_differ", (8, 9), g, conditional=(10, 11)),
+              Claim("type0", (0, 11), g),
+              Claim("multi", (1, 2), g, conditional=(1, 2)),
+              Claim("mono", (3, 4), g, conditional=(5, 6))]
+    # on an edgeless graph every set takes every number of colors it can,
+    # so only a one-vertex set and a multi set whose conditional pair must
+    # differ verify
+    assert ([verify_logged_claim(c).verified for c in claims]
+            == [False, False, False, True, False, False, True, False])
+    assert walked == [g]
+    assert (enumerate_3colorings(g, sets=((0, 1), (2, 3, 4, 5)))
+            == per_leaf_summary(g, ((0, 1), (2, 3, 4, 5))))
+    assert walked == [g]
+
+
+def test_planes_too_large_to_keep_walk_again(monkeypatch):
+    # the edgeless 7-vertex graph has 365 representatives: 3 * 7 * 365 / 8
+    # = 958.125 bytes of planes, above a 900-byte chunk
+    g = build_graph(7, [])
+    walked = counted_walks(monkeypatch)
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", 900)
+    queries = [((0, 1),), ((2, 3, 4),), ((5,), (0, 6))]
+    for cond in (None, (1, 4), None):
+        for sets in queries:
+            assert (enumerate_3colorings(g, sets=sets, conditional=cond)
+                    == per_leaf_summary(g, sets, cond))
+    assert walked == [g] * 9
+    monkeypatch.setattr(oracle, "CHUNK_BYTES", 959)  # now they fit
+    for sets in queries:
+        assert enumerate_3colorings(g, sets=sets) == per_leaf_summary(g, sets)
+    assert walked == [g] * 10
+
+
+def test_ids_outside_the_empty_graph_raise_key_error():
+    empty = build_graph(0, [])
+    with pytest.raises(KeyError):
+        enumerate_3colorings(empty, sets=((5,),))
+    with pytest.raises(KeyError):
+        enumerate_3colorings(empty, conditional=(0, 1))
+    with pytest.raises(KeyError):
+        verify_logged_claim(Claim("mono", (5,), empty))
+    # as on every other graph
+    with pytest.raises(KeyError):
+        verify_logged_claim(Claim("mono", (5,), PATH3))
+    with pytest.raises(KeyError):
+        enumerate_3colorings(PATH3, sets=((-1, 0),))
+    # the one set the empty graph has takes no color
+    summary = enumerate_3colorings(empty, sets=((),))
+    assert ((summary.count_3colorings, summary.set_min_colors, summary.set_max_colors)
+            == (1, {(): 0}, {(): 0}))
 
 
 def test_claims_on_alternating_graphs_get_their_own_answers():
