@@ -20,7 +20,6 @@ they fit in that size too.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable
@@ -75,21 +74,26 @@ class ColoringSummary:
 
 
 def _search_order(G: Graph) -> list[int]:
-    """Deterministic order: BFS per component from the max-degree vertex."""
-    seen = [False] * G.n
-    order: list[int] = []
-    for start in sorted(range(G.n), key=lambda v: (-G.degree(v), v)):
-        if seen[start]:
+    """Deterministic order: BFS per component from the max-degree vertex
+    (ties to the lower id), each vertex's unseen neighbors queued in
+    ascending id order."""
+    adj = G.adj_rows
+    degrees = [row.bit_count() for row in adj]
+    # a stable sort keeps the ascending ids of equal degrees, reversed too
+    starts = sorted(range(G.n), key=degrees.__getitem__, reverse=True)
+    order: list[int] = []  # the BFS queue: its head is order[head]
+    seen = head = 0
+    for start in starts:
+        if (seen >> start) & 1:
             continue
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            order.append(v)
-            for u in iter_bits(G.adj_bits(v)):
-                if not seen[u]:
-                    seen[u] = True
-                    queue.append(u)
+        seen |= 1 << start
+        order.append(start)
+        while head < len(order):
+            fresh = adj[order[head]] & ~seen
+            head += 1
+            if fresh:
+                seen |= fresh
+                order.extend(iter_bits(fresh))
     return order
 
 

@@ -497,7 +497,19 @@ def _seek_from_root(
     counters: SeekCounters,
     sink: Sink,
 ) -> SeekOutcome:
+    """Run the outer rounds from root r0 until progress, an error, or the
+    round cap.
+
+    A round whose pair ``regularize`` declines to build (``build_two_level``
+    in round 1, ``regularize`` in round j + 1 returning None) ends in
+    ErrorB with the entry ``inner_loop`` would write: its degree bucket U
+    has |U| < nhat and edge mass M > 2 |U| into S, and the prune keeps T
+    inside U and at least M / (2 |U|) >= 2 vertices in S, so the inner
+    loop would find too few seeds before doing anything else.
+    """
     pair = build_two_level(G, r0, p)
+    if pair is None:
+        return _doomed(audits, counters, sink)
     if not isinstance(pair, RegularPair):  # the root's neighborhood is progress
         sink.emit(event="progress", round=0, kind=type(pair).__name__.lower(),
                   set_size=pair.members.bit_count())
@@ -538,5 +550,15 @@ def _seek_from_root(
             return SeekOutcome(None, "StructureFailed", audits, counters)
         if j == round_cap:
             break
-        pair = regularize(G, chosen_X, ids[linked], degrees[linked], j + 1)
+        pair = regularize(G, chosen_X, ids[linked], degrees[linked], j + 1,
+                          nh=nhat(G.n, p.k))
+        if pair is None:
+            return _doomed(audits, counters, sink)
     return SeekOutcome(None, "RoundCapExceeded", audits, counters)
+
+
+def _doomed(audits: list[RoundAudit], counters: SeekCounters, sink: Sink) -> SeekOutcome:
+    """The ErrorB outcome, with the entry ``inner_loop`` writes for it, of
+    a round whose pair ``regularize`` declined to build."""
+    sink.emit(event="error", reason="ErrorB")
+    return SeekOutcome(None, "ErrorB", audits, counters)

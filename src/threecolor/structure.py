@@ -199,8 +199,9 @@ def multichromatic_test(
 
 
 def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
-               j: int) -> RegularPair:
-    """Prune (S, T) to a two-sided degree-regular pair.
+               j: int, nh: int) -> RegularPair | None:
+    """Prune (S, T) to a two-sided degree-regular pair, or return None
+    when the pair's T side is bound to fall below ``nh``.
 
     T comes as its degree table into S: ``t_ids`` are T's vertex ids, in
     any order, and ``t_degrees[i]`` is |N(t_ids[i]) & S|, as
@@ -210,6 +211,16 @@ def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
     degree, the one with the largest edge mass into S wins (ties to the
     smaller bucket).  Vertices at or below the derived floors are then
     deleted to a fixed point, which is independent of deletion order.
+
+    The early exit: let U be the chosen bucket and M its edge mass
+    into S.  The prune deletes at most |S| * delta_S + |U| * delta_T <=
+    M / 4 + M / 4 of that mass (every U vertex has degree at least
+    4 delta_T), so the pair keeps T_f inside U and, as an S_f vertex has
+    at most |U| neighbors in T_f, at least M / (2 |U|) vertices in S_f.  When |U| < nh and M > 2 |U|,
+    the pair would have fewer than ``nh`` T vertices and at least two S
+    vertices, which the inner loop fails at once with ErrorB; no pair
+    is built and None is returned.  ``nh`` is the round's nhat; at 0
+    the exit never fires.
     """
     if not S or not len(t_ids):
         raise ValueError("regularize needs nonempty sides")
@@ -228,6 +239,9 @@ def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
         raise EmptyResult("no eligible degree bucket")
     level = max(eligible, key=lambda lv: (mass[lv], -lv))
     in_bucket = levels == level
+    u_size = int(np.count_nonzero(in_bucket))
+    if u_size < nh and mass[level] > 2 * u_size:
+        return None
     u_table = t_ids[in_bucket], t_degrees[in_bucket]
     U_bits = bits_of(u_table[0], G.n)
 
@@ -278,14 +292,16 @@ def _assert_regular(G: Graph, pair: RegularPair) -> None:
         raise AssertionError(f"regularized pair is not regular: {bad}")
 
 
-def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress:
+def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress | None:
     """Grow the round-1 regular pair from a root vertex.
 
     S is the root's neighborhood; if it is not 2-colorable the graph is
     not 3-colorable (raised with the odd-cycle certificate).  A large S
     is immediate progress.  Otherwise T is S's neighborhood, truncated
     to the floor(n/k) vertices of largest degree into S, and the pair is
-    regularized.
+    regularized.  None means ``regularize`` found the round doomed: its
+    degree bucket U has |U| < nhat and edge mass into S above 2 |U|, so
+    the pair it would build fails round 1 with ErrorB.
     """
     if G.degree(r0) == 0:
         raise ValueError("root must have at least one neighbor")
@@ -311,7 +327,9 @@ def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress:
         # a stable sort keeps the ascending ids of equal degrees
         top = (-degrees).argsort(kind="stable")[:limit]
         ids, degrees = ids[top], degrees[top]
-    pair = regularize(G, S, ids, degrees, j=1)
+    pair = regularize(G, S, ids, degrees, j=1, nh=nhat(G.n, p.k))
+    if pair is None:
+        return None
     if pair.S & ~S:
         raise AssertionError("regularized S escaped the root neighborhood")
     if pair.T.bit_count() > limit:

@@ -200,7 +200,7 @@ def test_criterion_4_regularize_contract():
         if not t_members:
             continue
         S, T = s_bits, mask(t_members)
-        pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
         assert pair.S and pair.T
         for v in iter_bits(pair.S):
             assert (g.adj_bits(v) & pair.T).bit_count() > pair.delta_S

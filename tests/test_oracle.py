@@ -1,3 +1,5 @@
+import random
+from collections import deque
 from itertools import product
 
 import pytest
@@ -184,6 +186,39 @@ def test_reduced_enumeration_matches_naive(data):
         else:
             assert summary.set_min_colors[s] == set_min[s]
             assert summary.set_max_colors[s] == set_max[s]
+
+
+def reference_search_order(g):
+    """The walk's vertex order as first defined: a key sort on (-degree, id)
+    and a deque BFS over a list of seen flags."""
+    seen = [False] * g.n
+    order = []
+    for start in sorted(range(g.n), key=lambda v: (-g.degree(v), v)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for u in iter_bits(g.adj_bits(v)):
+                if not seen[u]:
+                    seen[u] = True
+                    queue.append(u)
+    return order
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+def test_search_order_matches_the_reference(data):
+    # sparse draws leave several components, isolated vertices and
+    # degree ties; n reaches past one 64-bit word
+    n = data.draw(st.integers(0, 80))
+    p = data.draw(st.sampled_from([0.02, 0.08, 0.3, 0.7]))
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < p])
+    assert oracle._search_order(g) == reference_search_order(g)
 
 
 @pytest.mark.parametrize("chunk_bytes", [oracle.CHUNK_BYTES, 200, 20])

@@ -29,7 +29,7 @@ PINNED = {
     (200, 0.3, 1): {
         "cuts": (
             "acde7253e724717ec1653ba8bd9159bff82d1a4658ece1723d2144100a285f23",
-            "76fa49054b822940f8ef91b9914d74be24265c0213e8308a517eabf2d2257fc8",
+            "0ecc6816389f65e90c8fed1e45b1e2e9d39e3bb9a3e5ce290aaa867c6132eda1",
             "91f2529c771c56c1f478e923ad82268930fae02ade0e344b18221352f5413882",
         ),
         "pipeline": (
@@ -51,12 +51,12 @@ PINNED = {
         ),
         "pipeline": (
             "863e6126cd272ed3abb95d6e91fce7daef478c19085a003d8d8f855a5c73c995",
-            "c1b53fc9e58cd0d86b298b4b7be33237718e87703338339037ca7fe7afe1609b",
+            "b94090bfaa194fd7d1f1b32fdcb008125844c59497b66dedb475b7c233dcacb1",
             "8b759ef18aaba5e2cc5fe902a1138cca958eb0470c43188c62559c5a520146b3",
         ),
         "seek": (
             "a478bd5a241259a9304f990510c888f6e9e5c1ddc78b411c5118efbd58c49425",
-            "567e94c2741adad143bdac6b063410c19975adee1c934a251335ca813eff5fd4",
+            "cfafc7eebbfd4592436025b03ad93f6f5646ce3d1363e184e220c17f39c77dda",
             "1d43d5f2d87f72fe47f079b742ee71860a5bc84cb7387af5145c533f360f7be0",
         ),
     },

@@ -373,6 +373,23 @@ class TestSeekProgress:
         assert tried == expect
         assert all(type(v) is int for v in tried)
 
+    def test_failing_dense_search_writes_one_error_per_root(self):
+        # every root of this dense planted graph has a doomed round 1:
+        # no pair is built, no inner loop runs, and each root leaves one
+        # ErrorB entry and no structure entry
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.7, seed=0))
+        p = Params.for_graph(300, g.min_degree())
+        trace = []
+        with patch.object(search, "inner_loop", wraps=search.inner_loop) as loop:
+            outcome = seek_progress(g, p=p, trace=trace)
+        assert outcome.failure == "ErrorB"
+        assert outcome.counters.roots_tried == ROOT_RETRIES
+        assert loop.call_count == 0
+        assert [e for e in trace if e["event"] == "error"] == (
+            [{"event": "error", "reason": "ErrorB"}] * outcome.counters.roots_tried
+        )
+        assert [e["event"] for e in trace] == ["params"] + ["error"] * ROOT_RETRIES
+
     def test_edgeless_graph_fails_structurally(self):
         g = build_graph(5, [])
         outcome = seek_progress(g, p=make_params(5, 1.0))

@@ -22,8 +22,15 @@ from threecolor.graph import (
 )
 from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params, nhat
-from threecolor.progress import Type1, Type2
-from threecolor.search import HIGHDEG_FACTOR, SIDECUT_FACTOR, TERM_FACTOR, thin_mass
+from threecolor.progress import Sink, Type1, Type2
+from threecolor.search import (
+    HIGHDEG_FACTOR,
+    SIDECUT_FACTOR,
+    TERM_FACTOR,
+    InnerError,
+    inner_loop,
+    thin_mass,
+)
 from threecolor.structure import (
     BASE_DEGREE_DIVISOR,
     BASE_DEGREES,
@@ -351,11 +358,72 @@ class TestArrayBucketing:
         ids, degrees = degrees_into(g, T, S)
         order = np.array(data.draw(st.permutations(range(len(ids)))), dtype=np.int64)
         try:
-            pair = regularize(g, S, ids[order], degrees[order], j=1)
+            pair = regularize(g, S, ids[order], degrees[order], j=1, nh=0)
             got = (pair.S, pair.T, pair.delta_S, pair.delta_T)
         except EmptyResult:
             got = None
         assert got == reference_regularize(g, S, T)
+
+    def test_doomed_exit_agrees_with_the_full_path(self):
+        # whenever regularize declines to build a pair, the loop reference
+        # builds one with |T_f| < nhat and |S_f| >= 2, on which the inner
+        # loop fails at once with ErrorB; otherwise it returns the
+        # reference pair.  Arbitrary graphs with arbitrary sides, and
+        # planted graphs with a root's two levels, both reach each case.
+        fired = set()
+
+        def check(g, S, T, k, r0=0):
+            p = make_params(g.n, k)
+            nh = nhat(g.n, p.k)
+            expect = reference_regularize(g, S, T)
+            try:
+                pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=nh)
+            except EmptyResult:
+                assert expect is None
+                return
+            fired.add(pair is None)
+            if pair is not None:
+                assert (pair.S, pair.T, pair.delta_S, pair.delta_T) == expect
+                return
+            surv_S, surv_T, delta_S, delta_T = expect
+            assert surv_T.bit_count() < nh and surv_S.bit_count() >= 2
+            trace = []
+            full = RegularPair(surv_S, surv_T, delta_S, delta_T, 1)
+            assert inner_loop(g, r0, full, p, sink=Sink(trace)) == InnerError("ErrorB")
+            assert trace == [{"event": "error", "reason": "ErrorB"}]
+
+        @given(st.data())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def arbitrary(data):
+            g, rng = random_graph(data.draw, 150)
+            S = rng.getrandbits(g.n)
+            T = union_neighborhoods(g, S) & rng.getrandbits(g.n)
+            if S and T:
+                check(g, S, T, data.draw(st.sampled_from([1.0, 1.5, 2.0, 4.0])))
+
+        arbitrary()
+        assert fired == {True, False}
+        fired.clear()
+        for n, edge_prob, seed in [(120, 0.3, 0), (150, 0.6, 1), (200, 0.7, 2)]:
+            g, _ = generate_planted(GenParams(n=n, edge_prob=edge_prob, seed=seed))
+            for r0 in range(0, n, 5):
+                S = g.adj_bits(r0)
+                if S:
+                    check(g, S, union_neighborhoods(g, S), 1.5, r0)
+        assert fired == {True, False}
+
+    def test_light_bucket_runs_the_full_path(self):
+        # a star: U = {1, 2, 3} of degree 1 is below nhat = 5, but its mass
+        # M = 3 <= 2 |U|, so the exit does not fire; the full path keeps
+        # S = {0}, which the inner loop fails with ErrorA, not ErrorB
+        g = build_graph(5, [(4, 0), (0, 1), (0, 2), (0, 3)])
+        S, T = mask([0]), mask([1, 2, 3])
+        p = make_params(5, 1.0)
+        assert nhat(5, p.k) == 5
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=5)
+        assert pair == regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
+        assert (pair.S, pair.T) == (S, T)
+        assert inner_loop(g, 4, pair, p) == InnerError("ErrorA")
 
     def test_first_pass_reads_the_handed_tables(self):
         # the first prune pass reads the degree tables regularize holds; the
@@ -374,7 +442,7 @@ class TestArrayBucketing:
             with patch.object(structure, "with_degree_at_least",
                               wraps=with_degree_at_least) as recount:
                 try:
-                    pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+                    pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
                     got = (pair.S, pair.T, pair.delta_S, pair.delta_T)
                 except EmptyResult:
                     got = None
@@ -404,7 +472,7 @@ class TestArrayBucketing:
         r0 = data.draw(st.sampled_from([v for v in range(g.n) if g.degree(v)]))
         seen = []
 
-        def capture(G, S, t_ids, t_degrees, j):
+        def capture(G, S, t_ids, t_degrees, j, nh):
             seen.append(t_ids.tolist())
             raise _Stop
 
@@ -430,7 +498,7 @@ class TestRegularize:
         edges = [(u, v) for u in range(4) for v in range(4, 8)]
         g = build_graph(8, edges)
         S, T = mask(range(4)), mask(range(4, 8))
-        pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
         assert pair.S == mask(range(4))
         assert pair.T == mask(range(4, 8))
         assert pair.delta_S == Fraction(1)
@@ -442,7 +510,7 @@ class TestRegularize:
         edges = [(8, 0), (9, 1), (10, 2)] + [(11, s) for s in range(8)]
         g = build_graph(12, edges)
         S, T = mask(range(8)), mask(range(8, 12))
-        pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+        pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
         assert pair.T == mask([11])
         assert pair.S == mask(range(8))
         assert pair.delta_T == Fraction(4, 3) ** 7 / 4
@@ -452,7 +520,7 @@ class TestRegularize:
         rng = random.Random(5)
         for trial in range(60):
             g, S, T = _random_regularize_input(rng, trial)
-            pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+            pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
             assert pair.S and pair.T
             for v in iter_bits(pair.S):
                 assert (g.adj_bits(v) & pair.T).bit_count() > pair.delta_S
@@ -465,7 +533,7 @@ class TestRegularize:
         rng = random.Random(77)
         for trial in range(50):
             g, S, T = _random_regularize_input(rng, 500 + trial)
-            pair = regularize(g, S, *degrees_into(g, T, S), j=1)
+            pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
             ref_S, ref_T = _random_order_prune(g, S, T, rng)
             assert pair.S == ref_S
             assert pair.T == ref_T
@@ -474,7 +542,7 @@ class TestRegularize:
         g = build_graph(3, [(0, 1)])
         S, T = mask([0]), mask([1, 2])
         with pytest.raises(ValueError):
-            regularize(g, S, *degrees_into(g, T, S), j=1)
+            regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
 
 
 def _random_regularize_input(rng, seed):
@@ -550,8 +618,14 @@ class TestBuildTwoLevel:
         g, _ = generate_planted(GenParams(n=500, edge_prob=0.5, seed=9))
         p = Params.for_graph(500, g.min_degree())
         r0 = max(range(500), key=lambda v: (g.degree(v), -v))
-        res = build_two_level(g, r0, p)
+        # this root's round is doomed: no pair is built
+        assert build_two_level(g, r0, p) is None
+        # the pair the full path builds under a zero floor keeps the
+        # construction's invariants, and its T side is below nhat
+        with patch.object(structure, "nhat", lambda n, k: 0):
+            res = build_two_level(g, r0, p)
         assert isinstance(res, RegularPair)
+        assert res.T.bit_count() < nhat(500, p.k) and res.S.bit_count() >= 2
         assert not res.S & ~g.adj_bits(r0)
         assert res.T.bit_count() <= int(500 / p.k)
         assert not res.check(g)
@@ -563,7 +637,7 @@ def t_table(g, r0, cutoff):
     T cap; None when it stops before regularize."""
     seen = []
 
-    def capture(G, S, t_ids, t_degrees, j):
+    def capture(G, S, t_ids, t_degrees, j, nh):
         seen.append((t_ids.tolist(), t_degrees.tolist()))
         raise _Stop
 
