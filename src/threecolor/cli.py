@@ -41,7 +41,7 @@ METHODS = ("pipeline", "greedy", "extract", "seek")
 def _read_text(path: str) -> str:
     """The text of an input file; one that is not UTF-8 is a ValueError."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path} is not UTF-8 text: byte {exc.start} is "
                          f"{exc.object[exc.start]:#04x}") from None
@@ -510,7 +510,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

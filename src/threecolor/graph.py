@@ -6,9 +6,10 @@ and signatures as in the kernels, so the intersection-heavy queries the
 coloring machinery lives on (N(v) & Y, degree into a subset) cost
 O(n/64) machine words instead of O(degree) hash lookups.
 ``unpack_bits``, ``unpack_rows``, ``pack_rows`` and ``pack_words`` are
-the one conversion to and from numpy 0/1 rows.  ``packed_subgraph`` is
-the one rebuild, under the search's working graphs
-(``progress.induced_subgraph``) and the driver's merges
+the one conversion to and from numpy 0/1 rows; ``byte_rows`` gives a
+graph's rows packed in bytes, for callers that unpack rows one at a
+time.  ``packed_subgraph`` is the one rebuild, under the search's
+working graphs (``progress.induced_subgraph``) and the driver's merges
 (``progress.merge_vertex_set``): it reads the rows through
 ``row_blocks``, at most ``ROW_SUM_BYTES`` of unpacked rows at a time,
 and the graph it builds also holds its rows as an n x ceil(n/64)
@@ -133,12 +134,27 @@ def unpack_bits(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(buf, count=n, bitorder="little")
 
 
+def _row_bytes(rows: Sequence[int], nbytes: int) -> np.ndarray:
+    """The bitmasks ``rows`` as a ``uint8`` matrix of ``nbytes`` little-endian
+    bytes per row."""
+    blob = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
+    return np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), nbytes)
+
+
 def unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
     """0/1 ``uint8`` matrix with one :func:`unpack_bits` row per bitmask."""
-    nbytes = max((n + 7) // 8, 1)
-    blob = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
-    buf = np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), nbytes)
+    buf = _row_bytes(rows, max((n + 7) // 8, 1))
     return np.unpackbits(buf, axis=1, count=n, bitorder="little")
+
+
+def byte_rows(G: Graph) -> np.ndarray:
+    """G's rows as an n x ceil(n/8) ``uint8`` matrix, bit v of row u being
+    bit v % 8 of byte v // 8: a view of G's packed words when it carries
+    them, else packed from its int rows (n^2 / 8 bytes)."""
+    nbytes = (G.n + 7) // 8
+    if G._rows is not None:
+        return G._rows.view(np.uint8)[:, :nbytes]
+    return _row_bytes(G.adj_rows, nbytes)
 
 
 def pack_words(matrix: np.ndarray) -> np.ndarray:
@@ -162,11 +178,17 @@ def pack_rows(matrix: np.ndarray) -> list[int]:
 ROW_SUM_BYTES = 1 << 20  # the most bytes of unpacked rows in one block
 
 
+def rows_per_block(n: int) -> int:
+    """How many unpacked rows of n entries one block holds: as many as fit
+    in ROW_SUM_BYTES, and at least one."""
+    return max(1, ROW_SUM_BYTES // max(n, 1))
+
+
 def row_blocks(adj: Sequence[int], ids: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(i, the rows adj[v] for v in ids[i:i + b], unpacked), in blocks of
-    b rows that hold at most ROW_SUM_BYTES."""
+    b = rows_per_block(n) rows."""
     n = len(adj)
-    step = max(1, ROW_SUM_BYTES // max(n, 1))
+    step = rows_per_block(n)
     for i in range(0, len(ids), step):
         yield i, unpack_rows([adj[v] for v in ids[i:i + step]], n)
 

@@ -31,11 +31,12 @@ import numpy as np
 from .graph import (
     Coloring,
     Graph,
+    byte_rows,
     degrees_into,
     is_proper_coloring,
     iter_bits,
     packed_subgraph,
-    row_blocks,
+    rows_per_block,
     spans_edge,
     union_neighborhoods,
     unpack_bits,
@@ -178,11 +179,15 @@ def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
     return packed_subgraph(G.adj_rows, keep), keep
 
 
-def _row_sums(G: Graph, ids: list[int]) -> np.ndarray:
-    """For every vertex of G, its number of neighbors among ``ids``, as an
-    ``int64`` array."""
-    total = np.zeros(G.n, dtype=np.int64)
-    for _, block in row_blocks(G.adj_rows, ids):
+def _row_sums(rows: np.ndarray, ids: list[int]) -> np.ndarray:
+    """For every vertex of a graph with byte rows ``rows`` (``byte_rows``),
+    its number of neighbors among ``ids``, as an ``int64`` array; the rows
+    of ``ids`` are unpacked ``rows_per_block(n)`` at a time."""
+    n = len(rows)
+    total = np.zeros(n, dtype=np.int64)
+    step = rows_per_block(n)
+    for i in range(0, len(ids), step):
+        block = np.unpackbits(rows[ids[i:i + step]], axis=1, count=n, bitorder="little")
         total += block.sum(0, dtype=np.int64)
         del block  # before the next block is unpacked
     return total
@@ -216,7 +221,10 @@ class DriverView:
     The driver removes a set by subtracting its rows from both keys and
     moving the set's own keys by BIG, and returns a set by the inverse,
     so the keys stay exact without a rebuild; only a contraction, which
-    renumbers the vertices, rebuilds them (``_degree_keys``).
+    renumbers the vertices, rebuilds them (``_degree_keys``).  The rows
+    come from ``base``'s ``byte_rows`` matrix, which the driver holds
+    beside the view: one unpacked row for a deferral, the row sums of a
+    removed or returned set (``_row_sums``) otherwise.
     """
 
     def __init__(self, base: Graph, alive_bits: int, hi: np.ndarray,
@@ -321,8 +329,17 @@ def color_with_progress(
     c2: float = 1.0,
     sink: Sink = NO_SINK,
 ) -> tuple[Coloring, DriverStats]:
-    """Drive a progress source to a full proper coloring of G."""
+    """Drive a progress source to a full proper coloring of G.
+
+    The working graph is ``base`` (G until the first contraction) minus
+    the removed vertices.  The driver keeps ``byte_rows(base)``, a view of
+    base's packed words when it carries them and otherwise one packed
+    copy of n^2 / 8 bytes (the input graph's, until its first
+    contraction), and reads every degree-key update from it (see
+    DriverView).
+    """
     base = G
+    rows = byte_rows(base)
     alive = (1 << G.n) - 1
     groups: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
     hi, lo = _degree_keys(G, alive)
@@ -346,12 +363,13 @@ def color_with_progress(
         or put them back (sign +1), keeping the degree keys exact."""
         nonlocal alive
         alive = alive | bits if sign > 0 else alive & ~bits
-        ids = list(iter_bits(bits))
-        if len(ids) == 1:  # a deferral, the hot path: one row, scalar index
-            ids = ids[0]
-            counts = unpack_bits(base.adj_bits(ids), base.n)
+        if bits.bit_count() == 1:  # a deferral, the hot path: one row, scalar index
+            ids = bits.bit_length() - 1
+            # int64 like the keys: an update from uint8 casts on every call
+            counts = np.unpackbits(rows[ids], count=base.n, bitorder="little").astype(np.int64)
         else:
-            counts = _row_sums(base, ids)
+            ids = list(iter_bits(bits))
+            counts = _row_sums(rows, ids)
         move = np.add if sign > 0 else np.subtract
         move(hi, counts, out=hi)
         move(lo, counts, out=lo)
@@ -424,6 +442,7 @@ def color_with_progress(
             for old in iter_bits(alive):
                 new_alive |= 1 << mapping[old]
             base = new_base
+            rows = byte_rows(base)
             groups = new_groups
             alive = new_alive
             hi, lo = _degree_keys(base, alive)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -428,6 +429,35 @@ class TestVerify:
 
 
 class TestUsage:
+    def test_utf8_input_reads_under_an_ascii_locale(self, tmp_path):
+        # the C locale, neither coerced nor in UTF-8 mode, makes ASCII the
+        # locale's encoding; an input file is read as UTF-8 whatever it is
+        src = tmp_path / "u2028.col"
+        src.write_bytes("p edge 3 3\u2028e 1 2\u2028e 2 3\u2028e 1 3\u2028".encode())
+        library = str(Path(threecolor.cli.__file__).parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [library, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run(
+            [sys.executable, "-m", "threecolor.cli", "color",
+             "--in", str(src), "--out", str(tmp_path / "u2028.sol")],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "u2028.sol").exists()
+
+    def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "k4.col"
+        src.write_text(K4_TEXT)
+
+        def exhausted(text):
+            raise MemoryError
+
+        monkeypatch.setattr(threecolor.cli, "parse_dimacs", exhausted)
+        assert run_cli(["color", "--in", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "out of memory" in err
+        assert "Traceback" not in err
+
     def test_usage_error_exits_4(self, tmp_path):
         # a removed flag must not read as the not-3-colorable exit code 2
         with pytest.raises(SystemExit) as err:

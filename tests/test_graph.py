@@ -21,6 +21,7 @@ from threecolor.graph import (
     bipartition,
     bits_of,
     build_graph,
+    byte_rows,
     degrees_into,
     is_proper_coloring,
     iter_bits,
@@ -125,6 +126,19 @@ class TestRowPacking:
     def test_empty(self):
         assert unpack_rows([], 5).shape == (0, 5)
         assert pack_rows(unpack_rows([], 5)) == []
+
+    @given(st.integers(0, 70), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_byte_rows_unpack_to_the_int_rows(self, n, p, seed):
+        g = random_graph(random.Random(seed), n, p, packed=False)
+        for h in (g, packed_copy(g)):
+            rows = byte_rows(h)
+            assert rows.dtype == np.uint8 and rows.shape == (n, (n + 7) // 8)
+            if h is not g and n:  # packed words are lent, not copied
+                assert np.shares_memory(rows, h._rows)
+            for v in range(n):
+                got = np.unpackbits(rows[v], count=n, bitorder="little")
+                assert got.tolist() == unpack_bits(h.adj_bits(v), n).tolist()
 
 
 class TestSpansEdge:
@@ -332,7 +346,22 @@ class TestRowBlocks:
         rng, g = self.graph(5)
         ids = sorted(rng.sample(range(g.n), 40))
         expect = [sum(g.has_edge(u, v) for v in ids) for u in range(g.n)]
-        assert _row_sums(g, ids).tolist() == expect
+        real = np.unpackbits
+        # byte rows packed from the int rows, and lent by a packed twin
+        for source in (g, induced_subgraph(g, full_set(g))[0]):
+            rows = byte_rows(source)
+            blocks = []
+
+            def unpack(*args, **kwargs):
+                out = real(*args, **kwargs)
+                blocks.append(out.shape)
+                return out
+
+            with patch.object(np, "unpackbits", unpack):
+                assert _row_sums(rows, ids).tolist() == expect
+            assert sum(count for count, _ in blocks) == len(ids)
+            # one row per block when a row alone passes the bound
+            assert all(count * g.n <= max(chunk_bytes, g.n) for count, _ in blocks)
 
     @CHUNKS
     @pytest.mark.parametrize("alive_share", [0.5, 1.0])

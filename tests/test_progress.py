@@ -22,6 +22,7 @@ from threecolor.progress import (
     Type2,
     UnsoundProgress,
     color_with_progress,
+    induced_subgraph,
     merge_vertex_set,
     type1_threshold,
     validate_progress,
@@ -310,6 +311,25 @@ class TestDegreeKeys:
         coloring, _ = color_with_progress(g, float(n), source)
         assert is_proper_coloring(g, coloring)[0]
         assert steps[0] == n
+
+    @given(st.integers(1, 70), st.sampled_from([0.05, 0.1, 0.3, 0.6]), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    def test_packed_base_drives_like_the_int_base(self, n, p, seed):
+        # the twin carries packed words, which the driver reads in place of
+        # packing the int rows itself
+        rng = random.Random(seed)
+        g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                            if rng.random() < p])
+        twin = induced_subgraph(g, (1 << n) - 1)[0]
+        assert g._rows is None and twin._rows is not None
+        runs = []
+        for base in (g, twin):
+            actions = random.Random(seed)
+            trace = []
+            coloring, stats = color_with_progress(
+                base, float(n), lambda view: random_action(actions, view), sink=Sink(trace=trace))
+            runs.append((coloring, stats, trace))
+        assert runs[0] == runs[1]
 
 
 class TestMergeVertexSet:
