@@ -32,7 +32,6 @@ from .graph import (
     Coloring,
     Graph,
     byte_rows,
-    degrees_into,
     is_proper_coloring,
     iter_bits,
     packed_subgraph,
@@ -198,11 +197,28 @@ def _dead_offset(n: int) -> int:
     return 2 * n + 2
 
 
-def _degree_keys(G: Graph, alive_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The driver's ``(hi, lo)`` keys of every vertex of G (see DriverView)."""
-    degrees = degrees_into(G, (1 << G.n) - 1, alive_bits)[1]
-    dead = (1 - unpack_bits(alive_bits, G.n).astype(np.int64)) * _dead_offset(G.n)
+def _degree_keys(rows: np.ndarray, alive_bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The driver's ``(hi, lo)`` keys of every vertex of the graph with byte
+    rows ``rows`` (``byte_rows``; see DriverView): each row's alive
+    neighbors are popcounts of the row masked by ``alive_bits``, taken
+    ``rows_per_block(n)`` rows at a time."""
+    n, nbytes = rows.shape
+    alive_bytes = np.frombuffer(alive_bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+    degrees = np.empty(n, dtype=np.int64)
+    step = rows_per_block(n)
+    for i in range(0, n, step):
+        np.bitwise_count(rows[i:i + step] & alive_bytes).sum(1, dtype=np.int64,
+                                                              out=degrees[i:i + step])
+    dead = (1 - unpack_bits(alive_bits, n).astype(np.int64)) * _dead_offset(n)
     return degrees - dead, degrees + dead
+
+
+def _names_vertex(v: object, alive_bits: int) -> bool:
+    """Whether ``v`` is a vertex id of ``alive_bits``: an int, not a bool,
+    that is nonnegative and whose bit is set."""
+    if not isinstance(v, int) or isinstance(v, bool):
+        return False
+    return v >= 0 and (alive_bits >> v) & 1 == 1
 
 
 class DriverView:
@@ -221,10 +237,17 @@ class DriverView:
     The driver removes a set by subtracting its rows from both keys and
     moving the set's own keys by BIG, and returns a set by the inverse,
     so the keys stay exact without a rebuild; only a contraction, which
-    renumbers the vertices, rebuilds them (``_degree_keys``).  The rows
-    come from ``base``'s ``byte_rows`` matrix, which the driver holds
-    beside the view: one unpacked row for a deferral, the row sums of a
-    removed or returned set (``_row_sums``) otherwise.
+    renumbers the vertices, rebuilds them (``_degree_keys``, by popcount
+    of the masked rows, as at the start).  The rows come from ``base``'s
+    ``byte_rows`` matrix, which the driver holds beside the view: one
+    unpacked row for a deferral, the row sums of a removed or returned
+    set (``_row_sums``) otherwise.
+
+    The driver builds one view per base graph, at the start and after
+    each contraction, and sets its ``alive_bits`` before each source
+    call; its keys change in place as vertices leave and return.  So a
+    view is valid only during the source call that receives it: a source
+    must not keep it, or read it, after that call returns.
     """
 
     def __init__(self, base: Graph, alive_bits: int, hi: np.ndarray,
@@ -274,9 +297,6 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
     """
     bad: list[str] = []
 
-    def inside(v: int) -> bool:
-        return v >= 0 and (alive_bits >> v) & 1 == 1
-
     def check_witness(members: int, side0: int, side1: int):
         if (side0 | side1) != members or (side0 & side1):
             bad.append("witness sides do not partition the set")
@@ -284,10 +304,11 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
             bad.append("witness side contains an edge")
 
     if isinstance(claim, Type0):
-        if claim.u == claim.v:
+        outside = [v for v in (claim.u, claim.v) if not _names_vertex(v, alive_bits)]
+        if outside:
+            bad.append(f"same-color vertex {outside[0]!r} is not in the working graph")
+        elif claim.u == claim.v:
             bad.append("same-color pair must be two distinct vertices")
-        elif not (inside(claim.u) and inside(claim.v)):
-            bad.append("same-color pair not in the working graph")
         elif G.has_edge(claim.u, claim.v):
             bad.append("same-color pair is adjacent")
     elif isinstance(claim, MonoSet):
@@ -335,14 +356,16 @@ def color_with_progress(
     the removed vertices.  The driver keeps ``byte_rows(base)``, a view of
     base's packed words when it carries them and otherwise one packed
     copy of n^2 / 8 bytes (the input graph's, until its first
-    contraction), and reads every degree-key update from it (see
-    DriverView).
+    contraction); it seeds the degree keys from it and reads every
+    update from it (see DriverView).
     """
     base = G
     rows = byte_rows(base)
+    n, big = base.n, _dead_offset(base.n)
     alive = (1 << G.n) - 1
     groups: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
-    hi, lo = _degree_keys(G, alive)
+    hi, lo = _degree_keys(rows, alive)
+    view = DriverView(base, alive, hi, lo, groups)
     batch_color: dict[int, int] = {}
     batch_slots = 0
     fallback_color: dict[int, int] = {}
@@ -359,21 +382,16 @@ def color_with_progress(
                   graph_size=alive.bit_count())
 
     def shift(bits: int, sign: int):
-        """Take the vertices of ``bits`` out of the working graph (sign -1)
-        or put them back (sign +1), keeping the degree keys exact."""
+        """Take an extracted set out of the working graph (sign -1) or put a
+        phase's set-aside neighborhoods back (sign +1), keeping the degree
+        keys exact; a deferral updates them inline instead."""
         nonlocal alive
         alive = alive | bits if sign > 0 else alive & ~bits
-        if bits.bit_count() == 1:  # a deferral, the hot path: one row, scalar index
-            ids = bits.bit_length() - 1
-            # int64 like the keys: an update from uint8 casts on every call
-            counts = np.unpackbits(rows[ids], count=base.n, bitorder="little").astype(np.int64)
-        else:
-            ids = list(iter_bits(bits))
-            counts = _row_sums(rows, ids)
+        ids = list(iter_bits(bits))
+        counts = _row_sums(rows, ids)
         move = np.add if sign > 0 else np.subtract
         move(hi, counts, out=hi)
         move(lo, counts, out=lo)
-        big = _dead_offset(base.n)
         hi[ids] += sign * big
         lo[ids] -= sign * big
 
@@ -393,28 +411,34 @@ def color_with_progress(
         return ph[which]
 
     while alive:
-        view = DriverView(base, alive, hi, lo, groups)
+        view.alive_bits = alive
         action = source(view)
         step += 1
 
-        if action is EXHAUSTED:
-            emit("exhausted")
-            break
-
-        if isinstance(action, Defer):
+        if isinstance(action, Defer):  # the hot path: one row, scalar keys
             v = action.vertex
-            if v < 0 or not (alive >> v) & 1:
-                raise UnsoundProgress([f"deferred vertex {v} is not in the working graph"])
+            if not _names_vertex(v, alive):
+                raise UnsoundProgress([f"deferred vertex {v!r} is not in the working graph"])
             # set-aside neighborhoods are uncolored and will return at
             # phase close, so they count toward the residual degree
             residual = int(hi[v])
             if phase is not None:
                 residual += (base.adj_bits(v) & phase["aside"]).bit_count()
             defer_stack.append((groups[v], residual))
-            shift(1 << v, -1)
+            alive ^= 1 << v
+            # int64 like the keys: an update from uint8 casts on every call
+            counts = np.unpackbits(rows[v], count=n, bitorder="little").astype(np.int64)
+            hi -= counts
+            lo -= counts
+            hi[v] -= big
+            lo[v] += big
             stats.deferred += 1
             emit("defer", 1)
             continue
+
+        if action is EXHAUSTED:
+            emit("exhausted")
+            break
 
         violations = validate_progress(base, alive, action, k, c1, c2)
         if not violations and isinstance(action, MonoSet) and spans_edge(base, action.members):
@@ -443,9 +467,11 @@ def color_with_progress(
                 new_alive |= 1 << mapping[old]
             base = new_base
             rows = byte_rows(base)
+            n, big = base.n, _dead_offset(base.n)
             groups = new_groups
             alive = new_alive
-            hi, lo = _degree_keys(base, alive)
+            hi, lo = _degree_keys(rows, alive)
+            view = DriverView(base, alive, hi, lo, groups)
             stats.contractions += len(pair_ids) - 1
             emit("contract", len(pair_ids))
             continue
@@ -489,15 +515,22 @@ def color_with_progress(
     close_phase()
 
     fallback_masks: list[int] = []  # per fallback color, vertices wearing it
+    adj_rows = G.adj_rows
 
     def fallback_pick(group: tuple[int, ...]) -> int:
-        adj = 0
-        for orig in group:
-            adj |= G.adj_bits(orig)
-        c = 0
-        while c < len(fallback_masks) and adj & fallback_masks[c]:
-            c += 1
-        if c == len(fallback_masks):
+        """Give the group's input vertices the lowest fallback color that
+        none of their neighbors wears; returns it."""
+        if len(group) == 1:
+            adj = adj_rows[group[0]]
+        else:
+            adj = 0
+            for orig in group:
+                adj |= adj_rows[orig]
+        for c, worn in enumerate(fallback_masks):
+            if not adj & worn:
+                break
+        else:
+            c = len(fallback_masks)
             fallback_masks.append(0)
         for orig in group:
             fallback_color[orig] = c

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .graph import (
     Graph,
+    bits_of,
     degrees_into,
     iter_bits,
     union_neighborhoods,
@@ -325,9 +326,12 @@ def inner_loop(
     seed_floor = ceil_times(pair.delta_T, HIGHDEG_FACTOR)
     first = True
     while True:
+        # T's degrees into S, read at most once per iteration: the mass
+        # check reads them as a table, which the seed count then shares
+        degrees = None
         if not first:
-            mass = int(degrees_into(G, T, S)[1].sum())
-            if thin_mass(mass, pair.delta_T, T.bit_count()):
+            ids, degrees = degrees_into(G, T, S)
+            if thin_mass(int(degrees.sum()), pair.delta_T, T.bit_count()):
                 if union_neighborhoods(G, S) & pair.T & ~T:
                     raise AssertionError(
                         "final cut lost a T_j-neighbor of its X side"
@@ -340,7 +344,12 @@ def inner_loop(
         # the seeds are a subset of T, so a T below nhat fails uncounted
         seeds = 0
         if T.bit_count() >= nh:
-            seeds = with_degree_at_least(G, T, S, seed_floor)
+            if degrees is None:
+                # the first iteration has no table to share, and for a
+                # small T the kernel's int loop beats building one
+                seeds = with_degree_at_least(G, T, S, seed_floor)
+            else:
+                seeds = bits_of(ids[degrees >= seed_floor], G.n)
         if seeds.bit_count() < nh:
             sink.emit(event="error", reason="ErrorB")
             return InnerError("ErrorB")

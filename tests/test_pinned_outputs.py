@@ -24,7 +24,9 @@ MODES = {
     "cuts": ["--method", "pipeline", "--params", "{params}"],
 }
 
-# (n, p, seed) -> mode -> (sol, trace, report) sha256 digests
+# (n, p, seed) -> mode -> (sol, trace, report) sha256 digests; the sparse
+# instance is deferral-heavy: 1,891 deferrals and 4 Type 1 phases under the
+# pipeline, so it pins the driver's degree keys and the first-fit unwind
 PINNED = {
     (200, 0.3, 1): {
         "cuts": (
@@ -58,6 +60,23 @@ PINNED = {
             "a478bd5a241259a9304f990510c888f6e9e5c1ddc78b411c5118efbd58c49425",
             "cfafc7eebbfd4592436025b03ad93f6f5646ce3d1363e184e220c17f39c77dda",
             "1d43d5f2d87f72fe47f079b742ee71860a5bc84cb7387af5145c533f360f7be0",
+        ),
+    },
+    (2000, 0.05, 0): {
+        "cuts": (
+            "2bdd571ad78015eaf3423b76c4c3d2024d22be3b1bb7b073da465de4e518ed7a",
+            "79e6ce6865009665b016a8d665bd59d8fe7da21f692ccc8dd34e084e398d7831",
+            "f72f7168c16a44ded30016611c25c08f31a4466274f8826fad68786287e1e6af",
+        ),
+        "pipeline": (
+            "f28005742e28d405c37458894e3ceaa84b78053f0ca6fe785d681864d6007d41",
+            "2f107e8791dc6babedb97e1bab675bff982b3313d00400fcad82d2bbb302dad2",
+            "1ee8acb5408ad76373e386830cf31b638d10f93a27ea8413ce1ff384b9b0e961",
+        ),
+        "seek": (
+            "17e068e5f101f84cdf3959fdc79a17d8f72e13fa338251c00d35344d7f170582",
+            "f4cc29e80fc4dadecc0c20796f5ddf8ee046600aec67ee0b772b7350f951347a",
+            "bee0b654043ac2897decaf603be1419292eecad44d97e7b288f17a8046e8a493",
         ),
     },
 }

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_graph import contract, mask
@@ -188,6 +189,24 @@ class TestDriver:
         g = build_graph(3, [(0, 1), (1, 2)])
         with pytest.raises(UnsoundProgress, match="not in the working graph"):
             color_with_progress(g, 1.0, lambda view: Defer(vertex))
+
+    @pytest.mark.parametrize("action, bad", [
+        (Defer(np.int64(3)), np.int64(3)),
+        (Defer(1.5), 1.5),
+        (Defer(True), True),
+        (Type0(np.int64(0), 2), np.int64(0)),
+        (Type0(0, True), True),
+    ], ids=repr)
+    def test_non_int_vertex_id_rejected(self, action, bad):
+        # only an int that is not a bool is a vertex id: a numpy id
+        # overflows the shift of a 70-bit alive mask, a float fails it, and
+        # True would pass for vertex 1, adjacent to 0
+        g = build_graph(70, [(0, 1), (1, 2)])
+        with pytest.raises(UnsoundProgress, match="not in the working graph") as caught:
+            color_with_progress(g, 70.0, lambda view: action)
+        assert repr(bad) in str(caught.value)
+        if isinstance(action, Type0):
+            assert validate_progress(g, (1 << 70) - 1, action, 70.0) == caught.value.violations
 
     def test_adjacent_type0_rejected(self):
         g = build_graph(2, [(0, 1)])

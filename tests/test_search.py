@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -232,6 +233,36 @@ class TestInnerLoop:
         assert isinstance(res, InnerError) and res.reason == "ErrorB"
         assert count.call_count == 1
         assert trace == [{"event": "error", "reason": "ErrorB"}]
+
+    def test_t_degrees_are_read_once_per_iteration(self):
+        # the mass check and the seed count share one read of T's degrees
+        # into S, so a search reads them at most once per loop iteration:
+        # once per inner_loop call plus once per adopted sparse cut
+        real_loop = search.inner_loop
+        loops, reads = [], []
+
+        def loop(*args, **kwargs):
+            loops.append(1)
+            return real_loop(*args, **kwargs)
+
+        def spied(fn):
+            def read(*args):
+                if sys._getframe(1).f_code is real_loop.__code__:
+                    reads.append(fn.__name__)
+                return fn(*args)
+            return read
+
+        n = 100
+        g = induced_subgraph(generate_planted(GenParams(n=n, edge_prob=0.5, seed=1))[0],
+                             (1 << n) - 1)[0]
+        p = Params.for_graph(n, g.min_degree(), k=2.6, c1=2.0, c2=2.0)
+        with patch.object(search, "inner_loop", loop), \
+                patch.object(search, "degrees_into", spied(search.degrees_into)), \
+                patch.object(search, "with_degree_at_least", spied(search.with_degree_at_least)):
+            outcome = seek_progress(g, p=p)
+        cuts = outcome.counters.sparse_cuts
+        assert cuts > 0  # some loop ran more than one iteration
+        assert 0 < len(reads) <= len(loops) + cuts
 
     def test_complete_bipartite_yields_monochromatic_set(self):
         g, s_ids, t_ids = complete_bipartite_with_root(extra_t_edge=True)
