@@ -306,7 +306,7 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
     if isinstance(claim, Type0):
         outside = [v for v in (claim.u, claim.v) if not _names_vertex(v, alive_bits)]
         if outside:
-            bad.append(f"same-color vertex {outside[0]!r} is not in the working graph")
+            bad.append(f"same-color vertex {outside[0]!r} is not a vertex id of the working graph")
         elif claim.u == claim.v:
             bad.append("same-color pair must be two distinct vertices")
         elif G.has_edge(claim.u, claim.v):
@@ -418,7 +418,7 @@ def color_with_progress(
         if isinstance(action, Defer):  # the hot path: one row, scalar keys
             v = action.vertex
             if not _names_vertex(v, alive):
-                raise UnsoundProgress([f"deferred vertex {v!r} is not in the working graph"])
+                raise UnsoundProgress([f"deferred vertex {v!r} is not a vertex id of the working graph"])
             # set-aside neighborhoods are uncolored and will return at
             # phase close, so they count toward the residual degree
             residual = int(hi[v])
@@ -520,12 +520,9 @@ def color_with_progress(
     def fallback_pick(group: tuple[int, ...]) -> int:
         """Give the group's input vertices the lowest fallback color that
         none of their neighbors wears; returns it."""
-        if len(group) == 1:
-            adj = adj_rows[group[0]]
-        else:
-            adj = 0
-            for orig in group:
-                adj |= adj_rows[orig]
+        adj = 0
+        for orig in group:
+            adj |= adj_rows[orig]
         for c, worn in enumerate(fallback_masks):
             if not adj & worn:
                 break

@@ -328,10 +328,10 @@ def inner_loop(
     while True:
         # T's degrees into S, read at most once per iteration: the mass
         # check reads them as a table, which the seed count then shares
-        degrees = None
+        table = None
         if not first:
-            ids, degrees = degrees_into(G, T, S)
-            if thin_mass(int(degrees.sum()), pair.delta_T, T.bit_count()):
+            table = degrees_into(G, T, S)
+            if thin_mass(int(table[1].sum()), pair.delta_T, T.bit_count()):
                 if union_neighborhoods(G, S) & pair.T & ~T:
                     raise AssertionError(
                         "final cut lost a T_j-neighbor of its X side"
@@ -344,12 +344,8 @@ def inner_loop(
         # the seeds are a subset of T, so a T below nhat fails uncounted
         seeds = 0
         if T.bit_count() >= nh:
-            if degrees is None:
-                # the first iteration has no table to share, and for a
-                # small T the kernel's int loop beats building one
-                seeds = with_degree_at_least(G, T, S, seed_floor)
-            else:
-                seeds = bits_of(ids[degrees >= seed_floor], G.n)
+            ids, degrees = table if table is not None else degrees_into(G, T, S)
+            seeds = bits_of(ids[degrees >= seed_floor], G.n)
         if seeds.bit_count() < nh:
             sink.emit(event="error", reason="ErrorB")
             return InnerError("ErrorB")

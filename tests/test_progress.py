@@ -187,7 +187,7 @@ class TestDriver:
     def test_defer_outside_the_graph_rejected(self, vertex):
         # a negative id names no vertex either; it must not reach a shift
         g = build_graph(3, [(0, 1), (1, 2)])
-        with pytest.raises(UnsoundProgress, match="not in the working graph"):
+        with pytest.raises(UnsoundProgress, match="not a vertex id of the working graph"):
             color_with_progress(g, 1.0, lambda view: Defer(vertex))
 
     @pytest.mark.parametrize("action, bad", [
@@ -202,7 +202,7 @@ class TestDriver:
         # overflows the shift of a 70-bit alive mask, a float fails it, and
         # True would pass for vertex 1, adjacent to 0
         g = build_graph(70, [(0, 1), (1, 2)])
-        with pytest.raises(UnsoundProgress, match="not in the working graph") as caught:
+        with pytest.raises(UnsoundProgress, match="not a vertex id of the working graph") as caught:
             color_with_progress(g, 70.0, lambda view: action)
         assert repr(bad) in str(caught.value)
         if isinstance(action, Type0):

@@ -210,8 +210,8 @@ class TestInnerLoop:
                            Fraction(1), Fraction(1), 1)
         p = make_params(g.n, 1.0)  # nhat = n, unreachable
         trace = []
-        with patch.object(search, "with_degree_at_least",
-                          wraps=search.with_degree_at_least) as count:
+        with patch.object(search, "degrees_into",
+                          wraps=search.degrees_into) as count:
             res = inner_loop(g, 0, pair, p, sink=Sink(trace))
         assert isinstance(res, InnerError) and res.reason == "ErrorB"
         # |T| = 1 < nhat settles it: no seed is counted
@@ -227,8 +227,8 @@ class TestInnerLoop:
         p = make_params(9, 1.5)
         assert nhat(9, p.k) == 4
         trace = []
-        with patch.object(search, "with_degree_at_least",
-                          wraps=search.with_degree_at_least) as count:
+        with patch.object(search, "degrees_into",
+                          wraps=search.degrees_into) as count:
             res = inner_loop(g, 0, pair, p, sink=Sink(trace))
         assert isinstance(res, InnerError) and res.reason == "ErrorB"
         assert count.call_count == 1
@@ -238,27 +238,24 @@ class TestInnerLoop:
         # the mass check and the seed count share one read of T's degrees
         # into S, so a search reads them at most once per loop iteration:
         # once per inner_loop call plus once per adopted sparse cut
-        real_loop = search.inner_loop
+        real_loop, real_read = search.inner_loop, search.degrees_into
         loops, reads = [], []
 
         def loop(*args, **kwargs):
             loops.append(1)
             return real_loop(*args, **kwargs)
 
-        def spied(fn):
-            def read(*args):
-                if sys._getframe(1).f_code is real_loop.__code__:
-                    reads.append(fn.__name__)
-                return fn(*args)
-            return read
+        def read(*args):
+            if sys._getframe(1).f_code is real_loop.__code__:
+                reads.append(1)
+            return real_read(*args)
 
         n = 100
         g = induced_subgraph(generate_planted(GenParams(n=n, edge_prob=0.5, seed=1))[0],
                              (1 << n) - 1)[0]
         p = Params.for_graph(n, g.min_degree(), k=2.6, c1=2.0, c2=2.0)
         with patch.object(search, "inner_loop", loop), \
-                patch.object(search, "degrees_into", spied(search.degrees_into)), \
-                patch.object(search, "with_degree_at_least", spied(search.with_degree_at_least)):
+                patch.object(search, "degrees_into", read):
             outcome = seek_progress(g, p=p)
         cuts = outcome.counters.sparse_cuts
         assert cuts > 0  # some loop ran more than one iteration
