@@ -7,22 +7,26 @@ coloring machinery lives on (N(v) & Y, degree into a subset) cost
 O(n/64) machine words instead of O(degree) hash lookups.
 ``unpack_bits``, ``unpack_rows``, ``pack_rows`` and ``pack_words`` are
 the one conversion to and from numpy 0/1 rows; ``byte_rows`` gives a
-graph's rows packed in bytes, for callers that unpack rows one at a
-time.  ``packed_subgraph`` is the one rebuild, under the search's
-working graphs (``progress.induced_subgraph``) and the driver's merges
-(``progress.merge_vertex_set``): it reads the rows through
-``row_blocks``, at most ``ROW_SUM_BYTES`` of unpacked rows at a time,
-and the graph it builds also holds its rows as an n x ceil(n/64)
-``uint64`` matrix.  Input and generated graphs carry no matrix.
+graph's rows packed in bytes, n x ceil(n/8) ``uint8``: a view of its
+words when it carries them, else packed from its int rows.
+``subgraph_words`` is the one rebuild, under the search's working
+graphs (``progress.induced_subgraph``) and the driver's merges
+(``progress.merge_vertex_set``, which patches the merged row and column
+into its output): it reads byte rows, the driver's own matrix when it
+passes one, unpacking an eighth of ``ROW_SUM_BYTES`` of rows at a
+time, and writes the k kept rows and columns as a k x ceil(k/64)
+``uint64`` matrix.  ``packed_graph`` makes that matrix a graph, deriving
+the int rows from it one ``ROW_SUM_BYTES`` block at a time.  So the working and merged
+graphs carry words; input and generated graphs carry none.
 
 The subset queries are four kernels, ``degrees_into``,
 ``with_degree_at_least``, ``union_neighborhoods`` and ``spans_edge``;
 the other modules call them rather than scanning adjacency rows.  Each
 has two bodies that return the same values: on a graph with the matrix
 and a member set of at least ``PACKED_MIN_MEMBERS`` vertices, member ids
-come from one unpack, degrees from popcounts of the masked rows and a
-union from one OR-reduce; every other call runs the int loop over the
-members.
+come from one unpack (or, for every vertex, need none), degrees from
+popcounts of the masked rows and a union from one OR-reduce; every
+other call runs the int loop over the members.
 """
 from __future__ import annotations
 
@@ -166,16 +170,25 @@ def pack_words(matrix: np.ndarray) -> np.ndarray:
     return buf.view("<u8")
 
 
+ROW_SUM_BYTES = 1 << 20  # the most bytes of unpacked rows in one block
+
+
 def _row_ints(words: np.ndarray) -> list[int]:
-    return [int.from_bytes(row.tobytes(), "little") for row in words]
+    """One bitmask per row of the little-endian matrix ``words``; the rows
+    are copied out by one ``tobytes()`` per block of at most ROW_SUM_BYTES."""
+    width = words.shape[1] * words.itemsize
+    step = max(1, ROW_SUM_BYTES // max(width, 1))
+    out: list[int] = []
+    for i in range(0, len(words), step):
+        blob = words[i:i + step].tobytes()
+        out += [int.from_bytes(blob[j:j + width], "little")
+                for j in range(0, len(blob), width)]
+    return out
 
 
 def pack_rows(matrix: np.ndarray) -> list[int]:
     """Inverse of :func:`unpack_rows`: one bitmask per row of a 0/1 matrix."""
     return _row_ints(pack_words(matrix))
-
-
-ROW_SUM_BYTES = 1 << 20  # the most bytes of unpacked rows in one block
 
 
 def rows_per_block(n: int) -> int:
@@ -193,22 +206,35 @@ def row_blocks(adj: Sequence[int], ids: Sequence[int]) -> Iterator[tuple[int, np
         yield i, unpack_rows([adj[v] for v in ids[i:i + step]], n)
 
 
-def packed_subgraph(adj: Sequence[int], keep: Sequence[int]) -> Graph:
-    """The graph the symmetric rows ``adj`` induce on ``keep``, vertex
-    keep[i] becoming i, with its packed rows; each block of rows is cut
-    to the kept columns and packed straight into the output words."""
-    k = len(keep)
+def subgraph_words(rows: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """The rows that the symmetric byte rows ``rows`` (``byte_rows``)
+    induce on ``keep``, vertex keep[i] becoming i, as a len(keep) x
+    ceil(len(keep)/64) ``uint64`` matrix: each block of rows is unpacked,
+    cut to the kept columns and packed straight into the output words."""
+    n, k = len(rows), len(keep)
     cols = np.asarray(keep, dtype=np.intp)
     words = np.empty((k, (k + 63) // 64), dtype="<u8")
-    for i, block in row_blocks(adj, keep):
+    # blocks of an eighth of ROW_SUM_BYTES: by default each of a block's
+    # three arrays (unpacked rows, kept columns, padded bits) then stays
+    # under glibc's 128 KiB mmap threshold and reuses heap pages, where
+    # 1 MiB arrays were mapped and page-faulted afresh on every call
+    step = rows_per_block(8 * n)
+    for i in range(0, k, step):
+        block = np.unpackbits(rows[cols[i:i + step]], axis=1, count=n, bitorder="little")
         # padded to whole words, the rows pack as one flat run of bits
         bits = np.zeros((len(block), 64 * words.shape[1]), dtype=np.uint8)
         bits[:, :k] = block[:, cols]
         packed = np.packbits(bits, bitorder="little").view("<u8")
         words[i:i + len(bits)] = packed.reshape(len(bits), -1)
         del block, bits, packed  # before the next block is unpacked
+    return words
+
+
+def packed_graph(words: np.ndarray) -> Graph:
+    """The graph whose symmetric rows are the ``uint64`` matrix ``words``
+    (``subgraph_words``), holding them beside its int rows."""
     m = int(np.bitwise_count(words).sum()) // 2
-    return Graph(len(keep), _row_ints(words), m, words)
+    return Graph(len(words), _row_ints(words), m, words)
 
 
 # Member sets of at least this many vertices take the packed body of the
@@ -233,6 +259,16 @@ def _words(bits: int, rows: np.ndarray) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * rows.shape[1], "little"), dtype="<u8")
 
 
+def descending_order(degrees: np.ndarray, n: int) -> np.ndarray:
+    """Indices that sort ``degrees``, each below n, largest first, equal
+    degrees in index order: a stable sort, the radix sort numpy runs on
+    ``int16`` keys when n <= 2**15."""
+    keys = -degrees
+    if n <= 1 << 15:
+        keys = keys.astype(np.int16)
+    return keys.argsort(kind="stable")
+
+
 def bits_of(ids: np.ndarray, n: int) -> int:
     """Bitmask of the vertex ids in ``ids``, a repeated id set once; inverse
     of ``np.flatnonzero(unpack_bits(.))``."""
@@ -251,8 +287,12 @@ def degrees_into(G: Graph, bits: int, mask: int) -> tuple[np.ndarray, np.ndarray
     as two ``int64`` arrays."""
     rows = _packed_rows(G, bits)
     if rows is not None:
-        ids = unpack_bits(bits, G.n).nonzero()[0]
-        degrees = np.bitwise_count(rows[ids] & _words(mask, rows)).sum(1, dtype=np.int64)
+        if bits == (1 << G.n) - 1:  # every vertex: no unpack, no row gather
+            ids = np.arange(G.n)
+        else:
+            ids = unpack_bits(bits, G.n).nonzero()[0]
+            rows = rows[ids]
+        degrees = np.bitwise_count(rows & _words(mask, rows)).sum(1, dtype=np.int64)
         return ids, degrees
     adj = G._adj
     ids = list(iter_bits(bits))

@@ -23,7 +23,7 @@ never collide.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Union
 
 import numpy as np
@@ -34,9 +34,11 @@ from .graph import (
     byte_rows,
     is_proper_coloring,
     iter_bits,
-    packed_subgraph,
+    pack_words,
+    packed_graph,
     rows_per_block,
     spans_edge,
+    subgraph_words,
     union_neighborhoods,
     unpack_bits,
 )
@@ -147,35 +149,48 @@ class DriverStats:
     fallback_colored: int = 0
 
 
-def merge_vertex_set(G: Graph, members: int) -> tuple[Graph, tuple[int, ...]]:
+def merge_vertex_set(G: Graph, members: int,
+                     rows: np.ndarray | None = None) -> tuple[Graph, tuple[int, ...]]:
     """Merge a pairwise non-adjacent vertex set into its lowest member.
 
-    Equivalent to repeated pairwise contraction; done in one rebuild.
-    Returns the new graph and the old->new vertex map.
+    Equivalent to repeated pairwise contraction; done in one rebuild from
+    G's byte rows ``rows`` (``byte_rows(G)`` when not given): the graph
+    induced on the vertices outside the set or at its lowest member, whose
+    row and column then become the union of the members' rows.  Returns
+    the new graph and the old->new vertex map.
     """
     ids = list(iter_bits(members))
     if len(ids) < 2:
         raise ValueError("need at least two vertices to merge")
+    if rows is None:
+        rows = byte_rows(G)
     lo = ids[0]
-    adj = list(G.adj_rows)
-    adj[lo] = union_neighborhoods(G, members) & ~(1 << lo)
-    # the dropped members' columns are left out of the rebuild below
-    for w in iter_bits(adj[lo]):
-        adj[w] |= 1 << lo
     dropped = set(ids[1:])
     keep = [v for v in range(G.n) if v not in dropped]
     mapping = [lo] * G.n  # no member lies below lo, so lo keeps its id
     for i, v in enumerate(keep):
         mapping[v] = i
-    return packed_subgraph(adj, keep), tuple(mapping)
+    union = np.bitwise_or.reduce(rows[ids])
+    words = subgraph_words(rows, keep)
+    del rows  # a copy packed here goes before the int rows are derived
+    row = np.unpackbits(union, count=G.n, bitorder="little")[keep]
+    row[lo] = 0
+    # the merged row, and its column: bit lo of every row it names
+    words[lo] = pack_words(row[np.newaxis])
+    words[row.nonzero()[0], lo >> 6] |= np.uint64(1 << (lo & 63))
+    return packed_graph(words), tuple(mapping)
 
 
-def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
-    """Materialize G[alive] on dense ids; returns (subgraph, new->old map)."""
+def induced_subgraph(G: Graph, alive_bits: int,
+                     rows: np.ndarray | None = None) -> tuple[Graph, list[int]]:
+    """Materialize G[alive] on dense ids from G's byte rows ``rows``
+    (``byte_rows(G)`` when not given); returns (subgraph, new->old map)."""
     keep = np.flatnonzero(unpack_bits(alive_bits, G.n)).tolist()
     if not keep:
         return Graph(0, [], 0), []
-    return packed_subgraph(G.adj_rows, keep), keep
+    # a copy packed here goes before the int rows are derived
+    words = subgraph_words(byte_rows(G) if rows is None else rows, keep)
+    return packed_graph(words), keep
 
 
 def _row_sums(rows: np.ndarray, ids: list[int]) -> np.ndarray:
@@ -213,12 +228,16 @@ def _degree_keys(rows: np.ndarray, alive_bits: int) -> tuple[np.ndarray, np.ndar
     return degrees - dead, degrees + dead
 
 
+def _nonnegative_int(x: object) -> bool:
+    """Whether ``x`` is an int, not a bool, that is nonnegative: the shape of
+    a vertex id and of a vertex set's bitmask."""
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
+
+
 def _names_vertex(v: object, alive_bits: int) -> bool:
-    """Whether ``v`` is a vertex id of ``alive_bits``: an int, not a bool,
-    that is nonnegative and whose bit is set."""
-    if not isinstance(v, int) or isinstance(v, bool):
-        return False
-    return v >= 0 and (alive_bits >> v) & 1 == 1
+    """Whether ``v`` is a vertex id of ``alive_bits``: a nonnegative int
+    whose bit is set."""
+    return _nonnegative_int(v) and (alive_bits >> v) & 1 == 1
 
 
 class DriverView:
@@ -239,9 +258,14 @@ class DriverView:
     so the keys stay exact without a rebuild; only a contraction, which
     renumbers the vertices, rebuilds them (``_degree_keys``, by popcount
     of the masked rows, as at the start).  The rows come from ``base``'s
-    ``byte_rows`` matrix, which the driver holds beside the view: one
+    ``byte_rows`` matrix, which the driver holds and lends the view: one
     unpacked row for a deferral, the row sums of a removed or returned
-    set (``_row_sums``) otherwise.
+    set (``_row_sums``) otherwise.  ``materialize`` rebuilds G[alive]
+    from the same matrix (``induced_subgraph``), and a contraction
+    rebuilds the next base from it (``merge_vertex_set``), so no int row
+    of the base is packed again.  The graphs both build carry words, and
+    so does every base after the first contraction; the input graph
+    carries none, and the driver's matrix for it is one packed copy.
 
     The driver builds one view per base graph, at the start and after
     each contraction, and sets its ``alive_bits`` before each source
@@ -250,9 +274,10 @@ class DriverView:
     must not keep it, or read it, after that call returns.
     """
 
-    def __init__(self, base: Graph, alive_bits: int, hi: np.ndarray,
-                 lo: np.ndarray, groups: list[tuple[int, ...]]):
+    def __init__(self, base: Graph, rows: np.ndarray, alive_bits: int,
+                 hi: np.ndarray, lo: np.ndarray, groups: list[tuple[int, ...]]):
         self.base = base
+        self._rows = rows
         self.alive_bits = alive_bits
         self._hi = hi
         self._lo = lo
@@ -278,7 +303,7 @@ class DriverView:
         return v, int(self._hi[v])
 
     def materialize(self) -> tuple[Graph, list[int]]:
-        return induced_subgraph(self.base, self.alive_bits)
+        return induced_subgraph(self.base, self.alive_bits, self._rows)
 
 
 def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
@@ -293,9 +318,15 @@ def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
     itself needs the oracle.  An edge inside a MonoSet is not a shape
     fault (the claim holds vacuously when G[alive] has no 3-coloring);
     the driver refuses to merge one.
-    A Type 1/2 set with a vertex outside G[alive] gets that fault alone.
+    A Type 1/2 set with a vertex outside G[alive] gets that fault alone,
+    and so does a set field that is not a nonnegative int (not a bool).
     """
     bad: list[str] = []
+    if isinstance(claim, (MonoSet, Type1, Type2)):
+        bad = [f"{field.name} {getattr(claim, field.name)!r} is not a vertex set bitmask"
+               for field in fields(claim) if not _nonnegative_int(getattr(claim, field.name))]
+        if bad:
+            return bad
 
     def check_witness(members: int, side0: int, side1: int):
         if (side0 | side1) != members or (side0 & side1):
@@ -365,7 +396,7 @@ def color_with_progress(
     alive = (1 << G.n) - 1
     groups: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
     hi, lo = _degree_keys(rows, alive)
-    view = DriverView(base, alive, hi, lo, groups)
+    view = DriverView(base, rows, alive, hi, lo, groups)
     batch_color: dict[int, int] = {}
     batch_slots = 0
     fallback_color: dict[int, int] = {}
@@ -455,7 +486,7 @@ def color_with_progress(
             for other in pair_ids[1:]:
                 sink.claim("type0", 1 << pair_ids[0] | 1 << other, base)
             close_phase()
-            new_base, mapping = merge_vertex_set(base, members)
+            new_base, mapping = merge_vertex_set(base, members, rows)
             new_groups: list[tuple[int, ...]] = [() for _ in range(new_base.n)]
             for old in range(base.n):
                 if (alive >> old) & 1 or mapping[old] == mapping[pair_ids[0]]:
@@ -471,7 +502,7 @@ def color_with_progress(
             groups = new_groups
             alive = new_alive
             hi, lo = _degree_keys(rows, alive)
-            view = DriverView(base, alive, hi, lo, groups)
+            view = DriverView(base, rows, alive, hi, lo, groups)
             stats.contractions += len(pair_ids) - 1
             emit("contract", len(pair_ids))
             continue

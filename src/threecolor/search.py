@@ -22,6 +22,7 @@ from .graph import (
     Graph,
     bits_of,
     degrees_into,
+    descending_order,
     iter_bits,
     union_neighborhoods,
     with_degree_at_least,
@@ -478,8 +479,7 @@ def seek_progress(
     sink.emit(event="params", k=p.k, nhat=nhat(G.n, p.k),
               round_cap=default_round_cap(G.n), side_cuts=p.side_cuts,
               k_within_min_degree=p.k <= min_degree)
-    # a stable sort keeps the ascending ids of equal degrees
-    top = (-degrees).argsort(kind="stable")[:ROOT_RETRIES]
+    top = descending_order(degrees, G.n)[:ROOT_RETRIES]
     roots = ids[top][degrees[top] >= 1].tolist()
     if not roots:
         return SeekOutcome(None, "StructureFailed", [], counters)

@@ -22,6 +22,7 @@ from .graph import (
     bipartition,
     bits_of,
     degrees_into,
+    descending_order,
     spans_edge,
     union_neighborhoods,
     with_degree_at_least,
@@ -116,8 +117,7 @@ def find_certificate(G: Graph, mask: int | None = None) -> tuple[int, tuple[int,
     if mask is None:
         mask = (1 << G.n) - 1
     ids, degrees = degrees_into(G, mask, mask)
-    # a stable sort keeps the ascending ids of equal degrees
-    order = (-degrees).argsort(kind="stable")
+    order = descending_order(degrees, G.n)
     for v, d in zip(ids[order].tolist(), degrees[order].tolist()):
         if d < 3:
             break
@@ -198,6 +198,26 @@ def multichromatic_test(
     return Type2(X, X, 0, nbhd)
 
 
+def pick_bucket(degrees: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """Each degree's bucket level along powers of BUCKET_BASE, the level
+    ``regularize`` picks and its edge mass (the sum of its degrees): the
+    largest mass among the levels whose boundary reaches half the average
+    degree, ties to the smaller level.  Every degree is at least 1."""
+    levels = CEILINGS.searchsorted(degrees, side="right") - 1
+    # float sums, exact: degree sums stay far below 2**53
+    mass = np.bincount(levels, weights=degrees)
+    # eligibility grows with the boundary, so the eligible levels run from
+    # the first one up to the top level, which always has mass
+    total, size = int(degrees.sum()), len(degrees)
+    first = int(levels.min())
+    while first < len(mass) and not bucket_eligible(BOUNDARIES[first], total, size):
+        first += 1
+    if first == len(mass):
+        raise EmptyResult("no eligible degree bucket")
+    level = first + int(mass[first:].argmax())  # the first maximum
+    return levels, level, float(mass[level])
+
+
 def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
                j: int, nh: int) -> RegularPair | None:
     """Prune (S, T) to a two-sided degree-regular pair, or return None
@@ -206,11 +226,10 @@ def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
     T comes as its degree table into S: ``t_ids`` are T's vertex ids, in
     any order, and ``t_degrees[i]`` is |N(t_ids[i]) & S|, as
     ``degrees_into(G, T, S)`` returns them; both callers
-    already hold them.  T is bucketed by these degrees along powers of
-    BUCKET_BASE; among buckets whose floor reaches half the average
-    degree, the one with the largest edge mass into S wins (ties to the
-    smaller bucket).  Vertices at or below the derived floors are then
-    deleted to a fixed point, which is independent of deletion order.
+    already hold them.  T is bucketed by these degrees and one bucket
+    is chosen (``pick_bucket``).  Vertices at or below the derived floors
+    are then deleted to a fixed point, which is independent of deletion
+    order.
 
     The early exit: let U be the chosen bucket and M its edge mass
     into S.  The prune deletes at most |S| * delta_S + |U| * delta_T <=
@@ -226,21 +245,10 @@ def regularize(G: Graph, S: int, t_ids: np.ndarray, t_degrees: np.ndarray,
         raise ValueError("regularize needs nonempty sides")
     if t_degrees.min() < 1:
         raise ValueError("every T vertex needs a neighbor in S")
-    t_sum, t_size = int(t_degrees.sum()), len(t_ids)
-
-    levels = CEILINGS.searchsorted(t_degrees, side="right") - 1
-    # float sums, exact: degree sums stay far below 2**53; every degree is
-    # at least 1, so a level has mass exactly when it has a vertex
-    mass = np.bincount(levels, weights=t_degrees).tolist()
-
-    eligible = [lv for lv, w in enumerate(mass)
-                if w and bucket_eligible(BOUNDARIES[lv], t_sum, t_size)]
-    if not eligible:
-        raise EmptyResult("no eligible degree bucket")
-    level = max(eligible, key=lambda lv: (mass[lv], -lv))
+    levels, level, mass = pick_bucket(t_degrees)
     in_bucket = levels == level
     u_size = int(np.count_nonzero(in_bucket))
-    if u_size < nh and mass[level] > 2 * u_size:
+    if u_size < nh and mass > 2 * u_size:
         return None
     u_table = t_ids[in_bucket], t_degrees[in_bucket]
     U_bits = bits_of(u_table[0], G.n)
@@ -324,8 +332,7 @@ def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress | No
         ids, degrees = degrees_into(G, union_neighborhoods(G, S), S)
     limit = max(int(G.n / p.k), 1)
     if len(ids) > limit:
-        # a stable sort keeps the ascending ids of equal degrees
-        top = (-degrees).argsort(kind="stable")[:limit]
+        top = descending_order(degrees, G.n)[:limit]
         ids, degrees = ids[top], degrees[top]
     pair = regularize(G, S, ids, degrees, j=1, nh=nhat(G.n, p.k))
     if pair is None:

@@ -23,11 +23,11 @@ from threecolor.graph import (
     build_graph,
     byte_rows,
     degrees_into,
+    descending_order,
     is_proper_coloring,
     iter_bits,
     pack_rows,
     pack_words,
-    packed_subgraph,
     spans_edge,
     union_neighborhoods,
     unpack_bits,
@@ -150,7 +150,7 @@ class TestSpansEdge:
 
 def packed_copy(g):
     """The same graph, also carrying packed uint64 rows."""
-    return packed_subgraph(g.adj_rows, range(g.n))
+    return induced_subgraph(g, (1 << g.n) - 1)[0]
 
 
 def random_graph(rng, n, p, packed):
@@ -263,6 +263,30 @@ class TestDegreeKernels:
             assert spans_edge(plain, bits) == spans_edge(packed, bits)
 
 
+    @pytest.mark.parametrize("n", [64, 65, 130, 200])
+    def test_full_set_degrees_match_the_int_body(self, n):
+        # every vertex as the member set: the packed body skips the unpack
+        # and the row gather
+        rng = random.Random(n)
+        plain = random_graph(rng, n, 0.3, packed=False)
+        packed = packed_copy(plain)
+        every = full_set(plain)
+        for mask in (every, random_members(rng, n, n // 2), 0):
+            a, b = degrees_into(plain, every, mask), degrees_into(packed, every, mask)
+            assert b[0].dtype == b[1].dtype == np.int64
+            assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+
+
+@pytest.mark.parametrize("n", [300, 1 << 15, (1 << 15) + 1])
+@pytest.mark.parametrize("seed", range(4))
+def test_descending_order_is_the_stable_sort_of_negated_degrees(n, seed):
+    # many ties, degrees up to n - 1: int16 keys up to n = 2**15, int64 above
+    rng = np.random.default_rng(seed)
+    degrees = rng.choice(rng.integers(0, n, 8), 500)
+    degrees[:2] = (0, n - 1)
+    assert descending_order(degrees, n).tolist() == (-degrees).argsort(kind="stable").tolist()
+
+
 class TestPackedRows:
     @given(graph_and_masks())
     @settings(max_examples=100, deadline=None)
@@ -328,8 +352,9 @@ def dense_graph(n, seed):
 
 
 # blocks of one row (1 and 70 bytes on 70 vertices), of three rows with a
-# shorter last block, and the default, which holds every row at once
-CHUNKS = pytest.mark.parametrize("chunk_bytes", [1, 70, 210, ROW_SUM_BYTES])
+# shorter last block (210, and 1680 for the rebuild, whose blocks are an
+# eighth as large), and the default, which holds every row at once
+CHUNKS = pytest.mark.parametrize("chunk_bytes", [1, 70, 210, 1680, ROW_SUM_BYTES])
 
 
 class TestRowBlocks:
@@ -369,12 +394,17 @@ class TestRowBlocks:
         monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
         rng, g = self.graph(6)
         keep = sorted(rng.sample(range(g.n), int(alive_share * g.n)))
-        sub, got = induced_subgraph(g, sum(1 << v for v in keep))
-        assert got == keep
-        for i, u in enumerate(keep):
-            assert [sub.has_edge(i, j) for j in range(sub.n)] == [g.has_edge(u, w) for w in keep]
-        assert sub.m == sum(g.has_edge(u, w) for u in keep for w in keep) // 2
-        assert_rows_packed(sub)
+        # from the base's own byte rows, packed from its int rows or lent
+        # by its words, and from rows passed in as the driver does
+        for base in (g, packed_copy(g)):
+            for rows in (None, byte_rows(base)):
+                sub, got = induced_subgraph(base, sum(1 << v for v in keep), rows)
+                assert got == keep
+                for i, u in enumerate(keep):
+                    assert ([sub.has_edge(i, j) for j in range(sub.n)]
+                            == [g.has_edge(u, w) for w in keep])
+                assert sub.m == sum(g.has_edge(u, w) for u in keep for w in keep) // 2
+                assert_rows_packed(sub)
 
     @CHUNKS
     @pytest.mark.parametrize("size", [2, 5])
@@ -383,12 +413,14 @@ class TestRowBlocks:
         rng, g = self.graph(7)
         members = independent_members(rng, g, size)
         assert len(members) == size
-        merged, mapping = merge_vertex_set(g, mask(members))
         expect, expect_map = contract_all(g, members)
-        assert mapping == expect_map
-        assert (merged.n, merged.m) == (expect.n, expect.m)
-        assert merged.adj_rows == expect.adj_rows
-        assert_rows_packed(merged)
+        for base in (g, packed_copy(g)):
+            for rows in (None, byte_rows(base)):
+                merged, mapping = merge_vertex_set(base, mask(members), rows)
+                assert mapping == expect_map
+                assert (merged.n, merged.m) == (expect.n, expect.m)
+                assert merged.adj_rows == expect.adj_rows
+                assert_rows_packed(merged)
 
     def test_rebuilds_peak_at_half_n_squared_bytes(self):
         n = 4096

@@ -26,7 +26,10 @@ MODES = {
 
 # (n, p, seed) -> mode -> (sol, trace, report) sha256 digests; the sparse
 # instance is deferral-heavy: 1,891 deferrals and 4 Type 1 phases under the
-# pipeline, so it pins the driver's degree keys and the first-fit unwind
+# pipeline, so it pins the driver's degree keys and the first-fit unwind.
+# The dense one is the pipeline-dense workload's size class: its 21 seek
+# calls all fail with ErrorB, so it pins the failing search's path
+# (materialize, build_two_level, regularize) under 537 deferrals
 PINNED = {
     (200, 0.3, 1): {
         "cuts": (
@@ -62,6 +65,13 @@ PINNED = {
             "1d43d5f2d87f72fe47f079b742ee71860a5bc84cb7387af5145c533f360f7be0",
         ),
     },
+    (600, 0.7, 0): {
+        "pipeline": (
+            "f9e8ffa947a10af9619aaa8080a73db10cf5b469395f0063ada5861e48e845ee",
+            "3247875c205bda287bc747456c8a495bfb4c02792d8296224419a838d8654194",
+            "35efe9059ca79c86bcf2393e5406f890ba5d9bc4361499bcfe7704ef7d194a1b",
+        ),
+    },
     (2000, 0.05, 0): {
         "cuts": (
             "2bdd571ad78015eaf3423b76c4c3d2024d22be3b1bb7b073da465de4e518ed7a",
@@ -86,8 +96,11 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("mode", sorted(MODES))
-@pytest.mark.parametrize("instance", sorted(PINNED), ids=lambda t: "n{}-p{}-s{}".format(*t))
+CASES = [pytest.param(instance, mode, id="n{}-p{}-s{}-{}".format(*instance, mode))
+         for instance in sorted(PINNED) for mode in sorted(PINNED[instance])]
+
+
+@pytest.mark.parametrize("instance, mode", CASES)
 def test_color_outputs_match_pinned_digests(tmp_path, capsys, instance, mode):
     n, p, seed = instance
     graph, _ = generate_planted(GenParams(n=n, edge_prob=p, seed=seed))

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from test_graph import contract, mask
+from test_graph import contract, contract_all, mask, packed_copy
 
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import (
@@ -208,6 +208,24 @@ class TestDriver:
         if isinstance(action, Type0):
             assert validate_progress(g, (1 << 70) - 1, action, 70.0) == caught.value.violations
 
+    @pytest.mark.parametrize("claim, field", [
+        (MonoSet(np.int64(5)), "members"),
+        (Type1(np.int64(1), np.int64(1), 0), "members"),
+        (MonoSet(1.5), "members"),
+        (Type2(1.5, 0, 0, 0), "members"),
+        (Type1(True, True, 0), "members"),
+        (Type1(mask([0]), mask([0]), False), "side1"),
+        (Type2(mask([3]), mask([3]), 0, np.int64(4)), "neighborhood"),
+    ], ids=repr)
+    def test_non_int_set_field_rejected(self, claim, field):
+        # a set is a nonnegative int bitmask: a numpy int overflows the
+        # masks of a 70-vertex graph, a float fails them, and True would
+        # pass for the set {0}
+        g = build_graph(70, [(0, 1), (1, 2)])
+        with pytest.raises(UnsoundProgress, match=f"{field} .* is not a vertex set") as caught:
+            color_with_progress(g, 70.0, lambda view: claim)
+        assert validate_progress(g, (1 << 70) - 1, claim, 70.0) == caught.value.violations
+
     def test_adjacent_type0_rejected(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(UnsoundProgress):
@@ -369,6 +387,26 @@ class TestMergeVertexSet:
             assert mapping[v] == expect
         for v in range(merged.n):
             assert merged.adj_bits(v) == step.adj_bits(v)
+
+    @pytest.mark.parametrize("lo", [0, 63, 64, 127, 130])
+    def test_merged_column_lands_in_every_word(self, lo):
+        # the lowest member's bit at each end of a word, on 200 vertices;
+        # the merged row and column are patched into the rebuilt words
+        rng = random.Random(lo)
+        g = build_graph(200, [(u, v) for u in range(200) for v in range(u + 1, 200)
+                              if rng.random() < 0.2])
+        members = [lo]
+        for v in rng.sample(range(lo + 1, 200), 200 - lo - 1):
+            if len(members) < 4 and not any(g.has_edge(v, u) for u in members):
+                members.append(v)
+        members.sort()
+        expect, expect_map = contract_all(g, members)
+        for base in (g, packed_copy(g)):
+            merged, mapping = merge_vertex_set(base, mask(members))
+            assert mapping == expect_map
+            assert (merged.m, merged.adj_rows) == (expect.m, expect.adj_rows)
+            assert [int.from_bytes(row.tobytes(), "little") for row in merged._rows] == list(
+                merged.adj_rows)
 
     def test_rejects_singleton(self):
         g = build_graph(3, [])

@@ -12,7 +12,7 @@ from test_graph import mask
 from threecolor import search
 from threecolor.baselines import pipeline_color
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import build_graph, iter_bits, packed_subgraph
+from threecolor.graph import build_graph, iter_bits
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params, default_round_cap, nhat
 from threecolor.progress import MonoSet, Sink, induced_subgraph
@@ -387,7 +387,7 @@ class TestSeekProgress:
         g = build_graph(n + isolated, [(u, v) for u in range(n) for v in range(u + 1, n)
                                        if rng.random() < p])
         if data.draw(st.booleans()):
-            g = packed_subgraph(g.adj_rows, range(g.n))
+            g = induced_subgraph(g, (1 << g.n) - 1)[0]
         tried = []
 
         def first_root_fails(G, r0, p, audits, counters, sink):

@@ -16,13 +16,12 @@ from threecolor.graph import (
     build_graph,
     degrees_into,
     iter_bits,
-    packed_subgraph,
     union_neighborhoods,
     with_degree_at_least,
 )
 from threecolor.oracle import enumerate_3colorings
 from threecolor.params import Params, nhat
-from threecolor.progress import Sink, Type1, Type2
+from threecolor.progress import Sink, Type1, Type2, induced_subgraph
 from threecolor.search import (
     HIGHDEG_FACTOR,
     SIDECUT_FACTOR,
@@ -54,6 +53,7 @@ from threecolor.structure import (
     find_certificate,
     floor_times,
     multichromatic_test,
+    pick_bucket,
     regularize,
 )
 
@@ -206,7 +206,7 @@ def random_graph(draw, max_n):
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
                         if rng.random() < p])
     if draw(st.booleans()):
-        g = packed_subgraph(g.adj_rows, range(n))
+        g = induced_subgraph(g, (1 << n) - 1)[0]
     return g, rng
 
 
@@ -278,6 +278,45 @@ class TestIntegerThresholds:
         assert _prune(g, s_bits, t_bits, delta_S, delta_T, s_table, t_table) == (
             reference_prune(g, s_bits, t_bits, delta_S, delta_T)
         )
+
+
+def reference_bucket(degrees):
+    """The bucket choice by an eligibility test of every level that has
+    mass, then the largest mass, ties to the smaller level."""
+    levels = CEILINGS.searchsorted(degrees, side="right") - 1
+    mass = np.bincount(levels, weights=degrees).tolist()
+    total, size = int(degrees.sum()), len(degrees)
+    eligible = [lv for lv, w in enumerate(mass)
+                if w and bucket_eligible(BOUNDARIES[lv], total, size)]
+    return levels, max(eligible, key=lambda lv: (mass[lv], -lv)), mass
+
+
+@st.composite
+def degree_tables(draw):
+    """Degree tables with many ties: a few distinct values, or an average
+    on BUCKET_FLOOR_DIVISOR times a boundary, or one off it, reached by
+    piling the excess over all-ones onto a few entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        values = rng.integers(1, 400, draw(st.integers(1, 6)))
+        return rng.choice(values, draw(st.integers(1, 300)))
+    boundary = BOUNDARIES[draw(st.integers(0, 6))]
+    copies = draw(st.integers(1, 3))
+    size = boundary.denominator * copies
+    total = boundary.numerator * BUCKET_FLOOR_DIVISOR * copies + draw(st.integers(-1, 1))
+    degrees = np.ones(size, dtype=np.int64)
+    few = min(size, draw(st.integers(1, 4)))
+    degrees[:few] += rng.multinomial(max(total - size, 0), np.full(few, 1 / few))
+    return rng.permutation(degrees)
+
+
+@given(degree_tables())
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_pick_bucket_matches_the_eligible_maximum(degrees):
+    levels, level, mass = pick_bucket(degrees)
+    ref_levels, ref_level, ref_mass = reference_bucket(degrees)
+    assert levels.tolist() == ref_levels.tolist()
+    assert (level, mass) == (ref_level, ref_mass[ref_level])
 
 
 # a level's delta_T, or any nonnegative rational with a small denominator
@@ -681,7 +720,7 @@ class TestOnePassT:
             g, _ = generate_planted(GenParams(n=n, edge_prob=p, seed=seed))
             for packed in (False, True):
                 if packed:
-                    g = packed_subgraph(g.adj_rows, range(n))
+                    g = induced_subgraph(g, (1 << n) - 1)[0]
                 for r0 in range(0, n, 7):
                     got = t_table(g, r0, cutoff)
                     assert got == union_table(g, r0)
