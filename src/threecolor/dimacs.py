@@ -38,14 +38,13 @@ from .graph import ROW_SUM_BYTES, Coloring, Graph, _row_ints, row_blocks
 
 
 # Largest vertex count a graph file may declare.  The search holds n x n
-# adjacency in bits (n**2 / 8 bytes, 128 MiB at the limit, for the int
-# rows and again for a materialized subgraph's packed uint64 rows).
-# progress.induced_subgraph and progress.merge_vertex_set unpack an
-# eighth of graph.ROW_SUM_BYTES of rows at a time: 0.34 and 0.35 * n**2
-# bytes at their peak, whether they read the driver's byte rows or pack
-# a graph's int rows themselves (tracemalloc, G(4096, 1/2)), under
-# 0.5 GiB here.  At the limit n**2 < 2**31, so parse_dimacs keys an edge
-# (u, v) as the int32 u * n + v.
+# adjacency in bits (n**2 / 8 bytes, 128 MiB at the limit) in the int
+# rows, in the driver's uint64 words and in a materialized subgraph's.
+# Packing the words holds one more block of about 1 MiB; the rebuilds
+# (progress.induced_subgraph, progress.merge_vertex_set) peak at 0.34
+# and 0.35 * n**2 bytes (tracemalloc, G(4096, 1/2)), under 0.5 GiB here.
+# At the limit n**2 < 2**31, so parse_dimacs keys an edge (u, v) as the
+# int32 u * n + v.
 MAX_VERTICES = 1 << 15
 
 BLOCK = 1 << 16  # characters of text the scanner reads at a time, to a line's end

@@ -6,26 +6,27 @@ and signatures as in the kernels, so the intersection-heavy queries the
 coloring machinery lives on (N(v) & Y, degree into a subset) cost
 O(n/64) machine words instead of O(degree) hash lookups.
 ``unpack_bits``, ``unpack_rows``, ``pack_rows`` and ``pack_words`` are
-the one conversion to and from numpy 0/1 rows; ``byte_rows`` gives a
-graph's rows packed in bytes, n x ceil(n/8) ``uint8``: a view of its
-words when it carries them, else packed from its int rows.
+the one conversion to and from numpy 0/1 rows.  Packed rows have one
+format, n x ceil(n/64) ``uint64`` words: ``packed_rows`` gives a graph's,
+its own when it carries them, else packed from its int rows.
 ``subgraph_words`` is the one rebuild, under the search's working
 graphs (``progress.induced_subgraph``) and the driver's merges
 (``progress.merge_vertex_set``, which patches the merged row and column
-into its output): it reads byte rows, the driver's own matrix when it
-passes one, unpacking an eighth of ``ROW_SUM_BYTES`` of rows at a
-time, and writes the k kept rows and columns as a k x ceil(k/64)
-``uint64`` matrix.  ``packed_graph`` makes that matrix a graph, deriving
-the int rows from it one ``ROW_SUM_BYTES`` block at a time.  So the working and merged
-graphs carry words; input and generated graphs carry none.
+into its output): it reads words, the driver's own when it passes them,
+unpacking an eighth of ``ROW_SUM_BYTES`` of rows at a time, and writes
+the k kept rows and columns as k x ceil(k/64) words.  ``packed_graph``
+makes those a graph, deriving the int rows one ``ROW_SUM_BYTES`` block
+at a time.  So the working and merged graphs carry words; input and
+generated graphs carry none.
 
 The subset queries are four kernels, ``degrees_into``,
 ``with_degree_at_least``, ``union_neighborhoods`` and ``spans_edge``;
 the other modules call them rather than scanning adjacency rows.  Each
-has two bodies that return the same values: on a graph with the matrix
-and a member set of at least ``PACKED_MIN_MEMBERS`` vertices, member ids
-come from one unpack (or, for every vertex, need none), degrees from
-popcounts of the masked rows and a union from one OR-reduce; every
+has two bodies that return the same values: on a graph with words and a
+member set of at least ``PACKED_MIN_MEMBERS`` vertices, member ids come
+from one unpack (or, for every vertex, need none), degrees from
+``masked_degrees``, the one blocked popcount of masked rows (the
+driver's degree keys use it too), and a union from one OR-reduce; every
 other call runs the int loop over the members.
 """
 from __future__ import annotations
@@ -138,27 +139,41 @@ def unpack_bits(bits: int, n: int) -> np.ndarray:
     return np.unpackbits(buf, count=n, bitorder="little")
 
 
-def _row_bytes(rows: Sequence[int], nbytes: int) -> np.ndarray:
-    """The bitmasks ``rows`` as a ``uint8`` matrix of ``nbytes`` little-endian
-    bytes per row."""
-    blob = b"".join(bits.to_bytes(nbytes, "little") for bits in rows)
-    return np.frombuffer(blob, dtype=np.uint8).reshape(len(rows), nbytes)
+ROW_SUM_BYTES = 1 << 20  # the most bytes of rows in one block
+
+
+def rows_per_block(row_bytes: int) -> int:
+    """How many rows of ``row_bytes`` bytes one block holds: as many as fit
+    in ROW_SUM_BYTES, and at least one."""
+    return max(1, ROW_SUM_BYTES // max(row_bytes, 1))
+
+
+def _row_words(rows: Sequence[int], width: int) -> np.ndarray:
+    """The bitmasks ``rows`` as a len(rows) x ``width`` ``uint64`` matrix,
+    filled a block of rows at a time; a block's row bytes and their join
+    are held at once, so each is half of ROW_SUM_BYTES."""
+    out = np.empty((len(rows), width), dtype="<u8")
+    step = rows_per_block(16 * width)
+    for i in range(0, len(rows), step):  # unnamed, a block's join is freed before the next
+        out[i:i + step] = np.frombuffer(b"".join(
+            [bits.to_bytes(8 * width, "little") for bits in rows[i:i + step]]),
+            dtype="<u8").reshape(-1, width)
+    return out
 
 
 def unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
-    """0/1 ``uint8`` matrix with one :func:`unpack_bits` row per bitmask."""
-    buf = _row_bytes(rows, max((n + 7) // 8, 1))
-    return np.unpackbits(buf, axis=1, count=n, bitorder="little")
+    """0/1 matrix with one :func:`unpack_bits` row per bitmask."""
+    words = _row_words(rows, (n + 63) // 64)
+    return np.unpackbits(words.view(np.uint8), axis=1, count=n, bitorder="little")
 
 
-def byte_rows(G: Graph) -> np.ndarray:
-    """G's rows as an n x ceil(n/8) ``uint8`` matrix, bit v of row u being
-    bit v % 8 of byte v // 8: a view of G's packed words when it carries
-    them, else packed from its int rows (n^2 / 8 bytes)."""
-    nbytes = (G.n + 7) // 8
+def packed_rows(G: Graph) -> np.ndarray:
+    """G's rows as n x ceil(n/64) ``uint64`` words, bit v of row u being bit
+    v % 64 of word v // 64: G's own words when it carries them, else packed
+    from its int rows (about n^2 / 8 bytes)."""
     if G._rows is not None:
-        return G._rows.view(np.uint8)[:, :nbytes]
-    return _row_bytes(G.adj_rows, nbytes)
+        return G._rows
+    return _row_words(G.adj_rows, (G.n + 63) // 64)
 
 
 def pack_words(matrix: np.ndarray) -> np.ndarray:
@@ -170,14 +185,11 @@ def pack_words(matrix: np.ndarray) -> np.ndarray:
     return buf.view("<u8")
 
 
-ROW_SUM_BYTES = 1 << 20  # the most bytes of unpacked rows in one block
-
-
 def _row_ints(words: np.ndarray) -> list[int]:
     """One bitmask per row of the little-endian matrix ``words``; the rows
     are copied out by one ``tobytes()`` per block of at most ROW_SUM_BYTES."""
     width = words.shape[1] * words.itemsize
-    step = max(1, ROW_SUM_BYTES // max(width, 1))
+    step = rows_per_block(width)
     out: list[int] = []
     for i in range(0, len(words), step):
         blob = words[i:i + step].tobytes()
@@ -191,12 +203,6 @@ def pack_rows(matrix: np.ndarray) -> list[int]:
     return _row_ints(pack_words(matrix))
 
 
-def rows_per_block(n: int) -> int:
-    """How many unpacked rows of n entries one block holds: as many as fit
-    in ROW_SUM_BYTES, and at least one."""
-    return max(1, ROW_SUM_BYTES // max(n, 1))
-
-
 def row_blocks(adj: Sequence[int], ids: Sequence[int]) -> Iterator[tuple[int, np.ndarray]]:
     """(i, the rows adj[v] for v in ids[i:i + b], unpacked), in blocks of
     b = rows_per_block(n) rows."""
@@ -207,7 +213,7 @@ def row_blocks(adj: Sequence[int], ids: Sequence[int]) -> Iterator[tuple[int, np
 
 
 def subgraph_words(rows: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """The rows that the symmetric byte rows ``rows`` (``byte_rows``)
+    """The rows that the symmetric words ``rows`` (``packed_rows``)
     induce on ``keep``, vertex keep[i] becoming i, as a len(keep) x
     ceil(len(keep)/64) ``uint64`` matrix: each block of rows is unpacked,
     cut to the kept columns and packed straight into the output words."""
@@ -220,7 +226,8 @@ def subgraph_words(rows: np.ndarray, keep: Sequence[int]) -> np.ndarray:
     # 1 MiB arrays were mapped and page-faulted afresh on every call
     step = rows_per_block(8 * n)
     for i in range(0, k, step):
-        block = np.unpackbits(rows[cols[i:i + step]], axis=1, count=n, bitorder="little")
+        block = np.unpackbits(rows[cols[i:i + step]].view(np.uint8), axis=1, count=n,
+                              bitorder="little")
         # padded to whole words, the rows pack as one flat run of bits
         bits = np.zeros((len(block), 64 * words.shape[1]), dtype=np.uint8)
         bits[:, :k] = block[:, cols]
@@ -259,6 +266,19 @@ def _words(bits: int, rows: np.ndarray) -> np.ndarray:
     return np.frombuffer(bits.to_bytes(8 * rows.shape[1], "little"), dtype="<u8")
 
 
+def masked_degrees(rows: np.ndarray, mask: int, ids: np.ndarray | None = None) -> np.ndarray:
+    """|N(v) & mask| for each vertex v of ``ids`` (every vertex when None)
+    of the graph with words ``rows`` (``packed_rows``), as an ``int64``
+    array: popcounts of the masked rows, ROW_SUM_BYTES of rows at a time."""
+    mask_words = _words(mask, rows)
+    out = np.empty(len(rows) if ids is None else len(ids), dtype=np.int64)
+    step = rows_per_block(8 * rows.shape[1])
+    for i in range(0, len(out), step):
+        block = rows[i:i + step] if ids is None else rows[ids[i:i + step]]
+        np.bitwise_count(block & mask_words).sum(1, dtype=np.int64, out=out[i:i + step])
+    return out
+
+
 def descending_order(degrees: np.ndarray, n: int) -> np.ndarray:
     """Indices that sort ``degrees``, each below n, largest first, equal
     degrees in index order: a stable sort, the radix sort numpy runs on
@@ -288,12 +308,9 @@ def degrees_into(G: Graph, bits: int, mask: int) -> tuple[np.ndarray, np.ndarray
     rows = _packed_rows(G, bits)
     if rows is not None:
         if bits == (1 << G.n) - 1:  # every vertex: no unpack, no row gather
-            ids = np.arange(G.n)
-        else:
-            ids = unpack_bits(bits, G.n).nonzero()[0]
-            rows = rows[ids]
-        degrees = np.bitwise_count(rows & _words(mask, rows)).sum(1, dtype=np.int64)
-        return ids, degrees
+            return np.arange(G.n), masked_degrees(rows, mask)
+        ids = unpack_bits(bits, G.n).nonzero()[0]
+        return ids, masked_degrees(rows, mask, ids)
     adj = G._adj
     ids = list(iter_bits(bits))
     degrees = [(adj[v] & mask).bit_count() for v in ids]

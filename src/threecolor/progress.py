@@ -31,12 +31,12 @@ import numpy as np
 from .graph import (
     Coloring,
     Graph,
-    byte_rows,
     is_proper_coloring,
     iter_bits,
+    masked_degrees,
     pack_words,
     packed_graph,
-    rows_per_block,
+    packed_rows,
     spans_edge,
     subgraph_words,
     union_neighborhoods,
@@ -154,7 +154,7 @@ def merge_vertex_set(G: Graph, members: int,
     """Merge a pairwise non-adjacent vertex set into its lowest member.
 
     Equivalent to repeated pairwise contraction; done in one rebuild from
-    G's byte rows ``rows`` (``byte_rows(G)`` when not given): the graph
+    G's words ``rows`` (``packed_rows(G)`` when not given): the graph
     induced on the vertices outside the set or at its lowest member, whose
     row and column then become the union of the members' rows.  Returns
     the new graph and the old->new vertex map.
@@ -163,7 +163,7 @@ def merge_vertex_set(G: Graph, members: int,
     if len(ids) < 2:
         raise ValueError("need at least two vertices to merge")
     if rows is None:
-        rows = byte_rows(G)
+        rows = packed_rows(G)
     lo = ids[0]
     dropped = set(ids[1:])
     keep = [v for v in range(G.n) if v not in dropped]
@@ -173,7 +173,7 @@ def merge_vertex_set(G: Graph, members: int,
     union = np.bitwise_or.reduce(rows[ids])
     words = subgraph_words(rows, keep)
     del rows  # a copy packed here goes before the int rows are derived
-    row = np.unpackbits(union, count=G.n, bitorder="little")[keep]
+    row = np.unpackbits(union.view(np.uint8), count=G.n, bitorder="little")[keep]
     row[lo] = 0
     # the merged row, and its column: bit lo of every row it names
     words[lo] = pack_words(row[np.newaxis])
@@ -183,28 +183,14 @@ def merge_vertex_set(G: Graph, members: int,
 
 def induced_subgraph(G: Graph, alive_bits: int,
                      rows: np.ndarray | None = None) -> tuple[Graph, list[int]]:
-    """Materialize G[alive] on dense ids from G's byte rows ``rows``
-    (``byte_rows(G)`` when not given); returns (subgraph, new->old map)."""
+    """Materialize G[alive] on dense ids from G's words ``rows``
+    (``packed_rows(G)`` when not given); returns (subgraph, new->old map)."""
     keep = np.flatnonzero(unpack_bits(alive_bits, G.n)).tolist()
     if not keep:
         return Graph(0, [], 0), []
     # a copy packed here goes before the int rows are derived
-    words = subgraph_words(byte_rows(G) if rows is None else rows, keep)
+    words = subgraph_words(packed_rows(G) if rows is None else rows, keep)
     return packed_graph(words), keep
-
-
-def _row_sums(rows: np.ndarray, ids: list[int]) -> np.ndarray:
-    """For every vertex of a graph with byte rows ``rows`` (``byte_rows``),
-    its number of neighbors among ``ids``, as an ``int64`` array; the rows
-    of ``ids`` are unpacked ``rows_per_block(n)`` at a time."""
-    n = len(rows)
-    total = np.zeros(n, dtype=np.int64)
-    step = rows_per_block(n)
-    for i in range(0, len(ids), step):
-        block = np.unpackbits(rows[ids[i:i + step]], axis=1, count=n, bitorder="little")
-        total += block.sum(0, dtype=np.int64)
-        del block  # before the next block is unpacked
-    return total
 
 
 def _dead_offset(n: int) -> int:
@@ -213,17 +199,10 @@ def _dead_offset(n: int) -> int:
 
 
 def _degree_keys(rows: np.ndarray, alive_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The driver's ``(hi, lo)`` keys of every vertex of the graph with byte
-    rows ``rows`` (``byte_rows``; see DriverView): each row's alive
-    neighbors are popcounts of the row masked by ``alive_bits``, taken
-    ``rows_per_block(n)`` rows at a time."""
-    n, nbytes = rows.shape
-    alive_bytes = np.frombuffer(alive_bits.to_bytes(nbytes, "little"), dtype=np.uint8)
-    degrees = np.empty(n, dtype=np.int64)
-    step = rows_per_block(n)
-    for i in range(0, n, step):
-        np.bitwise_count(rows[i:i + step] & alive_bytes).sum(1, dtype=np.int64,
-                                                              out=degrees[i:i + step])
+    """The driver's ``(hi, lo)`` keys of every vertex of the graph with
+    words ``rows`` (``packed_rows``; see DriverView)."""
+    n = len(rows)
+    degrees = masked_degrees(rows, alive_bits)
     dead = (1 - unpack_bits(alive_bits, n).astype(np.int64)) * _dead_offset(n)
     return degrees - dead, degrees + dead
 
@@ -256,16 +235,16 @@ class DriverView:
     The driver removes a set by subtracting its rows from both keys and
     moving the set's own keys by BIG, and returns a set by the inverse,
     so the keys stay exact without a rebuild; only a contraction, which
-    renumbers the vertices, rebuilds them (``_degree_keys``, by popcount
-    of the masked rows, as at the start).  The rows come from ``base``'s
-    ``byte_rows`` matrix, which the driver holds and lends the view: one
-    unpacked row for a deferral, the row sums of a removed or returned
-    set (``_row_sums``) otherwise.  ``materialize`` rebuilds G[alive]
-    from the same matrix (``induced_subgraph``), and a contraction
-    rebuilds the next base from it (``merge_vertex_set``), so no int row
-    of the base is packed again.  The graphs both build carry words, and
-    so does every base after the first contraction; the input graph
-    carries none, and the driver's matrix for it is one packed copy.
+    renumbers the vertices, rebuilds them (``_degree_keys``, as at the
+    start).  Every count comes from ``base``'s words (``packed_rows``),
+    which the driver holds and lends the view: popcounts of the rows
+    masked by the alive set, or by a removed or returned set
+    (``graph.masked_degrees``; by symmetry, each vertex's neighbors in
+    the set), and one unpacked row for a deferral.  ``materialize`` and
+    a contraction's ``merge_vertex_set`` rebuild from the same words, so
+    no int row of the base is packed again.  The graphs both build carry
+    words, and so does every base after the first contraction; the input
+    graph carries none, and the driver's words for it are one packed copy.
 
     The driver builds one view per base graph, at the start and after
     each contraction, and sets its ``alive_bits`` before each source
@@ -384,14 +363,15 @@ def color_with_progress(
     """Drive a progress source to a full proper coloring of G.
 
     The working graph is ``base`` (G until the first contraction) minus
-    the removed vertices.  The driver keeps ``byte_rows(base)``, a view of
-    base's packed words when it carries them and otherwise one packed
-    copy of n^2 / 8 bytes (the input graph's, until its first
-    contraction); it seeds the degree keys from it and reads every
-    update from it (see DriverView).
+    the removed vertices.  The driver keeps ``packed_rows(base)``, base's
+    own words when it carries them and otherwise one packed copy of
+    about n^2 / 8 bytes (the input graph's, until its first contraction);
+    it seeds the degree keys from it and reads every update from it (see
+    DriverView), a deferral's row through one byte view per base.
     """
     base = G
-    rows = byte_rows(base)
+    rows = packed_rows(base)
+    row_bytes = rows.view(np.uint8)  # for np.unpackbits
     n, big = base.n, _dead_offset(base.n)
     alive = (1 << G.n) - 1
     groups: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
@@ -419,10 +399,9 @@ def color_with_progress(
         nonlocal alive
         alive = alive | bits if sign > 0 else alive & ~bits
         ids = list(iter_bits(bits))
-        counts = _row_sums(rows, ids)
-        move = np.add if sign > 0 else np.subtract
-        move(hi, counts, out=hi)
-        move(lo, counts, out=lo)
+        counts = sign * masked_degrees(rows, bits)
+        np.add(hi, counts, out=hi)
+        np.add(lo, counts, out=lo)
         hi[ids] += sign * big
         lo[ids] -= sign * big
 
@@ -458,7 +437,7 @@ def color_with_progress(
             defer_stack.append((groups[v], residual))
             alive ^= 1 << v
             # int64 like the keys: an update from uint8 casts on every call
-            counts = np.unpackbits(rows[v], count=n, bitorder="little").astype(np.int64)
+            counts = np.unpackbits(row_bytes[v], count=n, bitorder="little").astype(np.int64)
             hi -= counts
             lo -= counts
             hi[v] -= big
@@ -497,7 +476,8 @@ def color_with_progress(
             for old in iter_bits(alive):
                 new_alive |= 1 << mapping[old]
             base = new_base
-            rows = byte_rows(base)
+            rows = packed_rows(base)
+            row_bytes = rows.view(np.uint8)
             n, big = base.n, _dead_offset(base.n)
             groups = new_groups
             alive = new_alive

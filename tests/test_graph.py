@@ -21,20 +21,21 @@ from threecolor.graph import (
     bipartition,
     bits_of,
     build_graph,
-    byte_rows,
     degrees_into,
     descending_order,
     is_proper_coloring,
     iter_bits,
+    masked_degrees,
     pack_rows,
     pack_words,
+    packed_rows,
     spans_edge,
     union_neighborhoods,
     unpack_bits,
     unpack_rows,
     with_degree_at_least,
 )
-from threecolor.progress import _row_sums, induced_subgraph, merge_vertex_set
+from threecolor.progress import induced_subgraph, merge_vertex_set
 
 
 def mask(members):
@@ -129,16 +130,14 @@ class TestRowPacking:
 
     @given(st.integers(0, 70), st.sampled_from([0.0, 0.1, 0.5, 1.0]), st.integers(0, 2**32))
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    def test_byte_rows_unpack_to_the_int_rows(self, n, p, seed):
+    def test_packed_rows_are_the_int_rows(self, n, p, seed):
         g = random_graph(random.Random(seed), n, p, packed=False)
         for h in (g, packed_copy(g)):
-            rows = byte_rows(h)
-            assert rows.dtype == np.uint8 and rows.shape == (n, (n + 7) // 8)
+            rows = packed_rows(h)
+            assert rows.dtype == np.uint64 and rows.shape == (n, (n + 63) // 64)
             if h is not g and n:  # packed words are lent, not copied
-                assert np.shares_memory(rows, h._rows)
-            for v in range(n):
-                got = np.unpackbits(rows[v], count=n, bitorder="little")
-                assert got.tolist() == unpack_bits(h.adj_bits(v), n).tolist()
+                assert rows is h._rows
+            assert [int.from_bytes(row.tobytes(), "little") for row in rows] == list(h.adj_rows)
 
 
 class TestSpansEdge:
@@ -353,7 +352,9 @@ def dense_graph(n, seed):
 
 # blocks of one row (1 and 70 bytes on 70 vertices), of three rows with a
 # shorter last block (210, and 1680 for the rebuild, whose blocks are an
-# eighth as large), and the default, which holds every row at once
+# eighth as large), and the default, which holds every row at once; on
+# the 16-byte words of 70 vertices, the popcount kernel's blocks hold 1,
+# 4, 13 and 70 rows and the packer's, half as large, 1, 2, 6 and 52
 CHUNKS = pytest.mark.parametrize("chunk_bytes", [1, 70, 210, 1680, ROW_SUM_BYTES])
 
 
@@ -366,27 +367,40 @@ class TestRowBlocks:
                                     if rng.random() < 0.3])
 
     @CHUNKS
+    def test_packed_rows_in_chunks(self, monkeypatch, chunk_bytes):
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
+        _, g = self.graph(4)
+        rows = packed_rows(g)
+        assert [int.from_bytes(row.tobytes(), "little") for row in rows] == list(g.adj_rows)
+
+    @CHUNKS
     def test_row_sums_in_chunks(self, monkeypatch, chunk_bytes):
+        # |N(v) & mask| from the blocked popcount kernel, for every vertex
+        # and for gathered ids
         monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
         rng, g = self.graph(5)
-        ids = sorted(rng.sample(range(g.n), 40))
-        expect = [sum(g.has_edge(u, v) for v in ids) for u in range(g.n)]
-        real = np.unpackbits
-        # byte rows packed from the int rows, and lent by a packed twin
-        for source in (g, induced_subgraph(g, full_set(g))[0]):
-            rows = byte_rows(source)
-            blocks = []
+        members = mask(rng.sample(range(g.n), 40))
+        ids = np.array(sorted(rng.sample(range(g.n), 30)))
+        expect = [(g.adj_bits(v) & members).bit_count() for v in range(g.n)]
+        real = np.bitwise_count
+        # words packed from the int rows, and lent by a packed twin
+        for source in (g, packed_copy(g)):
+            rows = packed_rows(source)
+            width = rows.shape[1] * 8
+            for some, want in ((None, expect), (ids, [expect[v] for v in ids])):
+                blocks = []
 
-            def unpack(*args, **kwargs):
-                out = real(*args, **kwargs)
-                blocks.append(out.shape)
-                return out
+                def popcount(*args, **kwargs):
+                    out = real(*args, **kwargs)
+                    blocks.append(len(out))
+                    return out
 
-            with patch.object(np, "unpackbits", unpack):
-                assert _row_sums(rows, ids).tolist() == expect
-            assert sum(count for count, _ in blocks) == len(ids)
-            # one row per block when a row alone passes the bound
-            assert all(count * g.n <= max(chunk_bytes, g.n) for count, _ in blocks)
+                with patch.object(np, "bitwise_count", popcount):
+                    got = masked_degrees(rows, members, some)
+                assert got.dtype == np.int64 and got.tolist() == want
+                assert sum(blocks) == len(want)
+                # one row per block when a row alone passes the bound
+                assert all(count * width <= max(chunk_bytes, width) for count in blocks)
 
     @CHUNKS
     @pytest.mark.parametrize("alive_share", [0.5, 1.0])
@@ -394,10 +408,10 @@ class TestRowBlocks:
         monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
         rng, g = self.graph(6)
         keep = sorted(rng.sample(range(g.n), int(alive_share * g.n)))
-        # from the base's own byte rows, packed from its int rows or lent
-        # by its words, and from rows passed in as the driver does
+        # from the base's own words, packed from its int rows or lent, and
+        # from words passed in as the driver does
         for base in (g, packed_copy(g)):
-            for rows in (None, byte_rows(base)):
+            for rows in (None, packed_rows(base)):
                 sub, got = induced_subgraph(base, sum(1 << v for v in keep), rows)
                 assert got == keep
                 for i, u in enumerate(keep):
@@ -415,7 +429,7 @@ class TestRowBlocks:
         assert len(members) == size
         expect, expect_map = contract_all(g, members)
         for base in (g, packed_copy(g)):
-            for rows in (None, byte_rows(base)):
+            for rows in (None, packed_rows(base)):
                 merged, mapping = merge_vertex_set(base, mask(members), rows)
                 assert mapping == expect_map
                 assert (merged.n, merged.m) == (expect.n, expect.m)
@@ -442,6 +456,39 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert all(peak <= n * n / 2 for peak in peaks.values()), peaks
+
+    def test_packing_int_rows_peaks_at_the_words_and_two_blocks(self):
+        n = 4096
+        g = dense_graph(n, 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            rows = packed_rows(g)  # the peak counts the words, held until here
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rows.nbytes == n * n // 8
+        assert peak <= n * n / 8 + 2 * ROW_SUM_BYTES, peak
+
+    def test_packed_degrees_peak_at_a_few_blocks(self, monkeypatch):
+        n = 4096
+        h = packed_copy(dense_graph(n, 1))
+        block = 1 << 16
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", block)
+        evens = mask(range(0, n, 2))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for name, bits in (("every vertex", full_set(h)), ("gathered ids", evens)):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = degrees_into(h, bits, evens)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                peaks[name] = peak - sum(a.nbytes for a in out)  # beyond the output
+                del out
+        finally:
+            tracemalloc.stop()
+        assert all(peak <= 4 * block for peak in peaks.values()), peaks
 
 
 class TestBipartition:
