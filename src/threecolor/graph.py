@@ -12,12 +12,14 @@ its own when it carries them, else packed from its int rows.
 ``subgraph_words`` is the one rebuild, under the search's working
 graphs (``progress.induced_subgraph``) and the driver's merges
 (``progress.merge_vertex_set``, which patches the merged row and column
-into its output): it reads words, the driver's own when it passes them,
-unpacking an eighth of ``ROW_SUM_BYTES`` of rows at a time, and writes
-the k kept rows and columns as k x ceil(k/64) words.  ``packed_graph``
-makes those a graph, deriving the int rows one ``ROW_SUM_BYTES`` block
-at a time.  So the working and merged graphs carry words; input and
-generated graphs carry none.
+into its output): it reads the graph's ``packed_rows``, unpacking an
+eighth of ``ROW_SUM_BYTES`` of rows at a time, and writes the k kept
+rows and columns as k x ceil(k/64) words.  ``packed_graph`` makes those
+a graph, deriving the int rows one ``ROW_SUM_BYTES`` block at a time.
+So the working and merged graphs carry words, and so does the driver's
+first base, a twin of its input graph that shares the input's int rows
+(``progress.color_with_progress``); input and generated graphs carry
+none.
 
 The subset queries are four kernels, ``degrees_into``,
 ``with_degree_at_least``, ``union_neighborhoods`` and ``spans_edge``;
@@ -26,8 +28,10 @@ has two bodies that return the same values: on a graph with words and a
 member set of at least ``PACKED_MIN_MEMBERS`` vertices, member ids come
 from one unpack (or, for every vertex, need none), degrees from
 ``masked_degrees``, the one blocked popcount of masked rows (the
-driver's degree keys use it too), and a union from one OR-reduce; every
-other call runs the int loop over the members.
+driver's degree keys use it too), and a union from an OR-reduce of
+``ROW_SUM_BYTES`` of rows at a time, which is also the edge test: a set
+spans an edge when that union meets it.  Every other call runs the int
+loop over the members.
 """
 from __future__ import annotations
 
@@ -169,8 +173,9 @@ def unpack_rows(rows: Sequence[int], n: int) -> np.ndarray:
 
 def packed_rows(G: Graph) -> np.ndarray:
     """G's rows as n x ceil(n/64) ``uint64`` words, bit v of row u being bit
-    v % 64 of word v // 64: G's own words when it carries them, else packed
-    from its int rows (about n^2 / 8 bytes)."""
+    v % 64 of word v // 64: G's own words when it carries them (working,
+    merged and driver base graphs), else packed from its int rows (about
+    n^2 / 8 bytes; input graphs)."""
     if G._rows is not None:
         return G._rows
     return _row_words(G.adj_rows, (G.n + 63) // 64)
@@ -262,15 +267,11 @@ def _packed_rows(G: Graph, bits: int) -> np.ndarray | None:
     return G._rows
 
 
-def _words(bits: int, rows: np.ndarray) -> np.ndarray:
-    return np.frombuffer(bits.to_bytes(8 * rows.shape[1], "little"), dtype="<u8")
-
-
 def masked_degrees(rows: np.ndarray, mask: int, ids: np.ndarray | None = None) -> np.ndarray:
     """|N(v) & mask| for each vertex v of ``ids`` (every vertex when None)
     of the graph with words ``rows`` (``packed_rows``), as an ``int64``
     array: popcounts of the masked rows, ROW_SUM_BYTES of rows at a time."""
-    mask_words = _words(mask, rows)
+    mask_words = np.frombuffer(mask.to_bytes(8 * rows.shape[1], "little"), dtype="<u8")
     out = np.empty(len(rows) if ids is None else len(ids), dtype=np.int64)
     step = rows_per_block(8 * rows.shape[1])
     for i in range(0, len(out), step):
@@ -328,10 +329,8 @@ def with_degree_at_least(G: Graph, bits: int, mask: int, d: int) -> int:
 
 def spans_edge(G: Graph, bits: int) -> bool:
     """Whether some edge of G has both endpoints in ``bits``."""
-    rows = _packed_rows(G, bits)
-    if rows is not None:
-        ids = unpack_bits(bits, G.n).nonzero()[0]
-        return bool((rows[ids] & _words(bits, rows)).any())
+    if _packed_rows(G, bits) is not None:
+        return bool(union_neighborhoods(G, bits) & bits)
     adj = G._adj
     for v in iter_bits(bits):
         if adj[v] & bits:
@@ -342,11 +341,14 @@ def spans_edge(G: Graph, bits: int) -> bool:
 def union_neighborhoods(G: Graph, bits: int) -> int:
     """Bitmask of all vertices adjacent to at least one member of ``bits``."""
     rows = _packed_rows(G, bits)
-    if rows is not None:
-        ids = unpack_bits(bits, G.n).nonzero()[0]
-        return int.from_bytes(np.bitwise_or.reduce(rows[ids]).tobytes(), "little")
-    adj = G._adj
     out = 0
+    if rows is not None:  # by blocks: n/2 members hold one block, not n^2/16 bytes
+        ids = unpack_bits(bits, G.n).nonzero()[0]
+        step = rows_per_block(8 * rows.shape[1])
+        for i in range(0, len(ids), step):
+            out |= int.from_bytes(np.bitwise_or.reduce(rows[ids[i:i + step]]).tobytes(), "little")
+        return out
+    adj = G._adj
     for v in iter_bits(bits):
         out |= adj[v]
     return out

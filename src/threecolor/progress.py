@@ -149,21 +149,19 @@ class DriverStats:
     fallback_colored: int = 0
 
 
-def merge_vertex_set(G: Graph, members: int,
-                     rows: np.ndarray | None = None) -> tuple[Graph, tuple[int, ...]]:
+def merge_vertex_set(G: Graph, members: int) -> tuple[Graph, tuple[int, ...]]:
     """Merge a pairwise non-adjacent vertex set into its lowest member.
 
     Equivalent to repeated pairwise contraction; done in one rebuild from
-    G's words ``rows`` (``packed_rows(G)`` when not given): the graph
-    induced on the vertices outside the set or at its lowest member, whose
-    row and column then become the union of the members' rows.  Returns
-    the new graph and the old->new vertex map.
+    ``packed_rows(G)``: the graph induced on the vertices outside the set
+    or at its lowest member, whose row and column then become the union
+    of the members' rows.  Returns the new graph and the old->new vertex
+    map.
     """
     ids = list(iter_bits(members))
     if len(ids) < 2:
         raise ValueError("need at least two vertices to merge")
-    if rows is None:
-        rows = packed_rows(G)
+    rows = packed_rows(G)
     lo = ids[0]
     dropped = set(ids[1:])
     keep = [v for v in range(G.n) if v not in dropped]
@@ -181,15 +179,14 @@ def merge_vertex_set(G: Graph, members: int,
     return packed_graph(words), tuple(mapping)
 
 
-def induced_subgraph(G: Graph, alive_bits: int,
-                     rows: np.ndarray | None = None) -> tuple[Graph, list[int]]:
-    """Materialize G[alive] on dense ids from G's words ``rows``
-    (``packed_rows(G)`` when not given); returns (subgraph, new->old map)."""
+def induced_subgraph(G: Graph, alive_bits: int) -> tuple[Graph, list[int]]:
+    """Materialize G[alive] on dense ids from ``packed_rows(G)``; returns
+    (subgraph, new->old map)."""
     keep = np.flatnonzero(unpack_bits(alive_bits, G.n)).tolist()
     if not keep:
         return Graph(0, [], 0), []
     # a copy packed here goes before the int rows are derived
-    words = subgraph_words(packed_rows(G) if rows is None else rows, keep)
+    words = subgraph_words(packed_rows(G), keep)
     return packed_graph(words), keep
 
 
@@ -236,15 +233,14 @@ class DriverView:
     moving the set's own keys by BIG, and returns a set by the inverse,
     so the keys stay exact without a rebuild; only a contraction, which
     renumbers the vertices, rebuilds them (``_degree_keys``, as at the
-    start).  Every count comes from ``base``'s words (``packed_rows``),
-    which the driver holds and lends the view: popcounts of the rows
-    masked by the alive set, or by a removed or returned set
-    (``graph.masked_degrees``; by symmetry, each vertex's neighbors in
-    the set), and one unpacked row for a deferral.  ``materialize`` and
-    a contraction's ``merge_vertex_set`` rebuild from the same words, so
-    no int row of the base is packed again.  The graphs both build carry
-    words, and so does every base after the first contraction; the input
-    graph carries none, and the driver's words for it are one packed copy.
+    start).  Every count comes from ``base``'s own words
+    (``packed_rows``): popcounts of the rows masked by the alive set, or
+    by a removed or returned set (``graph.masked_degrees``; by symmetry,
+    each vertex's neighbors in the set), and one unpacked row for a
+    deferral.  ``materialize`` and a contraction's ``merge_vertex_set``
+    rebuild from the same words, so no int row of the base is packed
+    again.  Every base carries words: the first is a twin of the input
+    graph (see ``color_with_progress``), every later one a merged graph.
 
     The driver builds one view per base graph, at the start and after
     each contraction, and sets its ``alive_bits`` before each source
@@ -253,10 +249,9 @@ class DriverView:
     must not keep it, or read it, after that call returns.
     """
 
-    def __init__(self, base: Graph, rows: np.ndarray, alive_bits: int,
-                 hi: np.ndarray, lo: np.ndarray, groups: list[tuple[int, ...]]):
+    def __init__(self, base: Graph, alive_bits: int, hi: np.ndarray, lo: np.ndarray,
+                 groups: list[tuple[int, ...]]):
         self.base = base
-        self._rows = rows
         self.alive_bits = alive_bits
         self._hi = hi
         self._lo = lo
@@ -282,7 +277,7 @@ class DriverView:
         return v, int(self._hi[v])
 
     def materialize(self) -> tuple[Graph, list[int]]:
-        return induced_subgraph(self.base, self.alive_bits, self._rows)
+        return induced_subgraph(self.base, self.alive_bits)
 
 
 def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,
@@ -362,21 +357,23 @@ def color_with_progress(
 ) -> tuple[Coloring, DriverStats]:
     """Drive a progress source to a full proper coloring of G.
 
-    The working graph is ``base`` (G until the first contraction) minus
-    the removed vertices.  The driver keeps ``packed_rows(base)``, base's
-    own words when it carries them and otherwise one packed copy of
-    about n^2 / 8 bytes (the input graph's, until its first contraction);
-    it seeds the degree keys from it and reads every update from it (see
-    DriverView), a deferral's row through one byte view per base.
+    The working graph is ``base`` minus the removed vertices.  The first
+    base is a twin of G that shares G's int rows and carries
+    ``packed_rows(G)`` (a packed copy of about n^2 / 8 bytes, unless G
+    has words); G gains none.  Later bases are merged graphs with words.
+    The driver seeds the degree keys from the base's words and reads
+    every update from them (see DriverView), a deferral's row through
+    one byte view per base.  A kept claim log holds the first base's
+    words, since type0 claims are logged against that base.
     """
-    base = G
+    base = Graph(G.n, G.adj_rows, G.m, packed_rows(G))
     rows = packed_rows(base)
     row_bytes = rows.view(np.uint8)  # for np.unpackbits
     n, big = base.n, _dead_offset(base.n)
     alive = (1 << G.n) - 1
     groups: list[tuple[int, ...]] = [(v,) for v in range(G.n)]
     hi, lo = _degree_keys(rows, alive)
-    view = DriverView(base, rows, alive, hi, lo, groups)
+    view = DriverView(base, alive, hi, lo, groups)
     batch_color: dict[int, int] = {}
     batch_slots = 0
     fallback_color: dict[int, int] = {}
@@ -465,7 +462,7 @@ def color_with_progress(
             for other in pair_ids[1:]:
                 sink.claim("type0", 1 << pair_ids[0] | 1 << other, base)
             close_phase()
-            new_base, mapping = merge_vertex_set(base, members, rows)
+            new_base, mapping = merge_vertex_set(base, members)
             new_groups: list[tuple[int, ...]] = [() for _ in range(new_base.n)]
             for old in range(base.n):
                 if (alive >> old) & 1 or mapping[old] == mapping[pair_ids[0]]:
@@ -482,7 +479,7 @@ def color_with_progress(
             groups = new_groups
             alive = new_alive
             hi, lo = _degree_keys(rows, alive)
-            view = DriverView(base, rows, alive, hi, lo, groups)
+            view = DriverView(base, alive, hi, lo, groups)
             stats.contractions += len(pair_ids) - 1
             emit("contract", len(pair_ids))
             continue

@@ -152,6 +152,12 @@ def packed_copy(g):
     return induced_subgraph(g, (1 << g.n) - 1)[0]
 
 
+def words_twin(g):
+    """The same graph carrying packed uint64 rows beside g's own int rows,
+    as the driver builds its first base."""
+    return Graph(g.n, g.adj_rows, g.m, packed_rows(g))
+
+
 def random_graph(rng, n, p, packed):
     """G(n, p); with ``packed`` the graph also carries packed uint64 rows."""
     g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
@@ -408,17 +414,16 @@ class TestRowBlocks:
         monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
         rng, g = self.graph(6)
         keep = sorted(rng.sample(range(g.n), int(alive_share * g.n)))
-        # from the base's own words, packed from its int rows or lent, and
-        # from words passed in as the driver does
-        for base in (g, packed_copy(g)):
-            for rows in (None, packed_rows(base)):
-                sub, got = induced_subgraph(base, sum(1 << v for v in keep), rows)
-                assert got == keep
-                for i, u in enumerate(keep):
-                    assert ([sub.has_edge(i, j) for j in range(sub.n)]
-                            == [g.has_edge(u, w) for w in keep])
-                assert sub.m == sum(g.has_edge(u, w) for u in keep for w in keep) // 2
-                assert_rows_packed(sub)
+        # from words packed from the int rows, and from the words of a twin
+        # that shares those int rows, as the driver's first base does
+        for base in (g, words_twin(g)):
+            sub, got = induced_subgraph(base, sum(1 << v for v in keep))
+            assert got == keep
+            for i, u in enumerate(keep):
+                assert ([sub.has_edge(i, j) for j in range(sub.n)]
+                        == [g.has_edge(u, w) for w in keep])
+            assert sub.m == sum(g.has_edge(u, w) for u in keep for w in keep) // 2
+            assert_rows_packed(sub)
 
     @CHUNKS
     @pytest.mark.parametrize("size", [2, 5])
@@ -428,13 +433,51 @@ class TestRowBlocks:
         members = independent_members(rng, g, size)
         assert len(members) == size
         expect, expect_map = contract_all(g, members)
-        for base in (g, packed_copy(g)):
-            for rows in (None, packed_rows(base)):
-                merged, mapping = merge_vertex_set(base, mask(members), rows)
-                assert mapping == expect_map
-                assert (merged.n, merged.m) == (expect.n, expect.m)
-                assert merged.adj_rows == expect.adj_rows
-                assert_rows_packed(merged)
+        for base in (g, words_twin(g)):
+            merged, mapping = merge_vertex_set(base, mask(members))
+            assert mapping == expect_map
+            assert (merged.n, merged.m) == (expect.n, expect.m)
+            assert merged.adj_rows == expect.adj_rows
+            assert_rows_packed(merged)
+
+    @CHUNKS
+    def test_packed_union_and_spans_edge_in_chunks(self, monkeypatch, chunk_bytes):
+        # the blocked OR-reduce against the int bodies, on sets of more than
+        # PACKED_MIN_MEMBERS vertices that span several blocks
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", chunk_bytes)
+        rng, g = self.graph(8)
+        members = sorted(rng.sample(range(g.n), PACKED_MIN_MEMBERS + 2))
+        inside = mask(members)
+        # the members' edges leave the set, but for one between the last two,
+        # whose rows lie in the last block
+        cross = [(u, v) for u, v in g.edges() if ((inside >> u) ^ (inside >> v)) & 1]
+        sparse = build_graph(g.n, cross + [(members[-2], members[-1])])
+        for h in (g, sparse):
+            twin = words_twin(h)
+            for bits in (inside, mask(members[:-1]), full_set(h)):
+                assert union_neighborhoods(twin, bits) == union_neighborhoods(h, bits)
+                assert spans_edge(twin, bits) == spans_edge(h, bits)
+        assert spans_edge(words_twin(sparse), inside)
+        assert not spans_edge(words_twin(sparse), mask(members[:-1]))
+
+    def test_packed_union_and_spans_edge_peak_at_a_few_blocks(self, monkeypatch):
+        n = 4096
+        h = packed_copy(dense_graph(n, 1))
+        block = 1 << 16
+        monkeypatch.setattr(graph, "ROW_SUM_BYTES", block)
+        evens = mask(range(0, n, 2))
+        peaks = {}
+        tracemalloc.start()
+        try:
+            for kernel in (union_neighborhoods, spans_edge):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                out = kernel(h, evens)  # the peak counts the output, held until here
+                peaks[kernel.__name__] = tracemalloc.get_traced_memory()[1] - before
+                del out
+        finally:
+            tracemalloc.stop()
+        assert all(peak <= 4 * block for peak in peaks.values()), peaks
 
     def test_rebuilds_peak_at_half_n_squared_bytes(self):
         n = 4096

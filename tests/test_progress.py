@@ -367,6 +367,25 @@ class TestDegreeKeys:
                 base, float(n), lambda view: random_action(actions, view), sink=Sink(trace=trace))
             runs.append((coloring, stats, trace))
         assert runs[0] == runs[1]
+        assert g._rows is None  # the driver's words stay on its own base
+
+    def test_first_base_carries_words_beside_the_input_rows(self):
+        rng = random.Random(3)
+        g = build_graph(150, [(u, v) for u in range(150) for v in range(u + 1, 150)
+                              if rng.random() < 0.1])
+        bases = []
+
+        def source(view):
+            bases.append(view.base)
+            return EXHAUSTED
+
+        coloring, _ = color_with_progress(g, 3.0, source)
+        assert is_proper_coloring(g, coloring)[0]
+        base = bases[0]
+        assert base.adj_rows is g.adj_rows and (base.n, base.m) == (g.n, g.m)
+        assert [int.from_bytes(row.tobytes(), "little") for row in base._rows] == list(
+            g.adj_rows)
+        assert g._rows is None
 
 
 class TestMergeVertexSet:
