@@ -31,7 +31,11 @@ from one unpack (or, for every vertex, need none), degrees from
 driver's degree keys use it too), and a union from an OR-reduce of
 ``ROW_SUM_BYTES`` of rows at a time, which is also the edge test: a set
 spans an edge when that union meets it.  Every other call runs the int
-loop over the members.
+body, an inline walk over the members from the top bit (``v =
+bits.bit_length() - 1``, then ``bits ^= 1 << v``): it makes two ints per
+member where ``iter_bits`` makes three full-width ones and resumes a
+frame.  The four int bodies do not depend on member order;
+``degrees_into`` reverses its lists so its ids stay ascending.
 """
 from __future__ import annotations
 
@@ -63,7 +67,16 @@ class PartialColoring(GraphError):
 
 
 def iter_bits(bits: int) -> Iterator[int]:
-    """Yield the set bit positions of ``bits`` in ascending order."""
+    """Yield the set bit positions of ``bits`` in ascending order.
+
+    For loops whose result depends on the order or on an early exit: the
+    cut search's X and Y passes, its seed loop and its side-cut u loop
+    (ties keep the earliest u), the driver and the claim lists.  A loop
+    whose result does not depend on the order (the kernels' int bodies,
+    the sparse-cut check's I4 scan, the side cut's reach) walks from the
+    top bit inline: OR-ing 18 to 60 rows that way timed 1.7-1.9x faster
+    than through this generator (timeit, n = 400 and 2,000).
+    """
     while bits:
         low = bits & -bits
         yield low.bit_length() - 1
@@ -195,11 +208,11 @@ def _row_ints(words: np.ndarray) -> list[int]:
     are copied out by one ``tobytes()`` per block of at most ROW_SUM_BYTES."""
     width = words.shape[1] * words.itemsize
     step = rows_per_block(width)
+    from_bytes = int.from_bytes
     out: list[int] = []
     for i in range(0, len(words), step):
         blob = words[i:i + step].tobytes()
-        out += [int.from_bytes(blob[j:j + width], "little")
-                for j in range(0, len(blob), width)]
+        out += [from_bytes(blob[j:j + width], "little") for j in range(0, len(blob), width)]
     return out
 
 
@@ -313,8 +326,15 @@ def degrees_into(G: Graph, bits: int, mask: int) -> tuple[np.ndarray, np.ndarray
         ids = unpack_bits(bits, G.n).nonzero()[0]
         return ids, masked_degrees(rows, mask, ids)
     adj = G._adj
-    ids = list(iter_bits(bits))
-    degrees = [(adj[v] & mask).bit_count() for v in ids]
+    ids: list[int] = []
+    degrees: list[int] = []
+    while bits:  # from the top bit, so both lists are reversed below
+        v = bits.bit_length() - 1
+        ids.append(v)
+        degrees.append((adj[v] & mask).bit_count())
+        bits ^= 1 << v
+    ids.reverse()
+    degrees.reverse()
     return np.array(ids, dtype=np.int64), np.array(degrees, dtype=np.int64)
 
 
@@ -324,7 +344,14 @@ def with_degree_at_least(G: Graph, bits: int, mask: int, d: int) -> int:
         ids, degrees = degrees_into(G, bits, mask)
         return bits_of(ids[degrees >= d], G.n)
     adj = G._adj
-    return sum(1 << v for v in iter_bits(bits) if (adj[v] & mask).bit_count() >= d)
+    out = 0
+    while bits:
+        v = bits.bit_length() - 1
+        low = 1 << v
+        if (adj[v] & mask).bit_count() >= d:
+            out |= low
+        bits ^= low
+    return out
 
 
 def spans_edge(G: Graph, bits: int) -> bool:
@@ -332,9 +359,12 @@ def spans_edge(G: Graph, bits: int) -> bool:
     if _packed_rows(G, bits) is not None:
         return bool(union_neighborhoods(G, bits) & bits)
     adj = G._adj
-    for v in iter_bits(bits):
+    rest = bits
+    while rest:
+        v = rest.bit_length() - 1
         if adj[v] & bits:
             return True
+        rest ^= 1 << v
     return False
 
 
@@ -349,8 +379,10 @@ def union_neighborhoods(G: Graph, bits: int) -> int:
             out |= int.from_bytes(np.bitwise_or.reduce(rows[ids[i:i + step]]).tobytes(), "little")
         return out
     adj = G._adj
-    for v in iter_bits(bits):
+    while bits:
+        v = bits.bit_length() - 1
         out |= adj[v]
+        bits ^= 1 << v
     return out
 
 

@@ -85,9 +85,12 @@ Progress = Union[Type0, Type1, Type2, MonoSet]
 EXHAUSTED = object()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Defer:
-    """Source action: remove one vertex now, color it on unwind."""
+    """Source action: remove one vertex now, color it on unwind.  Not
+    frozen: a frozen dataclass sets its field through ``object.__setattr__``,
+    about twice the cost of this slotted ``__init__``, on the driver's most
+    frequent step."""
 
     vertex: int
 

@@ -177,8 +177,9 @@ def cut_or_color(
     while True:
         if X == S:
             sink.claim("mono_if_differ", S, G, conditional=(t, r0))
-            sink.emit(event="cut", round=round_no, seed=t, verdict=True,
-                      x_size=S.bit_count(), y_size=y_size)
+            if sink.trace is not None:
+                sink.emit(event="cut", round=round_no, seed=t, verdict=True,
+                          x_size=S.bit_count(), y_size=y_size)
             return MonochromaticIfDiffer(S, t, r0)
 
         extended = True
@@ -195,8 +196,9 @@ def cut_or_color(
                     Y |= G.adj_bits(s) & T
                     y_size = Y.bit_count()
                     extended = True
-                    sink.emit(event="extension", round=round_no, kind="x", vertex=s,
-                              x_size=X.bit_count(), y_size=y_size)
+                    if sink.trace is not None:
+                        sink.emit(event="extension", round=round_no, kind="x", vertex=s,
+                                  x_size=X.bit_count(), y_size=y_size)
             if X == S:
                 break
         if X == S:
@@ -217,8 +219,9 @@ def cut_or_color(
                 Y |= 1 << t2
                 y_size += 1
                 applied = True
-                sink.emit(event="extension", round=round_no, kind="y", vertex=t2,
-                          x_size=X.bit_count(), y_size=y_size)
+                if sink.trace is not None:
+                    sink.emit(event="extension", round=round_no, kind="y", vertex=t2,
+                              x_size=X.bit_count(), y_size=y_size)
                 break
         if applied:
             continue
@@ -226,8 +229,9 @@ def cut_or_color(
         violations = check_sparse_cut(G, r0, S, T, t, X, Y, p)
         if violations:
             raise AssertionError(f"sparse cut violates {violations}")
-        sink.emit(event="cut", round=round_no, seed=t, verdict=False,
-                  x_size=X.bit_count(), y_size=y_size)
+        if sink.trace is not None:
+            sink.emit(event="cut", round=round_no, seed=t, verdict=False,
+                      x_size=X.bit_count(), y_size=y_size)
         return SparseCut(X, Y)
 
 
@@ -259,11 +263,13 @@ def check_sparse_cut(
     if with_degree_at_least(G, S & ~X, Y, nh):
         violated.append("I3")
     root_adj = G.adj_bits(r0)
-    for t2 in iter_bits(outside_T):
+    while outside_T:  # an existence test, so walked from the top bit
+        t2 = outside_T.bit_length() - 1
         reach = union_neighborhoods(G, G.adj_bits(t2) & root_adj)
         if (reach & Y).bit_count() >= nh:
             violated.append("I4")
             break
+        outside_T ^= 1 << t2
     return violated
 
 
@@ -279,25 +285,31 @@ def best_side_cut(G: Graph, X: int, Y: int, pair: RegularPair) -> SideCut:
     # integral degrees: d >= x  <=>  d >= ceil(x)
     threshold_int = ceil_times(pair.delta_T, SIDECUT_FACTOR)
     fresh_mask = Tj & ~Y
+    open_S = Sj & ~X
+    adj = G.adj_rows
     best_x, best_y, best_u = Sj, Tj, None
     best_size = Tj.bit_count()
     for u in iter_bits(Y):
-        outside = G.adj_bits(u) & Sj & ~X
+        outside = adj[u] & open_S
         if outside.bit_count() < threshold_int:
             continue
+        # Reach only grows, so a u abandoned at a checkpoint could never
+        # be adopted: the walk may start from the top bit.
         reach = 0
-        abandoned = False
-        for i, x in enumerate(iter_bits(outside)):
-            reach |= G.adj_bits(x)
-            if (i & 7) == 7 and (reach & fresh_mask).bit_count() >= best_size:
-                abandoned = True
+        rest = outside
+        walked = 0
+        while rest:
+            x = rest.bit_length() - 1
+            reach |= adj[x]
+            rest ^= 1 << x
+            walked += 1
+            if (walked & 7) == 0 and (reach & fresh_mask).bit_count() >= best_size:
                 break
-        if abandoned:
-            continue
-        y_bits = reach & fresh_mask
-        size = y_bits.bit_count()
-        if size < best_size:
-            best_x, best_y, best_u, best_size = outside, y_bits, u, size
+        else:
+            y_bits = reach & fresh_mask
+            size = y_bits.bit_count()
+            if size < best_size:
+                best_x, best_y, best_u, best_size = outside, y_bits, u, size
     return SideCut(best_x, best_y, best_u)
 
 

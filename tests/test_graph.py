@@ -282,6 +282,58 @@ class TestDegreeKernels:
             assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
 
 
+def ascending_int_bodies(g, bits, mask, d):
+    """Copies of the four kernels' int bodies as they walked the members
+    with ``iter_bits``, lowest id first: degrees_into's ids and degrees,
+    then with_degree_at_least, union_neighborhoods and spans_edge."""
+    adj = g.adj_rows
+    ids = list(iter_bits(bits))
+    degrees = [(adj[v] & mask).bit_count() for v in ids]
+    at_least = sum(1 << v for v in iter_bits(bits) if (adj[v] & mask).bit_count() >= d)
+    union = 0
+    for v in iter_bits(bits):
+        union |= adj[v]
+    spans = False
+    for v in iter_bits(bits):
+        if adj[v] & bits:
+            spans = True
+            break
+    return ids, degrees, at_least, union, spans
+
+
+@st.composite
+def plain_graph_and_edge_masks(draw):
+    """A G(n, p) graph without packed rows, so every kernel call takes the
+    int body, and a member set holding bits 0, 63, 64 and n - 1 (those
+    below n) on either side of a word boundary, plus a mask and a floor."""
+    n = draw(st.sampled_from([1, 63, 64, 65, 128, 2000]))
+    p = draw(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    upper = np.triu(rng.random((n, n), dtype=np.float32) < p, 1)
+    g = Graph(n, pack_rows((upper | upper.T).astype(np.uint8)), int(upper.sum()))
+    edge_ids = [v for v in (0, 63, 64, n - 1) if v < n]
+    extra = rng.choice(n, draw(st.integers(0, min(n, 300))), replace=False)
+    bits = mask(edge_ids) | mask(extra.tolist())
+    mask_bits = mask(np.flatnonzero(rng.random(n) < draw(st.sampled_from([0.0, 0.3, 1.0]))).tolist())
+    return g, bits, mask_bits, draw(st.integers(-1, 70))
+
+
+@given(plain_graph_and_edge_masks())
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+def test_top_bit_int_bodies_match_the_ascending_loops(case):
+    g, bits, mask_bits, d = case
+    assert g._rows is None  # no words: every call below runs the int body
+    ids, degrees, at_least, union, spans = ascending_int_bodies(g, bits, mask_bits, d)
+    got_ids, got_degrees = degrees_into(g, bits, mask_bits)
+    assert got_ids.dtype == got_degrees.dtype == np.int64
+    assert (np.diff(got_ids) > 0).all()
+    assert got_ids.tolist() == ids == np.flatnonzero(unpack_bits(bits, g.n)).tolist()
+    assert got_degrees.tolist() == degrees
+    assert with_degree_at_least(g, bits, mask_bits, d) == at_least
+    assert union_neighborhoods(g, bits) == union
+    assert spans_edge(g, bits) is spans
+
+
 @pytest.mark.parametrize("n", [300, 1 << 15, (1 << 15) + 1])
 @pytest.mark.parametrize("seed", range(4))
 def test_descending_order_is_the_stable_sort_of_negated_degrees(n, seed):

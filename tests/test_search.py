@@ -12,7 +12,7 @@ from test_graph import mask
 from threecolor import search
 from threecolor.baselines import pipeline_color
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import build_graph, iter_bits
+from threecolor.graph import build_graph, iter_bits, union_neighborhoods, with_degree_at_least
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params, default_round_cap, nhat
 from threecolor.progress import MonoSet, Sink, induced_subgraph
@@ -195,6 +195,112 @@ class TestBestSideCut:
             assert got.x == want_x
             assert got.y == want_y
             assert got.u == want_u
+
+
+def ascending_check_sparse_cut(G, r0, S, T, t, X, Y, p):
+    """Copy of ``check_sparse_cut`` as it scanned I4's t' in ascending id
+    order."""
+    nh = nhat(G.n, p.k)
+    violated = []
+    if G.adj_bits(t) & S & ~X:
+        violated.append("I1")
+    outside_T = T & ~Y
+    if union_neighborhoods(G, X) & outside_T:
+        violated.append("I2")
+    if with_degree_at_least(G, S & ~X, Y, nh):
+        violated.append("I3")
+    root_adj = G.adj_bits(r0)
+    for t2 in iter_bits(outside_T):
+        reach = union_neighborhoods(G, G.adj_bits(t2) & root_adj)
+        if (reach & Y).bit_count() >= nh:
+            violated.append("I4")
+            break
+    return violated
+
+
+def ascending_side_cut(G, X, Y, pair):
+    """Copy of ``best_side_cut`` as it walked each u's X'(u) in ascending id
+    order, with its checkpoint every eighth member; also returns how many
+    u were abandoned at a checkpoint."""
+    Sj, Tj = pair.S, pair.T
+    threshold_int = math.ceil(pair.delta_T * SIDECUT_FACTOR)
+    fresh_mask = Tj & ~Y
+    best_x, best_y, best_u = Sj, Tj, None
+    best_size = Tj.bit_count()
+    abandons = 0
+    for u in iter_bits(Y):
+        outside = G.adj_bits(u) & Sj & ~X
+        if outside.bit_count() < threshold_int:
+            continue
+        reach = 0
+        abandoned = False
+        for i, x in enumerate(iter_bits(outside)):
+            reach |= G.adj_bits(x)
+            if (i & 7) == 7 and (reach & fresh_mask).bit_count() >= best_size:
+                abandoned = True
+                break
+        if abandoned:
+            abandons += 1
+            continue
+        y_bits = reach & fresh_mask
+        size = y_bits.bit_count()
+        if size < best_size:
+            best_x, best_y, best_u, best_size = outside, y_bits, u, size
+    return (best_x, best_y, best_u), abandons
+
+
+def cut_case(seed, n, p):
+    """A G(n, p) graph with a root r0, a pair (S, T) with S inside N(r0),
+    a seed t in T and a cut X of S, Y of T, all drawn from ``seed``."""
+    rng = random.Random(seed)
+    g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                        if rng.random() < p])
+    r0 = rng.randrange(n)
+    S = [v for v in iter_bits(g.adj_bits(r0)) if rng.random() < 0.7]
+    T = [v for v in range(n) if v != r0 and v not in S and rng.random() < 0.8] or [r0]
+    X = [v for v in S if rng.random() < rng.random()]
+    Y = [w for w in T if rng.random() < rng.random()]
+    return g, r0, mask(S), mask(T), rng.choice(T), mask(X), mask(Y)
+
+
+CUT_CASE_SIZES = st.tuples(st.integers(0, 2**32), st.integers(2, 90),
+                           st.sampled_from([0.1, 0.3, 0.5, 0.8]))
+
+
+class TestTopBitWalks:
+    """``check_sparse_cut``'s I4 scan and ``best_side_cut``'s reach walk
+    X'(u) from the top bit; both must return what the ascending walks
+    returned."""
+
+    @given(CUT_CASE_SIZES, st.sampled_from([1.5, 2.0, 3.0, 6.0]))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_check_sparse_cut_matches_the_ascending_scan(self, sizes, k):
+        g, r0, S, T, t, X, Y = cut_case(*sizes)
+        p = make_params(g.n, k)
+        assert (check_sparse_cut(g, r0, S, T, t, X, Y, p)
+                == ascending_check_sparse_cut(g, r0, S, T, t, X, Y, p))
+
+    @given(CUT_CASE_SIZES, st.integers(1, 40), st.integers(1, 3))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_best_side_cut_matches_the_ascending_walk(self, sizes, num, den):
+        g, _, S, T, _, X, Y = cut_case(*sizes)
+        pair = RegularPair(S, T, Fraction(1), Fraction(num, den), 1)
+        got = best_side_cut(g, X, Y, pair)
+        assert (got.x, got.y, got.u) == ascending_side_cut(g, X, Y, pair)[0]
+
+    def test_cases_reach_the_abandon_checkpoint_and_i4(self):
+        # the drawn cases above are worth comparing only if the reference
+        # abandons some u and some cut violates I4
+        abandons = i4 = adopted = 0
+        for seed in range(40):
+            g, r0, S, T, t, X, Y = cut_case(seed, 60, 0.5)
+            (_, _, u), count = ascending_side_cut(
+                g, X, Y, RegularPair(S, T, Fraction(1), Fraction(3), 1))
+            abandons += count
+            adopted += u is not None
+            i4 += "I4" in ascending_check_sparse_cut(g, r0, S, T, t, X, Y,
+                                                     make_params(g.n, 3.0))
+        assert abandons > 0 and adopted > 0 and i4 > 0
 
 
 class TestInnerLoop:
