@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Iterable
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .graph import (
     Graph,
     OddCycle,
     degrees_into,
+    first_fit,
     iter_bits,
     spans_edge,
 )
@@ -36,7 +36,6 @@ from .progress import (
     MonoSet,
     Progress,
     Sink,
-    Type0,
     Type1,
     color_with_progress,
     type1_threshold,
@@ -56,40 +55,14 @@ class BaselineReport:
     threshold: int | None = None
 
 
-def _first_fit(G: Graph, order: Iterable[int], assign: list, base: int) -> int:
-    """Give each vertex of ``order`` the lowest color >= base that none of
-    its neighbors colored here wears; returns one past the top color."""
-    masks: dict[int, int] = {}
-    top = base - 1
-    for v in order:
-        adj = G.adj_bits(v)
-        c = base
-        while adj & masks.get(c, 0):
-            c += 1
-        assign[v] = c
-        masks[c] = masks.get(c, 0) | (1 << v)
-        top = max(top, c)
-    return top + 1
-
-
-def greedy_color(G: Graph, order=None, base: int = 0) -> Coloring:
-    """First-fit coloring along ``order`` starting at color ``base``.
-
-    With base > 0 the palette span includes the reserved range below it.
-    Uses at most max_degree + 1 colors above the base.
-    """
-    if order is None:
-        order = range(G.n)
-    else:
-        order = list(order)
-        if sorted(order) != list(range(G.n)):
-            raise ValueError("order must be a permutation of the vertex set")
-    assign: list[int | None] = [None] * G.n
-    palette = _first_fit(G, order, assign, base) if G.n else 0
-    coloring = Coloring(tuple(assign), palette)
-    if G.n and palette - base > G.max_degree() + 1:
+def greedy_color(G: Graph) -> Coloring:
+    """First-fit coloring in vertex id order; uses at most max_degree + 1
+    colors."""
+    colors = first_fit(G.adj_rows, ((v,) for v in range(G.n)))
+    palette = max(colors, default=-1) + 1
+    if palette > G.max_degree() + 1:
         raise AssertionError("first-fit exceeded the degree bound")
-    return coloring
+    return Coloring(tuple(colors), palette)
 
 
 def neighborhood_extraction_color(
@@ -130,7 +103,11 @@ def neighborhood_extraction_color(
         alive &= ~W
         extractions += 1
 
-    palette = _first_fit(G, iter_bits(alive), assign, 2 * extractions) if n else 0
+    rest = list(iter_bits(alive))
+    colors = first_fit(G.adj_rows, ((v,) for v in rest))
+    for v, c in zip(rest, colors):
+        assign[v] = 2 * extractions + c
+    palette = 2 * extractions + max(colors, default=-1) + 1
     bound = 2 * math.ceil(n / threshold) + threshold
     if palette > bound:
         raise AssertionError(f"palette {palette} exceeds the bound {bound}")
@@ -158,9 +135,7 @@ def _lift_bits(bits: int, idmap: list[int]) -> int:
 
 
 def _lift_progress(claim: Progress, idmap: list[int]) -> Progress:
-    if isinstance(claim, Type0):
-        return Type0(idmap[claim.u], idmap[claim.v])
-    # every field of the other claims is a vertex set
+    # the search's claims (Type1, Type2, MonoSet) hold vertex sets only
     return type(claim)(*(_lift_bits(getattr(claim, f.name), idmap)
                          for f in fields(claim)))
 

@@ -21,6 +21,9 @@ first base, a twin of its input graph that shares the input's int rows
 (``progress.color_with_progress``); input and generated graphs carry
 none.
 
+``first_fit`` is the one first-fit: greedy coloring, the remainder of
+neighborhood extraction and the driver's fallback all call it.
+
 The subset queries are four kernels, ``degrees_into``,
 ``with_degree_at_least``, ``union_neighborhoods`` and ``spans_edge``;
 the other modules call them rather than scanning adjacency rows.  Each
@@ -502,3 +505,26 @@ def is_proper_coloring(G: Graph, coloring: Coloring) -> tuple[bool, tuple[int, i
             u = (conflict & -conflict).bit_length() - 1
             return False, (min(u, v), max(u, v))
     return True, None
+
+
+def first_fit(adj_rows: Sequence[int], groups: Iterable[Sequence[int]]) -> list[int]:
+    """Take the vertex groups in order and give each the lowest color that
+    no neighbor of a member wears among the groups already colored;
+    returns one color per group.  ``adj_rows`` are int rows, as
+    ``Graph.adj_rows``."""
+    worn: list[int] = []  # per color, the vertices wearing it
+    colors: list[int] = []
+    for group in groups:
+        adj = members = 0
+        for v in group:
+            adj |= adj_rows[v]
+            members |= 1 << v
+        for c, mask in enumerate(worn):
+            if not adj & mask:
+                break
+        else:
+            c = len(worn)
+            worn.append(0)
+        worn[c] |= members
+        colors.append(c)
+    return colors

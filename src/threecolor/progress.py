@@ -17,8 +17,8 @@ fresh color pair; each extracted set is removed together with its
 neighborhood, which keeps the sets of one phase pairwise non-adjacent,
 and the neighborhoods return to the pool when the phase closes.  The
 fallback palette (greedy remainder plus deferred vertices colored on
-unwind) occupies colors [0, F); batch colors sit above it, so the two
-never collide.
+unwind, in one ``graph.first_fit`` pass) occupies colors [0, F); batch
+colors sit above it, so the two never collide.
 """
 from __future__ import annotations
 
@@ -31,6 +31,7 @@ import numpy as np
 from .graph import (
     Coloring,
     Graph,
+    first_fit,
     is_proper_coloring,
     iter_bits,
     masked_degrees,
@@ -268,14 +269,10 @@ class DriverView:
         return self.base.adj_bits(v) & self.alive_bits
 
     def min_degree_vertex(self) -> tuple[int, int]:
-        if not self.alive_bits:
-            return -1, 0
         v = int(self._lo.argmin())
         return v, int(self._lo[v])
 
     def max_degree_vertex(self) -> tuple[int, int]:
-        if not self.alive_bits:
-            return -1, -1
         v = int(self._hi.argmax())
         return v, int(self._hi[v])
 
@@ -379,7 +376,6 @@ def color_with_progress(
     view = DriverView(base, alive, hi, lo, groups)
     batch_color: dict[int, int] = {}
     batch_slots = 0
-    fallback_color: dict[int, int] = {}
     defer_stack: list[tuple[tuple[int, ...], int]] = []
     stats = DriverStats()
     phase: dict | None = None
@@ -412,13 +408,6 @@ def color_with_progress(
         if phase["aside"]:
             shift(phase["aside"], +1)
         phase = None
-
-    def alloc_side_slot(ph: dict, which: str) -> int:
-        nonlocal batch_slots
-        if ph[which] is None:
-            ph[which] = batch_slots
-            batch_slots += 1
-        return ph[which]
 
     while alive:
         view.alive_bits = alive
@@ -505,10 +494,12 @@ def color_with_progress(
         for side_bits, which in ((action.side0, "slot0"), (action.side1, "slot1")):
             if not side_bits:
                 continue
-            slot = alloc_side_slot(phase, which)
+            if phase[which] is None:  # the phase's first set on this side
+                phase[which] = batch_slots
+                batch_slots += 1
             for v in iter_bits(side_bits):
                 for orig in groups[v]:
-                    batch_color[orig] = slot
+                    batch_color[orig] = phase[which]
         nbhd = reach & alive & ~members
         shift(members | nbhd, -1)
         phase["union"] |= members
@@ -525,44 +516,26 @@ def color_with_progress(
 
     close_phase()
 
-    fallback_masks: list[int] = []  # per fallback color, vertices wearing it
-    adj_rows = G.adj_rows
-
-    def fallback_pick(group: tuple[int, ...]) -> int:
-        """Give the group's input vertices the lowest fallback color that
-        none of their neighbors wears; returns it."""
-        adj = 0
-        for orig in group:
-            adj |= adj_rows[orig]
-        for c, worn in enumerate(fallback_masks):
-            if not adj & worn:
-                break
-        else:
-            c = len(fallback_masks)
-            fallback_masks.append(0)
-        for orig in group:
-            fallback_color[orig] = c
-            fallback_masks[c] |= 1 << orig
-        return c
-
-    for v in iter_bits(alive):
-        fallback_pick(groups[v])
-        stats.fallback_colored += 1
+    # the fallback colors the alive groups in ascending id, then the
+    # deferred ones in unwind order, first-fit on the input graph
+    leftover = [groups[v] for v in iter_bits(alive)]
+    for _ in leftover:
         emit("fallback", 1)
-
-    while defer_stack:
-        group, residual = defer_stack.pop()
-        picked = fallback_pick(group)
+    unwind = defer_stack[::-1]
+    fallback = leftover + [group for group, _ in unwind]
+    colors = first_fit(G.adj_rows, fallback)
+    for (_, residual), picked in zip(unwind, colors[len(leftover):]):
         if picked > residual:
             raise AssertionError(
                 f"deferred vertex needed color {picked} beyond residual degree {residual}"
             )
-        stats.fallback_colored += 1
+    stats.fallback_colored = len(fallback)
 
-    fallback_span = max(fallback_color.values(), default=-1) + 1
+    fallback_span = max(colors, default=-1) + 1
     final: list[int | None] = [None] * G.n
-    for orig, c in fallback_color.items():
-        final[orig] = c
+    for group, c in zip(fallback, colors):
+        for orig in group:
+            final[orig] = c
     for orig, slot in batch_color.items():
         final[orig] = fallback_span + slot
     palette = fallback_span + batch_slots

@@ -561,10 +561,10 @@ def _seek_from_root(
             sink.emit(event="round_end", round=j, **audit.to_dict())
         if not chosen_Y:
             return SeekOutcome(None, "StructureFailed", audits, counters)
+        # some vertex of the nonempty Y is linked to X: a cut's Y holds its
+        # seed, which neighbors X, and a side cut's Y' lies in N(X')
         ids, degrees = degrees_into(G, chosen_Y, chosen_X)
         linked = degrees >= 1
-        if not linked.any():
-            return SeekOutcome(None, "StructureFailed", audits, counters)
         if j == round_cap:
             break
         pair = regularize(G, chosen_X, ids[linked], degrees[linked], j + 1,

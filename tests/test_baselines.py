@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from threecolor import baselines
 from threecolor.baselines import (
     TAU,
     greedy_color,
@@ -40,18 +41,6 @@ class TestGreedy:
             ok, _ = is_proper_coloring(g, coloring)
             assert ok
             assert coloring.palette_size <= g.max_degree() + 1
-
-    def test_custom_order_and_base(self):
-        g = build_graph(3, [(0, 1), (1, 2)])
-        coloring = greedy_color(g, order=[2, 1, 0], base=5)
-        ok, _ = is_proper_coloring(g, coloring)
-        assert ok
-        assert min(coloring.assignment) == 5
-
-    def test_bad_order_rejected(self):
-        g = build_graph(3, [(0, 1)])
-        with pytest.raises(ValueError):
-            greedy_color(g, order=[0, 1])
 
 
 class TestNeighborhoodExtraction:
@@ -114,6 +103,22 @@ class TestPipeline:
         with pytest.raises(Not3Colorable) as err:
             pipeline_color(big)
         assert certificate_is_valid(big, err.value.hub, err.value.cycle)
+
+    def test_hub_deferred_when_no_certificate_checks_out(self, monkeypatch):
+        # a hub on 69 rim vertices, three of which form a triangle: the
+        # hub's neighborhood is not bipartite, and with the certificate
+        # path finding nothing the pipeline defers the hub and colors on
+        checked = []
+        monkeypatch.setattr(baselines, "find_certificate", lambda *args: None)
+        monkeypatch.setattr(baselines, "certificate_is_valid",
+                            lambda G, hub, cycle: checked.append(hub) or False)
+        g = build_graph(70, [(0, v) for v in range(1, 70)] + [(1, 2), (2, 3), (1, 3)])
+        trace = []
+        coloring, report = pipeline_color(g, trace=trace)
+        assert checked[0] == 0
+        assert is_proper_coloring(g, coloring)[0]
+        first = next(e for e in trace if "mechanism" in e)
+        assert (first["mechanism"], first["graph_size"]) == ("defer", 69)
 
     def test_planted_instances_color_properly(self):
         for seed, n, prob in [(0, 80, 0.5), (1, 120, 0.3), (2, 200, 0.6)]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -647,7 +648,7 @@ class TestBench:
         assert not list(tmp_path.iterdir())
 
     def test_error_rows_written_and_exit_1(self, tmp_path, monkeypatch):
-        def broken(graph, order=None, base=0):
+        def broken(graph):
             raise RuntimeError("boom")
 
         monkeypatch.setattr(threecolor.cli, "greedy_color", broken)
@@ -659,6 +660,30 @@ class TestBench:
         assert len(rows) == 4
         assert sum("error:RuntimeError" in row for row in rows) == 2
         assert json.loads((tmp_path / "b.json").read_text())["errors"] == 2
+
+    def test_round_columns_match_the_reports_audits(self, tmp_path):
+        # every row here audits rounds: its rounds and pass_rate_* columns
+        # count the audits that color --report gives on the same graph
+        code = run_cli(["bench", "--sizes", "150", "--densities", "0.3", "--seeds", "2",
+                        "--methods", "pipeline,seek", "--out-csv", str(tmp_path / "b.csv"),
+                        "--out-json", str(tmp_path / "b.json")])
+        assert code == 0
+        with open(tmp_path / "b.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 4
+        col, report = tmp_path / "g.col", tmp_path / "r.json"
+        for row in rows:
+            graph, _ = generate_planted(GenParams(n=150, edge_prob=0.3, seed=int(row["seed"])))
+            col.write_text(emit_dimacs(graph))
+            assert run_cli(["color", "--in", str(col), "--method", row["method"],
+                            "--report", str(report)]) == 0
+            audits = json.loads(report.read_text())["audits"]
+            assert audits and int(row["rounds"]) == len(audits)
+            for column, flag in (("pass_rate_y_floor", "y_size_floor"),
+                                 ("pass_rate_y_sqrt_cap", "y_sqrt_cap"),
+                                 ("pass_rate_y_round_cap", "y_round_cap")):
+                hits = sum(bool(a[f"flag_{flag}"]) for a in audits)
+                assert float(row[column]) == pytest.approx(hits / len(audits), abs=1e-6)
 
     def test_csv_columns_fixed(self, tmp_path):
         run_cli(["bench", "--sizes", "30", "--densities", "0.5", "--seeds", "1",

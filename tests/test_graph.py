@@ -23,6 +23,7 @@ from threecolor.graph import (
     build_graph,
     degrees_into,
     descending_order,
+    first_fit,
     is_proper_coloring,
     iter_bits,
     masked_degrees,
@@ -729,6 +730,21 @@ class TestProperColoring:
     def test_partial_rejected(self):
         with pytest.raises(PartialColoring):
             is_proper_coloring(TRIANGLE, Coloring((0, 1), 2))
+
+
+class TestFirstFit:
+    def test_groups_in_the_given_order(self):
+        path = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert first_fit(path.adj_rows, [(2,), (0,), (1,), (3,)]) == [0, 0, 1, 1]
+
+    def test_group_avoids_the_colors_of_every_members_neighbors(self):
+        # 0 ~ 2, 1 ~ 3 and 2 ~ 3: the group {1, 0} avoids 2's color through
+        # 0, and 3 avoids both, the group's through 1
+        g = build_graph(4, [(0, 2), (1, 3), (2, 3)])
+        assert first_fit(g.adj_rows, [(2,), (1, 0), (3,)]) == [0, 1, 2]
+
+    def test_no_groups(self):
+        assert first_fit(TRIANGLE.adj_rows, []) == []
 
 
 @given(st.data())

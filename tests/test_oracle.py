@@ -572,3 +572,26 @@ def test_claim_dict_type0_keeps_the_shape_check(pair, reason):
     k4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     verdict = verify_claim_dict(k4, {"type": "type0", "pair": pair}, k=None)
     assert verdict == oracle.Verdict(False, [reason])
+
+
+@pytest.mark.parametrize("graph, entry, k, reason", [
+    (PATH3, {"type": "type1", "vertices": [0, 2]}, None,
+     "color target k required for this claim"),
+    (PATH3, {"type": "type2", "vertices": [0, 2]}, None,
+     "color target k required for this claim"),
+    (TRIANGLE, {"type": "type1", "vertices": [0, 1, 2]}, 1.0, "set is not 2-colorable"),
+    (PATH3, {"type": "type3", "vertices": [0, 2]}, 1.0, "unknown claim type 'type3'"),
+    (PATH3, {"vertices": [0, 2]}, 1.0, "unknown claim type None"),
+])
+def test_claim_dict_rejections(graph, entry, k, reason):
+    from threecolor.oracle import verify_claim_dict
+
+    assert verify_claim_dict(graph, entry, k=k) == oracle.Verdict(False, [reason])
+
+
+@pytest.mark.parametrize("claim, reason", [
+    (Claim("pair", (0, 2), PATH3), "unknown logged claim kind 'pair'"),
+    (Claim("mono_if_differ", (0, 2), PATH3), "conditional pair missing"),
+])
+def test_logged_claim_rejections(claim, reason):
+    assert verify_logged_claim(claim) == oracle.Verdict(False, [reason])

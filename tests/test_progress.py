@@ -226,6 +226,30 @@ class TestDriver:
             color_with_progress(g, 70.0, lambda view: claim)
         assert validate_progress(g, (1 << 70) - 1, claim, 70.0) == caught.value.violations
 
+    @pytest.mark.parametrize("claim, violation", [
+        (Type1(mask([0, 1, 2]), mask([0, 1]), mask([2])), "witness side contains an edge"),
+        (MonoSet(mask([2])), "monochromatic set needs at least two vertices"),
+        (Type2(mask([1]), mask([1]), 0, mask([0, 2])), "neighborhood exceeds the allowed factor"),
+    ], ids=repr)
+    def test_shape_rejections(self, claim, violation):
+        # on the path 0-1-2-3 at k = 2: the Type 1 set clears its floor of
+        # 2, and the Type 2 set's two neighbors exceed c2 * k * 1 = 1 at c2 = 0.5
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        assert validate_progress(g, mask([0, 1, 2, 3]), claim, 2.0, c2=0.5) == [violation]
+        with pytest.raises(UnsoundProgress) as caught:
+            color_with_progress(g, 2.0, lambda view: claim, c2=0.5)
+        assert caught.value.violations == [violation]
+
+    def test_monoset_spanning_an_edge_rejected(self):
+        # an edge inside a monochromatic set is no shape fault, but the
+        # driver refuses to merge it
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        claim = MonoSet(mask([0, 1, 3]))
+        assert validate_progress(g, mask([0, 1, 2, 3]), claim, 2.0) == []
+        with pytest.raises(UnsoundProgress) as caught:
+            color_with_progress(g, 2.0, lambda view: claim)
+        assert caught.value.violations == ["monochromatic set contains an edge"]
+
     def test_adjacent_type0_rejected(self):
         g = build_graph(2, [(0, 1)])
         with pytest.raises(UnsoundProgress):
