@@ -114,7 +114,7 @@ class TestPipeline:
                             lambda G, hub, cycle: checked.append(hub) or False)
         g = build_graph(70, [(0, v) for v in range(1, 70)] + [(1, 2), (2, 3), (1, 3)])
         trace = []
-        coloring, report = pipeline_color(g, trace=trace)
+        coloring, _ = pipeline_color(g, trace=trace)
         assert checked[0] == 0
         assert is_proper_coloring(g, coloring)[0]
         first = next(e for e in trace if "mechanism" in e)
