@@ -13,6 +13,7 @@ or still return a proper coloring with extra colors.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -144,13 +145,22 @@ def _lift_progress(claim: Progress, idmap: list[int]) -> Progress:
 class _Run:
     """One colorer run: the input graph, its parameters, the report being
     filled and the output sink, shared by the seek source and the
-    certificate path."""
+    certificate path.
+
+    ``two_colorable`` is the set of vertices of ``carry_base`` whose
+    neighborhoods 2-colored in a search on the working graph of alive set
+    ``carry_alive`` or a larger one; ``_seek`` keeps it from one search
+    to the next (see there).
+    """
 
     G: Graph
     p: Params
     report: PipelineReport
     sink: Sink
     input_scanned: bool = False
+    carry_base: Graph | None = None
+    carry_alive: int = 0
+    two_colorable: int = 0
 
     @classmethod
     def start(cls, G: Graph, p: Params | None, method: str, sink: Sink) -> "_Run":
@@ -197,17 +207,36 @@ def _seek(run: _Run, view: DriverView) -> Progress | None:
     should give up: the search failed, or it showed the working graph is
     not 3-colorable (an odd wheel, or a monochromatic set spanning an
     edge) and the certificate path found no certificate to raise.
+
+    The roots whose neighborhoods 2-colored are carried to the next
+    search as ``run.two_colorable``, in base ids.  While the base stays
+    and the alive set only shrinks, a root's neighborhood in the new
+    working graph is an induced subgraph of the one that 2-colored, so
+    it 2-colors again and the search may skip that step (see
+    ``seek_progress``); outputs do not change.  A contraction (a new
+    base) or a phase close (alive gains the set-aside neighborhoods)
+    drops the set.
     """
     report = run.report
+    alive = view.alive_bits
+    if view.base is not run.carry_base or alive & ~run.carry_alive:
+        run.carry_base, run.two_colorable = view.base, 0
+    run.carry_alive = alive
+    run.two_colorable &= alive
     sub, idmap = view.materialize()
+    # idmap is ascending, so each kept root's working id is its rank
+    known = 0
+    for v in iter_bits(run.two_colorable):
+        known |= 1 << bisect_left(idmap, v)
     report.seek_calls += 1
     try:
         outcome = seek_progress(sub, p=run.p, claim_log=run.sink.claims,
-                                trace=run.sink.trace)
+                                trace=run.sink.trace, two_colorable=known)
     except Not3Colorable as exc:
         _raise_certificate(run, view, idmap[exc.hub],
                             tuple(idmap[v] for v in exc.cycle))
         return None
+    run.two_colorable |= _lift_bits(outcome.two_colorable, idmap)
     report.audits.extend(outcome.audits)
     if outcome.progress is None:
         report.seek_failures[outcome.failure] = (

@@ -484,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     col.add_argument("--method", default="pipeline", choices=METHODS)
     col.add_argument("--params", default=None, help="JSON parameter overrides")
     col.add_argument("--no-side-cuts", action="store_true")
-    col.add_argument("--trace", default=None, help="JSONL trace output path")
+    col.add_argument("--trace", default=None,
+                     help="JSONL trace output path; only the pipeline and seek "
+                          "methods write entries, so greedy and extract leave it empty")
     col.set_defaults(func=cmd_color)
 
     ver = sub.add_parser("verify", help="verify a claims file")

@@ -132,6 +132,7 @@ class SeekOutcome:
     failure: str | None  # "ErrorA" | "ErrorB" | "RoundCapExceeded" | "StructureFailed"
     audits: list[RoundAudit]
     counters: SeekCounters
+    two_colorable: int = 0  # the roots tried, whose neighborhoods 2-colored
 
     def __post_init__(self):
         if (self.progress is None) == (self.failure is None):
@@ -474,6 +475,7 @@ def seek_progress(
     *,
     claim_log: list | None = None,
     trace: list | None = None,
+    two_colorable: int = 0,
 ) -> SeekOutcome:
     """Run the full outer loop, retrying roots in decreasing degree order.
 
@@ -481,6 +483,17 @@ def seek_progress(
     its round audits.  Every failure is data; only a non-3-colorability
     certificate escapes as an exception.  The trace and the claim list,
     when given, are filled through one ``Sink`` passed to every layer.
+
+    ``two_colorable`` is a set of vertices whose neighborhoods in G the
+    caller knows to be 2-colorable: the driver's seek source carries
+    them from earlier searches on graphs that G is an induced subgraph
+    of (``baselines._seek``).  A root in it skips ``build_two_level``'s
+    2-coloring of a neighborhood below the Type 1 size.  An induced
+    subgraph of a bipartite graph is bipartite, so the skipped call
+    could not have raised, and the outcome, trace and claims are those
+    of a search without the set.  The outcome's ``two_colorable`` holds
+    the roots tried: each one that did not raise 2-colored its
+    neighborhood.
     """
     ids, degrees = degrees_into(G, (1 << G.n) - 1, (1 << G.n) - 1)
     min_degree = max(int(degrees.min()) if G.n else 0, 1)
@@ -496,14 +509,16 @@ def seek_progress(
     if not roots:
         return SeekOutcome(None, "StructureFailed", [], counters)
     audits: list[RoundAudit] = []
-    last: SeekOutcome | None = None
+    tried = 0
     for r0 in roots:
         counters.roots_tried += 1
-        outcome = _seek_from_root(G, r0, p, audits, counters, sink)
+        outcome = _seek_from_root(G, r0, p, audits, counters, sink,
+                                  two_colorable=(two_colorable >> r0) & 1 == 1)
+        tried |= 1 << r0
         if outcome.progress is not None:
-            return outcome
-        last = outcome
-    return last
+            break
+    outcome.two_colorable = tried
+    return outcome
 
 
 def _seek_from_root(
@@ -513,9 +528,11 @@ def _seek_from_root(
     audits: list[RoundAudit],
     counters: SeekCounters,
     sink: Sink,
+    *,
+    two_colorable: bool,
 ) -> SeekOutcome:
     """Run the outer rounds from root r0 until progress, an error, or the
-    round cap.
+    round cap.  ``two_colorable`` is passed to ``build_two_level``.
 
     A round whose pair ``regularize`` declines to build (``build_two_level``
     in round 1, ``regularize`` in round j + 1 returning None) ends in
@@ -524,7 +541,7 @@ def _seek_from_root(
     inside U and at least M / (2 |U|) >= 2 vertices in S, so the inner
     loop would find too few seeds before doing anything else.
     """
-    pair = build_two_level(G, r0, p)
+    pair = build_two_level(G, r0, p, two_colorable=two_colorable)
     if pair is None:
         return _doomed(audits, counters, sink)
     if not isinstance(pair, RegularPair):  # the root's neighborhood is progress

@@ -300,7 +300,8 @@ def _assert_regular(G: Graph, pair: RegularPair) -> None:
         raise AssertionError(f"regularized pair is not regular: {bad}")
 
 
-def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress | None:
+def build_two_level(G: Graph, r0: int, p: Params, *,
+                    two_colorable: bool = False) -> RegularPair | Progress | None:
     """Grow the round-1 regular pair from a root vertex.
 
     S is the root's neighborhood; if it is not 2-colorable the graph is
@@ -310,15 +311,23 @@ def build_two_level(G: Graph, r0: int, p: Params) -> RegularPair | Progress | No
     regularized.  None means ``regularize`` found the round doomed: its
     degree bucket U has |U| < nhat and edge mass into S above 2 |U|, so
     the pair it would build fails round 1 with ErrorB.
+
+    ``two_colorable`` says the caller already knows S is 2-colorable: S
+    is an induced subgraph of a neighborhood that 2-colored before (see
+    ``seek_progress``).  Then a small S skips the 2-coloring, which
+    could neither raise nor change the result; a large S still runs it,
+    since its sides are returned.
     """
     if G.degree(r0) == 0:
         raise ValueError("root must have at least one neighbor")
     S = G.adj_bits(r0)
-    split = bipartition(G, S)
-    if isinstance(split, OddCycle):
-        raise Not3Colorable(r0, split.vertices)
-    if S.bit_count() >= type1_threshold(G.n, p.k, p.c1):
-        return Type1(S, split.side0, split.side1)
+    large = S.bit_count() >= type1_threshold(G.n, p.k, p.c1)
+    if large or not two_colorable:
+        split = bipartition(G, S)
+        if isinstance(split, OddCycle):
+            raise Not3Colorable(r0, split.vertices)
+        if large:
+            return Type1(S, split.side0, split.side1)
     if 4 * S.bit_count() >= G.n:
         # T is N(S), the vertices with a neighbor in S by symmetry.  With S
         # a quarter of V or more, one degree pass over every row scans at

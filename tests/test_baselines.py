@@ -1,9 +1,12 @@
 import math
 import random
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_graph import mask
 
-from threecolor import baselines
+from threecolor import baselines, search
 from threecolor.baselines import (
     TAU,
     greedy_color,
@@ -13,6 +16,8 @@ from threecolor.baselines import (
 )
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, is_proper_coloring
+from threecolor.progress import DriverView, Sink
+from threecolor.search import SeekCounters, SeekOutcome
 from threecolor.structure import Not3Colorable, certificate_is_valid, find_certificate
 
 K4 = build_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
@@ -204,3 +209,138 @@ def test_fuzz_graph_colored_or_certified(colorer, seed):
         assert certificate_is_valid(g, exc.hub, exc.cycle)
     else:
         assert is_proper_coloring(g, coloring)[0]
+
+
+def without_carry(*args, **kwargs):
+    """seek_progress told of no 2-colorable neighborhood."""
+    return search.seek_progress(*args, **{**kwargs, "two_colorable": 0})
+
+
+def run_outputs(colorer, g):
+    """A run's coloring and report, or its certificate, with its trace and
+    its claims (each claim's graph as its rows)."""
+    trace, claims = [], []
+    try:
+        coloring, report = colorer(g, trace=trace, claim_log=claims)
+        result = (coloring, report)
+    except Not3Colorable as exc:
+        result = (exc.hub, exc.cycle)
+    return result, trace, [(c.kind, c.vertices, c.conditional, c.graph.n,
+                            tuple(c.graph.adj_rows)) for c in claims]
+
+
+def recorded_seeks():
+    """A seek_progress that records the carried set passed to each call,
+    and to each call that raised a certificate."""
+    passed, raised = [], []
+
+    def seek(*args, **kwargs):
+        passed.append(kwargs["two_colorable"])
+        try:
+            return search.seek_progress(*args, **kwargs)
+        except Not3Colorable:
+            raised.append(passed[-1])
+            raise
+
+    return seek, passed, raised
+
+
+def arbitrary_graph(seed):
+    """A graph whose vertices fall in 1 to 4 random classes, with edges
+    across classes at one density and inside a class at another.  One
+    class gives G(n, p); no edge inside a class, a planted 3-colorable
+    graph (up to 3 classes); a few edges inside, a graph that may have no
+    3-coloring.  Half the 3-class graphs lose their edges inside classes
+    for one odd wheel: a 5-cycle through the classes, joined to a hub
+    whose edge inside its class is the only one left.  The shape comes
+    from the seed, weighted towards the dense graphs at n >= 64 on which
+    the pipeline seeks repeatedly."""
+    rng = random.Random(seed)
+    n = rng.randrange(64, 200) if rng.random() < 0.8 else rng.randrange(0, 30)
+    classes = rng.choice([1, 2, 3, 3, 3, 4])
+    across = rng.choice([0.1, 0.3, 0.5, 0.7, 0.8])
+    inside = rng.choice([0.0, 0.0, 0.0, 0.0005, 0.001, 0.003, 0.02, 0.3])
+    cls = [rng.randrange(classes) for _ in range(n)]
+    edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < (across if cls[u] != cls[v] else inside)}
+    if classes == 3 and n >= 8 and rng.random() < 0.5:
+        edges = {(u, v) for u, v in edges if cls[u] != cls[v]}
+        hub = rng.randrange(n)
+        a, b = (c for c in range(3) if c != cls[hub])
+        members = [[v for v in range(n) if cls[v] == c and v != hub]
+                   for c in (a, b, cls[hub])]
+        if all(len(m) >= 2 for m in members):
+            (a1, a2), (b1, b2) = rng.sample(members[0], 2), rng.sample(members[1], 2)
+            cycle = (a1, b1, a2, b2, rng.choice(members[2]))
+            for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+                edges |= {(min(u, v), max(u, v)), (min(hub, u), max(hub, u))}
+    return build_graph(n, sorted(edges))
+
+
+class TestCarriedTwoColorings:
+    """The seek source carries the roots whose neighborhoods 2-colored
+    from one search to the next (``baselines._seek``)."""
+
+    @given(st.integers(0, 2**32 - 1).map(arbitrary_graph))
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_carry_changes_no_output(self, g):
+        for colorer in (pipeline_color, seek_only_color):
+            shipped = run_outputs(colorer, g)
+            with patch.object(baselines, "seek_progress", without_carry):
+                assert run_outputs(colorer, g) == shipped
+
+    def test_dense_pipeline_carries_roots_between_failing_seeks(self):
+        # the pinned dense instance: every seek fails with ErrorB and the
+        # next one, after deferrals, retries most of the same roots
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.7, seed=0))
+        recording, passed, _ = recorded_seeks()
+        with patch.object(baselines, "seek_progress", recording):
+            shipped = run_outputs(pipeline_color, g)
+        assert len(passed) > 1 and passed[0] == 0
+        assert all(known for known in passed[1:])
+        with patch.object(baselines, "seek_progress", without_carry):
+            assert run_outputs(pipeline_color, g) == shipped
+
+    def test_certificate_after_carried_searches_is_unchanged(self):
+        # an arbitrary graph whose hidden odd wheel is first met by a search
+        # handed carried roots; reading a base id as a working id there
+        # would skip that 2-coloring and raise a different certificate
+        g = arbitrary_graph(1821)
+        recording, passed, raised = recorded_seeks()
+        with patch.object(baselines, "seek_progress", recording):
+            shipped = run_outputs(pipeline_color, g)
+        assert len(raised) == 1 and raised[0] and len(passed) > 1
+        assert certificate_is_valid(g, *shipped[0])
+        with patch.object(baselines, "seek_progress", without_carry):
+            assert run_outputs(pipeline_color, g) == shipped
+
+    def test_carry_follows_the_base_and_a_shrinking_alive_set(self):
+        g = build_graph(8, [(v, (v + 1) % 8) for v in range(8)])
+        run = baselines._Run.start(g, None, "pipeline", Sink())
+        full = (1 << 8) - 1
+        passed = []
+        # working ids of the roots each call reports as 2-colored
+        returned = [mask([0, 3]), 0, mask([0]), mask([0]), mask([2]), 0]
+
+        def seek(sub, p=None, *, claim_log=None, trace=None, two_colorable=0):
+            passed.append(two_colorable)
+            return SeekOutcome(None, "ErrorB", [], SeekCounters(),
+                               two_colorable=returned.pop(0))
+
+        def seek_on(base, alive):
+            baselines._seek(run, DriverView(base, alive, None, None,
+                                            [(v,) for v in range(base.n)]))
+            return passed[-1], run.two_colorable
+
+        with patch.object(baselines, "seek_progress", seek):
+            assert seek_on(g, full) == (0, mask([0, 3]))
+            # vertex 1 leaves: base vertex 3 is working vertex 2
+            assert seek_on(g, full & ~mask([1])) == (mask([0, 2]), mask([0, 3]))
+            # vertex 0 leaves too and drops out of the set
+            assert seek_on(g, full & ~mask([0, 1])) == (mask([1]), mask([2, 3]))
+            # vertex 1 returns: nothing is carried into this search
+            assert seek_on(g, full & ~mask([0])) == (0, mask([1]))
+            # a new base (a contraction's) carries nothing either
+            g2 = build_graph(8, list(g.edges()))
+            assert seek_on(g2, full & ~mask([0])) == (0, mask([3]))
+            assert seek_on(g2, full & ~mask([0])) == (mask([2]), mask([3]))

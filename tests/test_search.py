@@ -9,10 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from test_graph import mask
 
-from threecolor import search
+from threecolor import search, structure
 from threecolor.baselines import pipeline_color
 from threecolor.generate import GenParams, generate_planted
-from threecolor.graph import build_graph, iter_bits, union_neighborhoods, with_degree_at_least
+from threecolor.graph import (
+    TwoColoring,
+    bipartition,
+    build_graph,
+    iter_bits,
+    union_neighborhoods,
+    with_degree_at_least,
+)
 from threecolor.oracle import enumerate_3colorings, verify_logged_claim
 from threecolor.params import Params, default_round_cap, nhat
 from threecolor.progress import MonoSet, Sink, induced_subgraph
@@ -496,7 +503,7 @@ class TestSeekProgress:
             g = induced_subgraph(g, (1 << g.n) - 1)[0]
         tried = []
 
-        def first_root_fails(G, r0, p, audits, counters, sink):
+        def first_root_fails(G, r0, p, audits, counters, sink, *, two_colorable):
             tried.append(r0)
             return SeekOutcome(None, "ErrorB", audits, counters)
 
@@ -523,6 +530,33 @@ class TestSeekProgress:
             [{"event": "error", "reason": "ErrorB"}] * outcome.counters.roots_tried
         )
         assert [e["event"] for e in trace] == ["params"] + ["error"] * ROOT_RETRIES
+
+    def test_outcome_holds_exactly_the_roots_tried(self):
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.7, seed=0))
+        p = Params.for_graph(300, g.min_degree())
+        failed = seek_progress(g, p=p)
+        roots = [v for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u))][:ROOT_RETRIES]
+        assert failed.failure == "ErrorB"
+        assert failed.two_colorable == mask(roots)
+        # each root of the mask 2-colors its neighborhood, and a search told
+        # so skips every 2-coloring yet returns the same outcome
+        assert all(isinstance(bipartition(g, g.adj_bits(r)), TwoColoring) for r in roots)
+        with patch.object(structure, "bipartition",
+                          side_effect=AssertionError("2-colored again")):
+            assert seek_progress(g, p=p, two_colorable=failed.two_colorable) == failed
+        # a search that stops at its third root's progress holds three roots
+        calls = []
+
+        def third_root_progresses(G, r0, p, audits, counters, sink, *, two_colorable):
+            calls.append((r0, two_colorable))
+            if len(calls) == 3:
+                return SeekOutcome(MonoSet(G.adj_bits(r0)), None, audits, counters)
+            return SeekOutcome(None, "ErrorB", audits, counters)
+
+        with patch.object(search, "_seek_from_root", third_root_progresses):
+            found = seek_progress(g, p=p, two_colorable=mask(roots[1:2]))
+        assert found.two_colorable == mask(roots[:3])
+        assert calls == [(roots[0], False), (roots[1], True), (roots[2], False)]
 
     def test_edgeless_graph_fails_structurally(self):
         g = build_graph(5, [])

@@ -669,6 +669,29 @@ class TestBuildTwoLevel:
         assert res.T.bit_count() <= int(500 / p.k)
         assert not res.check(g)
 
+    def test_known_two_colorable_large_root_still_returns_the_sides(self):
+        # the star's leaves reach the Type 1 size, so the flag cannot skip
+        # the 2-coloring whose sides the result carries
+        g = build_graph(6, [(0, i) for i in range(1, 6)] + [(1, 2), (3, 4)])
+        p = make_params(6, 2.0)
+        with patch.object(structure, "bipartition", wraps=structure.bipartition) as split:
+            res = build_two_level(g, 0, p, two_colorable=True)
+        assert split.call_count == 1
+        assert isinstance(res, Type1) and res.members == mask([1, 2, 3, 4, 5])
+        assert res == build_two_level(g, 0, p)
+        assert res.side0 and res.side1
+
+    def test_known_two_colorable_small_root_skips_the_two_coloring(self):
+        g, _ = generate_planted(GenParams(n=500, edge_prob=0.5, seed=9))
+        p = Params.for_graph(500, g.min_degree())
+        r0 = max(range(500), key=lambda v: (g.degree(v), -v))
+        with patch.object(structure, "nhat", lambda n, k: 0):
+            want = build_two_level(g, r0, p)
+            with patch.object(structure, "bipartition",
+                              side_effect=AssertionError("2-colored again")):
+                assert build_two_level(g, r0, p, two_colorable=True) == want
+        assert isinstance(want, RegularPair)
+
 
 def t_table(g, r0, cutoff):
     """The T ids and degrees into S that build_two_level hands to
