@@ -13,8 +13,7 @@ or still return a proper coloring with extra colors.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -128,19 +127,6 @@ class PipelineReport:
     audits: list[RoundAudit] = field(default_factory=list)
 
 
-def _lift_bits(bits: int, idmap: list[int]) -> int:
-    out = 0
-    for i in iter_bits(bits):
-        out |= 1 << idmap[i]
-    return out
-
-
-def _lift_progress(claim: Progress, idmap: list[int]) -> Progress:
-    # the search's claims (Type1, Type2, MonoSet) hold vertex sets only
-    return type(claim)(*(_lift_bits(getattr(claim, f.name), idmap)
-                         for f in fields(claim)))
-
-
 @dataclass
 class _Run:
     """One colorer run: the input graph, its parameters, the report being
@@ -201,7 +187,8 @@ def _raise_certificate(run: _Run, view: DriverView, hub: int | None = None,
 
 
 def _seek(run: _Run, view: DriverView) -> Progress | None:
-    """One progress search on the materialized working graph.
+    """One progress search on the working graph, the view's base under
+    its alive set (``seek_progress``'s ``alive``).
 
     Returns the progress in ids of ``view.base``, or None when the source
     should give up: the search failed, or it showed the working graph is
@@ -223,28 +210,23 @@ def _seek(run: _Run, view: DriverView) -> Progress | None:
         run.carry_base, run.two_colorable = view.base, 0
     run.carry_alive = alive
     run.two_colorable &= alive
-    sub, idmap = view.materialize()
-    # idmap is ascending, so each kept root's working id is its rank
-    known = 0
-    for v in iter_bits(run.two_colorable):
-        known |= 1 << bisect_left(idmap, v)
     report.seek_calls += 1
     try:
-        outcome = seek_progress(sub, p=run.p, claim_log=run.sink.claims,
-                                trace=run.sink.trace, two_colorable=known)
+        outcome = seek_progress(view.base, p=run.p, claim_log=run.sink.claims,
+                                trace=run.sink.trace, alive=alive,
+                                two_colorable=run.two_colorable)
     except Not3Colorable as exc:
-        _raise_certificate(run, view, idmap[exc.hub],
-                            tuple(idmap[v] for v in exc.cycle))
+        _raise_certificate(run, view, exc.hub, exc.cycle)
         return None
-    run.two_colorable |= _lift_bits(outcome.two_colorable, idmap)
+    run.two_colorable |= outcome.two_colorable
     report.audits.extend(outcome.audits)
-    if outcome.progress is None:
+    progress = outcome.progress
+    if progress is None:
         report.seek_failures[outcome.failure] = (
             report.seek_failures.get(outcome.failure, 0) + 1
         )
         return None
     report.seek_progress_found += 1
-    progress = _lift_progress(outcome.progress, idmap)
     if isinstance(progress, MonoSet) and spans_edge(view.base, progress.members):
         _raise_certificate(run, view)
         return None

@@ -39,8 +39,8 @@ from .graph import ROW_SUM_BYTES, Coloring, Graph, _row_ints, row_blocks
 
 # Largest vertex count a graph file may declare.  The search holds n x n
 # adjacency in bits (n**2 / 8 bytes, 128 MiB at the limit) in the int
-# rows, in the uint64 words of the driver's base and of a materialized
-# subgraph.
+# rows, in the uint64 words of the driver's base and of a rebuilt
+# working graph.
 # Packing the words holds one more block of about 1 MiB; the rebuilds
 # (progress.induced_subgraph, progress.merge_vertex_set) peak at 0.34
 # and 0.35 * n**2 bytes (tracemalloc, G(4096, 1/2)), under 0.5 GiB here.

@@ -241,10 +241,12 @@ class DriverView:
     (``packed_rows``): popcounts of the rows masked by the alive set, or
     by a removed or returned set (``graph.masked_degrees``; by symmetry,
     each vertex's neighbors in the set), and one unpacked row for a
-    deferral.  ``materialize`` and a contraction's ``merge_vertex_set``
-    rebuild from the same words, so no int row of the base is packed
-    again.  Every base carries words: the first is a twin of the input
-    graph (see ``color_with_progress``), every later one a merged graph.
+    deferral.  The search reads the base under the alive set, and it
+    and a contraction rebuild from the same words (``induced_subgraph``
+    for a root whose round-1 pair survives, see ``search.seek_progress``;
+    ``merge_vertex_set``), so no int row of the base is packed again.
+    Every base carries words: the first is a twin of the input graph
+    (see ``color_with_progress``), every later one a merged graph.
 
     The driver builds one view per base graph, at the start and after
     each contraction, and sets its ``alive_bits`` before each source
@@ -275,9 +277,6 @@ class DriverView:
     def max_degree_vertex(self) -> tuple[int, int]:
         v = int(self._hi.argmax())
         return v, int(self._hi[v])
-
-    def materialize(self) -> tuple[Graph, list[int]]:
-        return induced_subgraph(self.base, self.alive_bits)
 
 
 def validate_progress(G: Graph, alive_bits: int, claim: Progress, k: float,

@@ -15,8 +15,10 @@ they stay exact when the two sides of a pair overlap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+
+import numpy as np
 
 from .graph import (
     Graph,
@@ -25,12 +27,14 @@ from .graph import (
     descending_order,
     iter_bits,
     union_neighborhoods,
+    unpack_bits,
     with_degree_at_least,
 )
 from .params import Params, default_round_cap, nhat
-from .progress import NO_SINK, MonoSet, Progress, Sink
+from .progress import NO_SINK, MonoSet, Progress, Sink, induced_subgraph
 from .structure import (
     MultichromaticGuaranteed,
+    Not3Colorable,
     RegularPair,
     build_two_level,
     ceil_times,
@@ -475,6 +479,7 @@ def seek_progress(
     *,
     claim_log: list | None = None,
     trace: list | None = None,
+    alive: int | None = None,
     two_colorable: int = 0,
 ) -> SeekOutcome:
     """Run the full outer loop, retrying roots in decreasing degree order.
@@ -484,25 +489,43 @@ def seek_progress(
     certificate escapes as an exception.  The trace and the claim list,
     when given, are filled through one ``Sink`` passed to every layer.
 
-    ``two_colorable`` is a set of vertices whose neighborhoods in G the
-    caller knows to be 2-colorable: the driver's seek source carries
-    them from earlier searches on graphs that G is an induced subgraph
-    of (``baselines._seek``).  A root in it skips ``build_two_level``'s
-    2-coloring of a neighborhood below the Type 1 size.  An induced
-    subgraph of a bipartite graph is bipartite, so the skipped call
-    could not have raised, and the outcome, trace and claims are those
-    of a search without the set.  The outcome's ``two_colorable`` holds
-    the roots tried: each one that did not raise 2-colored its
-    neighborhood.
+    The search runs on the working graph G[alive] (all of G by default)
+    and answers in G's ids: its progress, its certificate and the
+    outcome's ``two_colorable``.  Round 1 of each root reads G's rows
+    under the mask (``build_two_level``'s ``alive``), so a root whose
+    round is doomed or whose neighborhood is progress costs no rebuild.
+    The first root whose round-1 pair survives builds G[alive] on
+    working ids (``induced_subgraph``) and runs its rounds there, and
+    every later root runs wholly on it; when alive is all of G, G is the
+    working graph from the start.  Working ids are the ranks of the
+    alive ids, so every ascending walk, stable-sort tie and lowest-vertex
+    rule picks the same vertex either way, and the outcome, trace and
+    claims are those of a search on a rebuilt G[alive]: trace entries
+    and claims from the rounds name working ids and the working graph.
+
+    ``two_colorable`` is a set of vertices whose neighborhoods in
+    G[alive] the caller knows to be 2-colorable: the driver's seek
+    source carries them from earlier searches on graphs that G[alive]
+    is an induced subgraph of (``baselines._seek``).  A root in it skips
+    ``build_two_level``'s 2-coloring of a neighborhood below the Type 1
+    size.  An induced subgraph of a bipartite graph is bipartite, so the
+    skipped call could not have raised, and the outcome, trace and
+    claims are those of a search without the set.  The outcome's
+    ``two_colorable`` holds the roots tried: each one that did not raise
+    2-colored its neighborhood.
     """
-    ids, degrees = degrees_into(G, (1 << G.n) - 1, (1 << G.n) - 1)
-    min_degree = max(int(degrees.min()) if G.n else 0, 1)
+    full = (1 << G.n) - 1
+    if alive is None:
+        alive = full
+    h = alive.bit_count()
+    ids, degrees = degrees_into(G, alive, alive)
+    min_degree = max(int(degrees.min()) if h else 0, 1)
     if p is None:
-        p = Params.for_graph(G.n, min_degree)
+        p = Params.for_graph(h, min_degree)
     counters = SeekCounters()
     sink = Sink(trace, claim_log)
-    sink.emit(event="params", k=p.k, nhat=nhat(G.n, p.k),
-              round_cap=default_round_cap(G.n), side_cuts=p.side_cuts,
+    sink.emit(event="params", k=p.k, nhat=nhat(h, p.k),
+              round_cap=default_round_cap(h), side_cuts=p.side_cuts,
               k_within_min_degree=p.k <= min_degree)
     top = descending_order(degrees, G.n)[:ROOT_RETRIES]
     roots = ids[top][degrees[top] >= 1].tolist()
@@ -510,44 +533,74 @@ def seek_progress(
         return SeekOutcome(None, "StructureFailed", [], counters)
     audits: list[RoundAudit] = []
     tried = 0
-    for r0 in roots:
-        counters.roots_tried += 1
-        outcome = _seek_from_root(G, r0, p, audits, counters, sink,
-                                  two_colorable=(two_colorable >> r0) & 1 == 1)
-        tried |= 1 << r0
-        if outcome.progress is not None:
-            break
+    # G[alive] and its working -> G id map: G and no map when alive is all
+    # of G, else None until the first surviving round-1 pair builds them
+    work, keep = (G, None) if alive == full else (None, None)
+    try:
+        for r0 in roots:
+            counters.roots_tried += 1
+            known = (two_colorable >> r0) & 1 == 1
+            if work is None:  # round 1 on G under the mask
+                pair = build_two_level(G, r0, p, alive=alive, two_colorable=known)
+                if isinstance(pair, RegularPair):  # the first survivor builds G[alive]
+                    work, keep = induced_subgraph(G, alive)
+                    pair = replace(pair, S=_compact(pair.S, keep, G.n),
+                                   T=_compact(pair.T, keep, G.n))
+            else:
+                pair = build_two_level(work, _rank(r0, alive), p, two_colorable=known)
+            if pair is None:
+                outcome = _doomed(audits, counters, sink)
+            elif isinstance(pair, RegularPair):
+                outcome = _rounds(work, _rank(r0, alive), pair, p, audits, counters, sink)
+            else:  # the root's neighborhood is progress
+                sink.emit(event="progress", round=0, kind=type(pair).__name__.lower(),
+                          set_size=pair.members.bit_count())
+                outcome = SeekOutcome(pair, None, audits, counters)
+            tried |= 1 << r0
+            if outcome.progress is not None:
+                break
+    except Not3Colorable as exc:
+        if keep is None:
+            raise
+        raise Not3Colorable(keep[exc.hub], tuple(keep[v] for v in exc.cycle)) from None
+    if keep is not None and outcome.progress is not None:
+        claim = outcome.progress  # Type1, Type2 or MonoSet: vertex sets only
+        outcome.progress = type(claim)(*(_lift(getattr(claim, f.name), keep)
+                                         for f in fields(claim)))
     outcome.two_colorable = tried
     return outcome
 
 
-def _seek_from_root(
+def _rank(v: int, alive: int) -> int:
+    """The working id of the alive vertex v: the alive vertices below it."""
+    return (alive & ((1 << v) - 1)).bit_count()
+
+
+def _compact(bits: int, keep: list[int], n: int) -> int:
+    """The set ``bits`` of G's ids, inside ``keep``, in working ids."""
+    row = unpack_bits(bits, n)[keep]
+    return int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+
+
+def _lift(bits: int, keep: list[int]) -> int:
+    """The set ``bits`` of working ids in G's ids."""
+    out = 0
+    for i in iter_bits(bits):
+        out |= 1 << keep[i]
+    return out
+
+
+def _rounds(
     G: Graph,
     r0: int,
+    pair: RegularPair,
     p: Params,
     audits: list[RoundAudit],
     counters: SeekCounters,
     sink: Sink,
-    *,
-    two_colorable: bool,
 ) -> SeekOutcome:
-    """Run the outer rounds from root r0 until progress, an error, or the
-    round cap.  ``two_colorable`` is passed to ``build_two_level``.
-
-    A round whose pair ``regularize`` declines to build (``build_two_level``
-    in round 1, ``regularize`` in round j + 1 returning None) ends in
-    ErrorB with the entry ``inner_loop`` would write: its degree bucket U
-    has |U| < nhat and edge mass M > 2 |U| into S, and the prune keeps T
-    inside U and at least M / (2 |U|) >= 2 vertices in S, so the inner
-    loop would find too few seeds before doing anything else.
-    """
-    pair = build_two_level(G, r0, p, two_colorable=two_colorable)
-    if pair is None:
-        return _doomed(audits, counters, sink)
-    if not isinstance(pair, RegularPair):  # the root's neighborhood is progress
-        sink.emit(event="progress", round=0, kind=type(pair).__name__.lower(),
-                  set_size=pair.members.bit_count())
-        return SeekOutcome(pair, None, audits, counters)
+    """Run the outer rounds on the working graph G from root r0's round-1
+    pair until progress, an error, or the round cap."""
     if sink.trace is not None:
         sink.emit(event="structure", root=r0, s_size=pair.S.bit_count(),
                   t_size=pair.T.bit_count(),
@@ -592,7 +645,12 @@ def _seek_from_root(
 
 
 def _doomed(audits: list[RoundAudit], counters: SeekCounters, sink: Sink) -> SeekOutcome:
-    """The ErrorB outcome, with the entry ``inner_loop`` writes for it, of
-    a round whose pair ``regularize`` declined to build."""
+    """The ErrorB outcome of a round whose pair ``regularize`` declined to
+    build (``build_two_level`` in round 1, ``regularize`` in round j + 1
+    returning None), with the entry ``inner_loop`` would write: its degree
+    bucket U has |U| < nhat and edge mass M > 2 |U| into S, and the prune
+    keeps T inside U and at least M / (2 |U|) >= 2 vertices in S, so the
+    inner loop would find too few seeds before doing anything else.
+    """
     sink.emit(event="error", reason="ErrorB")
     return SeekOutcome(None, "ErrorB", audits, counters)

@@ -300,17 +300,23 @@ def _assert_regular(G: Graph, pair: RegularPair) -> None:
         raise AssertionError(f"regularized pair is not regular: {bad}")
 
 
-def build_two_level(G: Graph, r0: int, p: Params, *,
+def build_two_level(G: Graph, r0: int, p: Params, *, alive: int | None = None,
                     two_colorable: bool = False) -> RegularPair | Progress | None:
-    """Grow the round-1 regular pair from a root vertex.
+    """Grow the round-1 regular pair from a root vertex of G[alive].
 
     S is the root's neighborhood; if it is not 2-colorable the graph is
     not 3-colorable (raised with the odd-cycle certificate).  A large S
     is immediate progress.  Otherwise T is S's neighborhood, truncated
-    to the floor(n/k) vertices of largest degree into S, and the pair is
+    to the floor(h/k) vertices of largest degree into S, and the pair is
     regularized.  None means ``regularize`` found the round doomed: its
     degree bucket U has |U| < nhat and edge mass into S above 2 |U|, so
     the pair it would build fails round 1 with ErrorB.
+
+    ``alive`` (all of G by default) is the working graph's vertex set,
+    of size h: the sizes, thresholds and caps are those of G[alive], and
+    every set is taken inside it, so the result is that of G[alive] in
+    G's ids.  The search reads round 1 off the driver's base this way
+    (see ``seek_progress``).
 
     ``two_colorable`` says the caller already knows S is 2-colorable: S
     is an induced subgraph of a neighborhood that 2-colored before (see
@@ -318,32 +324,36 @@ def build_two_level(G: Graph, r0: int, p: Params, *,
     could neither raise nor change the result; a large S still runs it,
     since its sides are returned.
     """
-    if G.degree(r0) == 0:
-        raise ValueError("root must have at least one neighbor")
-    S = G.adj_bits(r0)
-    large = S.bit_count() >= type1_threshold(G.n, p.k, p.c1)
+    if alive is None:
+        alive = (1 << G.n) - 1
+    h = alive.bit_count()
+    S = G.adj_bits(r0) & alive
+    if not (alive >> r0) & 1 or not S:
+        raise ValueError("root must be alive and have an alive neighbor")
+    large = S.bit_count() >= type1_threshold(h, p.k, p.c1)
     if large or not two_colorable:
         split = bipartition(G, S)
         if isinstance(split, OddCycle):
             raise Not3Colorable(r0, split.vertices)
         if large:
             return Type1(S, split.side0, split.side1)
-    if 4 * S.bit_count() >= G.n:
+    if 4 * S.bit_count() >= h:
         # T is N(S), the vertices with a neighbor in S by symmetry.  With S
-        # a quarter of V or more, one degree pass over every row scans at
-        # most four times the rows the union pass alone would, and N(S) is
-        # then all or nearly all of V on dense graphs, so the union pass is
-        # saved; a small S keeps the union, whose cost follows |N(S)|
-        ids, degrees = degrees_into(G, (1 << G.n) - 1, S)
+        # a quarter of the alive vertices or more, one degree pass over
+        # every alive row scans at most four times the rows the union pass
+        # alone would, and N(S) is then all or nearly all of them on dense
+        # graphs, so the union pass is saved; a small S keeps the union,
+        # whose cost follows |N(S)|
+        ids, degrees = degrees_into(G, alive, S)
         linked = degrees >= 1
         ids, degrees = ids[linked], degrees[linked]
     else:
-        ids, degrees = degrees_into(G, union_neighborhoods(G, S), S)
-    limit = max(int(G.n / p.k), 1)
+        ids, degrees = degrees_into(G, union_neighborhoods(G, S) & alive, S)
+    limit = max(int(h / p.k), 1)
     if len(ids) > limit:
         top = descending_order(degrees, G.n)[:limit]
         ids, degrees = ids[top], degrees[top]
-    pair = regularize(G, S, ids, degrees, j=1, nh=nhat(G.n, p.k))
+    pair = regularize(G, S, ids, degrees, j=1, nh=nhat(h, p.k))
     if pair is None:
         return None
     if pair.S & ~S:

@@ -16,7 +16,8 @@ from threecolor.baselines import (
 )
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import build_graph, is_proper_coloring
-from threecolor.progress import DriverView, Sink
+from threecolor.params import Params
+from threecolor.progress import DriverView, Sink, induced_subgraph
 from threecolor.search import SeekCounters, SeekOutcome
 from threecolor.structure import Not3Colorable, certificate_is_valid, find_certificate
 
@@ -319,28 +320,54 @@ class TestCarriedTwoColorings:
         run = baselines._Run.start(g, None, "pipeline", Sink())
         full = (1 << 8) - 1
         passed = []
-        # working ids of the roots each call reports as 2-colored
-        returned = [mask([0, 3]), 0, mask([0]), mask([0]), mask([2]), 0]
+        # base ids of the roots each call reports as 2-colored
+        returned = [mask([0, 3]), 0, mask([2]), mask([1]), mask([3]), 0]
 
-        def seek(sub, p=None, *, claim_log=None, trace=None, two_colorable=0):
-            passed.append(two_colorable)
+        def seek(base, p=None, *, claim_log=None, trace=None, alive=None, two_colorable=0):
+            passed.append((base, alive, two_colorable))
             return SeekOutcome(None, "ErrorB", [], SeekCounters(),
                                two_colorable=returned.pop(0))
 
         def seek_on(base, alive):
             baselines._seek(run, DriverView(base, alive, None, None,
                                             [(v,) for v in range(base.n)]))
-            return passed[-1], run.two_colorable
+            # the search runs on the view's base under its alive set
+            assert passed[-1][:2] == (base, alive)
+            return passed[-1][2], run.two_colorable
 
         with patch.object(baselines, "seek_progress", seek):
             assert seek_on(g, full) == (0, mask([0, 3]))
-            # vertex 1 leaves: base vertex 3 is working vertex 2
-            assert seek_on(g, full & ~mask([1])) == (mask([0, 2]), mask([0, 3]))
-            # vertex 0 leaves too and drops out of the set
-            assert seek_on(g, full & ~mask([0, 1])) == (mask([1]), mask([2, 3]))
+            assert seek_on(g, full & ~mask([1])) == (mask([0, 3]), mask([0, 3]))
+            # vertex 0 leaves and drops out of the set
+            assert seek_on(g, full & ~mask([0, 1])) == (mask([3]), mask([2, 3]))
             # vertex 1 returns: nothing is carried into this search
             assert seek_on(g, full & ~mask([0])) == (0, mask([1]))
             # a new base (a contraction's) carries nothing either
             g2 = build_graph(8, list(g.edges()))
             assert seek_on(g2, full & ~mask([0])) == (0, mask([3]))
-            assert seek_on(g2, full & ~mask([0])) == (mask([2]), mask([3]))
+            assert seek_on(g2, full & ~mask([0])) == (mask([3]), mask([3]))
+
+
+class TestWorkingGraphRebuilds:
+    """The seek source searches the driver's base under the alive set; the
+    working graph is rebuilt only for a root whose round-1 pair survives."""
+
+    @staticmethod
+    def rebuilds(g, p=None):
+        with patch.object(search, "induced_subgraph", wraps=induced_subgraph) as rebuild:
+            _, report = pipeline_color(g, p)
+        return rebuild.call_count, report
+
+    def test_doomed_seeks_rebuild_nothing(self):
+        # the pinned dense instance: every root of every seek is doomed
+        g, _ = generate_planted(GenParams(n=600, edge_prob=0.7, seed=0))
+        calls, report = self.rebuilds(g)
+        assert calls == 0
+        assert report.seek_calls == 21 and report.seek_failures == {"ErrorB": 21}
+
+    def test_surviving_pairs_rebuild_the_working_graph(self):
+        # a pinned cuts case: the cut params block the large-set exit
+        g, _ = generate_planted(GenParams(n=200, edge_prob=0.3, seed=1))
+        p = Params.for_graph(g.n, max(g.min_degree(), 1), k=2.6, c1=2.0, c2=2.0)
+        calls, report = self.rebuilds(g, p)
+        assert 1 <= calls <= report.seek_calls

@@ -31,7 +31,8 @@ MODES = {
 # pipeline, so it pins the driver's degree keys and the first-fit unwind.
 # The dense one is the pipeline-dense workload's size class: its 21 seek
 # calls all fail with ErrorB, so it pins the failing search's path
-# (materialize, build_two_level, regularize) under 537 deferrals.
+# (round 1 on the driver's base under the alive set: build_two_level,
+# regularize; no working graph is rebuilt) under 537 deferrals.
 # Greedy and extract pin the first-fit of the input and of the extraction
 # remainder; they write no trace entries, so their trace digest is that of
 # the empty file

@@ -7,6 +7,7 @@ from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_baselines import arbitrary_graph
 from test_graph import mask
 
 from threecolor import search, structure
@@ -29,7 +30,6 @@ from threecolor.search import (
     InnerError,
     MonochromaticIfDiffer,
     ProgressFound,
-    SeekOutcome,
     SparseCut,
     audit_round,
     best_side_cut,
@@ -38,7 +38,7 @@ from threecolor.search import (
     inner_loop,
     seek_progress,
 )
-from threecolor.structure import RegularPair
+from threecolor.structure import Not3Colorable, RegularPair
 
 
 def make_params(n, k, **kw):
@@ -454,7 +454,7 @@ class TestSeekProgress:
 
     def test_params_event_derives_from_the_working_graph(self):
         # the run's parameters are made for the input graph; a search on a
-        # smaller materialized working graph reads nhat and round_cap off it
+        # smaller working graph reads nhat and round_cap off it
         g, _ = generate_planted(GenParams(n=300, edge_prob=0.5, seed=4))
         for given_k, alive in ((None, (1 << 120) - 1), (2.6, (1 << 200) - 1),
                                (None, sum(1 << v for v in range(0, 300, 7)))):
@@ -467,6 +467,10 @@ class TestSeekProgress:
             assert event["event"] == "params"
             assert event["nhat"] == max(1, math.ceil(sub.n / (k * k)))
             assert event["round_cap"] == default_round_cap(sub.n)
+            # the base under the alive mask reads them off the same h
+            on_base = []
+            seek_progress(g, p=run_params, trace=on_base, alive=alive)
+            assert on_base[0] == event
 
     def test_planted_run_returns_valid_outcome(self):
         g, _ = generate_planted(GenParams(n=300, edge_prob=0.5, seed=21))
@@ -503,11 +507,11 @@ class TestSeekProgress:
             g = induced_subgraph(g, (1 << g.n) - 1)[0]
         tried = []
 
-        def first_root_fails(G, r0, p, audits, counters, sink, *, two_colorable):
+        def doomed(G, r0, p, *, alive=None, two_colorable=False):
             tried.append(r0)
-            return SeekOutcome(None, "ErrorB", audits, counters)
+            return None
 
-        with patch.object(search, "_seek_from_root", first_root_fails):
+        with patch.object(search, "build_two_level", doomed):
             seek_progress(g)
         expect = [v for v in sorted(range(g.n), key=lambda u: (-g.degree(u), u))
                   if g.degree(v) >= 1][:ROOT_RETRIES]
@@ -547,13 +551,11 @@ class TestSeekProgress:
         # a search that stops at its third root's progress holds three roots
         calls = []
 
-        def third_root_progresses(G, r0, p, audits, counters, sink, *, two_colorable):
+        def third_root_progresses(G, r0, p, *, alive=None, two_colorable=False):
             calls.append((r0, two_colorable))
-            if len(calls) == 3:
-                return SeekOutcome(MonoSet(G.adj_bits(r0)), None, audits, counters)
-            return SeekOutcome(None, "ErrorB", audits, counters)
+            return MonoSet(G.adj_bits(r0)) if len(calls) == 3 else None
 
-        with patch.object(search, "_seek_from_root", third_root_progresses):
+        with patch.object(search, "build_two_level", third_root_progresses):
             found = seek_progress(g, p=p, two_colorable=mask(roots[1:2]))
         assert found.two_colorable == mask(roots[:3])
         assert calls == [(roots[0], False), (roots[1], True), (roots[2], False)]
@@ -590,6 +592,99 @@ SINK_CASES = [
     (GenParams(n=150, edge_prob=0.3, seed=0), {"k": 3.0, "c1": 2.0, "c2": 2.0}),
     (GenParams(n=400, edge_prob=0.5, seed=0), {"k": 2.6, "c1": 2.0, "c2": 2.0}),
 ]
+
+
+def lift(bits, keep):
+    """The set ``bits`` of working ids in the base's ids."""
+    return sum(1 << keep[i] for i in iter_bits(bits))
+
+
+def seek_record(G, p, **kw):
+    """seek_progress's outcome, or its certificate, with its trace and its
+    claims (each claim's graph as its rows)."""
+    trace, claims = [], []
+    try:
+        result = seek_progress(G, p, trace=trace, claim_log=claims, **kw)
+    except Not3Colorable as exc:
+        result = (exc.hub, exc.cycle)
+    return result, trace, [(c.kind, c.vertices, c.conditional, c.graph.n,
+                            tuple(c.graph.adj_rows)) for c in claims]
+
+
+def assert_seek_on_base_matches_rebuilt(g, alive, p, known):
+    """seek_progress(g, alive=alive) answers, in g's ids, what a search on
+    the rebuilt g[alive] answers; ``known`` is the carried set in g's ids,
+    handed to the rebuilt search as ranks."""
+    sub, keep = induced_subgraph(g, alive)
+    ranks = sum(1 << i for i, v in enumerate(keep) if (known >> v) & 1)
+    got, got_trace, got_claims = seek_record(g, p, alive=alive, two_colorable=known)
+    want, want_trace, want_claims = seek_record(sub, p, two_colorable=ranks)
+    assert got_trace == want_trace and got_claims == want_claims
+    if isinstance(want, tuple):
+        hub, cycle = want
+        assert got == (keep[hub], tuple(keep[v] for v in cycle))
+        return
+    assert (got.failure, got.audits, got.counters) == (want.failure, want.audits,
+                                                       want.counters)
+    assert got.two_colorable == lift(want.two_colorable, keep)
+    if want.progress is None:
+        assert got.progress is None
+    else:
+        claim = want.progress
+        assert got.progress == type(claim)(*(lift(getattr(claim, f), keep)
+                                             for f in claim.__dataclass_fields__))
+
+
+class TestSeekOnTheBase:
+    """seek_progress(G, alive=A) reads round 1 off G under the mask and
+    rebuilds G[A] only for a root whose pair survives; it answers what a
+    search on the rebuilt G[A] answers, lifted to G's ids."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.3, 0.6, 0.9, 1.0]), st.booleans(), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    def test_matches_the_rebuilt_working_graph(self, graph_seed, seed, share, cut, packed):
+        # arbitrary graphs, some not 3-colorable; the cut params block the
+        # large-set exit, so survivors reach the rebuilt graph's rounds
+        g = arbitrary_graph(graph_seed)
+        if packed:  # the driver's bases carry words
+            g = induced_subgraph(g, (1 << g.n) - 1)[0]
+        rng = random.Random(seed)
+        alive = sum(1 << v for v in range(g.n) if rng.random() < share)
+        known = sum(1 << v for v in range(g.n) if rng.random() < 0.5)
+        p = None
+        if cut:
+            h = alive.bit_count()
+            sub_min = induced_subgraph(g, alive)[0].min_degree()
+            p = Params.for_graph(h, max(sub_min, 1), k=2.6, c1=2.0, c2=2.0)
+        assert_seek_on_base_matches_rebuilt(g, alive, p, known)
+
+    def test_survivor_followed_by_further_roots(self):
+        # three doomed roots on the base, then a survivor that rebuilds the
+        # working graph, fails, and hands on to roots run wholly there
+        g = arbitrary_graph(27)
+        rng = random.Random(27)
+        alive = sum(1 << v for v in range(g.n) if rng.random() < 0.8)
+        sub_min = induced_subgraph(g, alive)[0].min_degree()
+        p = Params.for_graph(alive.bit_count(), max(sub_min, 1), k=2.6, c1=2.0, c2=2.0)
+        trace = []
+        with patch.object(search, "induced_subgraph", wraps=induced_subgraph) as rebuild:
+            outcome = seek_progress(g, p, trace=trace, alive=alive)
+        assert rebuild.call_count == 1
+        events = [e["event"] for e in trace]
+        assert events[:6] == ["params", "error", "error", "error", "structure", "cut"]
+        assert outcome.counters.roots_tried == ROOT_RETRIES
+        assert events.count("structure") >= 2
+        assert_seek_on_base_matches_rebuilt(g, alive, p, 0)
+
+    def test_all_of_g_is_the_working_graph(self):
+        g, _ = generate_planted(GenParams(n=200, edge_prob=0.3, seed=1))
+        p = make_params(200, 2.6, c1=2.0, c2=2.0)
+        with patch.object(search, "induced_subgraph", wraps=induced_subgraph) as rebuild:
+            outcome = seek_progress(g, p, alive=(1 << g.n) - 1)
+        assert rebuild.call_count == 0
+        assert outcome == seek_progress(g, p)
+        assert_seek_on_base_matches_rebuilt(g, (1 << g.n) - 1, p, 0)
 
 
 def sink_case(gen, overrides):
