@@ -41,6 +41,13 @@ bits.bit_length() - 1``, then ``bits ^= 1 << v``): it makes two ints per
 member where ``iter_bits`` makes three full-width ones and resumes a
 frame.  The four int bodies do not depend on member order;
 ``degrees_into`` reverses its lists so its ids stay ascending.
+
+``MemberRows`` is ``degrees_into`` for one member set and many masks,
+under the same dispatch: the packed body gathers the member ids and
+their rows once (for every vertex, G's own words, no copy), and each
+table is then one AND, one popcount and one exact ``int64`` product
+with ones.  ``search.seek_progress`` gathers the alive rows this way
+once per call, for its root order and every root's round-1 T table.
 """
 from __future__ import annotations
 
@@ -345,6 +352,50 @@ def degrees_into(G: Graph, bits: int, mask: int) -> tuple[np.ndarray, np.ndarray
     ids.reverse()
     degrees.reverse()
     return np.array(ids, dtype=np.int64), np.array(degrees, dtype=np.int64)
+
+
+class MemberRows:
+    """A member set of G whose degree tables into several masks are wanted:
+    ``degrees_into(mask)`` returns what ``degrees_into(G, bits, mask)``
+    does.  On the kernels' packed body (words on G, at least
+    PACKED_MIN_MEMBERS members) the member ids and their rows are
+    gathered once, here: a k x ceil(n/64) block of G's words, or G's own
+    words, no copy, when the set is all of G.  Each table is then one
+    AND of the block with the mask's words, one popcount and one exact
+    ``int64`` product with ones (a block of more than ROW_SUM_BYTES is
+    counted a block at a time by ``masked_degrees``).  Otherwise ``ids``
+    and ``rows`` are None and each table runs the int body of
+    ``degrees_into``.  ``search.seek_progress`` gathers the alive
+    rows this way once per call for its root order and every root's
+    round-1 T table; nothing is kept across calls."""
+
+    __slots__ = ("graph", "bits", "ids", "rows", "_ones", "_one_block")
+
+    def __init__(self, G: Graph, bits: int):
+        if bits < 0 or bits >> G.n:
+            raise ValueError(f"member set holds a vertex outside 0..{G.n - 1}")
+        self.graph, self.bits = G, bits
+        words = _packed_rows(G, bits)
+        self.ids = self.rows = None
+        if words is not None:
+            if bits == (1 << G.n) - 1:
+                self.ids, self.rows = np.arange(G.n), words
+            else:
+                self.ids = unpack_bits(bits, G.n).nonzero()[0]
+                self.rows = words[self.ids]
+            self._ones = np.ones(words.shape[1], dtype=np.int64)
+            self._one_block = len(self.ids) <= rows_per_block(8 * words.shape[1])
+
+    def degrees_into(self, mask: int) -> tuple[np.ndarray, np.ndarray]:
+        """Members in ascending id order and |N(v) & mask| for each, as two
+        ``int64`` arrays."""
+        rows = self.rows
+        if rows is None:
+            return degrees_into(self.graph, self.bits, mask)
+        if not self._one_block:
+            return self.ids, masked_degrees(rows, mask)
+        mask_words = np.frombuffer(mask.to_bytes(8 * rows.shape[1], "little"), dtype="<u8")
+        return self.ids, np.bitwise_count(rows & mask_words) @ self._ones
 
 
 def with_degree_at_least(G: Graph, bits: int, mask: int, d: int) -> int:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .graph import (
     Graph,
+    MemberRows,
     bits_of,
     degrees_into,
     descending_order,
@@ -502,6 +503,12 @@ def seek_progress(
     rule picks the same vertex either way, and the outcome, trace and
     claims are those of a search on a rebuilt G[alive]: trace entries
     and claims from the rounds name working ids and the working graph.
+    The alive ids and their rows are gathered once per call
+    (``graph.MemberRows``, handed to ``build_two_level`` as ``alive``):
+    the root order and every root's round-1 T table are masked popcounts
+    of that one block, and after a rebuild the working graph's own words
+    serve the later roots.  An alive set with a bit outside G raises
+    ValueError before any gather.
 
     ``two_colorable`` is a set of vertices whose neighborhoods in
     G[alive] the caller knows to be 2-colorable: the driver's seek
@@ -517,8 +524,9 @@ def seek_progress(
     full = (1 << G.n) - 1
     if alive is None:
         alive = full
+    rows = MemberRows(G, alive)
     h = alive.bit_count()
-    ids, degrees = degrees_into(G, alive, alive)
+    ids, degrees = rows.degrees_into(alive)
     min_degree = max(int(degrees.min()) if h else 0, 1)
     if p is None:
         p = Params.for_graph(h, min_degree)
@@ -541,13 +549,15 @@ def seek_progress(
             counters.roots_tried += 1
             known = (two_colorable >> r0) & 1 == 1
             if work is None:  # round 1 on G under the mask
-                pair = build_two_level(G, r0, p, alive=alive, two_colorable=known)
+                pair = build_two_level(G, r0, p, alive=rows, two_colorable=known)
                 if isinstance(pair, RegularPair):  # the first survivor builds G[alive]
                     work, keep = induced_subgraph(G, alive)
+                    rows = MemberRows(work, (1 << work.n) - 1)
                     pair = replace(pair, S=_compact(pair.S, keep, G.n),
                                    T=_compact(pair.T, keep, G.n))
             else:
-                pair = build_two_level(work, _rank(r0, alive), p, two_colorable=known)
+                pair = build_two_level(work, _rank(r0, alive), p, alive=rows,
+                                       two_colorable=known)
             if pair is None:
                 outcome = _doomed(audits, counters, sink)
             elif isinstance(pair, RegularPair):

@@ -18,6 +18,7 @@ import numpy as np
 
 from .graph import (
     Graph,
+    MemberRows,
     OddCycle,
     bipartition,
     bits_of,
@@ -300,7 +301,8 @@ def _assert_regular(G: Graph, pair: RegularPair) -> None:
         raise AssertionError(f"regularized pair is not regular: {bad}")
 
 
-def build_two_level(G: Graph, r0: int, p: Params, *, alive: int | None = None,
+def build_two_level(G: Graph, r0: int, p: Params, *,
+                    alive: int | MemberRows | None = None,
                     two_colorable: bool = False) -> RegularPair | Progress | None:
     """Grow the round-1 regular pair from a root vertex of G[alive].
 
@@ -315,8 +317,12 @@ def build_two_level(G: Graph, r0: int, p: Params, *, alive: int | None = None,
     ``alive`` (all of G by default) is the working graph's vertex set,
     of size h: the sizes, thresholds and caps are those of G[alive], and
     every set is taken inside it, so the result is that of G[alive] in
-    G's ids.  The search reads round 1 off the driver's base this way
-    (see ``seek_progress``).
+    G's ids.  It is a bitmask or the set's ``MemberRows`` of G, the
+    alive ids and rows gathered once: ``seek_progress`` gathers them
+    once per call and hands them to every root, and round 1 reads the
+    driver's base under the mask this way.  T's degree table into a
+    large S is one masked popcount of those rows.  A root outside G,
+    or a bitmask with a bit outside G, raises ValueError.
 
     ``two_colorable`` says the caller already knows S is 2-colorable: S
     is an induced subgraph of a neighborhood that 2-colored before (see
@@ -324,8 +330,13 @@ def build_two_level(G: Graph, r0: int, p: Params, *, alive: int | None = None,
     could neither raise nor change the result; a large S still runs it,
     since its sides are returned.
     """
-    if alive is None:
-        alive = (1 << G.n) - 1
+    if not 0 <= r0 < G.n:
+        raise ValueError(f"root {r0} is not a vertex of G")
+    if not isinstance(alive, MemberRows):
+        alive = MemberRows(G, (1 << G.n) - 1 if alive is None else alive)
+    elif alive.graph is not G:
+        raise ValueError("the alive rows belong to another graph")
+    rows, alive = alive, alive.bits
     h = alive.bit_count()
     S = G.adj_bits(r0) & alive
     if not (alive >> r0) & 1 or not S:
@@ -344,7 +355,7 @@ def build_two_level(G: Graph, r0: int, p: Params, *, alive: int | None = None,
         # alone would, and N(S) is then all or nearly all of them on dense
         # graphs, so the union pass is saved; a small S keeps the union,
         # whose cost follows |N(S)|
-        ids, degrees = degrees_into(G, alive, S)
+        ids, degrees = rows.degrees_into(S)
         linked = degrees >= 1
         ids, degrees = ids[linked], degrees[linked]
     else:

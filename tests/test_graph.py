@@ -13,6 +13,7 @@ from threecolor.graph import (
     Coloring,
     DuplicateEdge,
     Graph,
+    MemberRows,
     OddCycle,
     PartialColoring,
     SelfLoop,
@@ -262,6 +263,13 @@ class TestDegreeKernels:
             mask = random_members(rng, n, n // 2)
             a, b = degrees_into(plain, bits, mask), degrees_into(packed, bits, mask)
             assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+            for g in (plain, packed):  # the rows gathered once give the same table
+                rows = MemberRows(g, bits)
+                got = rows.degrees_into(mask)
+                assert got[0].dtype == got[1].dtype == np.int64
+                assert got[0].tolist() == a[0].tolist() and got[1].tolist() == a[1].tolist()
+                assert (rows.rows is not None) == (g is packed
+                                                   and bits.bit_count() >= PACKED_MIN_MEMBERS)
             for d in (0, 5, 20):
                 assert (with_degree_at_least(plain, bits, mask, d)
                         == with_degree_at_least(packed, bits, mask, d))
@@ -281,6 +289,12 @@ class TestDegreeKernels:
             a, b = degrees_into(plain, every, mask), degrees_into(packed, every, mask)
             assert b[0].dtype == b[1].dtype == np.int64
             assert a[0].tolist() == b[0].tolist() and a[1].tolist() == b[1].tolist()
+            # the whole set's gathered rows are the graph's own words
+            rows = MemberRows(packed, every)
+            assert rows.rows is packed_rows(packed)
+            c = rows.degrees_into(mask)
+            assert c[1].dtype == np.int64
+            assert a[0].tolist() == c[0].tolist() and a[1].tolist() == c[1].tolist()
 
 
 def ascending_int_bodies(g, bits, mask, d):
@@ -460,6 +474,11 @@ class TestRowBlocks:
                 assert sum(blocks) == len(want)
                 # one row per block when a row alone passes the bound
                 assert all(count * width <= max(chunk_bytes, width) for count in blocks)
+        # a member set's gathered rows, past one block counted a block at a time
+        gathered = mask(rng.sample(range(g.n), PACKED_MIN_MEMBERS + 2))
+        ids, got = MemberRows(packed_copy(g), gathered).degrees_into(members)
+        assert ids.tolist() == list(iter_bits(gathered))
+        assert got.dtype == np.int64 and got.tolist() == [expect[v] for v in ids]
 
     @CHUNKS
     @pytest.mark.parametrize("alive_share", [0.5, 1.0])

@@ -2,18 +2,22 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from test_baselines import arbitrary_graph
 from test_graph import mask
 
-from threecolor import search, structure
+from threecolor import graph, search, structure
 from threecolor.baselines import pipeline_color
 from threecolor.generate import GenParams, generate_planted
 from threecolor.graph import (
+    ROW_SUM_BYTES,
+    MemberRows,
     TwoColoring,
     bipartition,
     build_graph,
@@ -38,7 +42,7 @@ from threecolor.search import (
     inner_loop,
     seek_progress,
 )
-from threecolor.structure import Not3Colorable, RegularPair
+from threecolor.structure import Not3Colorable, RegularPair, build_two_level
 
 
 def make_params(n, k, **kw):
@@ -640,24 +644,40 @@ class TestSeekOnTheBase:
     rebuilds G[A] only for a root whose pair survives; it answers what a
     search on the rebuilt G[A] answers, lifted to G's ids."""
 
-    @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
-           st.sampled_from([0.3, 0.6, 0.9, 1.0]), st.booleans(), st.booleans())
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-    def test_matches_the_rebuilt_working_graph(self, graph_seed, seed, share, cut, packed):
-        # arbitrary graphs, some not 3-colorable; the cut params block the
-        # large-set exit, so survivors reach the rebuilt graph's rounds
-        g = arbitrary_graph(graph_seed)
-        if packed:  # the driver's bases carry words
-            g = induced_subgraph(g, (1 << g.n) - 1)[0]
-        rng = random.Random(seed)
-        alive = sum(1 << v for v in range(g.n) if rng.random() < share)
-        known = sum(1 << v for v in range(g.n) if rng.random() < 0.5)
-        p = None
-        if cut:
-            h = alive.bit_count()
-            sub_min = induced_subgraph(g, alive)[0].min_degree()
-            p = Params.for_graph(h, max(sub_min, 1), k=2.6, c1=2.0, c2=2.0)
-        assert_seek_on_base_matches_rebuilt(g, alive, p, known)
+    def test_matches_the_rebuilt_working_graph(self):
+        gathered = []  # per example, whether its alive rows took the packed gather
+
+        @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+               st.sampled_from([0.3, 0.6, 0.9, 1.0]), st.booleans(), st.booleans())
+        @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+        def check(graph_seed, seed, share, cut, packed):
+            # arbitrary graphs, some not 3-colorable; the cut params block
+            # the large-set exit, so survivors reach the rebuilt graph's rounds
+            g = arbitrary_graph(graph_seed)
+            if packed:  # the driver's bases carry words
+                g = induced_subgraph(g, (1 << g.n) - 1)[0]
+            rng = random.Random(seed)
+            alive = sum(1 << v for v in range(g.n) if rng.random() < share)
+            known = sum(1 << v for v in range(g.n) if rng.random() < 0.5)
+            p = None
+            if cut:
+                h = alive.bit_count()
+                sub_min = induced_subgraph(g, alive)[0].min_degree()
+                p = Params.for_graph(h, max(sub_min, 1), k=2.6, c1=2.0, c2=2.0)
+            made = []
+
+            def gather(G, bits):
+                made.append(MemberRows(G, bits))
+                return made[-1]
+
+            with patch.object(search, "MemberRows", gather):
+                assert_seek_on_base_matches_rebuilt(g, alive, p, known)
+            first = made[0]
+            gathered.append(first.graph is g and alive != (1 << g.n) - 1
+                            and isinstance(first.rows, np.ndarray))
+
+        check()
+        assert any(gathered)
 
     def test_survivor_followed_by_further_roots(self):
         # three doomed roots on the base, then a survivor that rebuilds the
@@ -676,6 +696,69 @@ class TestSeekOnTheBase:
         assert outcome.counters.roots_tried == ROOT_RETRIES
         assert events.count("structure") >= 2
         assert_seek_on_base_matches_rebuilt(g, alive, p, 0)
+
+    def test_alive_rows_are_gathered_once_per_call(self):
+        # every root of this dense base is doomed under the mask: the alive
+        # set is unpacked and its rows gathered once, for the root order
+        # and all ten T tables, not once per root
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.7, seed=0))
+        base = induced_subgraph(g, (1 << g.n) - 1)[0]
+        rng = random.Random(3)
+        alive = sum(1 << v for v in range(g.n) if rng.random() < 0.75)
+        real_unpack = graph.unpack_bits
+        unpacked = []
+
+        def unpack(bits, n):
+            unpacked.append(bits == alive)
+            return real_unpack(bits, n)
+
+        with patch.object(graph, "unpack_bits", unpack), \
+                patch.object(search, "MemberRows", wraps=MemberRows) as gathers, \
+                patch.object(search, "induced_subgraph", wraps=induced_subgraph) as rebuild:
+            outcome = seek_progress(base, alive=alive)
+        assert outcome.failure == "ErrorB"
+        assert outcome.counters.roots_tried == ROOT_RETRIES
+        assert rebuild.call_count == 0
+        assert gathers.call_count == 1 and unpacked.count(True) == 1
+
+    def test_alive_outside_g_raises_value_error(self):
+        # a bit at or above n, or a negative set, is refused before any
+        # gather, on int and packed bases and below or above the cutoff
+        g, _ = generate_planted(GenParams(n=100, edge_prob=0.5, seed=2))
+        base = induced_subgraph(g, (1 << g.n) - 1)[0]
+        with patch.object(graph, "unpack_bits", side_effect=AssertionError("gathered")):
+            for G in (g, base):
+                for alive in ((1 << 101) - 1, 1 << 100, (1 << 30) | 1 << 100, -1, -(1 << 70)):
+                    with pytest.raises(ValueError):
+                        seek_progress(G, alive=alive)
+
+    def test_gathered_rows_peak_at_the_block_and_two_blocks(self):
+        # one search over the base of a planted G(2048, 1/2) working graph
+        # with about 3/4 of it alive holds the gathered alive rows, h x
+        # ceil(n/64) words, beside what its kernels and its rebuild hold
+        n = 2048
+        g, _ = generate_planted(GenParams(n=n, edge_prob=0.5, seed=0))
+        base = induced_subgraph(g, (1 << n) - 1)[0]
+        del g
+        rng = random.Random(1)
+        alive = sum(1 << v for v in range(n) if rng.random() < 0.75)
+        made = []
+
+        def gather(G, bits):
+            made.append(MemberRows(G, bits))
+            return made[-1]
+
+        with patch.object(search, "MemberRows", gather):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                seek_progress(base, alive=alive)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+        block = made[0].rows.nbytes
+        assert block == alive.bit_count() * ((n + 63) // 64) * 8
+        assert peak <= block + 2 * ROW_SUM_BYTES, (peak, block)
 
     def test_all_of_g_is_the_working_graph(self):
         g, _ = generate_planted(GenParams(n=200, edge_prob=0.3, seed=1))

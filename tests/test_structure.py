@@ -13,6 +13,7 @@ from threecolor.generate import GenParams, generate_planted
 from threecolor import graph, structure
 from threecolor.graph import (
     PACKED_MIN_MEMBERS,
+    MemberRows,
     build_graph,
     degrees_into,
     iter_bits,
@@ -669,6 +670,23 @@ class TestBuildTwoLevel:
         assert res.T.bit_count() <= int(500 / p.k)
         assert not res.check(g)
 
+    def test_root_or_alive_outside_g_raises_value_error(self):
+        # refused before any gather, on int and packed graphs
+        g, _ = generate_planted(GenParams(n=100, edge_prob=0.5, seed=2))
+        base = induced_subgraph(g, (1 << g.n) - 1)[0]
+        p = Params.for_graph(100, g.min_degree())
+        with patch.object(graph, "unpack_bits", side_effect=AssertionError("gathered")):
+            for G in (g, base):
+                for r0 in (G.n, G.n + 5, -1):
+                    with pytest.raises(ValueError):
+                        build_two_level(G, r0, p)
+                for alive in ((1 << 101) - 1, 1 << 100, -1, -(1 << 70)):
+                    with pytest.raises(ValueError):
+                        build_two_level(G, 0, p, alive=alive)
+        # gathered rows of another graph
+        with pytest.raises(ValueError):
+            build_two_level(g, 0, p, alive=MemberRows(base, (1 << base.n) - 1))
+
     def test_known_two_colorable_large_root_still_returns_the_sides(self):
         # the star's leaves reach the Type 1 size, so the flag cannot skip
         # the 2-coloring whose sides the result carries
@@ -719,8 +737,9 @@ def union_table(g, r0):
 
 
 class TestOnePassT:
-    # T comes from one pass over every row when 4|S| >= n and from the
-    # union of S's neighborhoods otherwise; both must give the union's
+    # T comes from one pass over every row (the gathered MemberRows) when
+    # 4|S| >= n and from the union of S's neighborhoods otherwise; both
+    # must give the union's
     # table.  A low cutoff sends small member sets of a packed graph
     # through the kernels' packed body.
 
