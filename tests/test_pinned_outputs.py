@@ -22,6 +22,7 @@ MODES = {
     "pipeline": ["--method", "pipeline"],
     "seek": ["--method", "seek"],
     "cuts": ["--method", "pipeline", "--params", "{params}"],
+    "seek-cuts": ["--method", "seek", "--params", "{params}"],
     "greedy": ["--method", "greedy"],
     "extract": ["--method", "extract"],
 }
@@ -33,6 +34,9 @@ MODES = {
 # calls all fail with ErrorB, so it pins the failing search's path
 # (round 1 on the driver's base under the alive set: build_two_level,
 # regularize; no working graph is rebuilt) under 537 deferrals.
+# Seek-cuts is the search-only colorer under the cut params: its second
+# seek call rebuilds the working graph and runs 9 roots' round 1 on it,
+# so it pins the search's outcome assembly after a rebuild.
 # Greedy and extract pin the first-fit of the input and of the extraction
 # remainder; they write no trace entries, so their trace digest is that of
 # the empty file
@@ -62,6 +66,11 @@ PINNED = {
             "ce570ccb43a952a772dffe459ea09b9b15753652be9fc5da5ef51a3aba364cb0",
             "c3ca73f2a19c6c354d8f0bb50a358541e436049bd9772b71882f2ef36fbe491b",
             "7162526bfde221043d26daf39de2ba36fa3c2267337b870ef179f3bc6e3a5dfe",
+        ),
+        "seek-cuts": (
+            "6caaf20b80d016bb4498b1f3908f2b59d95f603609983d936c1b92d954bf08ff",
+            "3920a6ca038ab1b740b3563a519777a86ff9348a07d5c7ac53e24c05a46f9dc1",
+            "cb30c8accb02bcaa6b7329ce53e66c8b47f568a77fc1ec57fd2a83042a7483a5",
         ),
     },
     (300, 0.7, 0): {
