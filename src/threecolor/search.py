@@ -72,12 +72,7 @@ class SparseCut:
     Y: int
 
 
-@dataclass(frozen=True)
-class ProgressFound:
-    progress: Progress
-
-
-CutResult = MonochromaticIfDiffer | SparseCut | ProgressFound
+CutResult = MonochromaticIfDiffer | SparseCut | Progress
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,11 @@ class SideCut:
 
 @dataclass
 class SeekCounters:
-    sparse_cuts: int = 0
-    side_cuts_adopted: int = 0
-    side_cut_checks: int = 0
-    roots_tried: int = 0
+    """Counts read off a finished search (see ``seek_progress``)."""
+
+    side_cuts_adopted: int
+    side_cut_checks: int
+    roots_tried: int
 
 
 @dataclass(frozen=True)
@@ -137,7 +133,7 @@ class SeekOutcome:
     failure: str | None  # "ErrorA" | "ErrorB" | "RoundCapExceeded" | "StructureFailed"
     audits: list[RoundAudit]
     counters: SeekCounters
-    two_colorable: int = 0  # the roots tried, whose neighborhoods 2-colored
+    two_colorable: int  # the roots tried, whose neighborhoods 2-colored
 
     def __post_init__(self):
         if (self.progress is None) == (self.failure is None):
@@ -197,7 +193,7 @@ def cut_or_color(
                 if witness.bit_count() >= nh:
                     res = multichromatic_test(G, witness, p, sink=sink)
                     if not isinstance(res, MultichromaticGuaranteed):
-                        return ProgressFound(res)
+                        return res
                     X |= 1 << s
                     Y |= G.adj_bits(s) & T
                     y_size = Y.bit_count()
@@ -221,7 +217,7 @@ def cut_or_color(
             if measured >= nh:
                 res = multichromatic_test(G, witness, p, sink=sink)
                 if not isinstance(res, MultichromaticGuaranteed):
-                    return ProgressFound(res)
+                    return res
                 Y |= 1 << t2
                 y_size += 1
                 applied = True
@@ -319,11 +315,6 @@ def best_side_cut(G: Graph, X: int, Y: int, pair: RegularPair) -> SideCut:
     return SideCut(best_x, best_y, best_u)
 
 
-@dataclass(frozen=True)
-class InnerError:
-    reason: str  # "ErrorA" | "ErrorB"
-
-
 def inner_loop(
     G: Graph,
     r0: int,
@@ -331,13 +322,13 @@ def inner_loop(
     p: Params,
     *,
     sink: Sink = NO_SINK,
-    counters: SeekCounters | None = None,
-) -> ProgressFound | SparseCut | InnerError:
+) -> Progress | SparseCut | str:
     """Recurse through nested sparse cuts until the edge mass thins out.
 
     Exits with the final cut when the degree sum from the current Y into
     the current X drops below delta_T * |Y| / 2, with progress, or with
-    one of the two error outcomes (|S| <= 1, or too few seed vertices).
+    the name of one of the two errors: "ErrorA" (|S| <= 1) or "ErrorB"
+    (too few seed vertices).
     """
     nh = nhat(G.n, p.k)
     S, T = pair.S, pair.T
@@ -359,7 +350,7 @@ def inner_loop(
         first = False
         if S.bit_count() <= 1:
             sink.emit(event="error", reason="ErrorA")
-            return InnerError("ErrorA")
+            return "ErrorA"
         # the seeds are a subset of T, so a T below nhat fails uncounted
         seeds = 0
         if T.bit_count() >= nh:
@@ -367,21 +358,19 @@ def inner_loop(
             seeds = bits_of(ids[degrees >= seed_floor], G.n)
         if seeds.bit_count() < nh:
             sink.emit(event="error", reason="ErrorB")
-            return InnerError("ErrorB")
+            return "ErrorB"
         res = multichromatic_test(G, seeds, p, sink=sink)
         if not isinstance(res, MultichromaticGuaranteed):
-            return ProgressFound(res)
+            return res
         found: SparseCut | None = None
         verdicts = 0
         for seed in iter_bits(seeds):
             outcome = cut_or_color(G, r0, S, T, seed, p, sink=sink, round_no=pair.j)
-            if isinstance(outcome, ProgressFound):
-                return outcome
             if isinstance(outcome, SparseCut):
-                if counters is not None:
-                    counters.sparse_cuts += 1
                 found = outcome
                 break
+            if not isinstance(outcome, MonochromaticIfDiffer):
+                return outcome
             verdicts += 1
         if found is None:
             if verdicts != seeds.bit_count():
@@ -389,7 +378,7 @@ def inner_loop(
             sink.claim("mono", S, G)
             sink.emit(event="progress", round=pair.j, kind="mono",
                       set_size=S.bit_count())
-            return ProgressFound(MonoSet(S))
+            return MonoSet(S)
         if found.X == S:
             raise AssertionError("adopted cut failed to shrink the S side")
         S, T = found.X, found.Y
@@ -485,10 +474,15 @@ def seek_progress(
 ) -> SeekOutcome:
     """Run the full outer loop, retrying roots in decreasing degree order.
 
-    Returns the first progress found, or the last root's failure with
-    its round audits.  Every failure is data; only a non-3-colorability
-    certificate escapes as an exception.  The trace and the claim list,
-    when given, are filled through one ``Sink`` passed to every layer.
+    Each root's rounds end in progress or a failure's name; the search
+    stops at the first progress and builds its one outcome from it, or
+    from the last root's failure, with the round audits of every root
+    tried.  The counters are read off that outcome: the roots tried, the
+    side-cut checks (one per audit when side cuts are on) and the audits
+    whose side cut was adopted.  Every failure is data; only a
+    non-3-colorability certificate escapes as an exception.  The trace
+    and the claim list, when given, are filled through one ``Sink``
+    passed to every layer.
 
     The search runs on the working graph G[alive] (all of G by default)
     and answers in G's ids: its progress, its certificate and the
@@ -530,23 +524,20 @@ def seek_progress(
     min_degree = max(int(degrees.min()) if h else 0, 1)
     if p is None:
         p = Params.for_graph(h, min_degree)
-    counters = SeekCounters()
     sink = Sink(trace, claim_log)
     sink.emit(event="params", k=p.k, nhat=nhat(h, p.k),
               round_cap=default_round_cap(h), side_cuts=p.side_cuts,
               k_within_min_degree=p.k <= min_degree)
     top = descending_order(degrees, G.n)[:ROOT_RETRIES]
     roots = ids[top][degrees[top] >= 1].tolist()
-    if not roots:
-        return SeekOutcome(None, "StructureFailed", [], counters)
     audits: list[RoundAudit] = []
     tried = 0
+    found: Progress | str = "StructureFailed"  # when no vertex has an edge
     # G[alive] and its working -> G id map: G and no map when alive is all
     # of G, else None until the first surviving round-1 pair builds them
     work, keep = (G, None) if alive == full else (None, None)
     try:
         for r0 in roots:
-            counters.roots_tried += 1
             known = (two_colorable >> r0) & 1 == 1
             if work is None:  # round 1 on G under the mask
                 pair = build_two_level(G, r0, p, alive=rows, two_colorable=known)
@@ -559,26 +550,34 @@ def seek_progress(
                 pair = build_two_level(work, _rank(r0, alive), p, alive=rows,
                                        two_colorable=known)
             if pair is None:
-                outcome = _doomed(audits, counters, sink)
+                found = _doomed(sink)
             elif isinstance(pair, RegularPair):
-                outcome = _rounds(work, _rank(r0, alive), pair, p, audits, counters, sink)
+                found = _rounds(work, _rank(r0, alive), pair, p, audits, sink)
             else:  # the root's neighborhood is progress
                 sink.emit(event="progress", round=0, kind=type(pair).__name__.lower(),
                           set_size=pair.members.bit_count())
-                outcome = SeekOutcome(pair, None, audits, counters)
+                found = pair
             tried |= 1 << r0
-            if outcome.progress is not None:
+            if not isinstance(found, str):
                 break
     except Not3Colorable as exc:
         if keep is None:
             raise
         raise Not3Colorable(keep[exc.hub], tuple(keep[v] for v in exc.cycle)) from None
-    if keep is not None and outcome.progress is not None:
-        claim = outcome.progress  # Type1, Type2 or MonoSet: vertex sets only
-        outcome.progress = type(claim)(*(_lift(getattr(claim, f.name), keep)
-                                         for f in fields(claim)))
-    outcome.two_colorable = tried
-    return outcome
+    if isinstance(found, str):
+        progress, failure = None, found
+    else:  # Type1, Type2 or MonoSet: vertex sets only
+        progress, failure = found, None
+        if keep is not None:
+            progress = type(found)(*(_lift(getattr(found, f.name), keep)
+                                     for f in fields(found)))
+    # every best_side_cut call is followed by exactly one audit
+    counters = SeekCounters(
+        side_cuts_adopted=sum(a.side_cut_adopted for a in audits),
+        side_cut_checks=len(audits) if p.side_cuts else 0,
+        roots_tried=tried.bit_count(),
+    )
+    return SeekOutcome(progress, failure, audits, counters, tried)
 
 
 def _rank(v: int, alive: int) -> int:
@@ -606,32 +605,28 @@ def _rounds(
     pair: RegularPair,
     p: Params,
     audits: list[RoundAudit],
-    counters: SeekCounters,
     sink: Sink,
-) -> SeekOutcome:
+) -> Progress | str:
     """Run the outer rounds on the working graph G from root r0's round-1
-    pair until progress, an error, or the round cap."""
+    pair until progress or a failure, and return the progress or the
+    failure's name; each round's audit is appended to ``audits``."""
     if sink.trace is not None:
         sink.emit(event="structure", root=r0, s_size=pair.S.bit_count(),
                   t_size=pair.T.bit_count(),
                   delta_S=str(pair.delta_S), delta_T=str(pair.delta_T))
     round_cap = default_round_cap(G.n)
     for j in range(1, round_cap + 1):
-        res = inner_loop(G, r0, pair, p, sink=sink, counters=counters)
-        if isinstance(res, InnerError):
-            return SeekOutcome(None, res.reason, audits, counters)
-        if isinstance(res, ProgressFound):
-            return SeekOutcome(res.progress, None, audits, counters)
+        res = inner_loop(G, r0, pair, p, sink=sink)
+        if not isinstance(res, SparseCut):
+            return res
         X, Y = res.X, res.Y
         adopted = False
         side = None
         if p.side_cuts:
             side = best_side_cut(G, X, Y, pair)
-            counters.side_cut_checks += 1
             adopted = side.u is not None and side.y.bit_count() < Y.bit_count()
         chosen_X, chosen_Y = (side.x, side.y) if adopted else (X, Y)
         if adopted:
-            counters.side_cuts_adopted += 1
             sink.emit(event="side_cut", round=j, u=side.u,
                       x_size=side.x.bit_count(), y_size=side.y.bit_count())
         audit = audit_round(G, p, pair, X, Y, chosen_X, chosen_Y, adopted,
@@ -640,7 +635,7 @@ def _rounds(
         if sink.trace is not None:
             sink.emit(event="round_end", round=j, **audit.to_dict())
         if not chosen_Y:
-            return SeekOutcome(None, "StructureFailed", audits, counters)
+            return "StructureFailed"
         # some vertex of the nonempty Y is linked to X: a cut's Y holds its
         # seed, which neighbors X, and a side cut's Y' lies in N(X')
         ids, degrees = degrees_into(G, chosen_Y, chosen_X)
@@ -650,12 +645,12 @@ def _rounds(
         pair = regularize(G, chosen_X, ids[linked], degrees[linked], j + 1,
                           nh=nhat(G.n, p.k))
         if pair is None:
-            return _doomed(audits, counters, sink)
-    return SeekOutcome(None, "RoundCapExceeded", audits, counters)
+            return _doomed(sink)
+    return "RoundCapExceeded"
 
 
-def _doomed(audits: list[RoundAudit], counters: SeekCounters, sink: Sink) -> SeekOutcome:
-    """The ErrorB outcome of a round whose pair ``regularize`` declined to
+def _doomed(sink: Sink) -> str:
+    """The ErrorB failure of a round whose pair ``regularize`` declined to
     build (``build_two_level`` in round 1, ``regularize`` in round j + 1
     returning None), with the entry ``inner_loop`` would write: its degree
     bucket U has |U| < nhat and edge mass M > 2 |U| into S, and the prune
@@ -663,4 +658,4 @@ def _doomed(audits: list[RoundAudit], counters: SeekCounters, sink: Sink) -> See
     inner loop would find too few seeds before doing anything else.
     """
     sink.emit(event="error", reason="ErrorB")
-    return SeekOutcome(None, "ErrorB", audits, counters)
+    return "ErrorB"

@@ -12,10 +12,12 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from test_graph import mask
 
+from threecolor import search
 from threecolor.baselines import (
     greedy_color,
     neighborhood_extraction_color,
@@ -99,8 +101,16 @@ def cut_suite():
     """Criterion-2 workload: seeks over 200 mid-size planted graphs."""
     ns = [100, 150, 200, 300, 400, 500, 700, 1000, 1500, 2000]
     started = time.time()
-    cuts = adopted = 0
+    adopted = 0
     audits = []
+    cuts = []  # one entry per cut_or_color return: was it a sparse cut?
+    real_cut = search.cut_or_color
+
+    def cut(*args, **kwargs):
+        res = real_cut(*args, **kwargs)
+        cuts.append(isinstance(res, search.SparseCut))
+        return res
+
     for i in range(200):
         n = ns[i % len(ns)]
         prob = [0.3, 0.5][i % 2]
@@ -108,13 +118,13 @@ def cut_suite():
         for k, scale in CUT_LADDER:
             p = Params.for_graph(n, max(g.min_degree(), 1), k=k, c1=scale,
                                  c2=scale)
-            outcome = seek_progress(g, p=p)
-            cuts += outcome.counters.sparse_cuts
+            with patch.object(search, "cut_or_color", cut):
+                outcome = seek_progress(g, p=p)
             adopted += outcome.counters.side_cuts_adopted
             audits.extend(outcome.audits)
     return {
         "instances": 200,
-        "cuts": cuts,
+        "cuts": sum(cuts),
         "adopted": adopted,
         "audits": audits,
         "elapsed": time.time() - started,

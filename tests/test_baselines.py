@@ -325,7 +325,7 @@ class TestCarriedTwoColorings:
 
         def seek(base, p=None, *, claim_log=None, trace=None, alive=None, two_colorable=0):
             passed.append((base, alive, two_colorable))
-            return SeekOutcome(None, "ErrorB", [], SeekCounters(),
+            return SeekOutcome(None, "ErrorB", [], SeekCounters(0, 0, 0),
                                two_colorable=returned.pop(0))
 
         def seek_on(base, alive):

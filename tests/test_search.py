@@ -31,9 +31,7 @@ from threecolor.progress import MonoSet, Sink, induced_subgraph
 from threecolor.search import (
     ROOT_RETRIES,
     SIDECUT_FACTOR,
-    InnerError,
     MonochromaticIfDiffer,
-    ProgressFound,
     SparseCut,
     audit_round,
     best_side_cut,
@@ -319,7 +317,7 @@ class TestInnerLoop:
         g = build_graph(3, [(0, 1), (1, 2)])
         pair = RegularPair(mask([1]), mask([2]), Fraction(1), Fraction(1), 1)
         res = inner_loop(g, 0, pair, make_params(3, 1.0))
-        assert isinstance(res, InnerError) and res.reason == "ErrorA"
+        assert res == "ErrorA"
 
     def test_too_few_seeds_is_error_b(self):
         g, s_ids, t_ids = complete_bipartite_with_root(2, 1)
@@ -330,7 +328,7 @@ class TestInnerLoop:
         with patch.object(search, "degrees_into",
                           wraps=search.degrees_into) as count:
             res = inner_loop(g, 0, pair, p, sink=Sink(trace))
-        assert isinstance(res, InnerError) and res.reason == "ErrorB"
+        assert res == "ErrorB"
         # |T| = 1 < nhat settles it: no seed is counted
         assert count.call_count == 0
         assert trace == [{"event": "error", "reason": "ErrorB"}]
@@ -347,7 +345,7 @@ class TestInnerLoop:
         with patch.object(search, "degrees_into",
                           wraps=search.degrees_into) as count:
             res = inner_loop(g, 0, pair, p, sink=Sink(trace))
-        assert isinstance(res, InnerError) and res.reason == "ErrorB"
+        assert res == "ErrorB"
         assert count.call_count == 1
         assert trace == [{"event": "error", "reason": "ErrorB"}]
 
@@ -356,11 +354,17 @@ class TestInnerLoop:
         # into S, so a search reads them at most once per loop iteration:
         # once per inner_loop call plus once per adopted sparse cut
         real_loop, real_read = search.inner_loop, search.degrees_into
-        loops, reads = [], []
+        real_cut = search.cut_or_color
+        loops, reads, cuts = [], [], []
 
         def loop(*args, **kwargs):
             loops.append(1)
             return real_loop(*args, **kwargs)
+
+        def cut(*args, **kwargs):
+            res = real_cut(*args, **kwargs)
+            cuts.append(isinstance(res, SparseCut))
+            return res
 
         def read(*args):
             if sys._getframe(1).f_code is real_loop.__code__:
@@ -372,11 +376,11 @@ class TestInnerLoop:
                              (1 << n) - 1)[0]
         p = Params.for_graph(n, g.min_degree(), k=2.6, c1=2.0, c2=2.0)
         with patch.object(search, "inner_loop", loop), \
-                patch.object(search, "degrees_into", read):
-            outcome = seek_progress(g, p=p)
-        cuts = outcome.counters.sparse_cuts
-        assert cuts > 0  # some loop ran more than one iteration
-        assert 0 < len(reads) <= len(loops) + cuts
+                patch.object(search, "degrees_into", read), \
+                patch.object(search, "cut_or_color", cut):
+            seek_progress(g, p=p)
+        assert sum(cuts) > 0  # some loop ran more than one iteration
+        assert 0 < len(reads) <= len(loops) + sum(cuts)
 
     def test_complete_bipartite_yields_monochromatic_set(self):
         g, s_ids, t_ids = complete_bipartite_with_root(extra_t_edge=True)
@@ -385,9 +389,7 @@ class TestInnerLoop:
         p = make_params(g.n, 2.0)  # nhat = ceil(7/4) = 2
         log = []
         res = inner_loop(g, 0, pair, p, sink=Sink(claims=log))
-        assert isinstance(res, ProgressFound)
-        assert isinstance(res.progress, MonoSet)
-        assert res.progress.members == mask(s_ids)
+        assert res == MonoSet(mask(s_ids))
         summary = enumerate_3colorings(g, sets=(tuple(s_ids),))
         assert summary.colorable
         assert summary.set_max_colors[tuple(s_ids)] == 1

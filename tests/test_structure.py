@@ -27,7 +27,6 @@ from threecolor.search import (
     HIGHDEG_FACTOR,
     SIDECUT_FACTOR,
     TERM_FACTOR,
-    InnerError,
     inner_loop,
     thin_mass,
 )
@@ -429,7 +428,7 @@ class TestArrayBucketing:
             assert surv_T.bit_count() < nh and surv_S.bit_count() >= 2
             trace = []
             full = RegularPair(surv_S, surv_T, delta_S, delta_T, 1)
-            assert inner_loop(g, r0, full, p, sink=Sink(trace)) == InnerError("ErrorB")
+            assert inner_loop(g, r0, full, p, sink=Sink(trace)) == "ErrorB"
             assert trace == [{"event": "error", "reason": "ErrorB"}]
 
         @given(st.data())
@@ -463,7 +462,7 @@ class TestArrayBucketing:
         pair = regularize(g, S, *degrees_into(g, T, S), j=1, nh=5)
         assert pair == regularize(g, S, *degrees_into(g, T, S), j=1, nh=0)
         assert (pair.S, pair.T) == (S, T)
-        assert inner_loop(g, 4, pair, p) == InnerError("ErrorA")
+        assert inner_loop(g, 4, pair, p) == "ErrorA"
 
     def test_first_pass_reads_the_handed_tables(self):
         # the first prune pass reads the degree tables regularize holds; the
