@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -186,13 +187,7 @@ def _run_method(method: str, graph: Graph, p: Params, trace):
         "seek_calls": rep.seek_calls,
         "seek_progress_found": rep.seek_progress_found,
         "seek_failures": rep.seek_failures,
-        "mechanisms": {
-            "contractions": rep.stats.contractions,
-            "type1_batches": rep.stats.type1_batches,
-            "type2_batches": rep.stats.type2_batches,
-            "deferred": rep.stats.deferred,
-            "phases": rep.stats.phases,
-        },
+        "mechanisms": dataclasses.asdict(rep.stats),
         "rounds_audited": len(rep.audits),
         "audits": [a.to_dict() for a in rep.audits],
     }

@@ -45,7 +45,7 @@ PINNED = {
         "cuts": (
             "acde7253e724717ec1653ba8bd9159bff82d1a4658ece1723d2144100a285f23",
             "0ecc6816389f65e90c8fed1e45b1e2e9d39e3bb9a3e5ce290aaa867c6132eda1",
-            "91f2529c771c56c1f478e923ad82268930fae02ade0e344b18221352f5413882",
+            "94ea48744c96f6f93419d7387a91b7f39ce5659fe24af0739eb1c96bb5b11fd6",
         ),
         "extract": (
             "8b836466f638e269d924bf8af42f5ec242cc33c76048377fc59261d4e6969a9f",
@@ -60,24 +60,24 @@ PINNED = {
         "pipeline": (
             "ce570ccb43a952a772dffe459ea09b9b15753652be9fc5da5ef51a3aba364cb0",
             "b65de768d787e130bd6017891bf03256724848b7a7934f2f63563f37f343ec65",
-            "a7d37a67bcf307b44b1a614a427b3519a2a17559e28dea479b14280df05e396a",
+            "13316f184dac6265cbc1310222a579adad9ab017bfa6ca93e8e0c5808216b08c",
         ),
         "seek": (
             "ce570ccb43a952a772dffe459ea09b9b15753652be9fc5da5ef51a3aba364cb0",
             "c3ca73f2a19c6c354d8f0bb50a358541e436049bd9772b71882f2ef36fbe491b",
-            "7162526bfde221043d26daf39de2ba36fa3c2267337b870ef179f3bc6e3a5dfe",
+            "794c3b0d452b1e4ed689de1404a6c0b52c84992c353f07923de50d227896b8da",
         ),
         "seek-cuts": (
             "6caaf20b80d016bb4498b1f3908f2b59d95f603609983d936c1b92d954bf08ff",
             "3920a6ca038ab1b740b3563a519777a86ff9348a07d5c7ac53e24c05a46f9dc1",
-            "cb30c8accb02bcaa6b7329ce53e66c8b47f568a77fc1ec57fd2a83042a7483a5",
+            "897efa6a903afc280115006142137d44eea06a7b1b0dfcf0c83c62ff898a2779",
         ),
     },
     (300, 0.7, 0): {
         "cuts": (
             "c18e0cff70a459e86afbf01ab8ae6201f4f911f51f6a9e8f69e45100dad00f3d",
             "b7c5f28b64f16d3372a4b0dda5638ce357c04eddfd0bd99afc2ceea50633f65b",
-            "0e13a426180c0c21ce5cfdc669f7c175fc8914b125c5ebb158a17032783a9b78",
+            "9da4fed5737264d66b6bee9976cfb7700cd5c9d8822e0f939a76ae0241c7662f",
         ),
         "extract": (
             "a9955c5d2093dcf6dd9d9052d3be7c70b7b5af0abd62d4e717b3253750afee7f",
@@ -92,12 +92,12 @@ PINNED = {
         "pipeline": (
             "863e6126cd272ed3abb95d6e91fce7daef478c19085a003d8d8f855a5c73c995",
             "b94090bfaa194fd7d1f1b32fdcb008125844c59497b66dedb475b7c233dcacb1",
-            "8b759ef18aaba5e2cc5fe902a1138cca958eb0470c43188c62559c5a520146b3",
+            "3612f3e935e759491d3a83bcc9df079b5327c2f437ed4ade42c203cbdba507bc",
         ),
         "seek": (
             "a478bd5a241259a9304f990510c888f6e9e5c1ddc78b411c5118efbd58c49425",
             "cfafc7eebbfd4592436025b03ad93f6f5646ce3d1363e184e220c17f39c77dda",
-            "1d43d5f2d87f72fe47f079b742ee71860a5bc84cb7387af5145c533f360f7be0",
+            "40623b90e8d2cdcfceae98bb4644afbf56fd613cc53344527d2acf1bb0874b4e",
         ),
     },
     (600, 0.7, 0): {
@@ -114,14 +114,14 @@ PINNED = {
         "pipeline": (
             "f9e8ffa947a10af9619aaa8080a73db10cf5b469395f0063ada5861e48e845ee",
             "3247875c205bda287bc747456c8a495bfb4c02792d8296224419a838d8654194",
-            "35efe9059ca79c86bcf2393e5406f890ba5d9bc4361499bcfe7704ef7d194a1b",
+            "42d68a1570f75b1d7417210ed0419d47e87c4a33b147e7bd4e046d77df511c27",
         ),
     },
     (2000, 0.05, 0): {
         "cuts": (
             "2bdd571ad78015eaf3423b76c4c3d2024d22be3b1bb7b073da465de4e518ed7a",
             "79e6ce6865009665b016a8d665bd59d8fe7da21f692ccc8dd34e084e398d7831",
-            "f72f7168c16a44ded30016611c25c08f31a4466274f8826fad68786287e1e6af",
+            "e620ba947872f3672a022929d40b7c3e0dc427cc528f0c9e7a36085b69a0f826",
         ),
         "extract": (
             "28d2e521aff7b0351bf0ae596e6877611cb5c972aae1e9a3dd11afe584ac61fb",
@@ -136,12 +136,12 @@ PINNED = {
         "pipeline": (
             "f28005742e28d405c37458894e3ceaa84b78053f0ca6fe785d681864d6007d41",
             "2f107e8791dc6babedb97e1bab675bff982b3313d00400fcad82d2bbb302dad2",
-            "1ee8acb5408ad76373e386830cf31b638d10f93a27ea8413ce1ff384b9b0e961",
+            "7c32525f97235d334ed96c89070e1afaace275a3b3cb9652fab9a8d6b6935166",
         ),
         "seek": (
             "17e068e5f101f84cdf3959fdc79a17d8f72e13fa338251c00d35344d7f170582",
             "f4cc29e80fc4dadecc0c20796f5ddf8ee046600aec67ee0b772b7350f951347a",
-            "bee0b654043ac2897decaf603be1419292eecad44d97e7b288f17a8046e8a493",
+            "ee8cf5d7d9b073ab4a1a699b0f4168e982c23ed7fa2671290787f603d925fee1",
         ),
     },
 }
