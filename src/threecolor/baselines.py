@@ -151,7 +151,7 @@ class _Run:
     @classmethod
     def start(cls, G: Graph, p: Params | None, method: str, sink: Sink) -> "_Run":
         if p is None:
-            p = Params.for_graph(G.n, max(G.min_degree(), 1))
+            p = Params.for_graph(G.n, G.min_degree())
         return cls(G, p, PipelineReport(method, 0, DriverStats()), sink)
 
     def drive(self, source) -> tuple[Coloring, PipelineReport]:

@@ -69,7 +69,7 @@ def _load_params(args, graph: Graph) -> Params:
     if args.no_side_cuts:
         overrides["side_cuts"] = False
     k = overrides.pop("k", None)
-    return Params.for_graph(graph.n, max(graph.min_degree(), 1), k=k, **overrides)
+    return Params.for_graph(graph.n, graph.min_degree(), k=k, **overrides)
 
 
 def _check_outputs(paths: list[str | None]) -> int | None:
@@ -320,7 +320,7 @@ def _ablation_ratios(graph: Graph) -> tuple[str, str]:
     for k, scale in ABLATION_LADDER:
         ratios = []
         for side_cuts in (True, False):
-            p = Params.for_graph(graph.n, max(graph.min_degree(), 1),
+            p = Params.for_graph(graph.n, graph.min_degree(),
                                  k=k, c1=scale, c2=scale, side_cuts=side_cuts)
             try:
                 outcome = seek_progress(graph, p=p)
@@ -386,7 +386,7 @@ def cmd_bench(args) -> int:
                     })
                     started = time.perf_counter()
                     try:
-                        p = Params.for_graph(graph.n, max(graph.min_degree(), 1))
+                        p = Params.for_graph(graph.n, graph.min_degree())
                         coloring, info = _run_method(method, graph, p, None)
                         ok, _ = is_proper_coloring(graph, coloring)
                         row["colors"] = coloring.palette_size

@@ -63,8 +63,9 @@ class Params:
                   **overrides: Any) -> "Params":
         """Parameters for an n-vertex graph of minimum degree ``min_degree``.
 
-        k defaults to sqrt(n / min_degree), clamped to [1, n]; the other
-        fields come from ``overrides`` or their defaults.
+        k defaults to sqrt(n / min_degree), a min_degree below 1 read as
+        1, and is clamped to [1, n]; the other fields come from
+        ``overrides`` or their defaults.
         """
         if k is None:
             k = math.sqrt(max(n, 1) / max(min_degree, 1))

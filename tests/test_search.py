@@ -772,6 +772,50 @@ class TestSeekOnTheBase:
         assert_seek_on_base_matches_rebuilt(g, (1 << g.n) - 1, p, 0)
 
 
+class TestDerivedCounters:
+    """seek_progress reads its counters off the finished outcome; each one
+    equals an independent count of what the search did."""
+
+    def test_counters_match_counted_calls(self):
+        seen = []  # per example: (roots tried, side-cut checks, adopted)
+
+        @given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+               st.sampled_from([0.5, 0.8, 1.0]), st.booleans())
+        @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+        def check(graph_seed, seed, share, side_cuts):
+            # the cut params block the large-set exit, so rounds, side cuts
+            # and their audits run; the base carries words, as the driver's do
+            g = arbitrary_graph(graph_seed)
+            base = induced_subgraph(g, (1 << g.n) - 1)[0]
+            rng = random.Random(seed)
+            alive = sum(1 << v for v in range(g.n) if rng.random() < share)
+            p = Params.for_graph(g.n, g.min_degree(), k=2.6, c1=2.0, c2=2.0,
+                                 side_cuts=side_cuts)
+            trace = []
+            with patch.object(search, "build_two_level",
+                              wraps=search.build_two_level) as builds, \
+                    patch.object(search, "best_side_cut",
+                                 wraps=search.best_side_cut) as side_checks:
+                try:
+                    outcome = seek_progress(base, p, trace=trace, alive=alive)
+                except Not3Colorable:
+                    return
+            counters = outcome.counters
+            assert counters.roots_tried == builds.call_count
+            assert counters.roots_tried == outcome.two_colorable.bit_count()
+            assert counters.side_cut_checks == side_checks.call_count
+            adopted = sum(entry["event"] == "side_cut" for entry in trace)
+            assert counters.side_cuts_adopted == adopted
+            seen.append((counters.roots_tried, counters.side_cut_checks, adopted))
+
+        check()
+        # the drawn searches stop early and try every root, and some check
+        # and adopt side cuts
+        assert {tried == ROOT_RETRIES for tried, _, _ in seen} == {True, False}
+        assert any(checks for _, checks, _ in seen)
+        assert any(adopted for _, _, adopted in seen)
+
+
 def sink_case(gen, overrides):
     g, _ = generate_planted(gen)
     return g, Params.for_graph(g.n, g.min_degree(), **overrides)
