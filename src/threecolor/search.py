@@ -84,7 +84,7 @@ class SideCut:
     u: int | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SeekCounters:
     """Counts read off a finished search (see ``seek_progress``)."""
 
@@ -564,20 +564,16 @@ def seek_progress(
         if keep is None:
             raise
         raise Not3Colorable(keep[exc.hub], tuple(keep[v] for v in exc.cycle)) from None
-    if isinstance(found, str):
-        progress, failure = None, found
-    else:  # Type1, Type2 or MonoSet: vertex sets only
-        progress, failure = found, None
-        if keep is not None:
-            progress = type(found)(*(_lift(getattr(found, f.name), keep)
-                                     for f in fields(found)))
+    failure = found if isinstance(found, str) else None
+    if keep is not None and failure is None:  # Type1, Type2 or MonoSet: vertex sets only
+        found = type(found)(*(_lift(getattr(found, f.name), keep) for f in fields(found)))
     # every best_side_cut call is followed by exactly one audit
     counters = SeekCounters(
         side_cuts_adopted=sum(a.side_cut_adopted for a in audits),
         side_cut_checks=len(audits) if p.side_cuts else 0,
         roots_tried=tried.bit_count(),
     )
-    return SeekOutcome(progress, failure, audits, counters, tried)
+    return SeekOutcome(None if failure else found, failure, audits, counters, tried)
 
 
 def _rank(v: int, alive: int) -> int:
