@@ -4,37 +4,37 @@ On disk vertex ids are 1-based; in memory they are 0-based.  Emission is
 canonical: the problem line, then edges sorted with u < v.  Parsing a
 canonical file and emitting it again is the identity.
 
-Both readers run on one block scanner, ``_scan``.  It takes the text in
-blocks of ``BLOCK`` characters, each carried on to the end of its last
-line, splits each with ``str.splitlines`` and reads the block's tokens,
-as ``str.split`` cuts them, into numpy arrays: tokens per line, each
-line's first token, and whether the tokens after it are numbers and
-their values.  A number is an optional ``-`` and ASCII digits; any other
-spelling, and a problem, edge or coloring line that holds a non-ASCII
-character inside it, is a parse error naming its line.  Up to 18 digits
-are read in int64; a longer number is read by ``int``, which also keeps
-its limit on digits.  Each reader gives every line an error code and
-raises the first in file order, with the message formatted from that
-line's text; a repeated edge, or a vertex colored twice, competes on its
-line number.  A block's lines and arrays take about 40 bytes per
-character at their peak (2.7 MiB for a block of a canonical file), so
-the scanner holds O(``BLOCK`` + the longest line) beyond the text;
-``parse_dimacs`` keeps 8 bytes per edge until it builds the rows from
-the sorted bit indices of both orientations of the edges, writing
-``graph.ROW_SUM_BYTES`` of packed rows at a time.  The graph it returns
-carries no packed matrix.  ``emit_dimacs`` writes the edges of
-``graph.row_blocks``'s blocks of unpacked rows, at most
-``graph.ROW_SUM_BYTES`` at a time, taking only the rows that have an
-edge to a higher vertex.
+A number is an optional ``-`` and ASCII digits; any other spelling, on a
+problem, edge or coloring line, is a parse error naming its line.  Both
+readers run on ``_records``.  It takes the text in blocks that end just
+after a line break: the first just after the problem line when that lies
+within the first ``BLOCK`` characters, each other one at the first line
+break ``BLOCK`` or more characters past its start.  A block made only of
+record lines (the reader's letter and two numbers of at most 18 ASCII
+digits, space or tab gaps, "\\n" or "\\r\\n" ends), as written files
+are, is told by one regular expression search, decoded by one
+``np.fromstring`` and range-checked in numpy.  Any other block, or one
+that fails its check, is read line by line, as ``str.splitlines``,
+``str.strip`` and ``str.split`` cut it, up to its first error.  A
+repeated edge, or a vertex colored twice, is found by sorting the
+records read before that error; it is an error on its later line.
+Beyond the text, the readers hold one block and its numbers;
+``parse_dimacs`` keeps 8 bytes per edge (an int32 key and its line
+number) until it builds the rows from the sorted bit indices of both
+orientations of the edges, ``graph.ROW_SUM_BYTES`` of packed rows at a
+time.  The graph it returns carries no packed matrix.  ``emit_dimacs``
+writes the edges of ``graph.row_blocks``'s blocks of unpacked rows, at
+most ``graph.ROW_SUM_BYTES`` at a time, taking only the rows that have
+an edge to a higher vertex.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
-from .graph import ROW_SUM_BYTES, Coloring, Graph, _row_ints, row_blocks
+from .graph import Coloring, Graph, _row_ints, row_blocks, rows_per_block
 
 
 # Largest vertex count a graph file may declare.  The search holds n x n
@@ -48,21 +48,19 @@ from .graph import ROW_SUM_BYTES, Coloring, Graph, _row_ints, row_blocks
 # int32 u * n + v.
 MAX_VERTICES = 1 << 15
 
-BLOCK = 1 << 16  # characters of text the scanner reads at a time, to a line's end
+BLOCK = 1 << 16  # characters of text read at a time, to a line's end
 _LINE_BREAK = re.compile("\r\n|[\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")  # as str.splitlines
-
-# The scanner's byte alphabet.  A block's lines are joined by " \n ", so
-# that each line break is a token of its own; each non-ASCII whitespace
-# character becomes "\x1c" and any other non-ASCII character "\x1d".
-# "\n", "\x1c" and "\x1d" are line breaks to str.splitlines, so none
-# occurs inside a line.  Tokens are the runs of bytes other than the gaps
-# " ", "\t" and "\x1f" (the whitespace str.split finds inside a line) and
-# "\x1c".
-_NONASCII_SPACE = re.compile(r"[^\S\x00-\x7f]")
-_NONASCII = re.compile(r"[^\x00-\x7f]")
-_SOLID = bytes(int(b not in b" \t\x1f\x1c") for b in range(256))
-_NUMBER = re.compile(rb"-?[0-9]+")
-_INT64_DIGITS = 18  # numbers with more digits are read by int()
+# A line starting with "p", to the "\n" that ends it; every "\n" ends a
+# line to str.splitlines, so a block may end after it.
+_PROBLEM = re.compile(r"^[ \t]*p[^\n]*\n", re.MULTILINE)
+# A "\n" that does not start a record line ending in "\n", or the end, in
+# "\n" + a block.  np.fromstring reads the digits of record lines in base
+# 10, and 18 digits always fit in int64.  (A search holds no state per
+# line; a fullmatch of repeated record lines holds 50 to 86 bytes per
+# character, 3.3 to 5.4 MiB for a block.)
+_NOT_RECORD = {letter: re.compile(
+    rf"\n(?!{letter}[ \t]+[0-9]{{1,18}}[ \t]+[0-9]{{1,18}}[ \t]*\r?\n|\Z)")
+    for letter in "es"}
 
 
 class ParseError(ValueError):
@@ -71,10 +69,15 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-def _blocks(text: str):
-    """Slices of ``text``, each ending just after the first line break at
-    or past BLOCK characters: BLOCK characters and the rest of a line."""
+def _blocks(text: str) -> Iterator[str]:
+    """Slices of ``text``, each ending just after a line break: the first
+    just after the problem line if that ends within BLOCK characters, and
+    each other one BLOCK characters and the rest of a line."""
     start = 0
+    problem = _PROBLEM.search(text, 0, BLOCK)
+    if problem:
+        start = problem.end()
+        yield text[:start]
     while start < len(text):
         found = _LINE_BREAK.search(text, start + BLOCK)
         end = found.end() if found else len(text)
@@ -82,76 +85,61 @@ def _blocks(text: str):
         start = end
 
 
-@dataclass
-class _Scan:
-    """One block's lines and their tokens, as str.split cuts them."""
-
-    lines: list[str]  # the block's lines, as str.splitlines gives them
-    count: np.ndarray  # tokens on each line
-    skip: np.ndarray  # blank or comment
-    kind: np.ndarray  # the line's first token if it is one byte, else 0
-    nonascii: np.ndarray  # a non-ASCII whitespace character between the line's tokens
-    # row j: whether each line's token j + 1 is a number (an optional "-"
-    # and ASCII digits that int() reads) and its value, on lines of at most
-    # four tokens whose first is one byte; int64, or object for long ones
-    number: np.ndarray
-    value: np.ndarray
+def _integers(line: str, tokens: list[str], message: str, line_no: int) -> list[int]:
+    """``tokens`` of the stripped ``line`` as ints, or a ParseError with
+    ``message`` unless they are spelled as the file formats spell a number:
+    an optional ``-`` and ASCII digits.  ``int`` also takes ``+``, ``_``
+    and non-ASCII digits; split tokens hold no whitespace."""
+    if line.isascii() and "+" not in line and "_" not in line:
+        try:
+            return [int(token) for token in tokens]
+        except ValueError:  # not a number, or more digits than int() reads
+            pass
+    raise ParseError(message.format(line), line_no)
 
 
-def _scan(block: str) -> _Scan:
-    lines = block.splitlines()
-    joined = " \n ".join(["", *lines, ""])
-    if not joined.isascii():
-        joined = _NONASCII.sub("\x1d", _NONASCII_SPACE.sub("\x1c", joined))
-    text = joined.encode("ascii")
-    a = np.frombuffer(text, dtype=np.uint8)
-    solid = np.frombuffer(text.translate(_SOLID), dtype=np.bool_)
-    starts = np.flatnonzero(solid[:-1] < solid[1:]) + 1
-    ends = np.flatnonzero(solid[:-1] > solid[1:]) + 1
-    breaks = np.flatnonzero(a[starts] == ord("\n"))
-    first = breaks[:-1] + 1
-    count = np.diff(breaks) - 1
-    lead = a[starts[first]]
-    skip = (count == 0) | (lead == ord("c"))
-    kind = np.where(ends[first] - starts[first] == 1, lead, 0)
-
-    # tokens 2-4 of the lines the readers may take numbers from, their
-    # digits read from the right: place k holds the byte at end - 1 - k
-    j, line = np.nonzero((~skip & (kind != 0) & (count <= 4)) & (count > [[1], [2], [3]]))
-    s, e = starts[first[line] + j + 1], ends[first[line] + j + 1]
-    minus = a[s] == ord("-")
-    size = e - s - minus
-    total = np.zeros(len(s), dtype=np.int64)
-    bad = size == 0
-    at = e - 1
-    for k in range(min(size.max(initial=0), _INT64_DIGITS)):
-        digit = a.take(at, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
-        inside = size > k
-        bad |= inside & (digit > 9)
-        total += np.where(inside, digit, 0) * np.int64(10 ** k)
-        at -= 1
-    number = np.zeros((3, len(lines)), dtype=np.bool_)
-    value = np.zeros((3, len(lines)), dtype=np.int64)
-    number[j, line] = ~bad
-    value[j, line] = np.where(minus, -total, total)
-    long = np.flatnonzero(size > _INT64_DIGITS)
-    if len(long):
-        value = value.astype(object)
-        for k in long.tolist():
-            word = text[s[k]:e[k]]
-            number[j[k], line[k]] = _NUMBER.fullmatch(word) is not None
+def _records(text: str, letter: str, fits: Callable[[np.ndarray, np.ndarray], bool],
+             read_line: Callable[[str, int], tuple[int, int] | None]
+             ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield, block by block, the two numbers and the line number of each
+    record line of ``text``, as three arrays.  A block of "<letter> <a>
+    <b>" lines is decoded at once if ``fits(a, b)`` holds for its arrays.
+    Any other block is read line by line: ``read_line(line, line_no)``
+    takes each stripped line that is neither blank nor a comment and
+    returns a record's two numbers, or None for a line that holds none, or
+    raises ParseError.  That error is raised after the records read before
+    it are yielded."""
+    not_record = _NOT_RECORD[letter]
+    line_no = 1
+    for block in _blocks(text):
+        if not not_record.search("\n" + block):
+            a, b = np.fromstring(block.replace(letter, " "), dtype=np.int64,
+                                 sep=" ").reshape(-1, 2).T
+            if fits(a, b):
+                yield a, b, np.arange(line_no, line_no + len(a))
+                line_no += len(a)
+                continue
+        lines = block.splitlines()
+        records = []
+        error = None
+        for k, line in enumerate(lines, start=line_no):
+            line = line.strip()
+            if not line or line.startswith("c"):
+                continue
             try:
-                value[j[k], line[k]] = int(word)
-            except ValueError:  # not a number, or more digits than int() reads
-                number[j[k], line[k]] = False
-
-    nonascii = np.zeros(len(lines), dtype=np.bool_)
-    marks = np.flatnonzero(a == 0x1c)
-    line = np.searchsorted(starts[breaks], marks) - 1
-    within = ((count[line] > 0) & (starts[first[line]] < marks)
-              & (marks < ends[first[line] + count[line] - 1]))
-    nonascii[line[within]] = True
-    return _Scan(lines, count, skip, kind, nonascii, number, value)
+                record = read_line(line, k)
+            except ParseError as exc:
+                error = exc
+                break
+            if record is not None:
+                records.append((*record, k))
+        if records:
+            # object, as a color may pass int64
+            table = np.array(records, dtype=object)
+            yield table[:, 0].astype(np.int64), table[:, 1], table[:, 2].astype(np.int64)
+        if error is not None:
+            raise error
+        line_no += len(lines)
 
 
 def _first_repeat(keys: np.ndarray) -> int | None:
@@ -162,97 +150,51 @@ def _first_repeat(keys: np.ndarray) -> int | None:
     return int(repeats.min()) if len(repeats) else None
 
 
-# error codes of the readers, each in the order a line is checked
-(_DUPLICATE_PROBLEM, _MALFORMED_PROBLEM, _NONINTEGER_COUNTS, _NEGATIVE_COUNTS,
- _ABOVE_LIMIT, _EDGE_BEFORE_PROBLEM, _MALFORMED_EDGE, _NONINTEGER_ENDPOINTS,
- _ENDPOINT_RANGE, _SELF_LOOP, _UNRECOGNIZED, _NONINTEGER_FIELDS,
- _VERTEX_RANGE, _NEGATIVE_COLOR) = range(1, 15)
-
-# code: (message, the token it names, read as an integer, or None for the
-# stripped line)
-_MESSAGES = {
-    _DUPLICATE_PROBLEM: ("duplicate problem line", None),
-    _MALFORMED_PROBLEM: ("malformed problem line {!r}", None),
-    _NONINTEGER_COUNTS: ("non-integer counts in {!r}", None),
-    _NEGATIVE_COUNTS: ("negative counts", None),
-    _ABOVE_LIMIT: (f"declared {{}} vertices, above the limit of {MAX_VERTICES}", 2),
-    _EDGE_BEFORE_PROBLEM: ("edge before problem line", None),
-    _MALFORMED_EDGE: ("malformed edge line {!r}", None),
-    _NONINTEGER_ENDPOINTS: ("non-integer endpoints in {!r}", None),
-    _ENDPOINT_RANGE: ("endpoint out of range in {!r}", None),
-    _SELF_LOOP: ("self loop at vertex {}", 1),
-    _UNRECOGNIZED: ("unrecognized line {!r}", None),
-    _NONINTEGER_FIELDS: ("non-integer fields in {!r}", None),
-    _VERTEX_RANGE: ("vertex {} out of range", 1),
-    _NEGATIVE_COLOR: ("negative color {}", 2),
-}
-
-
-def _error(code: int, line: str, line_no: int) -> ParseError:
-    """The error ``code`` of ``line``, line ``line_no`` of the file."""
-    message, token = _MESSAGES[code]
-    line = line.strip()
-    return ParseError(message.format(line if token is None else int(line.split()[token])),
-                      line_no)
-
-
-def _problem_code(scan: _Scan, i: int) -> int:
-    """Error code of the file's first problem line, line ``i`` of ``scan``."""
-    if scan.count[i] != 4 or scan.lines[i].split()[1] != "edge":
-        return _MALFORMED_PROBLEM
-    if not scan.number[1:, i].all() or scan.nonascii[i]:
-        return _NONINTEGER_COUNTS
-    if scan.value[1, i] < 0 or scan.value[2, i] < 0:
-        return _NEGATIVE_COUNTS
-    if scan.value[1, i] > MAX_VERTICES:
-        return _ABOVE_LIMIT
-    return 0
-
-
-def _first_error(codes: np.ndarray) -> int:
-    """Index of the first nonzero code, or len(codes)."""
-    return int(np.argmax(codes != 0)) if codes.any() else len(codes)
-
-
 def parse_dimacs(text: str) -> Graph:
     n = declared_m = None
+
+    def fits(u: np.ndarray, v: np.ndarray) -> bool:
+        return n is not None and bool(((u >= 1) & (u <= n) & (v >= 1) & (v <= n)
+                                       & (u != v)).all())
+
+    def read_line(line: str, line_no: int) -> tuple[int, int] | None:
+        nonlocal n, declared_m
+        parts = line.split()
+        if parts[0] == "p":
+            if n is not None:
+                raise ParseError("duplicate problem line", line_no)
+            if len(parts) != 4 or parts[1] != "edge":
+                raise ParseError(f"malformed problem line {line!r}", line_no)
+            size, count = _integers(line, parts[2:], "non-integer counts in {!r}", line_no)
+            if size < 0 or count < 0:
+                raise ParseError("negative counts", line_no)
+            if size > MAX_VERTICES:
+                raise ParseError(f"declared {size} vertices, above the limit of {MAX_VERTICES}",
+                                 line_no)
+            n, declared_m = size, count
+            return None
+        if parts[0] != "e":
+            raise ParseError(f"unrecognized line {line!r}", line_no)
+        if n is None:
+            raise ParseError("edge before problem line", line_no)
+        if len(parts) != 3:
+            raise ParseError(f"malformed edge line {line!r}", line_no)
+        u, v = _integers(line, parts[1:], "non-integer endpoints in {!r}", line_no)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise ParseError(f"endpoint out of range in {line!r}", line_no)
+        if u == v:
+            raise ParseError(f"self loop at vertex {u}", line_no)
+        return u, v
+
     keys: list[np.ndarray] = []  # per block, each edge (u, v) as (u - 1) * n + v - 1
     key_lines: list[np.ndarray] = []
     error = None
-    line_no = 1
-    for block in _blocks(text):
-        scan = _scan(block)
-        edge = ~scan.skip & (scan.kind == ord("e"))
-        problem = ~scan.skip & (scan.kind == ord("p"))
-        codes = np.where(problem, _DUPLICATE_PROBLEM, 0).astype(np.int8)
-        edge_before = edge.copy() if n is None else np.zeros_like(edge)
-        if n is None and problem.any():
-            i = int(np.argmax(problem))
-            codes[i] = _problem_code(scan, i)
-            edge_before[i:] = False
-            if codes[i] == 0:
-                n, declared_m = int(scan.value[1, i]), int(scan.value[2, i])
-        size = n or 0
-        u, v = scan.value[:2]
-        codes = np.select(
-            [edge_before,
-             edge & (scan.count != 3),
-             edge & ~(scan.number[0] & scan.number[1] & ~scan.nonascii),
-             edge & ((u < 1) | (u > size) | (v < 1) | (v > size)),
-             edge & (u == v),
-             ~scan.skip & ~edge & ~problem],
-            [_EDGE_BEFORE_PROBLEM, _MALFORMED_EDGE, _NONINTEGER_ENDPOINTS,
-             _ENDPOINT_RANGE, _SELF_LOOP, _UNRECOGNIZED],
-            codes,
-        )
-        stop = _first_error(codes)
-        good = np.flatnonzero(edge[:stop])
-        keys.append(((u[good] - 1) * size + v[good] - 1).astype(np.int32))
-        key_lines.append((good + line_no).astype(np.int32))
-        if stop < len(codes):
-            error = _error(int(codes[stop]), scan.lines[stop], line_no + stop)
-            break
-        line_no += len(codes)
+    try:
+        for u, v, lines in _records(text, "e", fits, read_line):
+            keys.append(((u - 1) * n + v - 1).astype(np.int32))
+            key_lines.append(lines.astype(np.int32))
+    except ParseError as exc:
+        error = exc
     edges = np.concatenate(keys) if keys else np.zeros(0, dtype=np.int32)
     m = len(edges)
     tail, head = np.divmod(edges, np.int32(n or 1))
@@ -290,7 +232,7 @@ def _rows(n: int, tail: np.ndarray, head: np.ndarray) -> list[int]:
     del tail, head
     bits.sort()
     rows: list[int] = []
-    step = max(1, ROW_SUM_BYTES // max(8 * words, 1))
+    step = rows_per_block(8 * words)
     for first in range(0, n, step):
         count = min(step, n - first)
         lo, hi = bits.searchsorted(np.array([first, first + count], dtype=np.int32) * width)
@@ -349,32 +291,31 @@ def emit_coloring(coloring: Coloring) -> str:
 
 
 def parse_coloring(text: str, n: int) -> Coloring:
+    def fits(v: np.ndarray, c: np.ndarray) -> bool:
+        return bool(((v >= 1) & (v <= n)).all())
+
+    def read_line(line: str, line_no: int) -> tuple[int, int]:
+        parts = line.split()
+        if parts[0] != "s" or len(parts) != 3:
+            raise ParseError(f"unrecognized line {line!r}", line_no)
+        v, color = _integers(line, parts[1:], "non-integer fields in {!r}", line_no)
+        if not 1 <= v <= n:
+            raise ParseError(f"vertex {v} out of range", line_no)
+        if color < 0:
+            raise ParseError(f"negative color {color}", line_no)
+        return v, color
+
     vertices: list[np.ndarray] = []  # per block, the vertex and color of each line
-    colors: list = []
+    colors: list[int] = []
     vertex_lines: list[np.ndarray] = []
     error = None
-    line_no = 1
-    for block in _blocks(text):
-        scan = _scan(block)
-        v, c = scan.value[:2]
-        colored = ~scan.skip & (scan.kind == ord("s")) & (scan.count == 3)
-        codes = np.select(
-            [~scan.skip & ~colored,
-             colored & ~(scan.number[0] & scan.number[1] & ~scan.nonascii),
-             colored & ((v < 1) | (v > n)),
-             colored & (c < 0)],
-            [_UNRECOGNIZED, _NONINTEGER_FIELDS, _VERTEX_RANGE, _NEGATIVE_COLOR],
-            0,
-        )
-        stop = _first_error(codes)
-        good = np.flatnonzero(colored[:stop])
-        vertices.append(v[good].astype(np.int64))
-        colors.extend(c[good].tolist())
-        vertex_lines.append(good + line_no)
-        if stop < len(codes):
-            error = _error(int(codes[stop]), scan.lines[stop], line_no + stop)
-            break
-        line_no += len(codes)
+    try:
+        for v, c, lines in _records(text, "s", fits, read_line):
+            vertices.append(v)
+            colors.extend(c.tolist())
+            vertex_lines.append(lines)
+    except ParseError as exc:
+        error = exc
     ids = np.concatenate(vertices) if vertices else np.zeros(0, dtype=np.int64)
     repeat = _first_repeat(ids)
     if repeat is not None:

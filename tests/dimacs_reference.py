@@ -1,8 +1,8 @@
 """Line-by-line DIMACS readers and writer, kept as the reference that
-the block scanner in ``threecolor.dimacs`` must agree with on every input:
+the block readers in ``threecolor.dimacs`` must agree with on every input:
 the same graph, coloring or text, or the same error on the same line.
 ``parse_coloring`` refuses a vertex colored twice; otherwise these are the
-readers and writer as they were before the scanner replaced them."""
+readers and writer as they were before block reading replaced them."""
 from __future__ import annotations
 
 from threecolor.dimacs import MAX_VERTICES, ParseError

@@ -3,7 +3,7 @@ from unittest import mock
 
 import dimacs_reference as reference
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import threecolor.graph as graph_module
 from threecolor import dimacs
@@ -70,12 +70,25 @@ def test_garbage_line():
     assert err.value.line_no == 2
 
 
-def test_round_trip_random_instance():
-    g, _ = generate_planted(GenParams(n=40, edge_prob=0.3, seed=3))
+def mid_file_comment(text):
+    middle = text.index("\n", len(text) // 2) + 1
+    return text[:middle] + "c middle\n" + text[middle:]
+
+
+@pytest.mark.parametrize("spell", [
+    lambda text: text,
+    lambda text: text.replace("\n", "\r\n"),
+    lambda text: text.replace(" ", "\t"),
+    mid_file_comment,
+], ids=["canonical", "crlf", "tabs", "comment"])
+def test_round_trip_random_instance(spell):
+    # about 580 kB: nine blocks of the default size
+    g, _ = generate_planted(GenParams(n=600, edge_prob=0.5, seed=3))
     text = emit_dimacs(g)
-    h = parse_dimacs(text)
+    assert len(text) > 4 * dimacs.BLOCK
+    h = parse_dimacs(spell(text))
     assert h.n == g.n and h.m == g.m
-    assert all(h.adj_bits(v) == g.adj_bits(v) for v in range(g.n))
+    assert h.adj_rows == g.adj_rows
     assert emit_dimacs(h) == text
 
 
@@ -158,7 +171,7 @@ def test_coloring_refuses_a_vertex_colored_twice():
     assert str(err.value) == "line 2: vertex 1 colored twice"
 
 
-# ---- the block scanner against the line-by-line reference ---------------
+# ---- the block readers against the line-by-line reference ---------------
 
 # what str.split and str.strip take as whitespace inside a line, and what
 # str.splitlines takes as a line break
@@ -252,17 +265,53 @@ def outcome(read, *args):
     return (result.n, result.adj_rows, result.m)
 
 
+def edge_lines(first, last):
+    return "".join(f"e {u} {u + 1}\n" for u in range(first, last))
+
+
+# Blocks of record lines that one decode reads (and must still be checked
+# for range and self loops), their edges (numbers past 18 digits, leading
+# zeros, tabs, "\r\n", no final line break), and where the first block
+# ends (a problem line after "\r", "\x0b" or " ", or past BLOCK; a second
+# problem line or a comment among record lines).
+@example("p edge 3 1\ne 0 2\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 3 1\ne 4 2\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 3 2\ne 1 2\ne 3 3\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 3 1\ne 1 " + "9" * 19 + "\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 3 1\ne 1 " + "0" * 18 + "2\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 9 2\ne 08 0009\ne 001 07\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 3 2\r\ne\t1\t2\r\ne 2 \t3\t\r\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 3 2\ne 1 2\ne 2 3", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("c x\rp edge 3 1\ne 1 2\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("c x\x0bp edge 3 1\ne 1 2\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example(" p edge 3 1\ne 1 2\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("c " + "x" * 30 + "\np edge 3 1\ne 1 2\n", 24, graph_module.ROW_SUM_BYTES)
+@example("p edge 4 2\ne 1 2\np edge 4 2\ne 3 4\n", dimacs.BLOCK, graph_module.ROW_SUM_BYTES)
+@example("p edge 9 8\n" + edge_lines(1, 5) + "c mid\n" + edge_lines(5, 9), 24, 8)
+@example("p edge 9 9\n" + edge_lines(1, 9) + "e 6 5\n", 24, 16)
+@example("p edge 9 8\n" + edge_lines(1, 8) + "e 9 10\n", 24, 8)
 @given(scanner_text("e"), st.sampled_from([dimacs.BLOCK, 24, 48]),
-       st.sampled_from([dimacs.ROW_SUM_BYTES, 8, 16]))
+       st.sampled_from([graph_module.ROW_SUM_BYTES, 8, 16]))
 @settings(max_examples=400, deadline=None, derandomize=True)
 def test_parse_dimacs_matches_reference(text, block, row_bytes):
     # small blocks make a file span many of them, and the rows be built a
     # row or two at a time
     with mock.patch.object(dimacs, "BLOCK", block), \
-            mock.patch.object(dimacs, "ROW_SUM_BYTES", row_bytes):
+            mock.patch.object(graph_module, "ROW_SUM_BYTES", row_bytes):
         assert outcome(parse_dimacs, text) == outcome(reference.parse_dimacs, text)
 
 
+@example("s 0 1\ns 1 0\n", dimacs.BLOCK)
+@example("s 3 0\ns 1 0\n", dimacs.BLOCK)
+@example("s 1 " + "9" * 19 + "\n", dimacs.BLOCK)
+@example("s 01 0008\ns 2 09\n", dimacs.BLOCK)
+@example("s\t1\t0\r\ns 2 \t1 \r\n", dimacs.BLOCK)
+@example("s 1 0\ns 2 1", dimacs.BLOCK)
+@example("c x\rp edge 2 1\ns 1 0\ns 2 1\n", dimacs.BLOCK)
+@example("c x\x0bs 1 0\n", dimacs.BLOCK)
+@example("c " + "x" * 30 + "\ns 1 0\n", 24)
+@example("s 1 0\ns 2 1\ns 3 0\ns 4 1\nc mid\ns 5 2\ns 6 0\ns 7 1\ns 8 2\n", 24)
+@example("s 1 0\ns 2 1\ns 3 0\ns 4 1\ns 5 2\ns 2 0\n", 24)
 @given(scanner_text("s"), st.sampled_from([dimacs.BLOCK, 24, 48]))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_parse_coloring_matches_reference(text, block):
@@ -288,9 +337,12 @@ def test_emit_dimacs_matches_reference(data):
 
 
 def test_parse_builds_no_packed_rows_and_stays_in_memory_bounds():
-    # Peaks of the line-by-line code on this graph (tracemalloc, numpy
-    # 2.4.6): parse_dimacs 4.84 MiB, emit_dimacs 5.66 MiB.  The scanner and
-    # the block writer must stay at or below 4.8 and 5.6 MiB.
+    # Peaks of the reference reader and writer, which hold the whole file's
+    # lines, on this graph (tracemalloc, numpy 2.4.6): parse_dimacs
+    # 4.84 MiB, emit_dimacs 5.66 MiB.  The block reader and writer must stay
+    # at or below 4.8 and 5.6 MiB.  (A regex fullmatch of a block's
+    # repeated record lines holds 3.3 to 5.4 MiB of match state, by the
+    # pattern's form; the larger took this parse to 5.4 MiB.)
     g, _ = generate_planted(GenParams(n=2000, edge_prob=0.05, seed=0))
     text = emit_dimacs(g)
     tracemalloc.start()
