@@ -253,9 +253,11 @@ def cmd_verify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     if isinstance(payload, dict):
-        claims, k = payload.get("claims", []), payload.get("k", args.k)
+        claims, k = payload.get("claims", []), payload.get("k")
     else:
-        claims, k = payload, args.k
+        claims, k = payload, None
+    if k is None:  # a null k is unset, as a params file's null keys are
+        k = args.k
     if not isinstance(claims, list):
         print("error: claims file must hold a list of claims, or an object "
               "whose \"claims\" is one", file=sys.stderr)

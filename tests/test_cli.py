@@ -354,6 +354,24 @@ class TestVerify:
         assert "color target k" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("payload, code", [
+        ({"k": None}, 0),
+        ({}, 0),
+        ({"k": 4}, 0),
+        ({"k": 1}, 3),  # the file's k wins over --k
+    ], ids=["null", "absent", "same", "file-wins"])
+    def test_claims_file_k_wins_over_the_flag_unless_null(self, tmp_path, payload, code):
+        # a null k once shadowed --k: "color target k required", exit 3
+        src = tmp_path / "diamond.col"
+        src.write_text("p edge 4 5\ne 1 2\ne 1 3\ne 2 3\ne 2 4\ne 3 4\n")
+        cfile = tmp_path / "claims.json"
+        cfile.write_text(json.dumps({**payload, "claims": [{"type": "type1", "vertices": [0, 3]}]}))
+        out = tmp_path / "v.json"
+        assert run_cli(["verify", "--in", str(src), "--claims", str(cfile),
+                        "--k", "4", "--out", str(out)]) == code
+        [verdict] = json.loads(out.read_text())
+        assert verdict["verified"] == (code == 0)
+
     @pytest.mark.parametrize("entry", [
         1,
         {"type": "mono", "vertices": [0, 2], "conditional": [0]},
@@ -445,6 +463,16 @@ class TestUsage:
         )
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "u2028.sol").exists()
+
+    def test_crlf_input_colors(self, tmp_path):
+        # about 150 kB of "\r\n" lines: several blocks of the reader
+        g, _ = generate_planted(GenParams(n=300, edge_prob=0.5, seed=0))
+        src = tmp_path / "crlf.col"
+        src.write_bytes(emit_dimacs(g).replace("\n", "\r\n").encode())
+        out = tmp_path / "crlf.sol"
+        assert run_cli(["color", "--in", str(src), "--out", str(out)]) == 0
+        ok, _ = is_proper_coloring(g, parse_coloring(out.read_text(), g.n))
+        assert ok
 
     def test_out_of_memory_exits_1_without_a_traceback(self, tmp_path, capsys, monkeypatch):
         src = tmp_path / "k4.col"
